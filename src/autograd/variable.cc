@@ -82,25 +82,46 @@ void Variable::Backward() const {
         stack.push_back({p, 0});
       }
     } else {
+      // Parents without a closure: an earlier Backward() ran and released
+      // it. Going on would silently leave the leaves behind it without
+      // gradient.
+      SLIME_CHECK_MSG(f.node->parents.empty() || f.node->backward_fn,
+                      "Backward() reached a graph that an earlier Backward() "
+                      "already consumed; run the forward pass again to "
+                      "backpropagate a second time");
       topo.push_back(f.node);
       stack.pop_back();
     }
   }
   // topo is in post-order: parents before children. Seed the root and walk
-  // children-first (reverse order).
+  // children-first (reverse order). Once an op output has propagated its
+  // gradient nothing reads it or its closure again, so both are released
+  // here: saved activations and intermediate gradients die at last use
+  // instead of when the whole graph does.
   AccumulateGrad(node_, Tensor::Ones(node_->value.shape()));
   for (size_t i = topo.size(); i-- > 0;) {
     Node* n = topo[i];
     if (n->backward_fn && n->grad.defined()) {
       n->backward_fn(n->grad);
+      n->backward_fn = nullptr;
+      n->grad = Tensor();
     }
   }
 }
+
+namespace {
+thread_local bool no_grad = false;
+}  // namespace
+
+NoGradScope::NoGradScope() : prev_(no_grad) { no_grad = true; }
+
+NoGradScope::~NoGradScope() { no_grad = prev_; }
 
 Variable MakeOpVariable(Tensor value,
                         std::vector<std::shared_ptr<Node>> parents,
                         std::function<void(const Tensor&)> backward) {
   Variable v(std::move(value), false);
+  if (no_grad) return v;
   bool any = false;
   for (const auto& p : parents) {
     if (p && p->requires_grad) {

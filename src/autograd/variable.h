@@ -16,13 +16,32 @@ namespace autograd {
 struct Node {
   Tensor value;
   /// Gradient of the final scalar loss w.r.t. `value`; lazily allocated by
-  /// AccumulateGrad during the backward pass.
+  /// AccumulateGrad during the backward pass. Backward() releases it again
+  /// on op outputs once it has been propagated; only leaves keep theirs.
   Tensor grad;
   bool requires_grad = false;
   /// Parents (operation inputs). Only set on op outputs.
   std::vector<std::shared_ptr<Node>> parents;
-  /// Propagates `grad` into the parents. Null on leaves.
+  /// Propagates `grad` into the parents. Null on leaves, and reset on op
+  /// outputs by the Backward() that ran it (parents without a backward_fn
+  /// mark a consumed graph).
   std::function<void(const Tensor& grad_out)> backward_fn;
+};
+
+/// RAII scope that turns graph building off on the current thread: inside
+/// it, MakeOpVariable returns a bare value node with no parents and no
+/// backward closure, so every activation is freed when its last consumer
+/// returns. Scopes nest; each restores the state it found. Other threads
+/// are unaffected.
+class NoGradScope {
+ public:
+  NoGradScope();
+  ~NoGradScope();
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+ private:
+  bool prev_;
 };
 
 /// Adds `g` into `node->grad`, allocating zeros on first touch. No-op when
@@ -55,7 +74,11 @@ class Variable {
   void ZeroGrad();
 
   /// Runs reverse-mode differentiation from this scalar (numel == 1)
-  /// variable, accumulating into every reachable requires-grad node.
+  /// variable, accumulating into every reachable requires-grad leaf.
+  /// Consumes the graph: each op output's backward closure (with the
+  /// tensors it saved) and gradient are released as soon as it has run,
+  /// so a graph can be backpropagated once; a Backward() that reaches a
+  /// consumed op output is a SLIME_CHECK failure.
   void Backward() const;
 
   const std::shared_ptr<Node>& node() const { return node_; }
@@ -74,7 +97,8 @@ class Variable {
 };
 
 /// Builds an op-output Variable; requires_grad is inferred from parents and
-/// `backward` is dropped when no parent needs gradients.
+/// `backward` is dropped when no parent needs gradients or a NoGradScope is
+/// active on this thread.
 Variable MakeOpVariable(Tensor value,
                         std::vector<std::shared_ptr<Node>> parents,
                         std::function<void(const Tensor&)> backward);

@@ -37,8 +37,10 @@ struct ModelConfig {
 /// Common interface of the eleven models in Table II. Training code builds
 /// batches, calls Loss() (which constructs an autograd graph using the
 /// model's internal RNG for dropout/augmentation), backpropagates, and
-/// steps an optimizer over Parameters(). Evaluation calls ScoreAll() in
-/// eval mode.
+/// steps an optimizer over Parameters(). Evaluation and serving call
+/// ScoreAll() in eval mode inside an autograd::NoGradScope, so scoring
+/// builds no graph; implementations need not (and do not) manage that
+/// themselves.
 class SequentialRecommender : public nn::Module {
  public:
   explicit SequentialRecommender(const ModelConfig& config)
@@ -68,7 +70,8 @@ class SequentialRecommender : public nn::Module {
 
   /// Concurrent-use detector (see ModelUseGuard). Models are stateful
   /// during both training (autograd graphs, RNG draws) and inference
-  /// (SetTraining toggles, RNG for augmentation-based models), so no two
+  /// (SetTraining toggles, RNG for augmentation-based models; scoring
+  /// itself builds no graph, but it still reads that state), so no two
   /// guarded activities may overlap on one instance — in particular a
   /// RecommendationService call racing a Trainer::Fit on the same model.
   /// Best-effort: two activities starting in the same instant may both

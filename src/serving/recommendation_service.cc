@@ -21,21 +21,30 @@ std::vector<Recommendation> TopKFromScores(
     const float* row, int64_t num_items, int64_t k,
     const std::vector<bool>& excluded) {
   SLIME_CHECK_EQ(static_cast<int64_t>(excluded.size()), num_items + 1);
-  std::vector<Recommendation> candidates;
-  candidates.reserve(num_items);
+  // (score desc, item asc) is a total order over distinct items, so the
+  // bounded heap keeps exactly the prefix a full sort would.
+  const auto better = [](const Recommendation& a, const Recommendation& b) {
+    return a.score > b.score || (a.score == b.score && a.item < b.item);
+  };
+  const size_t cap =
+      static_cast<size_t>(std::clamp<int64_t>(k, 0, num_items));
+  // Heap ordered by `better`: front() is the worst of the best `cap` so far.
+  std::vector<Recommendation> top;
+  top.reserve(cap);
   for (int64_t item = 1; item <= num_items; ++item) {
     if (excluded[item]) continue;
-    candidates.push_back({item, row[item]});
+    const Recommendation r{item, row[item]};
+    if (top.size() < cap) {
+      top.push_back(r);
+      std::push_heap(top.begin(), top.end(), better);
+    } else if (cap > 0 && better(r, top.front())) {
+      std::pop_heap(top.begin(), top.end(), better);
+      top.back() = r;
+      std::push_heap(top.begin(), top.end(), better);
+    }
   }
-  const int64_t take = std::min<int64_t>(k, candidates.size());
-  std::partial_sort(candidates.begin(), candidates.begin() + take,
-                    candidates.end(),
-                    [](const Recommendation& a, const Recommendation& b) {
-                      return a.score > b.score ||
-                             (a.score == b.score && a.item < b.item);
-                    });
-  candidates.resize(take);
-  return candidates;
+  std::sort_heap(top.begin(), top.end(), better);
+  return top;
 }
 
 Status RecommendationService::Validate(
@@ -122,6 +131,9 @@ Result<PartialBatch> RecommendationService::RecommendBatchCancellable(
   models::ModelUseGuard use(model_, "serving");
   const bool was_training = model_->training();
   model_->SetTraining(false);
+  // Serving reads values only: no graph, so each activation is freed as
+  // soon as the next layer has consumed it.
+  autograd::NoGradScope no_grad;
   const Tensor scores = model_->ScoreAll(batch);
   model_->SetTraining(was_training);
   SLIME_CHECK_EQ(scores.size(0), batch.size);

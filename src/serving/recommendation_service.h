@@ -48,7 +48,10 @@ struct PartialBatch {
 /// Serving wrapper over any trained SequentialRecommender: takes raw user
 /// histories, handles padding/truncation and batching, and returns ranked
 /// top-K lists. The service switches the model to eval mode for the
-/// duration of each call and restores the previous mode afterwards.
+/// duration of each call and restores the previous mode afterwards, and
+/// scores inside an autograd::NoGradScope: serving builds no autograd
+/// graph, so activations are freed layer by layer and rankings are
+/// bit-identical to a graph-building ScoreAll on the same model.
 ///
 /// Requests are untrusted input: malformed histories (item ids outside
 /// [1, num_items], empty histories) and non-positive top_k are rejected
@@ -110,8 +113,9 @@ class RecommendationService {
 /// Standalone helper: top-k (item, score) pairs from one score row
 /// (column 0 = padding is always excluded), honouring an exclusion mask.
 /// Equal scores rank the lower item id first — unconditionally, so a
-/// ranking never depends on iteration order, thread count, or the
-/// std::partial_sort implementation.
+/// ranking never depends on iteration order or thread count. A bounded
+/// k-heap: the only allocation is the returned vector, whose capacity is
+/// at most k.
 std::vector<Recommendation> TopKFromScores(const float* row,
                                            int64_t num_items, int64_t k,
                                            const std::vector<bool>& excluded);

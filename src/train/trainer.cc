@@ -39,6 +39,8 @@ metrics::RankingMetrics Evaluate(models::SequentialRecommender* model,
                                  int64_t batch_size) {
   const bool was_training = model->training();
   model->SetTraining(false);
+  // Scoring reads values only; no graph is built.
+  autograd::NoGradScope no_grad;
   metrics::RankingAccumulator acc;
   for (const data::Batch& batch : data::MakeEvalBatches(
            split, test, batch_size, model->config().max_len)) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "autograd/gradcheck.h"
 #include "autograd/variable.h"
@@ -335,6 +336,100 @@ TEST(AutogradTest, MulConstBackwardUsesMask) {
   EXPECT_FLOAT_EQ(x.grad()[0], 0.0f);
   EXPECT_FLOAT_EQ(x.grad()[1], 2.0f);
   EXPECT_FLOAT_EQ(x.grad()[2], 1.0f);
+}
+
+TEST(AutogradTest, BackwardConsumesGraphButKeepsLeafGrads) {
+  // y = sum((x w)^2): dx = 2 h w^T, dw = x^T 2h with h = x w.
+  Variable x = RandParam({2, 3}, 47);
+  Variable w = RandParam({3, 2}, 48);
+  Variable h = MatMul(x, w);
+  Variable y = Sum(Mul(h, h));
+  y.Backward();
+  for (int64_t i = 0; i < 2; ++i) {
+    for (int64_t k = 0; k < 3; ++k) {
+      float dx = 0.0f;
+      for (int64_t j = 0; j < 2; ++j) {
+        dx += 2.0f * h.value()[i * 2 + j] * w.value()[k * 2 + j];
+      }
+      EXPECT_NEAR(x.grad()[i * 3 + k], dx, 1e-5f);
+    }
+  }
+  for (int64_t k = 0; k < 3; ++k) {
+    for (int64_t j = 0; j < 2; ++j) {
+      float dw = 0.0f;
+      for (int64_t i = 0; i < 2; ++i) {
+        dw += x.value()[i * 3 + k] * 2.0f * h.value()[i * 2 + j];
+      }
+      EXPECT_NEAR(w.grad()[k * 2 + j], dw, 1e-5f);
+    }
+  }
+  // Op outputs gave up their gradient and closure once propagated; their
+  // values stay readable.
+  EXPECT_FALSE(h.has_grad());
+  EXPECT_FALSE(y.has_grad());
+  EXPECT_FALSE(h.node()->backward_fn);
+  EXPECT_FALSE(y.node()->backward_fn);
+  EXPECT_EQ(h.numel(), 4);
+}
+
+TEST(AutogradDeathTest, SecondBackwardOnConsumedGraphDies) {
+  Variable x = Param(Tensor::Scalar(2.0f));
+  Variable y = MulScalar(Mul(x, x), 3.0f);
+  y.Backward();
+  EXPECT_DEATH(y.Backward(), "already consumed");
+  // A new loss over a consumed subgraph would silently starve x.
+  Variable h = Mul(x, x);
+  MulScalar(h, 2.0f).Backward();
+  Variable z = MulScalar(h, 5.0f);
+  EXPECT_DEATH(z.Backward(), "already consumed");
+}
+
+TEST(NoGradScopeTest, OpOutputsBuildNoGraph) {
+  Variable x = RandParam({2, 3}, 49);
+  Variable w = RandParam({3, 2}, 50);
+  NoGradScope no_grad;
+  Variable y = Sum(Gelu(MatMul(x, w)));
+  EXPECT_FALSE(y.requires_grad());
+  EXPECT_TRUE(y.node()->parents.empty());
+  EXPECT_FALSE(y.node()->backward_fn);
+  EXPECT_TRUE(x.requires_grad());  // leaves keep their flag
+}
+
+TEST(NoGradScopeTest, NestedScopesRestoreOuterState) {
+  Variable x = Param(Tensor::Scalar(2.0f));
+  {
+    NoGradScope outer;
+    {
+      NoGradScope inner;
+      EXPECT_FALSE(MulScalar(x, 3.0f).requires_grad());
+    }
+    EXPECT_FALSE(MulScalar(x, 3.0f).requires_grad());
+  }
+  Variable y = MulScalar(x, 3.0f);
+  EXPECT_TRUE(y.requires_grad());
+  y.Backward();
+  EXPECT_FLOAT_EQ(x.grad()[0], 3.0f);
+}
+
+TEST(NoGradScopeTest, FlagIsPerThread) {
+  NoGradScope no_grad;
+  bool worker_builds_graph = false;
+  GradCheckResult r;
+  // The worker runs entirely while this thread is inside its scope.
+  std::thread worker([&] {
+    Variable a = RandParam({3, 4}, 51);
+    Variable b = RandParam({4, 2}, 52);
+    worker_builds_graph = MatMul(a, b).requires_grad();
+    r = CheckGradients(
+        [](const std::vector<Variable>& in) {
+          return Sum(Gelu(MatMul(in[0], in[1])));
+        },
+        {a, b}, 1e-3, 2e-2);
+  });
+  worker.join();
+  EXPECT_TRUE(worker_builds_graph);
+  EXPECT_TRUE(r.ok) << r.message;
+  EXPECT_FALSE(MulScalar(RandParam({2}, 53), 2.0f).requires_grad());
 }
 
 }  // namespace

@@ -11,8 +11,10 @@
 #include "autograd/ops.h"
 #include "compute/backend.h"
 #include "compute/thread_pool.h"
+#include "data/batcher.h"
 #include "data/synthetic.h"
 #include "fft/spectral_ops.h"
+#include "metrics/ranking.h"
 #include "models/model_factory.h"
 #include "observability/metrics.h"
 #include "observability/telemetry.h"
@@ -284,6 +286,89 @@ TEST(BackendDeterminismTest, GradcheckPassesUnderSimdBackend) {
       },
       {a, b, gamma, beta});
   EXPECT_TRUE(result.ok) << result.message;
+}
+
+// ---- Tape-free inference: serving and evaluation score inside
+// autograd::NoGradScope, which changes no kernel and no operation order, so
+// they must equal a graph-building ScoreAll exactly, under each backend at
+// every thread count.
+
+TEST(NoGradDeterminismTest, ServedRankingsEqualGraphBuildingScoreAll) {
+  BackendGuard guard;
+  const data::SplitDataset split = TinySplit();
+  const std::vector<std::vector<int64_t>> histories = {
+      {1, 2, 3}, {4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, {9}, {11, 12, 13, 14}};
+  serving::RecommendOptions options;
+  options.top_k = 10;
+  for (const auto& backend : compute::AvailableKernelBackends()) {
+    compute::SetKernelBackend(backend).value();
+    for (int threads : {1, 2, 8}) {
+      compute::ComputeContext ctx(threads);
+      const std::string label = backend + " threads=" + std::to_string(threads);
+      auto model = models::CreateModel("SLIME4Rec", TinyModelConfig(split));
+      const auto served = serving::RecommendationService(model.get())
+                              .RecommendBatch(histories, options)
+                              .value();
+      // Twin: the same batch scored outside any scope, graph and all.
+      const int64_t n = model->config().max_len;
+      const int64_t num_items = model->config().num_items;
+      data::Batch batch;
+      batch.size = static_cast<int64_t>(histories.size());
+      batch.max_len = n;
+      for (const auto& h : histories) {
+        batch.user_ids.push_back(0);
+        batch.targets.push_back(1);
+        batch.raw_prefixes.push_back(h);
+        const std::vector<int64_t> padded = data::PadTruncate(h, n);
+        batch.input_ids.insert(batch.input_ids.end(), padded.begin(),
+                               padded.end());
+      }
+      model->SetTraining(false);
+      const Tensor scores = model->ScoreAll(batch);
+      ASSERT_EQ(served.size(), histories.size());
+      for (size_t u = 0; u < histories.size(); ++u) {
+        std::vector<bool> excluded(num_items + 1, false);
+        for (int64_t item : histories[u]) excluded[item] = true;
+        const auto twin = serving::TopKFromScores(
+            scores.data() + u * (num_items + 1), num_items, options.top_k,
+            excluded);
+        ASSERT_EQ(served[u].size(), twin.size()) << label;
+        for (size_t i = 0; i < twin.size(); ++i) {
+          EXPECT_EQ(served[u][i].item, twin[i].item) << label << " u=" << u;
+          EXPECT_EQ(served[u][i].score, twin[i].score) << label << " u=" << u;
+        }
+      }
+    }
+  }
+}
+
+TEST(NoGradDeterminismTest, EvaluateEqualsGraphBuildingLoop) {
+  BackendGuard guard;
+  const data::SplitDataset split = TinySplit();
+  for (const auto& backend : compute::AvailableKernelBackends()) {
+    compute::SetKernelBackend(backend).value();
+    for (int threads : {1, 2, 8}) {
+      compute::ComputeContext ctx(threads);
+      const std::string label = backend + " threads=" + std::to_string(threads);
+      auto model = models::CreateModel("SLIME4Rec", TinyModelConfig(split));
+      for (const bool test : {false, true}) {
+        const metrics::RankingMetrics got =
+            train::Evaluate(model.get(), split, test, /*batch_size=*/32);
+        model->SetTraining(false);
+        metrics::RankingAccumulator acc;
+        for (const data::Batch& batch : data::MakeEvalBatches(
+                 split, test, /*batch_size=*/32, model->config().max_len)) {
+          acc.Add(model->ScoreAll(batch), batch.targets);
+        }
+        const metrics::RankingMetrics want = metrics::RankingMetrics::From(acc);
+        EXPECT_EQ(got.hr5, want.hr5) << label;
+        EXPECT_EQ(got.hr10, want.hr10) << label;
+        EXPECT_EQ(got.ndcg5, want.ndcg5) << label;
+        EXPECT_EQ(got.ndcg10, want.ndcg10) << label;
+        EXPECT_EQ(got.mrr, want.mrr) << label;
+      }
+    }
+  }
 }
 
 // ---- Rfft path determinism (the half-spectrum fast path): the same

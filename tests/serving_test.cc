@@ -177,6 +177,61 @@ TEST(ServingTest, TopKTieBreakRespectsExclusions) {
   EXPECT_EQ(recs[3].item, 5);
 }
 
+// Reference: every surviving item, fully sorted, cut to k.
+std::vector<Recommendation> NaiveTopK(const std::vector<float>& row,
+                                      int64_t k,
+                                      const std::vector<bool>& excluded) {
+  std::vector<Recommendation> all;
+  for (int64_t item = 1; item < static_cast<int64_t>(row.size()); ++item) {
+    if (!excluded[item]) all.push_back({item, row[item]});
+  }
+  std::sort(all.begin(), all.end(),
+            [](const Recommendation& a, const Recommendation& b) {
+              return a.score > b.score ||
+                     (a.score == b.score && a.item < b.item);
+            });
+  if (static_cast<int64_t>(all.size()) > k) all.resize(k);
+  return all;
+}
+
+TEST(ServingTest, TopKHeapMatchesNaiveFullSort) {
+  Rng rng(2026);
+  const int64_t num_items = 300;
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<float> row(num_items + 1);
+    for (float& s : row) s = 2.0f * rng.UniformFloat() - 1.0f;
+    // Plant ties: every 7th item shares one high score, so tied items
+    // straddle the top-k cut.
+    const float tied = 0.5f + 0.5f * rng.UniformFloat();
+    for (int64_t item = 1; item <= num_items; item += 7) row[item] = tied;
+    std::vector<bool> excluded(num_items + 1, false);
+    const double p_excluded = (trial % 3) * 0.4;  // 0, 0.4, 0.8
+    for (int64_t item = 1; item <= num_items; ++item) {
+      excluded[item] = rng.Bernoulli(p_excluded);
+    }
+    // k below, near and above the number of surviving candidates.
+    for (const int64_t k : {int64_t{1}, int64_t{10}, int64_t{57},
+                            num_items, num_items + 5}) {
+      const auto got = TopKFromScores(row.data(), num_items, k, excluded);
+      const auto want = NaiveTopK(row, k, excluded);
+      ASSERT_EQ(got.size(), want.size()) << "trial " << trial << " k " << k;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].item, want[i].item) << trial << "," << k << "," << i;
+        EXPECT_EQ(got[i].score, want[i].score);
+      }
+      EXPECT_LE(static_cast<int64_t>(got.capacity()), k);
+    }
+  }
+}
+
+TEST(ServingTest, TopKWithEveryItemExcludedIsEmpty) {
+  std::vector<float> row = {0.0f, 3.0f, 1.0f, 2.0f};
+  const std::vector<bool> excluded = {false, true, true, true};
+  const auto recs = TopKFromScores(row.data(), 3, 2, excluded);
+  EXPECT_TRUE(recs.empty());
+  EXPECT_LE(recs.capacity(), 2u);
+}
+
 TEST(ServingTest, RankingsBitIdenticalAcrossThreadCounts) {
   core::Slime4Rec model(SmallConfig());
   RecommendationService service(&model);

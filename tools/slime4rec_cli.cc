@@ -65,6 +65,7 @@
 #include <string>
 #include <vector>
 
+#include "autograd/variable.h"
 #include "bench_util/table_printer.h"
 #include "cluster/cluster.h"
 #include "cluster/repair.h"
@@ -352,6 +353,7 @@ int CmdRecommend(const Flags& flags) {
   const std::vector<int64_t> history = split.TestInput(user);
   batch.raw_prefixes = {history};
   batch.input_ids = data::PadTruncate(history, batch.max_len);
+  autograd::NoGradScope no_grad;
   const Tensor scores = model->ScoreAll(batch);
   std::printf("history:");
   for (int64_t v : history) std::printf(" %lld", static_cast<long long>(v));
