@@ -58,6 +58,12 @@ Variable Add(const Variable& a, const Variable& b) {
   });
 }
 
+Variable AddInPlace(Variable a, const Variable& b) {
+  if (!CanReuse(a)) return Add(a, b);
+  ops::AddInPlace(&a.mutable_value(), b.value());
+  return a;
+}
+
 Variable Sub(const Variable& a, const Variable& b) {
   Tensor out = ops::Sub(a.value(), b.value());
   auto an = a.node();
@@ -154,6 +160,13 @@ Variable Gelu(const Variable& a) {
   });
 }
 
+Variable GeluInPlace(Variable a) {
+  if (!CanReuse(a)) return Gelu(a);
+  Tensor& x = a.mutable_value();
+  compute::Dispatch().gelu(x.data(), x.data(), x.numel());
+  return a;
+}
+
 Variable Sigmoid(const Variable& a) {
   Tensor out = ops::Map(a.value(), [](float x) {
     return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
@@ -227,12 +240,13 @@ Variable Sqrt(const Variable& a) {
 }
 
 Variable Reshape(const Variable& a, std::vector<int64_t> shape) {
-  Tensor out = a.value().Clone().Reshape(std::move(shape));
+  Tensor out = a.value().Reshape(std::move(shape));
   auto an = a.node();
   std::vector<int64_t> in_shape = a.value().shape();
+  // AccumulateGrad copies or adds the view; it never keeps it.
   return MakeOpVariable(std::move(out), {an},
                         [an, in_shape](const Tensor& g) {
-                          AccumulateGrad(an, g.Clone().Reshape(in_shape));
+                          AccumulateGrad(an, g.Reshape(in_shape));
                         });
 }
 
@@ -655,11 +669,15 @@ Variable LayerNorm(const Variable& x, const Variable& gamma,
   SLIME_CHECK_EQ(gamma.value().numel(), d);
   SLIME_CHECK_EQ(beta.value().numel(), d);
   const int64_t rows = xt.numel() / d;
+  const bool record = !NoGradActive() && (x.requires_grad() ||
+                                          gamma.requires_grad() ||
+                                          beta.requires_grad());
   Tensor y(xt.shape());
-  Tensor xhat(xt.shape());
+  Tensor xhat = record ? Tensor(xt.shape()) : Tensor();
   Tensor inv_std({rows});
   compute::Dispatch().layer_norm(xt.data(), gamma.value().data(),
-                                 beta.value().data(), y.data(), xhat.data(),
+                                 beta.value().data(), y.data(),
+                                 record ? xhat.data() : nullptr,
                                  inv_std.data(), rows, d, eps);
   auto xn = x.node();
   auto gn = gamma.node();

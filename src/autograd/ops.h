@@ -16,6 +16,10 @@ namespace autograd {
 
 // --- Elementwise arithmetic -------------------------------------------------
 Variable Add(const Variable& a, const Variable& b);
+/// Add(a, b) written over `a`'s buffer when CanReuse(a) (b must broadcast
+/// to a's shape); otherwise exactly Add(a, b). Same bits either way. Pass
+/// `a` with std::move.
+Variable AddInPlace(Variable a, const Variable& b);
 Variable Sub(const Variable& a, const Variable& b);
 Variable Mul(const Variable& a, const Variable& b);
 Variable Div(const Variable& a, const Variable& b);
@@ -33,6 +37,9 @@ Variable AddConst(const Variable& a, const Tensor& c);
 Variable Relu(const Variable& a);
 /// Exact Gaussian-error-linear-unit, matching the paper's FFN (Eq. 29).
 Variable Gelu(const Variable& a);
+/// Gelu(a) written over `a`'s buffer when CanReuse(a); otherwise exactly
+/// Gelu(a). Pass `a` with std::move.
+Variable GeluInPlace(Variable a);
 Variable Sigmoid(const Variable& a);
 Variable Tanh(const Variable& a);
 Variable Exp(const Variable& a);
@@ -40,6 +47,8 @@ Variable Log(const Variable& a);
 Variable Sqrt(const Variable& a);
 
 // --- Shape manipulation ------------------------------------------------------
+/// A view: the output shares `a`'s storage (and its gradient reshapes the
+/// incoming one without a copy).
 Variable Reshape(const Variable& a, std::vector<int64_t> shape);
 Variable TransposeLastTwo(const Variable& a);
 /// Slice along `axis`: indices [start, end). Produces a copy.
@@ -88,7 +97,8 @@ Variable EmbeddingLookup(const Variable& weight,
                          std::vector<int64_t> out_shape);
 
 /// Layer normalisation over the last dimension with affine parameters
-/// `gamma`, `beta` of shape (d).
+/// `gamma`, `beta` of shape (d). The normalised input saved for backward
+/// is allocated only when a graph is recorded.
 Variable LayerNorm(const Variable& x, const Variable& gamma,
                    const Variable& beta, float eps = 1e-12f);
 

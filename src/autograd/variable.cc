@@ -117,6 +117,13 @@ NoGradScope::NoGradScope() : prev_(no_grad) { no_grad = true; }
 
 NoGradScope::~NoGradScope() { no_grad = prev_; }
 
+bool NoGradActive() { return no_grad; }
+
+bool CanReuse(const Variable& v) {
+  return no_grad && v.defined() && v.node().use_count() == 1 &&
+         v.value().UniqueStorage();
+}
+
 Variable MakeOpVariable(Tensor value,
                         std::vector<std::shared_ptr<Node>> parents,
                         std::function<void(const Tensor&)> backward) {

@@ -103,6 +103,15 @@ Variable MakeOpVariable(Tensor value,
                         std::vector<std::shared_ptr<Node>> parents,
                         std::function<void(const Tensor&)> backward);
 
+/// True inside a NoGradScope on this thread.
+bool NoGradActive();
+
+/// Whether an op may write its result over `v`'s buffer: a NoGradScope is
+/// active on this thread, `v` is the only handle on its node, and no other
+/// Tensor shares its storage. Callers pass operands they give up (moved in)
+/// and never read them again.
+bool CanReuse(const Variable& v);
+
 /// Convenience leaf constructors.
 inline Variable Constant(Tensor t) { return Variable(std::move(t), false); }
 inline Variable Param(Tensor t) { return Variable(std::move(t), true); }

@@ -262,11 +262,12 @@ void LayerNormKernel(const float* x, const float* gamma, const float* beta,
       var /= d;
       const float is = static_cast<float>(1.0 / std::sqrt(var + eps));
       inv_std[r] = is;
-      float* hr = xhat + r * d;
+      float* hr = xhat == nullptr ? nullptr : xhat + r * d;
       float* yr = y + r * d;
       for (int64_t i = 0; i < d; ++i) {
-        hr[i] = (in[i] - static_cast<float>(mean)) * is;
-        yr[i] = hr[i] * gamma[i] + beta[i];
+        const float h = (in[i] - static_cast<float>(mean)) * is;
+        if (hr != nullptr) hr[i] = h;
+        yr[i] = h * gamma[i] + beta[i];
       }
     }
   });

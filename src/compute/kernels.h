@@ -72,7 +72,8 @@ void GeluBwdKernel(const float* x, const float* g, float* dx, int64_t n);
 
 /// LayerNorm forward over `rows` rows of width `d`, caching the normalised
 /// input `xhat` (rows x d) and per-row `inv_std` for the backward pass.
-/// Mean/variance accumulate in double.
+/// Mean/variance accumulate in double. `xhat` may be null (no backward
+/// will run); `y` is the same bit for bit either way.
 void LayerNormKernel(const float* x, const float* gamma, const float* beta,
                      float* y, float* xhat, float* inv_std, int64_t rows,
                      int64_t d, float eps);

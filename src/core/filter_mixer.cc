@@ -1,6 +1,11 @@
 #include "core/filter_mixer.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "autograd/ops.h"
+#include "compute/kernels.h"
+#include "compute/thread_pool.h"
 #include "fft/fft.h"
 #include "tensor/tensor_ops.h"
 
@@ -44,24 +49,126 @@ autograd::Variable FilterMixerLayer::Forward(const autograd::Variable& x,
   using autograd::Variable;
   const int64_t n = x.size(1);
   SLIME_CHECK_EQ(n, seq_len_);
-  // Eq. 12: transform to the frequency domain.
-  const fft::SpectralPair spectrum = fft::Rfft(x);
-  fft::SpectralPair mixed;
-  if (options_.use_dynamic && options_.use_static) {
-    // Eqs. 21, 25, 26.
+  // Eq. 12: transform to the frequency domain; Eqs. 21, 25, 26: filter.
+  fft::SpectralPair mixed = FilterSpectrum(fft::Rfft(x));
+  // Eq. 27: back to the time domain; Eq. 28: dropout + residual + LN. Each
+  // activation is dropped at its last use, which frees it when no graph
+  // holds it.
+  Variable h = fft::Irfft(mixed, n);
+  mixed = {};
+  h = dropout_->Forward(h, rng);
+  Variable sum = autograd::Add(x, h);
+  h = Variable();
+  return layer_norm_->Forward(sum);
+}
+
+namespace {
+
+/// complex_mul over one (M, d) plane of a (B, M, d) spectrum, cut into the
+/// pieces that the single whole-batch call's kElementwiseGrain chunks cut
+/// it into. Within a chunk the SIMD kernel picks each element's vector or
+/// scalar path from the chunk and block boundaries, so these pieces give
+/// every element the same path, and the same bits, as that call.
+void ComplexMulPlane(const float* xr, const float* xi, const float* wr,
+                     const float* wi, float* out_re, float* out_im,
+                     int64_t item, int64_t block) {
+  const auto& kt = compute::Dispatch();
+  const int64_t begin = item * block;
+  for (int64_t s = begin; s < begin + block;) {
+    const int64_t e =
+        std::min(begin + block, (s / compute::kElementwiseGrain + 1) *
+                                    compute::kElementwiseGrain);
+    const int64_t off = s - begin;
+    kt.complex_mul(xr + off, xi + off, wr + off, wi + off, out_re + off,
+                   out_im + off, /*repeats=*/1, e - s);
+    s = e;
+  }
+}
+
+/// sigma (.) (X (.) W) for one plane into `out`, as LearnableFilter::Apply
+/// computes it: the complex product, then the window mask row by row.
+void FilterPlane(const float* xr, const float* xi,
+                 const LearnableFilter& filter, const Tensor& mask,
+                 int64_t item, int64_t m, int64_t d, float* out_re,
+                 float* out_im) {
+  ComplexMulPlane(xr, xi, filter.weight_re().value().data(),
+                  filter.weight_im().value().data(), out_re, out_im, item,
+                  m * d);
+  if (!mask.defined()) return;
+  const float* pm = mask.data();
+  for (int64_t row = 0; row < m; ++row) {
+    for (int64_t j = row * d; j < (row + 1) * d; ++j) {
+      out_re[j] *= pm[row];
+      out_im[j] *= pm[row];
+    }
+  }
+}
+
+}  // namespace
+
+fft::SpectralPair FilterMixerLayer::FilterSpectrum(
+    fft::SpectralPair spectrum) const {
+  const bool both = options_.use_dynamic && options_.use_static;
+  const float gamma = static_cast<float>(options_.gamma);
+  if (!autograd::CanReuse(spectrum.re) || !autograd::CanReuse(spectrum.im)) {
+    // The composed ops: the training path and the gradient reference.
+    if (!both) {
+      return options_.use_dynamic
+                 ? dynamic_filter_->Apply(spectrum, dynamic_mask_)
+                 : static_filter_->Apply(spectrum, static_mask_);
+    }
     const fft::SpectralPair xd =
         dynamic_filter_->Apply(spectrum, dynamic_mask_);
     const fft::SpectralPair xs = static_filter_->Apply(spectrum, static_mask_);
-    mixed = fft::MixSpectra(xd, xs, static_cast<float>(options_.gamma));
-  } else if (options_.use_dynamic) {
-    mixed = dynamic_filter_->Apply(spectrum, dynamic_mask_);
-  } else {
-    mixed = static_filter_->Apply(spectrum, static_mask_);
+    return fft::MixSpectra(xd, xs, gamma);
   }
-  // Eq. 27: back to the time domain; Eq. 28: dropout + residual + LN.
-  Variable h = fft::Irfft(mixed, n);
-  h = dropout_->Forward(h, rng);
-  return layer_norm_->Forward(autograd::Add(x, h));
+  // No graph and nothing else sees the spectrum: filter and mix it over its
+  // own buffers, one batch item at a time, with the composed ops' kernels
+  // and rounding order, so the bits are the same.
+  Tensor& re = spectrum.re.mutable_value();
+  Tensor& im = spectrum.im.mutable_value();
+  const int64_t m = re.size(1);
+  const int64_t d = re.size(2);
+  const int64_t block = m * d;
+  const auto& kt = compute::Dispatch();
+  float* pre = re.data();
+  float* pim = im.data();
+  compute::ParallelFor(
+      0, re.size(0), compute::GrainForWork(8 * block),
+      [&](int64_t lo, int64_t hi) {
+        std::vector<float> scratch((both ? 4 : 2) * block);
+        float* a_re = scratch.data();
+        float* a_im = a_re + block;
+        float* b_re = both ? a_im + block : nullptr;
+        float* b_im = both ? b_re + block : nullptr;
+        for (int64_t item = lo; item < hi; ++item) {
+          float* xr = pre + item * block;
+          float* xi = pim + item * block;
+          if (!both) {
+            const bool dyn = options_.use_dynamic;
+            FilterPlane(xr, xi, dyn ? *dynamic_filter_ : *static_filter_,
+                        dyn ? dynamic_mask_ : static_mask_, item, m, d, a_re,
+                        a_im);
+            std::copy(a_re, a_re + block, xr);
+            std::copy(a_im, a_im + block, xi);
+            continue;
+          }
+          FilterPlane(xr, xi, *dynamic_filter_, dynamic_mask_, item, m, d,
+                      a_re, a_im);
+          FilterPlane(xr, xi, *static_filter_, static_mask_, item, m, d,
+                      b_re, b_im);
+          // MixSpectra: (1 - gamma) * xd + gamma * xs, each product rounded.
+          for (int64_t j = 0; j < block; ++j) {
+            a_re[j] *= 1.0f - gamma;
+            a_im[j] *= 1.0f - gamma;
+            b_re[j] *= gamma;
+            b_im[j] *= gamma;
+          }
+          kt.add(a_re, b_re, xr, block);
+          kt.add(a_im, b_im, xi, block);
+        }
+      });
+  return spectrum;
 }
 
 namespace {
@@ -102,12 +209,16 @@ autograd::Variable FilterMixerBlock::Forward(const autograd::Variable& x,
                                              Rng* rng) const {
   using autograd::Add;
   using autograd::Variable;
-  const Variable h_hat = mixer_->Forward(x, rng);
+  Variable h_hat = mixer_->Forward(x, rng);
   // Eq. 30: densely residual combination of block input, mixer output and
   // FFN output; FeedForward's trailing dropout realises the Dropout(...)
-  // term.
-  const Variable f = ffn_->Forward(h_hat, rng);
-  return layer_norm_->Forward(Add(Add(x, h_hat), f));
+  // term. h_hat and f are dropped at their last use.
+  Variable f = ffn_->Forward(h_hat, rng);
+  Variable sum = Add(x, h_hat);
+  h_hat = Variable();
+  sum = Add(sum, f);
+  f = Variable();
+  return layer_norm_->Forward(sum);
 }
 
 }  // namespace core

@@ -55,6 +55,11 @@ class FilterMixerLayer : public nn::Module {
   Tensor MaskedStaticAmplitude() const;
 
  private:
+  /// DFS/SFS filtering and mixing of `spectrum` (Eqs. 21, 25, 26). Under a
+  /// NoGradScope it overwrites the spectrum's own buffers; otherwise it
+  /// records the composed filter ops. Bit-identical either way.
+  fft::SpectralPair FilterSpectrum(fft::SpectralPair spectrum) const;
+
   int64_t seq_len_;
   FilterMixerOptions options_;
   FilterWindow dynamic_window_;

@@ -41,11 +41,10 @@ autograd::Variable Slime4Rec::Encode(const std::vector<int64_t>& input_ids,
   const int64_t n = config_.max_len;
   SLIME_CHECK_EQ(static_cast<int64_t>(input_ids.size()), batch_size * n);
   // Eq. 9 + Eq. 10: item embedding + positional embedding, LN, dropout.
-  Variable e = item_emb_->Forward(input_ids, {batch_size, n});
-  e = Add(e, pos_emb_);  // (B,N,d) + (N,d) broadcasts
-  e = emb_norm_->Forward(e);
-  e = emb_dropout_->Forward(e, &rng_);
-  Variable h = e;
+  Variable h = item_emb_->Forward(input_ids, {batch_size, n});
+  h = Add(h, pos_emb_);  // (B,N,d) + (N,d) broadcasts
+  h = emb_norm_->Forward(h);
+  h = emb_dropout_->Forward(h, &rng_);
   for (const auto& block : blocks_) {
     h = block->Forward(h, &rng_);
   }

@@ -18,7 +18,7 @@ FeedForward::FeedForward(int64_t dim, float dropout, Rng* rng,
 
 autograd::Variable FeedForward::Forward(const autograd::Variable& x,
                                         Rng* rng) const {
-  autograd::Variable h = autograd::Gelu(w1_->Forward(x));
+  autograd::Variable h = autograd::GeluInPlace(w1_->Forward(x));
   h = inner_dropout_->Forward(h, rng);
   h = w2_->Forward(h);
   return out_dropout_->Forward(h, rng);

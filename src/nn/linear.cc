@@ -21,7 +21,7 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng* rng,
 }
 
 autograd::Variable Linear::Forward(const autograd::Variable& x) const {
-  using autograd::Add;
+  using autograd::AddInPlace;
   using autograd::MatMul;
   using autograd::Reshape;
   const auto& shape = x.shape();
@@ -31,7 +31,7 @@ autograd::Variable Linear::Forward(const autograd::Variable& x) const {
   const bool need_reshape = shape.size() != 2;
   if (need_reshape) flat = Reshape(x, {-1, in_features_});
   autograd::Variable y = MatMul(flat, weight_);
-  if (use_bias_) y = Add(y, bias_);
+  if (use_bias_) y = AddInPlace(std::move(y), bias_);
   if (need_reshape) {
     std::vector<int64_t> out_shape(shape.begin(), shape.end() - 1);
     out_shape.push_back(out_features_);

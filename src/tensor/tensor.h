@@ -97,6 +97,12 @@ class Tensor {
     return data_ != nullptr && data_ == other.data_;
   }
 
+  /// Whether this is the only Tensor viewing its buffer (no copy, view or
+  /// saved alias could observe a write through it).
+  bool UniqueStorage() const {
+    return data_ != nullptr && data_.use_count() == 1;
+  }
+
   /// "[2, 3, 4]" style rendering for diagnostics.
   std::string ShapeString() const;
 

@@ -83,21 +83,22 @@ namespace {
 /// the per-element loop (a function pointer here shows up as ~20% of
 /// training time under gprof). Each fast path is parallelised with a fixed
 /// work split; every output element is produced by exactly one chunk with
-/// unchanged arithmetic, so results are thread-count independent.
+/// unchanged arithmetic, so results are thread-count independent. `out`
+/// has the broadcast shape and may be `a` itself: every path reads a[i]
+/// before writing out[i].
 template <typename F>
-Tensor BinaryOpT(const Tensor& a, const Tensor& b, F f) {
+void BinaryOpInto(const Tensor& a, const Tensor& b, F f, Tensor* out) {
+  const std::vector<int64_t>& out_shape = out->shape();
   if (a.shape() == b.shape()) {
-    Tensor out(a.shape());
     const float* pa = a.data();
     const float* pb = b.data();
-    float* po = out.data();
+    float* po = out->data();
     ParallelFor(0, a.numel(), kElementwiseGrain,
                 [&](int64_t lo, int64_t hi) {
                   for (int64_t i = lo; i < hi; ++i) po[i] = f(pa[i], pb[i]);
                 });
-    return out;
+    return;
   }
-  const std::vector<int64_t> out_shape = BroadcastShape(a.shape(), b.shape());
   // Fast path: b broadcasts as a repeated trailing block of a (bias adds,
   // (B,N,d) + (N,d), (B,M,d) * (M,d) filters, ...).
   if (out_shape == a.shape() && a.numel() % std::max<int64_t>(b.numel(), 1) == 0) {
@@ -113,12 +114,11 @@ Tensor BinaryOpT(const Tensor& a, const Tensor& b, F f) {
       }
     }
     if (suffix) {
-      Tensor out(a.shape());
       const int64_t block = b.numel();
       const int64_t repeats = a.numel() / block;
       const float* pa = a.data();
       const float* pb = b.data();
-      float* po = out.data();
+      float* po = out->data();
       ParallelFor(0, repeats, GrainForWork(block),
                   [&](int64_t lo, int64_t hi) {
                     for (int64_t r = lo; r < hi; ++r) {
@@ -128,7 +128,7 @@ Tensor BinaryOpT(const Tensor& a, const Tensor& b, F f) {
                         orow[i] = f(ar[i], pb[i]);
                     }
                   });
-      return out;
+      return;
     }
   }
   // Fast path: equal rank, b differs from a only by a size-1 trailing dim
@@ -140,12 +140,11 @@ Tensor BinaryOpT(const Tensor& a, const Tensor& b, F f) {
       column = column && a.shape()[i] == b.shape()[i];
     }
     if (column) {
-      Tensor out(a.shape());
       const int64_t cols = a.shape().back();
       const int64_t rows = a.numel() / cols;
       const float* pa = a.data();
       const float* pb = b.data();
-      float* po = out.data();
+      float* po = out->data();
       ParallelFor(0, rows, GrainForWork(cols), [&](int64_t lo, int64_t hi) {
         for (int64_t r = lo; r < hi; ++r) {
           const float bv = pb[r];
@@ -154,19 +153,18 @@ Tensor BinaryOpT(const Tensor& a, const Tensor& b, F f) {
           for (int64_t i = 0; i < cols; ++i) orow[i] = f(ar[i], bv);
         }
       });
-      return out;
+      return;
     }
   }
   // General odometer walk: rare (mid-tensor broadcasts); stays serial.
-  Tensor out(out_shape);
   const size_t rank = out_shape.size();
   const std::vector<int64_t> sa = BroadcastStrides(a.shape(), rank);
   const std::vector<int64_t> sb = BroadcastStrides(b.shape(), rank);
   std::vector<int64_t> idx(rank, 0);
   const float* pa = a.data();
   const float* pb = b.data();
-  float* po = out.data();
-  const int64_t n = out.numel();
+  float* po = out->data();
+  const int64_t n = out->numel();
   int64_t off_a = 0;
   int64_t off_b = 0;
   for (int64_t flat = 0; flat < n; ++flat) {
@@ -182,6 +180,12 @@ Tensor BinaryOpT(const Tensor& a, const Tensor& b, F f) {
       idx[d] = 0;
     }
   }
+}
+
+template <typename F>
+Tensor BinaryOpT(const Tensor& a, const Tensor& b, F f) {
+  Tensor out(BroadcastShape(a.shape(), b.shape()));
+  BinaryOpInto(a, b, f, &out);
   return out;
 }
 
@@ -212,8 +216,16 @@ Tensor Div(const Tensor& a, const Tensor& b) {
 }
 
 void AddInPlace(Tensor* out, const Tensor& a) {
-  SLIME_CHECK(out->SameShape(a));
-  Dispatch().axpy(out->data(), a.data(), 1.0f, out->numel());
+  if (out->SameShape(a)) {
+    // x + 1.0f * y rounds once, exactly as x + y: the bits of Add.
+    Dispatch().axpy(out->data(), a.data(), 1.0f, out->numel());
+    return;
+  }
+  SLIME_CHECK_MSG(BroadcastShape(out->shape(), a.shape()) == out->shape(),
+                  "AddInPlace: " << ShapeToString(a.shape())
+                                 << " does not broadcast into "
+                                 << ShapeToString(out->shape()));
+  BinaryOpInto(*out, a, [](float x, float y) { return x + y; }, out);
 }
 
 void AxpyInPlace(Tensor* out, const Tensor& a, float scale) {

@@ -29,7 +29,8 @@ Tensor Div(const Tensor& a, const Tensor& b);
 /// Generic broadcast binary op; `f(a_elem, b_elem)`.
 Tensor BinaryOp(const Tensor& a, const Tensor& b, float (*f)(float, float));
 
-/// out += a (shapes must match exactly).
+/// out += a, the same bits as Add(*out, a); a must broadcast to out's
+/// shape (e.g. a bias).
 void AddInPlace(Tensor* out, const Tensor& a);
 
 /// out += a * scale (shapes must match exactly).

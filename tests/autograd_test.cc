@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <thread>
 
 #include "autograd/gradcheck.h"
 #include "autograd/variable.h"
+#include "optim/adam.h"
 #include "tensor/tensor_ops.h"
 
 namespace slime {
@@ -430,6 +432,94 @@ TEST(NoGradScopeTest, FlagIsPerThread) {
   EXPECT_TRUE(worker_builds_graph);
   EXPECT_TRUE(r.ok) << r.message;
   EXPECT_FALSE(MulScalar(RandParam({2}, 53), 2.0f).requires_grad());
+}
+
+// ---- Reshape is a view; in-place ops reuse only buffers nothing else sees.
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+TEST(ReshapeViewTest, SharesStorageInForwardAndNoGrad) {
+  Variable x = RandParam({2, 6}, 54);
+  Variable y = Reshape(x, {3, 4});
+  EXPECT_TRUE(y.value().SharesStorage(x.value()));
+  EXPECT_EQ(y.shape(), (std::vector<int64_t>{3, 4}));
+  Rng rng(55);
+  Variable c = Constant(Tensor::Randn({3, 4}, &rng));
+  Sum(Mul(y, c)).Backward();
+  // d/dx sum(reshape(x) * c) = c, laid out in x's shape.
+  EXPECT_TRUE(BitEqual(x.grad(), c.value().Reshape({2, 6})));
+  NoGradScope no_grad;
+  EXPECT_TRUE(Reshape(x, {12}).value().SharesStorage(x.value()));
+}
+
+TEST(ReshapeViewTest, GradsThroughAViewSurviveInPlaceAdamSteps) {
+  Variable w = RandParam({2, 3}, 56);
+  optim::Adam adam({w});
+  for (int step = 0; step < 3; ++step) {
+    Variable view = Reshape(w, {3, 2});
+    ASSERT_TRUE(view.value().SharesStorage(w.value()));
+    Variable copy = Param(w.value().Clone().Reshape({3, 2}));
+    Sum(Mul(view, view)).Backward();
+    Sum(Mul(copy, copy)).Backward();
+    // The view's gradient lands in w's own (copied) grad, equal to the one
+    // through an independent copy of the current weights.
+    EXPECT_TRUE(BitEqual(w.grad(), copy.grad().Reshape({2, 3}))) << step;
+    EXPECT_FALSE(w.grad().SharesStorage(copy.grad()));
+    const Tensor before = w.value().Clone();
+    adam.Step();  // writes w in place: the view sees the new weights
+    EXPECT_FALSE(BitEqual(w.value(), before)) << step;
+    EXPECT_TRUE(BitEqual(view.value().Reshape({2, 3}), w.value())) << step;
+  }
+}
+
+TEST(InPlaceOpsTest, ReuseTheBufferOnlyUnderNoGradWhenUnshared) {
+  Rng rng(57);
+  const Tensor at = Tensor::Randn({4, 5, 3}, &rng);
+  const Tensor bias = Tensor::Randn({3}, &rng);
+  const Tensor same = Tensor::Randn({4, 5, 3}, &rng);
+  const Tensor column = Tensor::Randn({4, 5, 1}, &rng);
+  const Tensor middle = Tensor::Randn({4, 1, 3}, &rng);
+  const Variable b = Constant(bias);
+  // One operand per broadcast path of ops::Add.
+  for (const Tensor& other : {bias, same, column, middle}) {
+    const Tensor want = ops::Add(at, other);
+    // Recording a graph: a fresh output, the operand untouched.
+    Variable a = Param(at.Clone());
+    const float* buf = a.value().data();
+    Variable y = AddInPlace(std::move(a), Constant(other));
+    EXPECT_NE(y.value().data(), buf);
+    EXPECT_TRUE(y.requires_grad());
+    EXPECT_TRUE(BitEqual(y.value(), want));
+    NoGradScope no_grad;
+    Variable u = Constant(at.Clone());
+    buf = u.value().data();
+    y = AddInPlace(std::move(u), Constant(other));
+    EXPECT_EQ(y.value().data(), buf);
+    EXPECT_TRUE(BitEqual(y.value(), want));
+  }
+  NoGradScope no_grad;
+  // Another handle on the node, or a view of the buffer: no reuse.
+  Variable kept = Constant(at.Clone());
+  Variable alias = kept;
+  Variable y = AddInPlace(alias, b);
+  EXPECT_TRUE(BitEqual(kept.value(), at));
+  EXPECT_TRUE(BitEqual(y.value(), ops::Add(at, bias)));
+  Variable base = Constant(at.Clone());
+  y = AddInPlace(Reshape(base, {20, 3}), b);
+  EXPECT_TRUE(BitEqual(base.value(), at));
+  EXPECT_FALSE(y.value().SharesStorage(base.value()));
+  y = GeluInPlace(Reshape(base, {60}));
+  EXPECT_TRUE(BitEqual(base.value(), at));
+  // A unique buffer is overwritten with exactly Gelu's bits.
+  const Tensor gelu = Gelu(Constant(at)).value();
+  Variable g = Constant(at.Clone());
+  const float* buf = g.value().data();
+  g = GeluInPlace(std::move(g));
+  EXPECT_EQ(g.value().data(), buf);
+  EXPECT_TRUE(BitEqual(g.value(), gelu));
 }
 
 }  // namespace

@@ -496,6 +496,36 @@ bool SimdAvailable() {
   return SimdBackendCompiled() && CpuSupportsAvx2Fma();
 }
 
+TEST(KernelsTest, LayerNormWithoutXhatWritesSameY) {
+  BackendGuard guard;
+  // d = 13 leaves a tail past every vector width; rows span several chunks.
+  for (const auto& backend : AvailableKernelBackends()) {
+    SetKernelBackend(backend).value();
+    for (const int64_t d : {int64_t{13}, int64_t{64}}) {
+      const int64_t rows = 300;
+      const auto x = RandomVec(rows * d, 68);
+      const auto gamma = RandomVec(d, 69);
+      const auto beta = RandomVec(d, 70);
+      for (int threads : {1, 4}) {
+        ComputeContext ctx(threads);
+        std::vector<float> y(rows * d), xhat(rows * d), inv_std(rows);
+        Dispatch().layer_norm(x.data(), gamma.data(), beta.data(), y.data(),
+                              xhat.data(), inv_std.data(), rows, d, 1e-5f);
+        std::vector<float> y2(rows * d), inv_std2(rows);
+        Dispatch().layer_norm(x.data(), gamma.data(), beta.data(), y2.data(),
+                              /*xhat=*/nullptr, inv_std2.data(), rows, d,
+                              1e-5f);
+        EXPECT_EQ(std::memcmp(y.data(), y2.data(), y.size() * sizeof(float)),
+                  0)
+            << backend << " d=" << d << " threads=" << threads;
+        EXPECT_EQ(std::memcmp(inv_std.data(), inv_std2.data(),
+                              inv_std.size() * sizeof(float)),
+                  0);
+      }
+    }
+  }
+}
+
 TEST(BackendTest, ParseAcceptsKnownNamesAndRejectsUnknown) {
   EXPECT_EQ(ParseKernelBackend("auto").value(), "auto");
   EXPECT_EQ(ParseKernelBackend("scalar").value(), "scalar");

@@ -293,6 +293,87 @@ TEST(BackendDeterminismTest, GradcheckPassesUnderSimdBackend) {
 // they must equal a graph-building ScoreAll exactly, under each backend at
 // every thread count.
 
+/// An eval batch of `histories`, left-padded to `n`.
+data::Batch BatchOf(const std::vector<std::vector<int64_t>>& histories,
+                    int64_t n) {
+  data::Batch batch;
+  batch.size = static_cast<int64_t>(histories.size());
+  batch.max_len = n;
+  for (const auto& h : histories) {
+    batch.user_ids.push_back(0);
+    batch.targets.push_back(1);
+    batch.raw_prefixes.push_back(h);
+    const std::vector<int64_t> padded = data::PadTruncate(h, n);
+    batch.input_ids.insert(batch.input_ids.end(), padded.begin(),
+                           padded.end());
+  }
+  return batch;
+}
+
+// Under NoGradScope the encoders also free activations at last use, reuse
+// fresh buffers (Linear's bias add, FeedForward's GELU) and filter the
+// spectrum in place, so the whole score tensor, not only the top-K, must
+// equal graph-mode ScoreAll bit for bit: for every model of the factory
+// and every filter-mixer variant.
+TEST(NoGradDeterminismTest, ScoreTensorsEqualGraphModeForEveryModel) {
+  BackendGuard guard;
+  const data::SplitDataset split = TinySplit();
+  struct Case {
+    std::string label;
+    std::string model;
+    models::ModelConfig config;
+    core::FilterMixerOptions mixer;
+  };
+  std::vector<Case> cases;
+  for (const std::string& name : models::AllModelNames()) {
+    cases.push_back({name, name, TinyModelConfig(split), {}});
+  }
+  // SLIME4Rec variants on (M, d) = (26, 13) planes: 60 users span 20,280
+  // spectrum elements, so work-chunk edges fall inside batch items.
+  models::ModelConfig wide = TinyModelConfig(split);
+  wide.max_len = 50;
+  wide.hidden_dim = 13;
+  core::FilterMixerOptions dfs_only;
+  dfs_only.use_static = false;
+  core::FilterMixerOptions sfs_only;
+  sfs_only.use_dynamic = false;
+  core::FilterMixerOptions full;
+  full.full_spectrum = true;
+  cases.push_back({"SLIME4Rec dfs+sfs", "SLIME4Rec", wide, {}});
+  cases.push_back({"SLIME4Rec dfs-only", "SLIME4Rec", wide, dfs_only});
+  cases.push_back({"SLIME4Rec sfs-only", "SLIME4Rec", wide, sfs_only});
+  cases.push_back({"SLIME4Rec full_spectrum", "SLIME4Rec", wide, full});
+  std::vector<std::vector<int64_t>> histories;
+  for (int64_t u = 0; u < 60; ++u) {
+    std::vector<int64_t> h;
+    for (int64_t j = 0; j < 1 + u % 11; ++j) {
+      h.push_back(1 + (u * 5 + j * 7) % (split.num_items() - 1));
+    }
+    histories.push_back(std::move(h));
+  }
+  for (const auto& backend : compute::AvailableKernelBackends()) {
+    compute::SetKernelBackend(backend).value();
+    for (int threads : {1, 2, 8}) {
+      compute::ComputeContext ctx(threads);
+      for (const Case& c : cases) {
+        const std::string label =
+            backend + " threads=" + std::to_string(threads) + " " + c.label;
+        auto model = models::CreateModel(c.model, c.config, c.mixer);
+        model->SetTraining(false);
+        const data::Batch batch = BatchOf(histories, c.config.max_len);
+        const Tensor graph = model->ScoreAll(batch);
+        autograd::NoGradScope no_grad;
+        const Tensor lean = model->ScoreAll(batch);
+        ASSERT_EQ(lean.shape(), graph.shape()) << label;
+        EXPECT_EQ(std::memcmp(lean.data(), graph.data(),
+                              graph.numel() * sizeof(float)),
+                  0)
+            << label;
+      }
+    }
+  }
+}
+
 TEST(NoGradDeterminismTest, ServedRankingsEqualGraphBuildingScoreAll) {
   BackendGuard guard;
   const data::SplitDataset split = TinySplit();
@@ -310,21 +391,10 @@ TEST(NoGradDeterminismTest, ServedRankingsEqualGraphBuildingScoreAll) {
                               .RecommendBatch(histories, options)
                               .value();
       // Twin: the same batch scored outside any scope, graph and all.
-      const int64_t n = model->config().max_len;
       const int64_t num_items = model->config().num_items;
-      data::Batch batch;
-      batch.size = static_cast<int64_t>(histories.size());
-      batch.max_len = n;
-      for (const auto& h : histories) {
-        batch.user_ids.push_back(0);
-        batch.targets.push_back(1);
-        batch.raw_prefixes.push_back(h);
-        const std::vector<int64_t> padded = data::PadTruncate(h, n);
-        batch.input_ids.insert(batch.input_ids.end(), padded.begin(),
-                               padded.end());
-      }
       model->SetTraining(false);
-      const Tensor scores = model->ScoreAll(batch);
+      const Tensor scores =
+          model->ScoreAll(BatchOf(histories, model->config().max_len));
       ASSERT_EQ(served.size(), histories.size());
       for (size_t u = 0; u < histories.size(); ++u) {
         std::vector<bool> excluded(num_items + 1, false);

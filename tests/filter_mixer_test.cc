@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "autograd/ops.h"
+#include "compute/backend.h"
+#include "compute/thread_pool.h"
 #include "fft/fft.h"
 #include "fft/spectral_ops.h"
 
@@ -211,6 +216,85 @@ TEST(FilterMixerLayerTest, MaskedAmplitudeZeroOutsideWindows) {
     for (int64_t j = 0; j < 4; ++j) {
       if (!w.Contains(k)) {
         EXPECT_FLOAT_EQ(damp.At({k, j}), 0.0f);
+      }
+    }
+  }
+}
+
+// ---- No-grad filter step: under a NoGradScope the layer filters and mixes
+// the spectrum over its own buffers, one batch item at a time. It must give
+// the composed, graph-recording ops' bits exactly, for every mixer variant,
+// on planes that straddle the kernels' work chunks, under both backends and
+// at any thread count.
+
+struct BackendGuard {
+  ~BackendGuard() { compute::SetKernelBackend("scalar").value(); }
+};
+
+struct Variant {
+  std::string name;
+  FilterMixerOptions options;
+};
+
+std::vector<Variant> MixerVariants() {
+  std::vector<Variant> out;
+  out.push_back({"dfs+sfs", DefaultOptions()});
+  FilterMixerOptions dfs = DefaultOptions();
+  dfs.use_static = false;
+  out.push_back({"dfs-only", dfs});
+  FilterMixerOptions sfs = DefaultOptions();
+  sfs.use_dynamic = false;
+  out.push_back({"sfs-only", sfs});
+  FilterMixerOptions full = DefaultOptions();
+  full.full_spectrum = true;
+  out.push_back({"full_spectrum", full});
+  FilterMixerOptions global = dfs;
+  global.alpha = 1.0;
+  global.full_spectrum = true;
+  out.push_back({"full_spectrum dfs-only", global});
+  return out;
+}
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+TEST(NoGradFilterStepTest, LayerAndBlockMatchGraphOpsBitForBit) {
+  BackendGuard guard;
+  struct Shape {
+    int64_t b, n, d;
+  };
+  // (100, 50, 13): 26 x 13 planes over 33,800 elements, so kElementwiseGrain
+  // chunk edges fall inside items and d leaves SIMD tails. (6, 200, 64) is
+  // the long-sequence shape.
+  const std::vector<Shape> shapes = {{3, 8, 4}, {100, 50, 13}, {6, 200, 64}};
+  for (const auto& backend : compute::AvailableKernelBackends()) {
+    compute::SetKernelBackend(backend).value();
+    for (const Variant& variant : MixerVariants()) {
+      for (const Shape& shape : shapes) {
+        Rng rng(61);
+        FilterMixerBlock block(shape.n, shape.d, 2, 1, variant.options, 0.1f,
+                               &rng);
+        block.SetTraining(false);
+        const Tensor xt = Tensor::Randn({shape.b, shape.n, shape.d}, &rng);
+        const Variable x = autograd::Constant(xt.Clone());
+        const Tensor mixer_ref = block.mixer().Forward(x, &rng).value();
+        const Tensor block_ref = block.Forward(x, &rng).value();
+        for (int threads : {1, 2, 8}) {
+          compute::ComputeContext ctx(threads);
+          const std::string label = backend + " " + variant.name + " b=" +
+                                    std::to_string(shape.b) + " d=" +
+                                    std::to_string(shape.d) + " threads=" +
+                                    std::to_string(threads);
+          autograd::NoGradScope no_grad;
+          EXPECT_TRUE(
+              BitEqual(block.mixer().Forward(x, &rng).value(), mixer_ref))
+              << label;
+          EXPECT_TRUE(BitEqual(block.Forward(x, &rng).value(), block_ref))
+              << label;
+          EXPECT_TRUE(BitEqual(x.value(), xt)) << label;  // input untouched
+        }
       }
     }
   }

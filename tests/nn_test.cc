@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "autograd/gradcheck.h"
+#include "compute/backend.h"
+#include "compute/thread_pool.h"
 #include "tensor/tensor_ops.h"
 #include "autograd/ops.h"
 #include "nn/attention.h"
@@ -275,6 +279,54 @@ TEST(InitTest, XavierBoundsRespected) {
   const float bound = std::sqrt(6.0f / 128.0f);
   for (int64_t i = 0; i < w.numel(); ++i) {
     EXPECT_LE(std::abs(w[i]), bound);
+  }
+}
+
+// ---- Under a NoGradScope, Linear adds its bias into the matmul output and
+// FeedForward's GELU runs over its own input. Outputs must keep the
+// graph-recording path's bits, and the caller's input must stay intact.
+
+struct BackendGuard {
+  ~BackendGuard() { compute::SetKernelBackend("scalar").value(); }
+};
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+TEST(NoGradReuseTest, LinearFeedForwardLayerNormMatchGraphBitForBit) {
+  BackendGuard guard;
+  for (const auto& backend : compute::AvailableKernelBackends()) {
+    compute::SetKernelBackend(backend).value();
+    Rng rng(71);
+    Linear lin(13, 7, &rng);
+    lin.Parameters()[1].mutable_value() = Tensor::Randn({7}, &rng);
+    FeedForward ffn(13, 0.1f, &rng);
+    ffn.SetTraining(false);
+    for (auto& p : ffn.Parameters()) {
+      if (p.value().dim() == 1) p.mutable_value() = Tensor::Randn({13}, &rng);
+    }
+    LayerNorm norm(13);
+    const Tensor x3 = Tensor::Randn({5, 40, 13}, &rng);
+    const Tensor x2 = Tensor::Randn({9, 13}, &rng);
+    const Variable in3 = autograd::Constant(x3.Clone());
+    const Variable in2 = autograd::Constant(x2.Clone());
+    const Tensor lin3 = lin.Forward(in3).value();
+    const Tensor lin2 = lin.Forward(in2).value();
+    const Tensor ffn3 = ffn.Forward(in3, &rng).value();
+    const Tensor norm3 = norm.Forward(in3).value();
+    for (int threads : {1, 2, 8}) {
+      compute::ComputeContext ctx(threads);
+      const std::string label = backend + " threads=" + std::to_string(threads);
+      autograd::NoGradScope no_grad;
+      EXPECT_TRUE(BitEqual(lin.Forward(in3).value(), lin3)) << label;
+      EXPECT_TRUE(BitEqual(lin.Forward(in2).value(), lin2)) << label;
+      EXPECT_TRUE(BitEqual(ffn.Forward(in3, &rng).value(), ffn3)) << label;
+      EXPECT_TRUE(BitEqual(norm.Forward(in3).value(), norm3)) << label;
+      EXPECT_TRUE(BitEqual(in3.value(), x3)) << label;
+      EXPECT_TRUE(BitEqual(in2.value(), x2)) << label;
+    }
   }
 }
 
