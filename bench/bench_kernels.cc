@@ -17,6 +17,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "autograd/gradcheck.h"
@@ -78,6 +79,45 @@ std::vector<Measurement> BenchMatMul(int64_t n, int reps,
     out.push_back({threads, secs, flops / secs / 1e9,
                    Crc32(c.data(), c.size() * sizeof(float))});
   }
+  return out;
+}
+
+/// MatMulTransA at the logits dW shape: C(m,n) += A(k,m)^T @ B(k,n) with
+/// k = 128 examples, m = |V| = 12000 items and n = d = 64. Also times the
+/// same backend's plain matmul on the transposed shape at 1 thread, A
+/// transposed up front, into `matmul_gflops`: the full-mode speed reference.
+/// The two results must be the same bits, so `same_as_matmul` reports it.
+std::vector<Measurement> BenchMatMulTransADw(
+    int reps, const std::vector<int>& thread_counts, double* matmul_gflops,
+    bool* same_as_matmul) {
+  const int64_t k = 128, m = 12000, n = 64;
+  Rng rng(5);
+  std::vector<float> at(k * m), a(m * k), b(k * n), c(m * n);
+  for (auto& x : at) x = rng.UniformFloat() - 0.5f;
+  for (auto& x : b) x = rng.UniformFloat() - 0.5f;
+  for (int64_t kk = 0; kk < k; ++kk) {
+    for (int64_t i = 0; i < m; ++i) a[i * k + kk] = at[kk * m + i];
+  }
+  const double flops = 2.0 * k * m * n;
+  std::vector<Measurement> out;
+  for (int threads : thread_counts) {
+    compute::ComputeContext ctx(threads);
+    const double secs = BestOf(reps, [&] {
+      std::memset(c.data(), 0, c.size() * sizeof(float));
+      compute::Dispatch().matmul_trans_a(at.data(), b.data(), c.data(), k, m,
+                                         n);
+    });
+    out.push_back({threads, secs, flops / secs / 1e9,
+                   Crc32(c.data(), c.size() * sizeof(float))});
+  }
+  compute::ComputeContext ctx(1);
+  const double secs = BestOf(reps, [&] {
+    std::memset(c.data(), 0, c.size() * sizeof(float));
+    compute::Dispatch().matmul(a.data(), b.data(), c.data(), m, k, n);
+  });
+  *matmul_gflops = flops / secs / 1e9;
+  *same_as_matmul =
+      Crc32(c.data(), c.size() * sizeof(float)) == out.front().crc;
   return out;
 }
 
@@ -482,6 +522,10 @@ int Main(int argc, char** argv) {
   std::vector<Arm> arms;
   double matmul_1t_secs_scalar = 0.0;
   double matmul_1t_secs_simd = 0.0;
+  // Per backend: 1-thread MatMulTransA GFLOP/s at the logits dW shape over
+  // the same backend's matmul on the transposed shape.
+  std::vector<std::pair<std::string, double>> trans_a_ratios;
+  bool trans_a_same_as_matmul = true;
   for (const std::string& backend : backends) {
     compute::SetKernelBackend(backend).value();
     std::fprintf(stderr, "bench_kernels: backend=%s\n", backend.c_str());
@@ -494,6 +538,14 @@ int Main(int argc, char** argv) {
     } else if (backend == "simd") {
       matmul_1t_secs_simd = arms.back().ms.front().seconds;
     }
+    double dw_matmul_gflops = 0.0;
+    bool dw_same = false;
+    arms.push_back({"matmul_trans_a_dw_" + backend,
+                    BenchMatMulTransADw(reps, thread_counts, &dw_matmul_gflops,
+                                        &dw_same)});
+    trans_a_ratios.emplace_back(
+        backend, arms.back().ms.front().gflops / dw_matmul_gflops);
+    trans_a_same_as_matmul = trans_a_same_as_matmul && dw_same;
     arms.push_back({"complex_mul_" + backend,
                     BenchComplexMul(quick ? 64 : 512, quick ? 1024 : 8192,
                                     reps, thread_counts)});
@@ -563,6 +615,10 @@ int Main(int argc, char** argv) {
   std::fprintf(f, "],\n");
   std::fprintf(f, "    \"train_serve_backend\": \"%s\",\n", active.c_str());
   std::fprintf(f, "    \"matmul_simd_speedup_1t\": %.3f,\n", simd_speedup);
+  for (const auto& [backend, ratio] : trans_a_ratios) {
+    std::fprintf(f, "    \"matmul_trans_a_dw_vs_matmul_1t_%s\": %.3f,\n",
+                 backend.c_str(), ratio);
+  }
   std::fprintf(f, "    \"rfft_packed_speedup_1t_n64\": %.3f,\n",
                rfft_speedup_64);
   std::fprintf(f, "    \"rfft_packed_speedup_1t_n200\": %.3f,\n",
@@ -590,6 +646,21 @@ int Main(int argc, char** argv) {
   for (const auto& arm : arms) {
     for (const auto& m : arm.ms) {
       if (m.crc != arm.ms.front().crc) return 1;
+    }
+  }
+  // MatMulTransA is the plain matmul reading A through its transpose: the
+  // bits must match in every mode; its speed must be within 4x of matmul's
+  // on full runs.
+  if (!trans_a_same_as_matmul) {
+    std::fprintf(stderr, "matmul_trans_a_dw differs from matmul on A^T\n");
+    return 1;
+  }
+  for (const auto& [backend, ratio] : trans_a_ratios) {
+    if (!quick && ratio < 0.25) {
+      std::fprintf(stderr,
+                   "matmul_trans_a_dw_%s speed gate FAILED: %.3fx matmul\n",
+                   backend.c_str(), ratio);
+      return 1;
     }
   }
   // The packed-rfft correctness gates are deterministic and always enforced;

@@ -10,15 +10,18 @@ namespace slime {
 namespace compute {
 namespace {
 
-/// Rows [lo, hi) of C(m,n) += A(m,k) @ B(k,n), i-k-j order (unit-stride
-/// inner loop over both B's row and C's row, which GCC auto-vectorises).
-void MatMulRows(const float* a, const float* b, float* c, int64_t k,
-                int64_t n, int64_t lo, int64_t hi) {
+/// Rows [lo, hi) of C(m,n) += A @ B(k,n), where A's element (i, kk) is read
+/// at a[i * rs + kk * ks]: (rs, ks) = (k, 1) for a row-major A(m,k), (1, m)
+/// for the transpose of a row-major A(k,m). i-k-j order (unit-stride inner
+/// loop over both B's row and C's row, which GCC auto-vectorises), so every
+/// C element accumulates in ascending k whatever the A layout.
+void MatMulRows(const float* a, int64_t rs, int64_t ks, const float* b,
+                float* c, int64_t k, int64_t n, int64_t lo, int64_t hi) {
   for (int64_t i = lo; i < hi; ++i) {
     float* crow = c + i * n;
-    const float* arow = a + i * k;
+    const float* arow = a + i * rs;
     for (int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
+      const float av = arow[kk * ks];
       if (av == 0.0f) continue;
       const float* brow = b + kk * n;
       for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
@@ -64,21 +67,24 @@ void MatMulTransBRows(const float* a, const float* b, float* c, int64_t k,
   }
 }
 
-/// Columns [jlo, jhi) of C(m,n) += A(k,m)^T @ B(k,n). The outer k loop is
-/// kept so each C element accumulates in ascending-k order (bit-identical to
-/// the serial kernel); the column split gives disjoint writes.
-void MatMulTransACols(const float* a, const float* b, float* c, int64_t k,
-                      int64_t m, int64_t n, int64_t jlo, int64_t jhi) {
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float* arow = a + kk * m;
-    const float* brow = b + kk * n;
-    for (int64_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* crow = c + i * n;
-      for (int64_t j = jlo; j < jhi; ++j) crow[j] += av * brow[j];
-    }
-  }
+/// Batched MatMulRows over `batch` items of A (m*k floats each, read through
+/// the (rs, ks) pair), B(k,n) and C(m,n). Chunks the flattened batch x row
+/// space so one big item still splits; a chunk crossing an item boundary
+/// handles each span in turn.
+void BatchMatMulRows(const float* a, int64_t rs, int64_t ks, const float* b,
+                     float* c, int64_t batch, int64_t m, int64_t k,
+                     int64_t n) {
+  ParallelFor(0, batch * m, GrainForWork(2 * k * n),
+              [=](int64_t lo, int64_t hi) {
+                while (lo < hi) {
+                  const int64_t bi = lo / m;
+                  const int64_t row0 = lo - bi * m;
+                  const int64_t rows = std::min(hi - lo, m - row0);
+                  MatMulRows(a + bi * m * k, rs, ks, b + bi * k * n,
+                             c + bi * m * n, k, n, row0, row0 + rows);
+                  lo += rows;
+                }
+              });
 }
 
 }  // namespace
@@ -86,14 +92,14 @@ void MatMulTransACols(const float* a, const float* b, float* c, int64_t k,
 void MatMulKernel(const float* a, const float* b, float* c, int64_t m,
                   int64_t k, int64_t n) {
   ParallelFor(0, m, GrainForWork(2 * k * n), [=](int64_t lo, int64_t hi) {
-    MatMulRows(a, b, c, k, n, lo, hi);
+    MatMulRows(a, k, 1, b, c, k, n, lo, hi);
   });
 }
 
 void MatMulTransAKernel(const float* a, const float* b, float* c, int64_t k,
                         int64_t m, int64_t n) {
-  ParallelFor(0, n, GrainForWork(2 * k * m), [=](int64_t lo, int64_t hi) {
-    MatMulTransACols(a, b, c, k, m, n, lo, hi);
+  ParallelFor(0, m, GrainForWork(2 * k * n), [=](int64_t lo, int64_t hi) {
+    MatMulRows(a, 1, m, b, c, k, n, lo, hi);
   });
 }
 
@@ -106,19 +112,7 @@ void MatMulTransBKernel(const float* a, const float* b, float* c, int64_t m,
 
 void BatchMatMulKernel(const float* a, const float* b, float* c,
                        int64_t batch, int64_t m, int64_t k, int64_t n) {
-  // Chunk over the flattened batch x row space so one big item still
-  // splits; a chunk crossing an item boundary handles each span in turn.
-  ParallelFor(0, batch * m, GrainForWork(2 * k * n),
-              [=](int64_t lo, int64_t hi) {
-                while (lo < hi) {
-                  const int64_t bi = lo / m;
-                  const int64_t row0 = lo - bi * m;
-                  const int64_t rows = std::min(hi - lo, m - row0);
-                  MatMulRows(a + bi * m * k, b + bi * k * n, c + bi * m * n,
-                             k, n, row0, row0 + rows);
-                  lo += rows;
-                }
-              });
+  BatchMatMulRows(a, k, 1, b, c, batch, m, k, n);
 }
 
 void BatchMatMulTransBKernel(const float* a, const float* b, float* c,
@@ -140,15 +134,7 @@ void BatchMatMulTransBKernel(const float* a, const float* b, float* c,
 void BatchMatMulTransAKernel(const float* a, const float* b, float* c,
                              int64_t batch, int64_t k, int64_t m,
                              int64_t n) {
-  // The column-parallel kernel writes all rows of one output item, so the
-  // deterministic split here is per batch item.
-  ParallelFor(0, batch, GrainForWork(2 * k * m * n),
-              [=](int64_t lo, int64_t hi) {
-                for (int64_t bi = lo; bi < hi; ++bi) {
-                  MatMulTransACols(a + bi * k * m, b + bi * k * n,
-                                   c + bi * m * n, k, m, n, 0, n);
-                }
-              });
+  BatchMatMulRows(a, 1, m, b, c, batch, m, k, n);
 }
 
 void ComplexMulKernel(const float* ar, const float* ai, const float* br,

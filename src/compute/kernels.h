@@ -14,12 +14,16 @@ namespace compute {
 /// Output buffers of the matmul family must be zero-initialised by the
 /// caller (Tensor construction zero-fills).
 
-/// C(m,n) += A(m,k) @ B(k,n). Parallel over row blocks.
+/// C(m,n) += A(m,k) @ B(k,n). Every C element accumulates in ascending k.
+/// The scalar tier splits over row blocks of C; the simd tier over 16-column
+/// tiles of C, then row blocks of the tail columns.
 void MatMulKernel(const float* a, const float* b, float* c, int64_t m,
                   int64_t k, int64_t n);
 
-/// C(m,n) += A(k,m)^T @ B(k,n). Parallel over column blocks so the
-/// k-ascending accumulation order per output element is preserved.
+/// C(m,n) += A(k,m)^T @ B(k,n): the plain matmul with A read through its
+/// transpose, in both tiers the same kernel and work split as MatMulKernel.
+/// Within a backend the result is bit-identical to MatMulKernel on an
+/// explicitly transposed copy of A.
 void MatMulTransAKernel(const float* a, const float* b, float* c, int64_t k,
                         int64_t m, int64_t n);
 
@@ -29,7 +33,8 @@ void MatMulTransBKernel(const float* a, const float* b, float* c, int64_t m,
                         int64_t k, int64_t n);
 
 /// Batched variants over (batch, ...) operands; parallel across the
-/// batch x row product so small-batch/large-matrix shapes still split.
+/// batch x row product (the simd matmul and TransA: batch x column tile)
+/// so small-batch/large-matrix shapes still split.
 void BatchMatMulKernel(const float* a, const float* b, float* c,
                        int64_t batch, int64_t m, int64_t k, int64_t n);
 void BatchMatMulTransAKernel(const float* a, const float* b, float* c,

@@ -6,11 +6,11 @@
 //
 // Determinism contract: every kernel's work split is derived from the
 // problem shape alone (never the thread count), and where a kernel departs
-// from the scalar tier's decomposition — plain matmul parallelises over
-// 16-column tiles of C instead of rows — each output element is still
-// computed entirely within one work unit in a fixed accumulation order, so
-// within this backend results are bit-identical at any thread count. Across
-// backends results
+// from the scalar tier's decomposition — matmul and MatMulTransA (one
+// kernel, A read through a stride pair) parallelise over 16-column tiles of
+// C instead of rows — each output element is still computed entirely within
+// one work unit in a fixed accumulation order, so within this backend
+// results are bit-identical at any thread count. Across backends results
 // differ in the last ulp (FMA contracts mul+add into one rounding), which is
 // why cross-backend equivalence is gated by gradcheck/ranking agreement, not
 // CRC. Reductions (sum/dot/all_finite) and the transcendental rowwise
@@ -55,19 +55,22 @@ SLIME_TARGET_AVX2 inline float HSum8(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
-/// One 16-column tile of C(m,n) += A(m,k) @ B(k,n), covering all m rows.
-/// The tile's B strip is first packed into a contiguous 32-byte-aligned
-/// scratch buffer — a pure layout change: the packed values and the FMA
-/// sequence are identical to reading B in place, so numerics are
-/// unaffected — which turns the strided walk over B into a one-off cost
-/// amortised over all rows, and lets the hot loop stream the pack
-/// sequentially with aligned loads. A 4x16 register microkernel holds C in
-/// 8 accumulators across the whole k loop (2 pack loads and 8 FMAs per k
-/// step); a 1x16 kernel covers the row remainder. Every C element
-/// accumulates in ascending-k order. Unlike the scalar tier there is no
-/// zero-skip on A: fma(0, b, acc) only differs when b is non-finite, and
-/// dropping the branch keeps the FMA pipeline full.
-SLIME_TARGET_AVX2 void MatMulColTile16Simd(const float* a, const float* b,
+/// One 16-column tile of C(m,n) += A @ B(k,n), covering all m rows. A's
+/// element (i, kk) is read at a[i * rs + kk * ks]: (rs, ks) = (k, 1) for a
+/// row-major A(m,k), (1, m) for the transpose of a row-major A(k,m), so
+/// MatMul and MatMulTransA share this kernel. The tile's B strip is first
+/// packed into a contiguous 32-byte-aligned scratch buffer — a pure layout
+/// change: the packed values and the FMA sequence are identical to reading
+/// B in place, so numerics are unaffected — which turns the strided walk
+/// over B into a one-off cost amortised over all rows, and lets the hot loop
+/// stream the pack sequentially with aligned loads. A 4x16 register
+/// microkernel holds C in 8 accumulators across the whole k loop (2 pack
+/// loads and 8 FMAs per k step); a 1x16 kernel covers the row remainder.
+/// Every C element accumulates in ascending-k order. Unlike the scalar tier
+/// there is no zero-skip on A: fma(0, b, acc) only differs when b is
+/// non-finite, and dropping the branch keeps the FMA pipeline full.
+SLIME_TARGET_AVX2 void MatMulColTile16Simd(const float* a, int64_t rs,
+                                           int64_t ks, const float* b,
                                            float* c, int64_t m, int64_t k,
                                            int64_t n, int64_t j) {
   // Per-worker scratch for the packed strip; ParallelFor workers never
@@ -83,10 +86,10 @@ SLIME_TARGET_AVX2 void MatMulColTile16Simd(const float* a, const float* b,
   }
   int64_t i = 0;
   for (; i + 4 <= m; i += 4) {
-    const float* a0 = a + i * k;
-    const float* a1 = a0 + k;
-    const float* a2 = a1 + k;
-    const float* a3 = a2 + k;
+    const float* a0 = a + i * rs;
+    const float* a1 = a0 + rs;
+    const float* a2 = a1 + rs;
+    const float* a3 = a2 + rs;
     float* c0 = c + i * n + j;
     float* c1 = c0 + n;
     float* c2 = c1 + n;
@@ -103,16 +106,17 @@ SLIME_TARGET_AVX2 void MatMulColTile16Simd(const float* a, const float* b,
       const float* bp = pack + kk * 16;
       const __m256 b0 = _mm256_load_ps(bp);
       const __m256 b1 = _mm256_load_ps(bp + 8);
-      __m256 v = _mm256_set1_ps(a0[kk]);
+      const int64_t ak = kk * ks;
+      __m256 v = _mm256_set1_ps(a0[ak]);
       r00 = _mm256_fmadd_ps(v, b0, r00);
       r01 = _mm256_fmadd_ps(v, b1, r01);
-      v = _mm256_set1_ps(a1[kk]);
+      v = _mm256_set1_ps(a1[ak]);
       r10 = _mm256_fmadd_ps(v, b0, r10);
       r11 = _mm256_fmadd_ps(v, b1, r11);
-      v = _mm256_set1_ps(a2[kk]);
+      v = _mm256_set1_ps(a2[ak]);
       r20 = _mm256_fmadd_ps(v, b0, r20);
       r21 = _mm256_fmadd_ps(v, b1, r21);
-      v = _mm256_set1_ps(a3[kk]);
+      v = _mm256_set1_ps(a3[ak]);
       r30 = _mm256_fmadd_ps(v, b0, r30);
       r31 = _mm256_fmadd_ps(v, b1, r31);
     }
@@ -126,12 +130,12 @@ SLIME_TARGET_AVX2 void MatMulColTile16Simd(const float* a, const float* b,
     _mm256_storeu_ps(c3 + 8, r31);
   }
   for (; i < m; ++i) {
-    const float* arow = a + i * k;
+    const float* arow = a + i * rs;
     float* crow = c + i * n + j;
     __m256 acc0 = _mm256_loadu_ps(crow);
     __m256 acc1 = _mm256_loadu_ps(crow + 8);
     for (int64_t kk = 0; kk < k; ++kk) {
-      const __m256 vav = _mm256_set1_ps(arow[kk]);
+      const __m256 vav = _mm256_set1_ps(arow[kk * ks]);
       const float* bp = pack + kk * 16;
       acc0 = _mm256_fmadd_ps(vav, _mm256_load_ps(bp), acc0);
       acc1 = _mm256_fmadd_ps(vav, _mm256_load_ps(bp + 8), acc1);
@@ -141,27 +145,34 @@ SLIME_TARGET_AVX2 void MatMulColTile16Simd(const float* a, const float* b,
   }
 }
 
-/// Tail columns [j0, n) — fewer than 16 — of C(m,n) += A(m,k) @ B(k,n) for
-/// rows [lo, hi): an 8-wide strip if one fits, then scalar columns, every
-/// element ascending-k.
-SLIME_TARGET_AVX2 void MatMulColTailSimd(const float* a, const float* b,
-                                         float* c, int64_t k, int64_t n,
-                                         int64_t j0, int64_t lo, int64_t hi) {
+/// Tail columns [j0, n) — fewer than 16 — of C(m,n) += A @ B(k,n) for rows
+/// [lo, hi), A read through the (rs, ks) pair as in MatMulColTile16Simd: an
+/// 8-wide strip if one fits, then scalar columns, every element ascending-k
+/// with one FMA per term. The scalar columns call std::fma explicitly: left
+/// as `acc += a * b`, GCC vectorises four products of the unit-stride
+/// (ks == 1) version without contracting them, which would give MatMul and
+/// MatMulTransA different bits in these columns.
+SLIME_TARGET_AVX2 void MatMulColTailSimd(const float* a, int64_t rs,
+                                         int64_t ks, const float* b, float* c,
+                                         int64_t k, int64_t n, int64_t j0,
+                                         int64_t lo, int64_t hi) {
   for (int64_t i = lo; i < hi; ++i) {
-    const float* arow = a + i * k;
+    const float* arow = a + i * rs;
     float* crow = c + i * n;
     int64_t j = j0;
     for (; j + 8 <= n; j += 8) {
       __m256 acc = _mm256_loadu_ps(crow + j);
       for (int64_t kk = 0; kk < k; ++kk) {
-        acc = _mm256_fmadd_ps(_mm256_set1_ps(arow[kk]),
+        acc = _mm256_fmadd_ps(_mm256_set1_ps(arow[kk * ks]),
                               _mm256_loadu_ps(b + kk * n + j), acc);
       }
       _mm256_storeu_ps(crow + j, acc);
     }
     for (; j < n; ++j) {
       float acc = crow[j];
-      for (int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * b[kk * n + j];
+      for (int64_t kk = 0; kk < k; ++kk) {
+        acc = std::fma(arow[kk * ks], b[kk * n + j], acc);
+      }
       crow[j] = acc;
     }
   }
@@ -201,32 +212,6 @@ SLIME_TARGET_AVX2 void MatMulTransBRowsSimd(const float* a, const float* b,
                                       _mm256_add_ps(acc2, acc3)));
       for (; kk < k; ++kk) sum += arow[kk] * brow[kk];
       crow[j] = sum;
-    }
-  }
-}
-
-/// Columns [jlo, jhi) of C(m,n) += A(k,m)^T @ B(k,n). Outer k loop kept so
-/// each element still accumulates in ascending-k order; the j vectorisation
-/// only widens the disjoint column writes.
-SLIME_TARGET_AVX2 void MatMulTransAColsSimd(const float* a, const float* b,
-                                            float* c, int64_t k, int64_t m,
-                                            int64_t n, int64_t jlo,
-                                            int64_t jhi) {
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float* arow = a + kk * m;
-    const float* brow = b + kk * n;
-    for (int64_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* crow = c + i * n;
-      const __m256 vav = _mm256_set1_ps(av);
-      int64_t j = jlo;
-      for (; j + 8 <= jhi; j += 8) {
-        const __m256 vc = _mm256_loadu_ps(crow + j);
-        _mm256_storeu_ps(crow + j,
-                         _mm256_fmadd_ps(vav, _mm256_loadu_ps(brow + j), vc));
-      }
-      for (; j < jhi; ++j) crow[j] += av * brow[j];
     }
   }
 }
@@ -339,57 +324,26 @@ SLIME_TARGET_AVX2 void AdamChunkSimd(float* w, float* m, float* v,
 
 // ---- KernelTable entry points: same grains and chunk layout as the scalar
 // tier (kernels.cc), so the split is identical and only the per-chunk body
-// changes.
+// changes — except matmul and MatMulTransA, which split over column tiles.
 
-/// Unlike the scalar tier, plain matmul parallelises over 16-column tiles
-/// of C rather than rows: each C element is computed entirely within one
-/// tile in ascending-k order, so the tile split cannot affect results at
-/// any thread count, and the per-tile B pack is amortised over all m rows.
-void SimdMatMulKernel(const float* a, const float* b, float* c, int64_t m,
-                      int64_t k, int64_t n) {
-  const int64_t tiles = n / 16;
-  if (tiles > 0) {
-    ParallelFor(0, tiles, GrainForWork(2 * k * m * 16),
-                [=](int64_t lo, int64_t hi) {
-                  for (int64_t t = lo; t < hi; ++t) {
-                    MatMulColTile16Simd(a, b, c, m, k, n, t * 16);
-                  }
-                });
-  }
-  if (tiles * 16 < n) {
-    ParallelFor(0, m, GrainForWork(2 * k * (n - tiles * 16)),
-                [=](int64_t lo, int64_t hi) {
-                  MatMulColTailSimd(a, b, c, k, n, tiles * 16, lo, hi);
-                });
-  }
-}
-
-void SimdMatMulTransAKernel(const float* a, const float* b, float* c,
-                            int64_t k, int64_t m, int64_t n) {
-  ParallelFor(0, n, GrainForWork(2 * k * m), [=](int64_t lo, int64_t hi) {
-    MatMulTransAColsSimd(a, b, c, k, m, n, lo, hi);
-  });
-}
-
-void SimdMatMulTransBKernel(const float* a, const float* b, float* c,
+/// C(m,n) += A @ B(k,n) for `batch` items of A (m*k floats each, read
+/// through the (rs, ks) pair), B(k,n) and C(m,n). Unlike the scalar tier,
+/// this parallelises over 16-column tiles of C rather than rows: each C
+/// element is computed entirely within one tile in ascending-k order, so the
+/// tile split cannot affect results at any thread count, and the per-tile B
+/// pack is amortised over all m rows. The units are the flattened batch x
+/// tile index; the tail columns split over the flattened batch x row space.
+void SimdBatchMatMulStrided(const float* a, int64_t rs, int64_t ks,
+                            const float* b, float* c, int64_t batch,
                             int64_t m, int64_t k, int64_t n) {
-  ParallelFor(0, m, GrainForWork(2 * k * n), [=](int64_t lo, int64_t hi) {
-    MatMulTransBRowsSimd(a, b, c, k, n, lo, hi);
-  });
-}
-
-void SimdBatchMatMulKernel(const float* a, const float* b, float* c,
-                           int64_t batch, int64_t m, int64_t k, int64_t n) {
   const int64_t tiles = n / 16;
   if (tiles > 0) {
-    // Flattened batch x tile index; each unit is one column tile of one
-    // batch member, so any split yields identical results.
     ParallelFor(0, batch * tiles, GrainForWork(2 * k * m * 16),
                 [=](int64_t lo, int64_t hi) {
                   for (int64_t idx = lo; idx < hi; ++idx) {
                     const int64_t bi = idx / tiles;
                     const int64_t t = idx - bi * tiles;
-                    MatMulColTile16Simd(a + bi * m * k, b + bi * k * n,
+                    MatMulColTile16Simd(a + bi * m * k, rs, ks, b + bi * k * n,
                                         c + bi * m * n, m, k, n, t * 16);
                   }
                 });
@@ -401,13 +355,35 @@ void SimdBatchMatMulKernel(const float* a, const float* b, float* c,
                     const int64_t bi = lo / m;
                     const int64_t row0 = lo - bi * m;
                     const int64_t rows = std::min(hi - lo, m - row0);
-                    MatMulColTailSimd(a + bi * m * k, b + bi * k * n,
+                    MatMulColTailSimd(a + bi * m * k, rs, ks, b + bi * k * n,
                                       c + bi * m * n, k, n, tiles * 16, row0,
                                       row0 + rows);
                     lo += rows;
                   }
                 });
   }
+}
+
+void SimdMatMulKernel(const float* a, const float* b, float* c, int64_t m,
+                      int64_t k, int64_t n) {
+  SimdBatchMatMulStrided(a, k, 1, b, c, 1, m, k, n);
+}
+
+void SimdMatMulTransAKernel(const float* a, const float* b, float* c,
+                            int64_t k, int64_t m, int64_t n) {
+  SimdBatchMatMulStrided(a, 1, m, b, c, 1, m, k, n);
+}
+
+void SimdMatMulTransBKernel(const float* a, const float* b, float* c,
+                            int64_t m, int64_t k, int64_t n) {
+  ParallelFor(0, m, GrainForWork(2 * k * n), [=](int64_t lo, int64_t hi) {
+    MatMulTransBRowsSimd(a, b, c, k, n, lo, hi);
+  });
+}
+
+void SimdBatchMatMulKernel(const float* a, const float* b, float* c,
+                           int64_t batch, int64_t m, int64_t k, int64_t n) {
+  SimdBatchMatMulStrided(a, k, 1, b, c, batch, m, k, n);
 }
 
 void SimdBatchMatMulTransBKernel(const float* a, const float* b, float* c,
@@ -430,13 +406,7 @@ void SimdBatchMatMulTransBKernel(const float* a, const float* b, float* c,
 void SimdBatchMatMulTransAKernel(const float* a, const float* b, float* c,
                                  int64_t batch, int64_t k, int64_t m,
                                  int64_t n) {
-  ParallelFor(0, batch, GrainForWork(2 * k * m * n),
-              [=](int64_t lo, int64_t hi) {
-                for (int64_t bi = lo; bi < hi; ++bi) {
-                  MatMulTransAColsSimd(a + bi * k * m, b + bi * k * n,
-                                       c + bi * m * n, k, m, n, 0, n);
-                }
-              });
+  SimdBatchMatMulStrided(a, 1, m, b, c, batch, m, k, n);
 }
 
 void SimdComplexMulKernel(const float* ar, const float* ai, const float* br,

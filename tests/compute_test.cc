@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -139,6 +140,92 @@ std::vector<float> NaiveMatMul(const std::vector<float>& a,
   return c;
 }
 
+/// Copy of a (k, m) row-major matrix transposed to (m, k), per batch item.
+std::vector<float> TransposeItems(const std::vector<float>& at,
+                                  int64_t batch, int64_t k, int64_t m) {
+  std::vector<float> a(at.size());
+  for (int64_t bi = 0; bi < batch; ++bi)
+    for (int64_t kk = 0; kk < k; ++kk)
+      for (int64_t i = 0; i < m; ++i)
+        a[bi * m * k + i * k + kk] = at[bi * k * m + kk * m + i];
+  return a;
+}
+
+/// A (k, m) operand with every fifth element a planted zero, so the scalar
+/// tier's zero-skip is taken.
+std::vector<float> TransAOperand(int64_t n, uint64_t seed) {
+  auto v = RandomVec(n, seed);
+  for (size_t i = 0; i < v.size(); i += 5) v[i] = 0.0f;
+  return v;
+}
+
+/// TransA shapes hitting every tail: m mod 4 = 1, 2, 3 (the simd 4-row
+/// microkernel's remainder); n = 13 (no 16-column tile: the 8-wide strip and
+/// scalar columns), 24 (a tile and the strip), 31 (a tile, the strip and
+/// scalar columns), 64 (tiles only); k = 1, 23, 200.
+template <typename Fn>
+void ForEachTransAShape(Fn fn) {
+  for (const int64_t m : {17, 6, 35})
+    for (const int64_t n : {13, 24, 31, 64})
+      for (const int64_t k : {1, 23, 200}) fn(m, k, n);
+}
+
+/// `matmul_trans_a` and `batch_matmul_trans_a` of `kt` must equal `matmul`
+/// and `batch_matmul` of the same table on explicitly transposed copies of
+/// A, bit for bit, and the double-precision reference within tolerance.
+void ExpectTransAEqualsMatMulOnTransposedA(const KernelTable& kt) {
+  ForEachTransAShape([&](int64_t m, int64_t k, int64_t n) {
+    SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                 " n=" + std::to_string(n));
+    const int64_t batch = 3;
+    const auto at = TransAOperand(batch * k * m, 95 + m + k + n);
+    const auto b = RandomVec(batch * k * n, 96 + m + k + n);
+    const auto a = TransposeItems(at, batch, k, m);
+
+    std::vector<float> got(m * n, 0.0f), want(m * n, 0.0f);
+    kt.matmul_trans_a(at.data(), b.data(), got.data(), k, m, n);
+    kt.matmul(a.data(), b.data(), want.data(), m, k, n);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0);
+    const auto ref = NaiveMatMul(at, b, m, k, n, true, false);
+    for (int64_t i = 0; i < m * n; ++i) EXPECT_NEAR(got[i], ref[i], 1e-4f);
+
+    std::vector<float> bgot(batch * m * n, 0.0f), bwant(batch * m * n, 0.0f);
+    kt.batch_matmul_trans_a(at.data(), b.data(), bgot.data(), batch, k, m, n);
+    kt.batch_matmul(a.data(), b.data(), bwant.data(), batch, m, k, n);
+    EXPECT_EQ(
+        std::memcmp(bgot.data(), bwant.data(), bgot.size() * sizeof(float)),
+        0);
+  });
+}
+
+/// `matmul_trans_a` and `batch_matmul_trans_a` of `kt` give the same bits
+/// at 2, 5 and 8 threads as at 1, on every tail shape.
+void ExpectTransABitIdenticalAcrossThreadCounts(const KernelTable& kt) {
+  ForEachTransAShape([&](int64_t m, int64_t k, int64_t n) {
+    SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                 " n=" + std::to_string(n));
+    const int64_t batch = 3;
+    const auto at = TransAOperand(batch * k * m, 97 + m + k + n);
+    const auto b = RandomVec(batch * k * n, 98 + m + k + n);
+    auto run = [&](int threads) {
+      ComputeContext ctx(threads);
+      std::vector<float> c(m * n + batch * m * n, 0.0f);
+      kt.matmul_trans_a(at.data(), b.data(), c.data(), k, m, n);
+      kt.batch_matmul_trans_a(at.data(), b.data(), c.data() + m * n, batch, k,
+                              m, n);
+      return c;
+    };
+    const auto ref = run(1);
+    for (int threads : {2, 5, 8}) {
+      const auto c = run(threads);
+      EXPECT_EQ(std::memcmp(ref.data(), c.data(), ref.size() * sizeof(float)),
+                0)
+          << "threads=" << threads;
+    }
+  });
+}
+
 TEST(KernelsTest, MatMulFamilyMatchesNaiveReference) {
   const int64_t m = 17, k = 23, n = 31;
   const auto a = RandomVec(m * k, 21);
@@ -161,6 +248,8 @@ TEST(KernelsTest, MatMulFamilyMatchesNaiveReference) {
   MatMulTransAKernel(at.data(), b.data(), c.data(), k, m, n);
   ref = NaiveMatMul(at, b, m, k, n, true, false);
   for (int64_t i = 0; i < m * n; ++i) EXPECT_NEAR(c[i], ref[i], 1e-4f);
+
+  ExpectTransAEqualsMatMulOnTransposedA(KernelTable{});
 }
 
 TEST(KernelsTest, MatMulBitIdenticalAcrossThreadCounts) {
@@ -180,6 +269,7 @@ TEST(KernelsTest, MatMulBitIdenticalAcrossThreadCounts) {
               0)
         << "threads=" << threads;
   }
+  ExpectTransABitIdenticalAcrossThreadCounts(KernelTable{});
 }
 
 TEST(KernelsTest, BatchMatMulSplitsAcrossItemBoundaries) {
@@ -605,6 +695,8 @@ TEST(SimdBackendTest, MatMulFamilyMatchesNaiveReference) {
   kt.matmul_trans_a(at.data(), b.data(), c.data(), k, m, n);
   ref = NaiveMatMul(at, b, m, k, n, true, false);
   for (int64_t i = 0; i < m * n; ++i) EXPECT_NEAR(c[i], ref[i], 1e-4f);
+
+  ExpectTransAEqualsMatMulOnTransposedA(kt);
 }
 
 TEST(SimdBackendTest, MatMulBitIdenticalAcrossThreadCounts) {
@@ -627,6 +719,7 @@ TEST(SimdBackendTest, MatMulBitIdenticalAcrossThreadCounts) {
               0)
         << "threads=" << threads;
   }
+  ExpectTransABitIdenticalAcrossThreadCounts(Dispatch());
 }
 
 TEST(SimdBackendTest, UnalignedOperandsMatchAlignedResults) {
