@@ -199,7 +199,7 @@ void EmitScenario(std::FILE* f, const ScenarioResult& r, bool last) {
       "  \"%s\": {\n"
       "    \"offered\": %lld, \"served\": %lld, \"shed\": %lld,\n"
       "    \"deadline_exceeded\": %lld, \"full_model\": %lld,\n"
-      "    \"fast_path\": %lld, \"fallback\": %lld,\n"
+      "    \"fallback\": %lld,\n"
       "    \"served_rate\": %.4f, \"shed_rate\": %.4f, "
       "\"fallback_rate\": %.4f,\n"
       "    \"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f,\n"
@@ -209,7 +209,6 @@ void EmitScenario(std::FILE* f, const ScenarioResult& r, bool last) {
       static_cast<long long>(s.served), static_cast<long long>(s.shed),
       static_cast<long long>(s.deadline_exceeded),
       static_cast<long long>(s.full_model_served),
-      static_cast<long long>(s.fast_path_served),
       static_cast<long long>(s.fallback_served), served_rate, shed_rate,
       fallback_rate, r.latency.p50, r.latency.p95, r.latency.p99,
       r.seconds > 0.0 ? s.served / r.seconds : 0.0, r.health,
@@ -259,7 +258,8 @@ int Main(int argc, char** argv) {
 
   // Deadline pressure: budgets at 4x, 1x, and 1/4 of the baseline p50.
   // Looser budgets mostly serve full-model; the tight one exercises the
-  // ladder (cost-estimate skips, truncated retries, fallback).
+  // ladder (cost-estimate skips and deadline overruns, both answered by
+  // the popularity fallback).
   const struct {
     const char* name;
     double factor;

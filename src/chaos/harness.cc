@@ -547,9 +547,11 @@ Result<ChaosResult> RunChaosPipeline(const ChaosOptions& options) {
     }
     server.set_fallback(serving::PopularityFallback::FromCounts(counts));
 
-    // Seed-chosen requests stall past the 50ms default deadline; the
+    // Seed-chosen forward passes stall past the 50ms default deadline; the
     // script is installed after Start() so canary-validation passes run
-    // fast and don't shift the per-request alignment.
+    // fast and don't shift the alignment. Each request runs at most one
+    // pass, none when it is skipped for budget, so the script never runs
+    // out.
     const int64_t kFast = serving::kNanosPerMilli;
     const int64_t kSlow = 200 * serving::kNanosPerMilli;
     constexpr int kRequests = 6;
@@ -575,7 +577,6 @@ Result<ChaosResult> RunChaosPipeline(const ChaosOptions& options) {
       for (int i = 0; i < kRequests; ++i) {
         latencies.push_back(slow[static_cast<size_t>(i)] ? kSlow : kFast);
       }
-      latencies.push_back(kFast);  // repeats for any extra tier retries
       latency_model->set_latencies(std::move(latencies));
       run.Fault("serve", "deadline pressure on 2 of " +
                              std::to_string(kRequests) + " requests");

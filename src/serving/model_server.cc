@@ -52,8 +52,6 @@ const char* ToString(ServeTier tier) {
   switch (tier) {
     case ServeTier::kFullModel:
       return "full-model";
-    case ServeTier::kTruncatedHistory:
-      return "truncated-history";
     case ServeTier::kPopularityFallback:
       return "popularity-fallback";
   }
@@ -68,7 +66,6 @@ ModelServer::ModelServer(const ModelServerOptions& options,
       env_(env != nullptr ? env : io::Env::Default()),
       admission_(options.admission, clock_) {
   SLIME_CHECK_GT(options_.default_deadline_nanos, 0);
-  SLIME_CHECK_GE(options_.fast_path_history_len, 1);
   SLIME_CHECK_GE(options_.min_model_budget_nanos, 0);
   SLIME_CHECK_GE(options_.recovery_full_responses, 1);
   SLIME_CHECK_GE(options_.canary_top_k, 1);
@@ -87,16 +84,13 @@ ModelServer::ModelServer(const ModelServerOptions& options,
   shed_ = metrics_->counter("serving.shed");
   deadline_exceeded_ = metrics_->counter("serving.deadline_exceeded");
   full_model_served_ = metrics_->counter("serving.tier.full_served");
-  fast_path_served_ = metrics_->counter("serving.tier.fast_served");
   fallback_served_ = metrics_->counter("serving.tier.fallback_served");
   reloads_ = metrics_->counter("serving.reloads");
   rollbacks_ = metrics_->counter("serving.rollbacks");
   full_cost_gauge_ = metrics_->gauge("serving.cost.full_nanos");
-  fast_cost_gauge_ = metrics_->gauge("serving.cost.fast_nanos");
   health_gauge_ = metrics_->gauge("serving.health");
   request_nanos_ = metrics_->histogram("serving.request_nanos");
   full_pass_nanos_ = metrics_->histogram("serving.tier.full_pass_nanos");
-  fast_pass_nanos_ = metrics_->histogram("serving.tier.fast_pass_nanos");
   session_hits_ = metrics_->counter("state.session_hits");
   session_misses_ = metrics_->counter("state.session_misses");
   session_invalidations_ = metrics_->counter("state.session_invalidations");
@@ -241,12 +235,10 @@ ServerStats ModelServer::stats() const {
   s.shed = shed_.value();
   s.deadline_exceeded = deadline_exceeded_.value();
   s.full_model_served = full_model_served_.value();
-  s.fast_path_served = fast_path_served_.value();
   s.fallback_served = fallback_served_.value();
   s.reloads = reloads_.value();
   s.rollbacks = rollbacks_.value();
   s.full_cost_estimate_nanos = full_cost_estimate_.value();
-  s.fast_cost_estimate_nanos = fast_cost_estimate_.value();
   return s;
 }
 
@@ -364,22 +356,26 @@ Result<BatchServeResponse> ModelServer::ServeBatch(
   out.responses.resize(num_users);
   for (ServeResponse& r : out.responses) r.generation = out.generation;
 
-  // A tier is worth attempting only while the remaining budget covers its
-  // observed cost (EWMA; the configured floor before any observation).
-  const auto tier_budget = [this](int64_t estimate) {
-    return std::max(options_.min_model_budget_nanos, estimate);
-  };
-
-  // --- Tier 1: full history through the live model. Even when skipped for
-  // budget the call still runs (with an always-true cancel) so input
-  // validation always happens and bad requests fail as bad requests, not
-  // as fallbacks.
+  // --- Tier 1: full history through the live model, attempted only while
+  // the remaining budget covers its observed cost (EWMA; the configured
+  // floor before any observation). Even when skipped for budget the call
+  // still runs (with an always-true cancel) so input validation always
+  // happens and bad requests fail as bad requests, not as fallbacks.
   std::vector<size_t> pending;
   {
+    const int64_t left = remaining();
     const bool attempt =
-        remaining() >= tier_budget(full_cost_estimate_.value());
+        left >= std::max(options_.min_model_budget_nanos,
+                         full_cost_estimate_.value());
     obs::TraceSpan tier1_span(trace, "forward.full");
-    if (!attempt) tier1_span.Annotate("skipped", "budget");
+    if (!attempt) {
+      tier1_span.Annotate("skipped", "budget");
+      // A skip never measures the pass, so fold in the budget it declined
+      // as a censored sample: without it, one stall would keep the
+      // estimate above every later budget and the tier locked out for good.
+      full_cost_estimate_.Observe(left);
+      full_cost_gauge_.Set(full_cost_estimate_.value());
+    }
     std::unique_lock<std::mutex> infer_lk(infer_mu_, std::defer_lock);
     if (attempt) infer_lk.lock();
     const int64_t t0 = clock_->NowNanos();
@@ -417,53 +413,7 @@ Result<BatchServeResponse> ModelServer::ServeBatch(
     return Status::Aborted("request cancelled by caller");
   }
 
-  // --- Tier 2: truncated-history retry for users tier 1 didn't finish.
-  if (!pending.empty() &&
-      remaining() >= tier_budget(fast_cost_estimate_.value())) {
-    obs::TraceSpan tier2_span(trace, "forward.truncated");
-    tier2_span.Annotate("downgraded", std::to_string(pending.size()) +
-                                          " users");
-    std::vector<std::vector<int64_t>> truncated;
-    truncated.reserve(pending.size());
-    for (size_t i : pending) {
-      const std::vector<int64_t>& h = request.histories[i];
-      const size_t n = std::min<size_t>(
-          h.size(), static_cast<size_t>(options_.fast_path_history_len));
-      truncated.emplace_back(h.end() - n, h.end());
-    }
-    std::lock_guard<std::mutex> infer_lk(infer_mu_);
-    const int64_t t0 = clock_->NowNanos();
-    Result<PartialBatch> tier2 = service.RecommendBatchCancellable(
-        truncated, request.options, past_deadline);
-    if (!tier2.ok()) return tier2.status();
-    {
-      const int64_t elapsed = clock_->NowNanos() - t0;
-      fast_cost_estimate_.Observe(elapsed);
-      fast_cost_gauge_.Set(fast_cost_estimate_.value());
-      fast_pass_nanos_.Observe(elapsed);
-    }
-    const PartialBatch& pb = tier2.value();
-    out.deadline_hit = out.deadline_hit || pb.cancelled;
-    std::vector<size_t> still_pending;
-    for (size_t j = 0; j < pending.size(); ++j) {
-      const size_t i = pending[j];
-      if (pb.completed[j]) {
-        out.responses[i].items = std::move(tier2.value().lists[j]);
-        out.responses[i].tier = ServeTier::kTruncatedHistory;
-      } else {
-        still_pending.push_back(i);
-      }
-    }
-    pending.swap(still_pending);
-  } else if (!pending.empty()) {
-    out.deadline_hit = true;  // budget gone before the retry tier
-  }
-  if (externally_cancelled()) {
-    trace.Finish();
-    return Status::Aborted("request cancelled by caller");
-  }
-
-  // --- Tier 3: popularity fallback never needs the model or the budget.
+  // --- Tier 2: popularity fallback never needs the model or the budget.
   if (!pending.empty() && fallback_.Available()) {
     obs::TraceSpan fb_span(trace, "fallback");
     fb_span.Annotate("downgraded", std::to_string(pending.size()) +
@@ -488,10 +438,6 @@ Result<BatchServeResponse> ModelServer::ServeBatch(
     switch (r.tier) {
       case ServeTier::kFullModel:
         full_model_served_.Increment();
-        break;
-      case ServeTier::kTruncatedHistory:
-        fast_path_served_.Increment();
-        all_full = false;
         break;
       case ServeTier::kPopularityFallback:
         fallback_served_.Increment();

@@ -37,7 +37,6 @@ const char* ToString(HealthState state);
 /// Which rung of the degradation ladder produced a response.
 enum class ServeTier {
   kFullModel,           // full history through the live model
-  kTruncatedHistory,    // last-n-items retry through the live model
   kPopularityFallback,  // model-free popularity ranking
 };
 const char* ToString(ServeTier tier);
@@ -48,19 +47,12 @@ struct ModelServerOptions {
   int64_t default_deadline_nanos = 50 * kNanosPerMilli;
   /// Load-shedding policy (in-flight cap + token bucket).
   AdmissionOptions admission;
-  /// `n` for the truncated-history retry tier: the request is re-attempted
-  /// with only the last n history items. (With this library's fixed-length
-  /// padding the model FLOPs are unchanged; the tier bounds per-user
-  /// preprocessing for very long histories and, more importantly, is the
-  /// bounded second attempt between "full fidelity" and "give up to the
-  /// popularity ranker".)
-  int64_t fast_path_history_len = 8;
-  /// A model tier is only attempted while the remaining budget is at
-  /// least max(this floor, the tier's observed-cost EWMA); below that the
-  /// request drops down the ladder instead of starting a forward pass that
-  /// the latency history says is doomed. This is what makes the middle
-  /// tier reachable: a tight-but-alive budget skips the full pass and
-  /// goes straight to the cheaper retry.
+  /// The model tier is only attempted while the remaining budget is at
+  /// least max(this floor, its observed-cost EWMA); below that the request
+  /// goes straight to the popularity fallback instead of starting a
+  /// forward pass that the latency history says is doomed. A skipped
+  /// request folds the budget it declined into the EWMA as a censored
+  /// sample, so one stall cannot lock the model tier out for good.
   int64_t min_model_budget_nanos = kNanosPerMilli;
   /// When the deadline fires with no fallback available: `true` returns
   /// whatever completed (uncompleted users flagged via
@@ -140,15 +132,13 @@ struct ServerStats {
   int64_t served = 0;             // user rankings returned, any tier
   int64_t shed = 0;               // calls rejected by admission control
   int64_t deadline_exceeded = 0;  // calls whose deadline cancelled work
-  int64_t full_model_served = 0;      // per-user tier counts
-  int64_t fast_path_served = 0;
+  int64_t full_model_served = 0;  // per-user tier counts
   int64_t fallback_served = 0;
   int64_t reloads = 0;    // validated hot reloads installed
   int64_t rollbacks = 0;  // reload attempts rolled back (load or canary)
-  /// EWMA of observed per-tier pass cost (0 until first measured), the
-  /// values gating ladder decisions.
+  /// EWMA of the model tier's pass cost (0 until first measured), the
+  /// value gating the ladder decision.
   int64_t full_cost_estimate_nanos = 0;
-  int64_t fast_cost_estimate_nanos = 0;
 };
 
 /// Production-shaped serving shell around RecommendationService:
@@ -160,9 +150,11 @@ struct ServerStats {
 ///    bucket shed excess load with Status::ResourceExhausted and a
 ///    retry-after hint, before the model burns cycles on a request that
 ///    would miss its deadline anyway.
-///  - **Degradation ladder.** full model → truncated-history retry →
-///    PopularityFallback; every response is tagged with the tier that
-///    served it.
+///  - **Degradation ladder.** full model → PopularityFallback →
+///    DeadlineExceeded (or a partial batch); every response is tagged with
+///    the tier that served it. There is no cheaper model retry: every
+///    history is padded or truncated to the model's fixed max_len, so any
+///    second pass costs exactly what the first one did.
 ///  - **Validated hot reload.** Reload() loads a checkpoint through the
 ///    io::Env/CRC-32 machinery into a *shadow* model, replays the canary
 ///    request set against sanity bounds (finite scores, non-empty top-K),
@@ -337,26 +329,22 @@ class ModelServer {
   obs::Counter shed_;
   obs::Counter deadline_exceeded_;
   obs::Counter full_model_served_;
-  obs::Counter fast_path_served_;
   obs::Counter fallback_served_;
   obs::Counter reloads_;
   obs::Counter rollbacks_;
-  /// Mirrors of the cost EWMAs and health state for snapshot export.
+  /// Mirrors of the cost EWMA and health state for snapshot export.
   obs::Gauge full_cost_gauge_;
-  obs::Gauge fast_cost_gauge_;
   obs::Gauge health_gauge_;
-  /// Request and per-tier pass latencies on clock_ (deterministic under a
+  /// Request and model-pass latencies on clock_ (deterministic under a
   /// FakeClock).
   obs::Histogram request_nanos_;
   obs::Histogram full_pass_nanos_;
-  obs::Histogram fast_pass_nanos_;
 
-  /// Per-tier observed cost EWMAs, measured on clock_ around each pass
-  /// (updates are deterministic under a FakeClock). Integer EWMA with a
-  /// CAS loop (see CostEwma) so concurrent observations never lose
-  /// updates.
+  /// The model tier's cost EWMA, measured on clock_ around each pass and
+  /// fed the declined budget of each skip (updates are deterministic under
+  /// a FakeClock). Integer EWMA with a CAS loop (see CostEwma) so
+  /// concurrent observations never lose updates.
   CostEwma full_cost_estimate_;
-  CostEwma fast_cost_estimate_;
 };
 
 }  // namespace serving

@@ -120,7 +120,7 @@ Result<PartialBatch> RecommendationService::RecommendBatchCancellable(
   // budget is already gone. (Cancellation cannot fire *inside* ScoreAll —
   // the model has no cancellation seam — so a single slow forward pass
   // overruns by up to one model latency. The ModelServer accounts for that
-  // by checking the budget before attempting each ladder tier.)
+  // by starting a pass only while the budget covers its observed cost.)
   if (cancelled && cancelled()) {
     out.cancelled = true;
     return out;

@@ -119,6 +119,29 @@ RecommendOptions Top3Unfiltered() {
   return o;
 }
 
+/// Samples recorded so far by the registry histogram `name` (0 if absent).
+int64_t HistogramCount(const obs::MetricsRegistry& registry,
+                       const std::string& name) {
+  for (const obs::HistogramValue& h : registry.Snapshot().histograms) {
+    if (h.name == name) return h.count;
+  }
+  return 0;
+}
+
+/// True if the latest trace annotates span `span` with key = value.
+bool LastTraceAnnotates(const obs::Tracer& tracer, const std::string& span,
+                        const std::string& key, const std::string& value) {
+  const std::vector<obs::Trace> traces = tracer.Traces();
+  if (traces.empty()) return false;
+  for (const obs::SpanRecord& s : traces.back().spans) {
+    if (s.name != span) continue;
+    for (const auto& [k, v] : s.annotations) {
+      if (k == key && v == value) return true;
+    }
+  }
+  return false;
+}
+
 // --- Clock ---------------------------------------------------------------
 
 TEST(ClockTest, FakeClockAdvancesAndSets) {
@@ -313,9 +336,11 @@ TEST(ModelServerTest, InvalidRequestFailsInsteadOfFallingBack) {
 
 TEST(ModelServerLadderTest, DeadlineDropsToFallbackThenRecovers) {
   FakeClock clock;
+  obs::Tracer tracer(&clock);
   ModelServerOptions options;
   options.default_deadline_nanos = 50 * kNanosPerMilli;
   options.recovery_full_responses = 2;
+  options.tracer = &tracer;
   ModelServer server(options, nullptr, &clock);
   server.set_fallback(PopularityFallback::FromCounts(
       {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
@@ -344,12 +369,16 @@ TEST(ModelServerLadderTest, DeadlineDropsToFallbackThenRecovers) {
   EXPECT_EQ(stats.full_cost_estimate_nanos, 100 * kNanosPerMilli);
 
   // Request 2: the 50 ms budget is below the 100 ms estimate, so the full
-  // tier is skipped outright and the truncated-history retry (estimate
-  // still at the floor) serves within budget.
+  // tier is skipped outright — no forward pass starts — and the popularity
+  // fallback serves within budget.
+  const int64_t passes =
+      HistogramCount(server.metrics(), "serving.tier.full_pass_nanos");
   const auto second = server.Serve(request).value();
-  EXPECT_EQ(second.tier, ServeTier::kTruncatedHistory);
+  EXPECT_EQ(second.tier, ServeTier::kPopularityFallback);
   EXPECT_EQ(Items(second.items), (std::vector<int64_t>{10, 9, 8}));
-  EXPECT_EQ(server.stats().fast_path_served, 1);
+  EXPECT_EQ(HistogramCount(server.metrics(), "serving.tier.full_pass_nanos"),
+            passes);
+  EXPECT_TRUE(LastTraceAnnotates(tracer, "forward.full", "skipped", "budget"));
   EXPECT_EQ(server.health(), HealthState::kDegraded);
 
   // Requests 3-4: a generous budget clears the estimate gate, the model is
@@ -363,6 +392,63 @@ TEST(ModelServerLadderTest, DeadlineDropsToFallbackThenRecovers) {
   EXPECT_EQ(server.health(), HealthState::kServing);
   // The estimate decays (3/4 old + 1/4 new) as fast passes accumulate.
   EXPECT_LT(server.stats().full_cost_estimate_nanos, 100 * kNanosPerMilli);
+}
+
+TEST(ModelServerLadderTest, SkippedFullTierRemeasuresItsCost) {
+  // Every request below runs at the 50 ms default budget. A skip folds the
+  // declined budget into the cost estimate (3/4 old + 1/4 budget, integer
+  // arithmetic), which walks a 100 ms estimate down to the budget in 60
+  // skips; the next request then re-measures the model.
+  struct Outcome {
+    int64_t full = 0;
+    int64_t fallback = 0;
+    int64_t model_calls = 0;
+    ServerStats stats;
+    HealthState health = HealthState::kStarting;
+  };
+  const auto serve_200 = [](std::vector<int64_t> latencies) {
+    FakeClock clock;
+    ModelServer server(ModelServerOptions{}, nullptr, &clock);
+    server.set_fallback(PopularityFallback::FromCounts(
+        {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+    auto model = std::make_unique<ScriptedModel>(TinyConfig(), 0.0f, &clock,
+                                                 std::move(latencies));
+    const ScriptedModel* scripted = model.get();
+    SLIME_CHECK(server.Start(std::move(model)).ok());
+    ServeRequest request;
+    request.history = {1, 2, 3};
+    request.options = Top3Unfiltered();
+    Outcome out;
+    for (int i = 0; i < 200; ++i) {
+      if (server.Serve(request).value().tier == ServeTier::kFullModel) {
+        ++out.full;
+      } else {
+        ++out.fallback;
+      }
+    }
+    out.model_calls = scripted->calls();
+    out.stats = server.stats();
+    out.health = server.health();
+    return out;
+  };
+
+  // One stall, then an instant model: the full tier comes back after the
+  // skips and the hysteresis window (8 full responses) restores kServing.
+  const Outcome stall = serve_200({100 * kNanosPerMilli, 0});
+  EXPECT_EQ(stall.fallback, 61);  // the stalled pass + 60 budget skips
+  EXPECT_EQ(stall.full, 139);
+  EXPECT_EQ(stall.model_calls, 140);  // skips start no forward pass
+  EXPECT_EQ(stall.health, HealthState::kServing);
+  EXPECT_EQ(stall.stats.full_cost_estimate_nanos, 0);
+
+  // A model that always takes 100 ms: each re-measurement overruns and
+  // re-arms the estimate, so only 4 of 200 requests start a doomed pass.
+  const Outcome slow = serve_200({100 * kNanosPerMilli});
+  EXPECT_EQ(slow.full, 0);
+  EXPECT_EQ(slow.fallback, 200);
+  EXPECT_EQ(slow.model_calls, 4);
+  EXPECT_EQ(slow.stats.deadline_exceeded, 200);
+  EXPECT_EQ(slow.health, HealthState::kDegraded);
 }
 
 TEST(ModelServerLadderTest, DeadlineWithoutFallbackIsDeadlineExceeded) {
@@ -525,8 +611,8 @@ TEST(ModelUseGuardDeathTest, CatchesServingDuringTraining) {
 
 // --- Determinism ---------------------------------------------------------
 
-/// Runs a fixed chaos scenario (slow pass, budget-skipped pass, recovery,
-/// hot reload) and returns a full signature of every observable outcome.
+/// Runs a fixed chaos scenario (slow pass, budget skip, recovery, hot
+/// reload) and returns a full signature of every observable outcome.
 std::string RunScenario(int threads, const std::string& reload_path) {
   compute::ComputeContext ctx(threads);
   FakeClock clock;
@@ -577,10 +663,9 @@ std::string RunScenario(int threads, const std::string& reload_path) {
   }
   const ServerStats stats = server.stats();
   sig << "served " << stats.served << " fallback " << stats.fallback_served
-      << " fast " << stats.fast_path_served << " full "
-      << stats.full_model_served << " deadline " << stats.deadline_exceeded
-      << " full_est " << stats.full_cost_estimate_nanos << " fast_est "
-      << stats.fast_cost_estimate_nanos << " health "
+      << " full " << stats.full_model_served << " deadline "
+      << stats.deadline_exceeded << " full_est "
+      << stats.full_cost_estimate_nanos << " health "
       << ToString(server.health()) << "\n";
   sig << obs::SnapshotToJsonl(registry.Snapshot());
   sig << obs::TracesToJsonl(tracer.Traces());
@@ -594,10 +679,11 @@ TEST(ModelServerDeterminismTest, ScenarioIsBitIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(io::SaveCheckpoint(next, path).ok());
   }
   const std::string base = RunScenario(1, path);
-  // The scenario exercises every tier; make sure it is not trivially empty.
+  // The scenario exercises both tiers and a budget skip; make sure it is
+  // not trivially empty.
   EXPECT_NE(base.find("popularity-fallback"), std::string::npos) << base;
-  EXPECT_NE(base.find("truncated-history"), std::string::npos) << base;
   EXPECT_NE(base.find("full-model"), std::string::npos) << base;
+  EXPECT_NE(base.find("\"skipped\":\"budget\""), std::string::npos) << base;
   // The signature now folds in the registry snapshot and trace JSONL, so
   // this also proves metrics and span times (all FakeClock-driven) are
   // bit-identical across thread counts and across repeated runs.
@@ -917,8 +1003,8 @@ TEST(ModelServerHealthTest, FlappingStaysDegradedThroughHysteresisWindow) {
   // that is exactly the oscillation the hysteresis window forbids.
   EXPECT_EQ(server.Serve(roomy).value().tier, ServeTier::kFullModel);
   EXPECT_EQ(server.health(), HealthState::kDegraded);
-  // Flap 2: blown again (full tier is estimate-gated out at 50 ms, the
-  // truncated retry eats the slow pass) → recovery progress resets.
+  // Flap 2: degraded again (the full tier is estimate-gated out at 50 ms
+  // and the fallback answers) → recovery progress resets.
   EXPECT_EQ(server.Serve(tight).value().tier,
             ServeTier::kPopularityFallback);
   EXPECT_EQ(server.health(), HealthState::kDegraded);

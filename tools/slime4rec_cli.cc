@@ -11,7 +11,7 @@
 //   recommend  --data FILE --load CKPT --user U [--topk K] [...model flags]
 //   serve      --data FILE --load CKPT [--requests N] [--deadline-ms D]
 //              [--max-inflight M] [--rate QPS] [--burst B]
-//              [--fast-path-len n] [--canaries C] [--reload CKPT2]
+//              [--canaries C] [--reload CKPT2]
 //              [--metrics-out FILE] [--shards N] [--replication R]
 //              [--state-dir DIR] [--state-sync always|group|none]
 //   append-events --state-dir DIR --events FILE
@@ -587,7 +587,6 @@ int CmdServeCluster(const Flags& flags, const data::SplitDataset& split,
   opts.shard.admission.max_in_flight = flags.GetInt("max-inflight", 64);
   opts.shard.admission.tokens_per_second = flags.GetDouble("rate", 0.0);
   opts.shard.admission.burst = flags.GetDouble("burst", 32.0);
-  opts.shard.fast_path_history_len = flags.GetInt("fast-path-len", 8);
   const std::string state_dir = flags.Get("state-dir");
   if (!state_dir.empty()) {
     opts.state_dir = state_dir;
@@ -740,7 +739,6 @@ int CmdServe(const Flags& flags) {
   opts.admission.max_in_flight = flags.GetInt("max-inflight", 64);
   opts.admission.tokens_per_second = flags.GetDouble("rate", 0.0);
   opts.admission.burst = flags.GetDouble("burst", 32.0);
-  opts.fast_path_history_len = flags.GetInt("fast-path-len", 8);
 
   // Declared before the server so its handles never outlive the registry.
   const std::string metrics_out = flags.Get("metrics-out");
@@ -829,12 +827,11 @@ int CmdServe(const Flags& flags) {
 
   const serving::ServerStats stats = server.stats();
   std::printf("health: %s\n", serving::ToString(server.health()));
-  bench::TablePrinter table({"served", "shed", "deadline", "full", "fast",
+  bench::TablePrinter table({"served", "shed", "deadline", "full",
                              "fallback", "reloads", "rollbacks"});
   table.AddRow({std::to_string(stats.served), std::to_string(stats.shed),
                 std::to_string(stats.deadline_exceeded),
                 std::to_string(stats.full_model_served),
-                std::to_string(stats.fast_path_served),
                 std::to_string(stats.fallback_served),
                 std::to_string(stats.reloads),
                 std::to_string(stats.rollbacks)});
@@ -878,8 +875,7 @@ int Usage() {
       "  recommend --data FILE --load CKPT --user 0 [--topk 10]\n"
       "  serve     --data FILE --load CKPT [--requests 32] "
       "[--deadline-ms 50]\n"
-      "            [--max-inflight 64] [--rate QPS] [--burst 32] "
-      "[--fast-path-len 8]\n"
+      "            [--max-inflight 64] [--rate QPS] [--burst 32]\n"
       "            [--canaries 8] [--reload CKPT2] [--metrics-out FILE]\n"
       "            [--shards 1] [--replication 2]   (cluster mode when "
       "--shards >= 2)\n"
