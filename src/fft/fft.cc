@@ -618,6 +618,9 @@ void VerticalRfftPlan::Inverse(const float* re, const float* im, int64_t d,
   }
 }
 
+namespace {
+
+/// Rough flop count per column of a VerticalFftPlan of length n.
 int64_t VerticalPlanCostPerColumn(int64_t n) {
   if (n <= 1) return 1;
   if (IsPowerOfTwo(n)) {
@@ -630,6 +633,8 @@ int64_t VerticalPlanCostPerColumn(int64_t n) {
   const int64_t p = NextPowerOfTwo(2 * n - 1);
   return 12 * n + 6 * p + 2 * VerticalPlanCostPerColumn(p);
 }
+
+}  // namespace
 
 int64_t VerticalRfftPlan::CostPerColumn() const {
   if (n_ == 1) return 1;

@@ -50,9 +50,9 @@ void IrfftAdjoint(const float* g_x, int64_t n, float* g_re, float* g_im);
 /// A "vertical" (channel-parallel) complex FFT plan: transforms d
 /// independent length-n series stored column-wise in row-major (n, d)
 /// buffers. Each butterfly operates on contiguous rows of d floats, which
-/// the compiler vectorises — this is the throughput path used by the
-/// spectral autograd ops (the scalar functions above remain as the
-/// reference implementation; tests check they agree).
+/// the compiler vectorises. It is the inner transform of VerticalRfftPlan,
+/// which the spectral autograd ops run (the scalar functions above remain
+/// as the reference implementation; tests check they agree).
 ///
 /// Power-of-two sizes run iterative radix-2 directly; other sizes run a
 /// vertical Bluestein transform over an internal power-of-two plan.
@@ -158,9 +158,6 @@ const VerticalFftPlan& GetVerticalPlan(int64_t n);
 
 /// Process-cached real-input plan for length n; same sharing contract.
 const VerticalRfftPlan& GetVerticalRfftPlan(int64_t n);
-
-/// Rough flop count per column of GetVerticalPlan(n), for grain planning.
-int64_t VerticalPlanCostPerColumn(int64_t n);
 
 }  // namespace fft
 }  // namespace slime

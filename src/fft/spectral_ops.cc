@@ -1,14 +1,12 @@
 #include "fft/spectral_ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
 
 #include "autograd/ops.h"
 #include "compute/kernels.h"
 #include "compute/thread_pool.h"
 #include "fft/fft.h"
-#include "tensor/tensor_ops.h"
 
 namespace slime {
 namespace fft {
@@ -20,13 +18,9 @@ using autograd::Variable;
 using compute::GrainForWork;
 using compute::ParallelFor;
 
-std::atomic<int> g_rfft_path{static_cast<int>(RfftPath::kPacked)};
-
-/// Per-thread scratch pair for the vertical transforms. Grow-only and never
-/// zero-filled here: every user overwrites exactly the entries the
-/// downstream transform reads (the old blanket Reset() zeroed 2*n*d floats
-/// per batch item even though e.g. the reference rfft forward rewrites the
-/// whole real plane and only needs the imaginary plane cleared).
+/// Per-thread scratch pair for the Rfft backward's half-spectrum staging.
+/// Grow-only and never zero-filled here: the backward clears the component
+/// it does not fill and overwrites every row of the one it does.
 struct Scratch2D {
   std::vector<float> re;
   std::vector<float> im;
@@ -44,25 +38,13 @@ Scratch2D& GetScratch() {
 }
 
 /// Grain for the per-batch-item loops: batches tiny transforms into one
-/// chunk, keeps big ones at one item per chunk. Depends only on (path, n,
-/// d), so the decomposition stays thread-count-invariant.
-int64_t BatchGrain(RfftPath path, int64_t n, int64_t d) {
-  const int64_t per_column = path == RfftPath::kPacked
-                                 ? GetVerticalRfftPlan(n).CostPerColumn()
-                                 : VerticalPlanCostPerColumn(n);
-  return GrainForWork(per_column * d);
+/// chunk, keeps big ones at one item per chunk. Depends only on (n, d), so
+/// the decomposition stays thread-count-invariant.
+int64_t BatchGrain(const VerticalRfftPlan& plan, int64_t d) {
+  return GrainForWork(plan.CostPerColumn() * d);
 }
 
 }  // namespace
-
-RfftPath ActiveRfftPath() {
-  return static_cast<RfftPath>(g_rfft_path.load(std::memory_order_relaxed));
-}
-
-RfftPath SetRfftPath(RfftPath path) {
-  return static_cast<RfftPath>(g_rfft_path.exchange(
-      static_cast<int>(path), std::memory_order_relaxed));
-}
 
 SpectralPair Rfft(const Variable& x) {
   const Tensor& xt = x.value();
@@ -71,84 +53,50 @@ SpectralPair Rfft(const Variable& x) {
   const int64_t n = xt.size(1);
   const int64_t d = xt.size(2);
   const int64_t m = RfftBins(n);
-  const RfftPath path = ActiveRfftPath();
-  const int64_t grain = BatchGrain(path, n, d);
+  const VerticalRfftPlan& plan = GetVerticalRfftPlan(n);
+  const int64_t grain = BatchGrain(plan, d);
   Tensor re({b, m, d});
   Tensor im({b, m, d});
   // Every batch item is an independent transform into a disjoint output
-  // slice; the per-thread scratch makes chunks self-contained.
-  if (path == RfftPath::kPacked) {
-    const VerticalRfftPlan& plan = GetVerticalRfftPlan(n);
-    ParallelFor(0, b, grain, [&](int64_t lo, int64_t hi) {
-      for (int64_t bi = lo; bi < hi; ++bi) {
-        plan.Forward(xt.data() + bi * n * d, d, re.data() + bi * m * d,
-                     im.data() + bi * m * d);
-      }
-    });
-  } else {
-    const VerticalFftPlan& plan = GetVerticalPlan(n);
-    ParallelFor(0, b, grain, [&](int64_t lo, int64_t hi) {
-      Scratch2D& s = GetScratch();
-      s.Ensure(n * d);
-      for (int64_t bi = lo; bi < hi; ++bi) {
-        std::copy(xt.data() + bi * n * d, xt.data() + (bi + 1) * n * d,
-                  s.re.data());
-        std::fill(s.im.data(), s.im.data() + n * d, 0.0f);
-        plan.Transform(s.re.data(), s.im.data(), d, /*inverse=*/false);
-        std::copy(s.re.data(), s.re.data() + m * d, re.data() + bi * m * d);
-        std::copy(s.im.data(), s.im.data() + m * d, im.data() + bi * m * d);
-      }
-    });
-  }
+  // slice.
+  ParallelFor(0, b, grain, [&](int64_t lo, int64_t hi) {
+    for (int64_t bi = lo; bi < hi; ++bi) {
+      plan.Forward(xt.data() + bi * n * d, d, re.data() + bi * m * d,
+                   im.data() + bi * m * d);
+    }
+  });
   auto xn = x.node();
   // The two outputs are independent linear functions of x; each backward
   // applies the adjoint with the other component's cotangent set to zero:
-  // g_x = Re(IDFT_unnormalised(zero-pad(g))). On the packed path this is
-  // the half-spectrum identity of MATH_NOTES.md section 8: halve the
-  // mirrored cotangent bins (drop the DC/Nyquist imaginary parts) and run
-  // the unnormalised half-spectrum inverse — no full complex plan anywhere.
-  auto make_backward = [xn, b, n, d, m, path, grain](bool imag_component) {
-    return [xn, b, n, d, m, path, grain, imag_component](const Tensor& g) {
+  // g_x = Re(IDFT_unnormalised(zero-pad(g))). By the half-spectrum identity
+  // of MATH_NOTES.md section 8 that is: halve the mirrored cotangent bins
+  // (drop the DC/Nyquist imaginary parts) and run the unnormalised
+  // half-spectrum inverse — no full complex plan anywhere.
+  // Cached plans live for the whole process, so the closures may point at
+  // one.
+  auto make_backward = [xn, b, n, d, m, grain,
+                        plan = &plan](bool imag_component) {
+    return [xn, b, n, d, m, grain, plan, imag_component](const Tensor& g) {
       Tensor dx({b, n, d});
-      if (path == RfftPath::kPacked) {
-        const VerticalRfftPlan& plan = GetVerticalRfftPlan(n);
-        ParallelFor(0, b, grain, [&](int64_t lo, int64_t hi) {
-          Scratch2D& s = GetScratch();
-          s.Ensure(m * d);
-          float* fill = imag_component ? s.im.data() : s.re.data();
-          float* zero = imag_component ? s.re.data() : s.im.data();
-          std::fill(zero, zero + m * d, 0.0f);
-          for (int64_t bi = lo; bi < hi; ++bi) {
-            const float* gsrc = g.data() + bi * m * d;
-            for (int64_t k = 0; k < m; ++k) {
-              const bool mirrored = (k >= 1 && k < (n + 1) / 2);
-              const float scale = mirrored ? 0.5f : 1.0f;
-              const float* src = gsrc + k * d;
-              float* dst = fill + k * d;
-              for (int64_t f = 0; f < d; ++f) dst[f] = src[f] * scale;
-            }
-            plan.Inverse(s.re.data(), s.im.data(), d,
-                         dx.data() + bi * n * d, /*scale=*/1.0f);
+      ParallelFor(0, b, grain, [&](int64_t lo, int64_t hi) {
+        Scratch2D& s = GetScratch();
+        s.Ensure(m * d);
+        float* fill = imag_component ? s.im.data() : s.re.data();
+        float* zero = imag_component ? s.re.data() : s.im.data();
+        std::fill(zero, zero + m * d, 0.0f);
+        for (int64_t bi = lo; bi < hi; ++bi) {
+          const float* gsrc = g.data() + bi * m * d;
+          for (int64_t k = 0; k < m; ++k) {
+            const bool mirrored = (k >= 1 && k < (n + 1) / 2);
+            const float scale = mirrored ? 0.5f : 1.0f;
+            const float* src = gsrc + k * d;
+            float* dst = fill + k * d;
+            for (int64_t f = 0; f < d; ++f) dst[f] = src[f] * scale;
           }
-        });
-      } else {
-        const VerticalFftPlan& plan = GetVerticalPlan(n);
-        ParallelFor(0, b, grain, [&](int64_t lo, int64_t hi) {
-          Scratch2D& s = GetScratch();
-          s.Ensure(n * d);
-          float* dst = imag_component ? s.im.data() : s.re.data();
-          float* other = imag_component ? s.re.data() : s.im.data();
-          for (int64_t bi = lo; bi < hi; ++bi) {
-            std::copy(g.data() + bi * m * d, g.data() + (bi + 1) * m * d,
-                      dst);
-            std::fill(dst + m * d, dst + n * d, 0.0f);  // zero-pad to n
-            std::fill(other, other + n * d, 0.0f);
-            plan.Transform(s.re.data(), s.im.data(), d, /*inverse=*/true);
-            std::copy(s.re.data(), s.re.data() + n * d,
-                      dx.data() + bi * n * d);
-          }
-        });
-      }
+          plan->Inverse(s.re.data(), s.im.data(), d, dx.data() + bi * n * d,
+                        /*scale=*/1.0f);
+        }
+      });
       AccumulateGrad(xn, dx);
     };
   };
@@ -166,115 +114,47 @@ Variable Irfft(const SpectralPair& spectrum, int64_t n) {
   const int64_t m = re.size(1);
   const int64_t d = re.size(2);
   SLIME_CHECK_EQ(RfftBins(n), m);
-  const RfftPath path = ActiveRfftPath();
-  const int64_t grain = BatchGrain(path, n, d);
+  const VerticalRfftPlan& plan = GetVerticalRfftPlan(n);
+  const int64_t grain = BatchGrain(plan, d);
   const float inv_n = 1.0f / static_cast<float>(n);
   Tensor x({b, n, d});
-  if (path == RfftPath::kPacked) {
-    const VerticalRfftPlan& plan = GetVerticalRfftPlan(n);
-    ParallelFor(0, b, grain, [&](int64_t lo, int64_t hi) {
-      for (int64_t bi = lo; bi < hi; ++bi) {
-        plan.Inverse(re.data() + bi * m * d, im.data() + bi * m * d, d,
-                     x.data() + bi * n * d, inv_n);
-      }
-    });
-  } else {
-    const VerticalFftPlan& plan = GetVerticalPlan(n);
-    ParallelFor(0, b, grain, [&](int64_t lo, int64_t hi) {
-      Scratch2D& s = GetScratch();
-      s.Ensure(n * d);
-      for (int64_t bi = lo; bi < hi; ++bi) {
-        std::copy(re.data() + bi * m * d, re.data() + (bi + 1) * m * d,
-                  s.re.data());
-        std::copy(im.data() + bi * m * d, im.data() + (bi + 1) * m * d,
-                  s.im.data());
-        // Conjugate-symmetric extension (bins 1..ceil(n/2)-1 mirror to
-        // n-k); together the copied and mirrored rows cover all n rows, so
-        // no zero-fill is needed.
-        for (int64_t k = 1; k < (n + 1) / 2; ++k) {
-          const float* src_re = s.re.data() + k * d;
-          const float* src_im = s.im.data() + k * d;
-          float* dst_re = s.re.data() + (n - k) * d;
-          float* dst_im = s.im.data() + (n - k) * d;
-          for (int64_t f = 0; f < d; ++f) {
-            dst_re[f] = src_re[f];
-            dst_im[f] = -src_im[f];
-          }
-        }
-        plan.Transform(s.re.data(), s.im.data(), d, /*inverse=*/true);
-        float* out = x.data() + bi * n * d;
-        for (int64_t i = 0; i < n * d; ++i) out[i] = s.re[i] * inv_n;
-      }
-    });
-  }
+  ParallelFor(0, b, grain, [&](int64_t lo, int64_t hi) {
+    for (int64_t bi = lo; bi < hi; ++bi) {
+      plan.Inverse(re.data() + bi * m * d, im.data() + bi * m * d, d,
+                   x.data() + bi * n * d, inv_n);
+    }
+  });
   auto rn = spectrum.re.node();
   auto in_ = spectrum.im.node();
   return MakeOpVariable(
       std::move(x), {rn, in_},
-      [rn, in_, b, n, d, m, path, grain](const Tensor& g) {
+      [rn, in_, b, n, d, m, grain, plan = &plan](const Tensor& g) {
         // Adjoint: G = (1/n) DFT(g); mirrored bins add Re(G_{n-k}) and
         // subtract Im(G_{n-k}). For real g that collapses to doubling the
         // mirrored bins of the forward rfft of g (MATH_NOTES.md section 8),
-        // so the packed path is "rfft, then rescale rows".
+        // so the backward is "rfft, then rescale rows".
         const float inv_n2 = 1.0f / static_cast<float>(n);
         Tensor dre({b, m, d});
         Tensor dim({b, m, d});
-        if (path == RfftPath::kPacked) {
-          const VerticalRfftPlan& plan = GetVerticalRfftPlan(n);
-          ParallelFor(0, b, grain, [&](int64_t lo, int64_t hi) {
-            for (int64_t bi = lo; bi < hi; ++bi) {
-              float* out_r = dre.data() + bi * m * d;
-              float* out_i = dim.data() + bi * m * d;
-              plan.Forward(g.data() + bi * n * d, d, out_r, out_i);
-              for (int64_t k = 0; k < m; ++k) {
-                const bool mirrored = (k >= 1 && k < (n + 1) / 2);
-                const float scale = mirrored ? 2.0f * inv_n2 : inv_n2;
-                float* r = out_r + k * d;
-                float* i = out_i + k * d;
-                for (int64_t f = 0; f < d; ++f) {
-                  r[f] *= scale;
-                  // The forward never reads the DC/Nyquist imaginary
-                  // inputs, so their cotangents are exactly zero.
-                  i[f] = mirrored ? i[f] * scale : 0.0f;
-                }
+        ParallelFor(0, b, grain, [&](int64_t lo, int64_t hi) {
+          for (int64_t bi = lo; bi < hi; ++bi) {
+            float* out_r = dre.data() + bi * m * d;
+            float* out_i = dim.data() + bi * m * d;
+            plan->Forward(g.data() + bi * n * d, d, out_r, out_i);
+            for (int64_t k = 0; k < m; ++k) {
+              const bool mirrored = (k >= 1 && k < (n + 1) / 2);
+              const float scale = mirrored ? 2.0f * inv_n2 : inv_n2;
+              float* r = out_r + k * d;
+              float* i = out_i + k * d;
+              for (int64_t f = 0; f < d; ++f) {
+                r[f] *= scale;
+                // The forward never reads the DC/Nyquist imaginary
+                // inputs, so their cotangents are exactly zero.
+                i[f] = mirrored ? i[f] * scale : 0.0f;
               }
             }
-          });
-        } else {
-          const VerticalFftPlan& plan = GetVerticalPlan(n);
-          ParallelFor(0, b, grain, [&](int64_t lo, int64_t hi) {
-            Scratch2D& s = GetScratch();
-            s.Ensure(n * d);
-            for (int64_t bi = lo; bi < hi; ++bi) {
-              std::copy(g.data() + bi * n * d, g.data() + (bi + 1) * n * d,
-                        s.re.data());
-              std::fill(s.im.data(), s.im.data() + n * d, 0.0f);
-              plan.Transform(s.re.data(), s.im.data(), d,
-                             /*inverse=*/false);
-              for (int64_t k = 0; k < m; ++k) {
-                const bool mirrored = (k >= 1 && k < (n + 1) / 2);
-                const float* gr = s.re.data() + k * d;
-                const float* gi = s.im.data() + k * d;
-                const float* mr =
-                    mirrored ? s.re.data() + (n - k) * d : nullptr;
-                const float* mi =
-                    mirrored ? s.im.data() + (n - k) * d : nullptr;
-                float* out_r = dre.data() + (bi * m + k) * d;
-                float* out_i = dim.data() + (bi * m + k) * d;
-                for (int64_t f = 0; f < d; ++f) {
-                  float r = gr[f];
-                  float i = gi[f];
-                  if (mirrored) {
-                    r += mr[f];
-                    i -= mi[f];
-                  }
-                  out_r[f] = r * inv_n2;
-                  out_i[f] = i * inv_n2;
-                }
-              }
-            }
-          });
-        }
+          }
+        });
         AccumulateGrad(rn, dre);
         AccumulateGrad(in_, dim);
       });
@@ -340,8 +220,8 @@ struct ComplexMulGrads {
       if (need_ai) AccumulateGrad(ain, dai);
     }
     // b-side gradients: reduce over the repeats, column-parallel with the
-    // repeat index ascending per column (bit-identical to the serial
-    // row-major reduction of the unfused ops::ReduceTo path).
+    // repeat index ascending per column (bit-identical to a serial
+    // row-major reduction, at any thread count).
     const bool need_br = brn && brn->requires_grad;
     const bool need_bi = bin && bin->requires_grad;
     if (need_br || need_bi) {
@@ -383,38 +263,29 @@ SpectralPair ComplexMul(const SpectralPair& a, const SpectralPair& b) {
   const Tensor& bit = b.im.value();
   SLIME_CHECK(art.shape() == ait.shape());
   SLIME_CHECK(brt.shape() == bit.shape());
-  // Fused kernel path: same shape or b a repeated suffix block of a (the
-  // learnable-filter case (B,M,d) * (M,d)). Anything else falls back to the
-  // unfused composition below.
-  if (IsSuffixShape(art.shape(), brt.shape()) && brt.numel() > 0) {
-    const int64_t block = brt.numel();
-    const int64_t repeats = art.numel() / block;
-    Tensor re(art.shape());
-    Tensor im(art.shape());
-    compute::Dispatch().complex_mul(art.data(), ait.data(), brt.data(),
-                                    bit.data(), re.data(), im.data(),
-                                    repeats, block);
-    ComplexMulGrads grads{a.re.node(), a.im.node(), b.re.node(),
-                          b.im.node(), art,         ait,
-                          brt,         bit,         repeats,
-                          block};
-    std::vector<std::shared_ptr<autograd::Node>> parents{
-        grads.arn, grads.ain, grads.brn, grads.bin};
-    Variable vre = MakeOpVariable(
-        std::move(re), parents,
-        [grads](const Tensor& g) { grads.Apply(g, /*imag_component=*/false); });
-    Variable vim = MakeOpVariable(
-        std::move(im), parents,
-        [grads](const Tensor& g) { grads.Apply(g, /*imag_component=*/true); });
-    return {vre, vim};
-  }
-  using autograd::Add;
-  using autograd::Mul;
-  using autograd::Sub;
-  // (ar + i*ai)(br + i*bi) = (ar*br - ai*bi) + i*(ar*bi + ai*br).
-  Variable re = Sub(Mul(a.re, b.re), Mul(a.im, b.im));
-  Variable im = Add(Mul(a.re, b.im), Mul(a.im, b.re));
-  return {re, im};
+  // b is a's shape or a repeated suffix block of it (the learnable-filter
+  // case (B,M,d) * (M,d)); the numel guard keeps `repeats` well defined.
+  SLIME_CHECK(IsSuffixShape(art.shape(), brt.shape()) && brt.numel() > 0);
+  const int64_t block = brt.numel();
+  const int64_t repeats = art.numel() / block;
+  Tensor re(art.shape());
+  Tensor im(art.shape());
+  compute::Dispatch().complex_mul(art.data(), ait.data(), brt.data(),
+                                  bit.data(), re.data(), im.data(), repeats,
+                                  block);
+  ComplexMulGrads grads{a.re.node(), a.im.node(), b.re.node(),
+                        b.im.node(), art,         ait,
+                        brt,         bit,         repeats,
+                        block};
+  std::vector<std::shared_ptr<autograd::Node>> parents{grads.arn, grads.ain,
+                                                       grads.brn, grads.bin};
+  Variable vre = MakeOpVariable(
+      std::move(re), parents,
+      [grads](const Tensor& g) { grads.Apply(g, /*imag_component=*/false); });
+  Variable vim = MakeOpVariable(
+      std::move(im), parents,
+      [grads](const Tensor& g) { grads.Apply(g, /*imag_component=*/true); });
+  return {vre, vim};
 }
 
 SpectralPair MaskSpectrum(const SpectralPair& a, const Tensor& mask) {

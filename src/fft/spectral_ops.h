@@ -13,40 +13,11 @@ struct SpectralPair {
   autograd::Variable im;
 };
 
-/// Which implementation the differentiable Rfft/Irfft ops route through.
-/// Both are the same linear operators; they differ in rounding only. The
-/// packed path does roughly half the butterfly work (see VerticalRfftPlan).
-enum class RfftPath {
-  kPacked,       ///< half-spectrum real-input fast path (the default)
-  kFullComplex,  ///< full-length complex reference plan (the oracle)
-};
-
-/// The path new Rfft/Irfft ops will take. Each op captures the active path
-/// at forward time, so its backward always matches its forward.
-RfftPath ActiveRfftPath();
-
-/// Selects the path and returns the previous one. Like SetNumThreads, not
-/// thread-safe against concurrently running ops; intended for tests and the
-/// cross-path agreement gates (see docs/KERNELS.md).
-RfftPath SetRfftPath(RfftPath path);
-
-/// RAII path override for tests: applies `path`, restores on destruction.
-class RfftPathGuard {
- public:
-  explicit RfftPathGuard(RfftPath path) : saved_(SetRfftPath(path)) {}
-  ~RfftPathGuard() { SetRfftPath(saved_); }
-  RfftPathGuard(const RfftPathGuard&) = delete;
-  RfftPathGuard& operator=(const RfftPathGuard&) = delete;
-
- private:
-  RfftPath saved_;
-};
-
 /// Differentiable real FFT along axis 1 (the sequence axis) of a (B, N, d)
 /// tensor, matching Eq. (12) of the paper: each of the B*d length-N series
 /// is transformed independently. Returns (B, M, d) real/imag parts with
-/// M = RfftBins(N). Backward uses the exact adjoint operators of fft.h,
-/// riding the same path (packed or reference) as the forward did.
+/// M = RfftBins(N). Forward and backward both run the packed half-spectrum
+/// plan (VerticalRfftPlan); the backward is its exact adjoint.
 SpectralPair Rfft(const autograd::Variable& x);
 
 /// Differentiable inverse real FFT along axis 1: (B, M, d) spectrum back to
@@ -55,8 +26,10 @@ SpectralPair Rfft(const autograd::Variable& x);
 autograd::Variable Irfft(const SpectralPair& spectrum, int64_t n);
 
 /// Complex elementwise product of two spectra (the filtering operation of
-/// Eqs. 14/21/25): (a.re + i*a.im) * (b.re + i*b.im), built from
-/// differentiable real ops.
+/// Eqs. 14/21/25): (a.re + i*a.im) * (b.re + i*b.im), as one fused kernel.
+/// `b` must be non-empty and either a's shape or a suffix of it (the
+/// learnable filter (M, d) tiled over a (B, M, d) spectrum); any other
+/// shape aborts.
 SpectralPair ComplexMul(const SpectralPair& a, const SpectralPair& b);
 
 /// Scales both components by a constant real mask (broadcastable), used for

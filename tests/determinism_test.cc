@@ -441,80 +441,5 @@ TEST(NoGradDeterminismTest, EvaluateEqualsGraphBuildingLoop) {
   }
 }
 
-// ---- Rfft path determinism (the half-spectrum fast path): the same
-// contract as kernel backends. Bit-identity is *within-path* at any thread
-// count (the packed plan's work decomposition depends only on shape);
-// across paths the two implementations of the same linear operator differ
-// by ulps, so equivalence is gated by gradcheck (fft_test) and top-K
-// ranking agreement on a trained model here.
-
-TEST(RfftPathDeterminismTest, EachPathBitIdenticalAcrossThreadCounts) {
-  for (const fft::RfftPath path :
-       {fft::RfftPath::kPacked, fft::RfftPath::kFullComplex}) {
-    fft::RfftPathGuard guard(path);
-    const RunOutputs ref = TrainAndServe(1);
-    ASSERT_FALSE(ref.params.empty());
-    const std::string name =
-        path == fft::RfftPath::kPacked ? "packed" : "full-complex";
-    for (int threads : {2, 8}) {
-      ExpectBitIdentical(ref, TrainAndServe(threads),
-                         name + " threads=" + std::to_string(threads));
-    }
-  }
-}
-
-TEST(RfftPathDeterminismTest, CrossPathServingRankingAgreement) {
-  // One trained model, served under both paths. Unlike cross-backend
-  // training runs (where epochs amplify ulp drift), a single forward pass
-  // differs only in rounding, so the served rankings must agree almost
-  // exactly.
-  compute::ComputeContext ctx(4);
-  const data::SplitDataset split = TinySplit();
-  auto model = models::CreateModel("SLIME4Rec", TinyModelConfig(split));
-  train::TrainConfig t;
-  t.max_epochs = 2;
-  t.batch_size = 32;
-  t.lr = 5e-3f;
-  t.patience = 100;
-  t.seed = 13;
-  train::Trainer(t).Fit(model.get(), split).value();
-  serving::RecommendationService service(model.get());
-  serving::RecommendOptions options;
-  options.top_k = 10;
-  std::vector<std::vector<int64_t>> histories;
-  for (int64_t u = 0; u < 25; ++u) {
-    std::vector<int64_t> h;
-    for (int64_t j = 0; j < 3 + u % 5; ++j) {
-      h.push_back(1 + (u * 7 + j * 3) % (split.num_items() - 1));
-    }
-    histories.push_back(std::move(h));
-  }
-  std::vector<std::vector<serving::Recommendation>> packed, reference;
-  {
-    fft::RfftPathGuard guard(fft::RfftPath::kPacked);
-    packed = service.RecommendBatch(histories, options).value();
-  }
-  {
-    fft::RfftPathGuard guard(fft::RfftPath::kFullComplex);
-    reference = service.RecommendBatch(histories, options).value();
-  }
-  ASSERT_EQ(packed.size(), reference.size());
-  int64_t overlap = 0, total = 0;
-  for (size_t u = 0; u < packed.size(); ++u) {
-    for (const auto& r : packed[u]) {
-      ++total;
-      for (const auto& o : reference[u]) {
-        if (r.item == o.item) {
-          ++overlap;
-          break;
-        }
-      }
-    }
-  }
-  ASSERT_GT(total, 0);
-  EXPECT_GE(double(overlap) / double(total), 0.99)
-      << "top-K overlap " << overlap << "/" << total;
-}
-
 }  // namespace
 }  // namespace slime

@@ -250,6 +250,17 @@ TEST(SpectralOpsTest, ComplexMulMatchesManual) {
   EXPECT_FLOAT_EQ(p.im.value()[0], 10.0f);
 }
 
+TEST(SpectralOpsDeathTest, ComplexMulRejectsNonSuffixShape) {
+  // b must be a's shape or a trailing block of it; (3, 4) is neither for a
+  // (2, 4, 3) spectrum.
+  Rng rng(6);
+  const SpectralPair a{Param(Tensor::Randn({2, 4, 3}, &rng)),
+                       Param(Tensor::Randn({2, 4, 3}, &rng))};
+  const SpectralPair b{Param(Tensor::Randn({3, 4}, &rng)),
+                       Param(Tensor::Randn({3, 4}, &rng))};
+  EXPECT_DEATH(ComplexMul(a, b), "IsSuffixShape");
+}
+
 TEST(SpectralOpsTest, MixSpectraConvexCombination) {
   Variable a = Param(Tensor::FromVector({1, 1, 1}, {1}));
   Variable b = Param(Tensor::FromVector({1, 1, 1}, {3}));
@@ -455,7 +466,7 @@ TEST_P(VerticalRfftPlanTest, InverseIgnoresDcAndNyquistImaginary) {
 
 INSTANTIATE_TEST_SUITE_P(AllSizes, VerticalRfftPlanTest,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 50, 64,
-                                           75, 100, 128));
+                                           75, 100, 128, 200));
 
 TEST(VerticalRfftPlanTest, PlanCachesSurviveConcurrentFirstUse) {
   // Race the process-wide plan caches on purpose (this test runs under TSan
@@ -489,117 +500,119 @@ TEST(VerticalRfftPlanTest, PlanCachesSurviveConcurrentFirstUse) {
 }
 
 // ---------------------------------------------------------------------------
-// Path-parity tests for the autograd ops: the packed path and the
-// full-complex reference must implement the same linear operator, forward
-// and backward, for every boundary size.
+// The differentiable Rfft/Irfft ops at boundary sizes and at the paper's
+// sequence lengths (25, 50, 100, 200): forward against the per-column scalar
+// references, backward through the adjoint identity and gradcheck.
 // ---------------------------------------------------------------------------
 
-class SpectralPathTest : public ::testing::TestWithParam<int64_t> {};
+class SpectralOpsSizeTest : public ::testing::TestWithParam<int64_t> {};
 
-TEST_P(SpectralPathTest, ForwardAgreesAcrossPaths) {
+TEST_P(SpectralOpsSizeTest, ForwardMatchesScalarReference) {
   const int64_t n = GetParam();
+  const int64_t b = 2;
+  const int64_t d = 3;
+  const int64_t m = RfftBins(n);
   Rng rng(9500 + n);
-  Tensor xt = Tensor::Randn({2, n, 3}, &rng);
-  RfftPathGuard packed(RfftPath::kPacked);
-  const SpectralPair sp = Rfft(Param(xt.Clone()));
-  Variable yp = Irfft(sp, n);
-  SpectralPair sr;
-  Variable yr;
-  {
-    RfftPathGuard reference(RfftPath::kFullComplex);
-    sr = Rfft(Param(xt.Clone()));
-    yr = Irfft(sr, n);
-  }
-  for (int64_t i = 0; i < sp.re.numel(); ++i) {
-    EXPECT_NEAR(sp.re.value()[i], sr.re.value()[i], 2e-3) << "n=" << n;
-    EXPECT_NEAR(sp.im.value()[i], sr.im.value()[i], 2e-3) << "n=" << n;
-  }
-  for (int64_t i = 0; i < yp.numel(); ++i) {
-    EXPECT_NEAR(yp.value()[i], yr.value()[i], 2e-3) << "n=" << n;
+  Tensor xt = Tensor::Randn({b, n, d}, &rng);
+  const SpectralPair sp = Rfft(Param(xt));
+  const Variable y = Irfft(sp, n);
+  std::vector<float> col(n);
+  std::vector<float> sre(m);
+  std::vector<float> sim(m);
+  std::vector<float> sx(n);
+  for (int64_t bi = 0; bi < b; ++bi) {
+    for (int64_t f = 0; f < d; ++f) {
+      for (int64_t t = 0; t < n; ++t) col[t] = xt[(bi * n + t) * d + f];
+      RfftForward(col.data(), n, sre.data(), sim.data());
+      for (int64_t k = 0; k < m; ++k) {
+        EXPECT_NEAR(sp.re.value()[(bi * m + k) * d + f], sre[k], 2e-3)
+            << "n=" << n << " b=" << bi << " k=" << k;
+        EXPECT_NEAR(sp.im.value()[(bi * m + k) * d + f], sim[k], 2e-3)
+            << "n=" << n << " b=" << bi << " k=" << k;
+      }
+      // The inverse of the op's own spectrum, column by column.
+      for (int64_t k = 0; k < m; ++k) {
+        sre[k] = sp.re.value()[(bi * m + k) * d + f];
+        sim[k] = sp.im.value()[(bi * m + k) * d + f];
+      }
+      IrfftForward(sre.data(), sim.data(), n, sx.data());
+      for (int64_t t = 0; t < n; ++t) {
+        EXPECT_NEAR(y.value()[(bi * n + t) * d + f], sx[t], 2e-3)
+            << "n=" << n << " b=" << bi << " t=" << t;
+      }
+    }
   }
 }
 
-TEST_P(SpectralPathTest, RfftAdjointIdentityOnBothPaths) {
+TEST_P(SpectralOpsSizeTest, RfftAdjointIdentity) {
   // <F x, g> == <x, F^T g> through the actual autograd backward, so the op
   // adjoint (not just the plan) is what is being checked.
   const int64_t n = GetParam();
   const int64_t m = RfftBins(n);
-  for (const RfftPath path : {RfftPath::kPacked, RfftPath::kFullComplex}) {
-    RfftPathGuard guard(path);
-    Rng rng(9600 + n);
-    Variable x = Param(Tensor::Randn({1, n, 2}, &rng));
-    Tensor g_re = Tensor::Randn({1, m, 2}, &rng);
-    Tensor g_im = Tensor::Randn({1, m, 2}, &rng);
-    const SpectralPair s = Rfft(x);
-    Variable loss = autograd::Add(Sum(autograd::MulConst(s.re, g_re)),
-                                  Sum(autograd::MulConst(s.im, g_im)));
-    loss.Backward();
-    double lhs = 0.0;
-    for (int64_t i = 0; i < s.re.numel(); ++i) {
-      lhs += double(s.re.value()[i]) * g_re[i] +
-             double(s.im.value()[i]) * g_im[i];
-    }
-    double rhs = 0.0;
-    for (int64_t i = 0; i < x.numel(); ++i) {
-      rhs += double(x.value()[i]) * x.grad()[i];
-    }
-    EXPECT_NEAR(lhs, rhs, 1e-2 * std::max(1.0, std::abs(lhs)))
-        << "n=" << n << " packed=" << (path == RfftPath::kPacked);
+  Rng rng(9600 + n);
+  Variable x = Param(Tensor::Randn({1, n, 2}, &rng));
+  Tensor g_re = Tensor::Randn({1, m, 2}, &rng);
+  Tensor g_im = Tensor::Randn({1, m, 2}, &rng);
+  const SpectralPair s = Rfft(x);
+  Variable loss = autograd::Add(Sum(autograd::MulConst(s.re, g_re)),
+                                Sum(autograd::MulConst(s.im, g_im)));
+  loss.Backward();
+  double lhs = 0.0;
+  for (int64_t i = 0; i < s.re.numel(); ++i) {
+    lhs += double(s.re.value()[i]) * g_re[i] +
+           double(s.im.value()[i]) * g_im[i];
   }
+  double rhs = 0.0;
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    rhs += double(x.value()[i]) * x.grad()[i];
+  }
+  EXPECT_NEAR(lhs, rhs, 1e-2 * std::max(1.0, std::abs(lhs))) << "n=" << n;
 }
 
-TEST_P(SpectralPathTest, IrfftAdjointIdentityOnBothPaths) {
+TEST_P(SpectralOpsSizeTest, IrfftAdjointIdentity) {
   const int64_t n = GetParam();
   const int64_t m = RfftBins(n);
-  for (const RfftPath path : {RfftPath::kPacked, RfftPath::kFullComplex}) {
-    RfftPathGuard guard(path);
-    Rng rng(9700 + n);
-    Variable re = Param(Tensor::Randn({1, m, 2}, &rng));
-    Variable im = Param(Tensor::Randn({1, m, 2}, &rng));
-    Tensor g = Tensor::Randn({1, n, 2}, &rng);
-    Variable y = Irfft({re, im}, n);
-    Sum(autograd::MulConst(y, g)).Backward();
-    double lhs = 0.0;
-    for (int64_t i = 0; i < y.numel(); ++i) {
-      lhs += double(y.value()[i]) * g[i];
-    }
-    double rhs = 0.0;
-    for (int64_t i = 0; i < re.numel(); ++i) {
-      rhs += double(re.value()[i]) * re.grad()[i] +
-             double(im.value()[i]) * im.grad()[i];
-    }
-    EXPECT_NEAR(lhs, rhs, 1e-2 * std::max(1.0, std::abs(lhs)))
-        << "n=" << n << " packed=" << (path == RfftPath::kPacked);
+  Rng rng(9700 + n);
+  Variable re = Param(Tensor::Randn({1, m, 2}, &rng));
+  Variable im = Param(Tensor::Randn({1, m, 2}, &rng));
+  Tensor g = Tensor::Randn({1, n, 2}, &rng);
+  Variable y = Irfft({re, im}, n);
+  Sum(autograd::MulConst(y, g)).Backward();
+  double lhs = 0.0;
+  for (int64_t i = 0; i < y.numel(); ++i) {
+    lhs += double(y.value()[i]) * g[i];
   }
+  double rhs = 0.0;
+  for (int64_t i = 0; i < re.numel(); ++i) {
+    rhs += double(re.value()[i]) * re.grad()[i] +
+           double(im.value()[i]) * im.grad()[i];
+  }
+  EXPECT_NEAR(lhs, rhs, 1e-2 * std::max(1.0, std::abs(lhs))) << "n=" << n;
 }
 
-TEST_P(SpectralPathTest, GradcheckOnBothPaths) {
+TEST_P(SpectralOpsSizeTest, Gradcheck) {
   const int64_t n = GetParam();
   const int64_t m = RfftBins(n);
-  for (const RfftPath path : {RfftPath::kPacked, RfftPath::kFullComplex}) {
-    RfftPathGuard guard(path);
-    Rng rng(9800 + n);
-    Variable x = Param(Tensor::Randn({1, n, 2}, &rng, 0.5f));
-    const auto result = autograd::CheckGradients(
-        [n, m](const std::vector<Variable>& in) {
-          const SpectralPair s = Rfft(in[0]);
-          Rng wrng(97);
-          Tensor w1 = Tensor::Randn({1, m, 2}, &wrng);
-          Tensor w2 = Tensor::Randn({1, m, 2}, &wrng);
-          Tensor w3 = Tensor::Randn({1, n, 2}, &wrng);
-          const SpectralPair weighted{autograd::MulConst(s.re, w1),
-                                      autograd::MulConst(s.im, w2)};
-          return Sum(autograd::MulConst(Irfft(weighted, n), w3));
-        },
-        {x});
-    EXPECT_TRUE(result.ok)
-        << "n=" << n << " packed=" << (path == RfftPath::kPacked) << " "
-        << result.message;
-  }
+  Rng rng(9800 + n);
+  Variable x = Param(Tensor::Randn({1, n, 2}, &rng, 0.5f));
+  const auto result = autograd::CheckGradients(
+      [n, m](const std::vector<Variable>& in) {
+        const SpectralPair s = Rfft(in[0]);
+        Rng wrng(97);
+        Tensor w1 = Tensor::Randn({1, m, 2}, &wrng);
+        Tensor w2 = Tensor::Randn({1, m, 2}, &wrng);
+        Tensor w3 = Tensor::Randn({1, n, 2}, &wrng);
+        const SpectralPair weighted{autograd::MulConst(s.re, w1),
+                                    autograd::MulConst(s.im, w2)};
+        return Sum(autograd::MulConst(Irfft(weighted, n), w3));
+      },
+      {x});
+  EXPECT_TRUE(result.ok) << "n=" << n << " " << result.message;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSizes, SpectralPathTest,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 50, 64));
+INSTANTIATE_TEST_SUITE_P(AllSizes, SpectralOpsSizeTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 25, 50, 64,
+                                           100, 200));
 
 }  // namespace
 }  // namespace fft
