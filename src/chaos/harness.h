@@ -33,10 +33,18 @@ struct ChaosOptions {
 /// times, absolute paths or addresses — only data derived from the seed —
 /// so the serialized log is stable across runs and across work_dirs.
 struct ChaosEvent {
-  std::string stage;   // "data", "train", "diverge", "serve", "cluster",
-                       // "state", "repair"
+  /// The stage that emitted the event: "data", "train", "diverge",
+  /// "serve", "cluster", "state" or "repair" (the stage table's order),
+  /// or "chaos" for the closing invariant summary.
+  std::string stage;
   std::string kind;    // "fault", "typed_failure", "ok", "violation"
   std::string detail;
+};
+
+/// Wall time one stage took, read from the real clock.
+struct ChaosStageTiming {
+  std::string stage;
+  int64_t wall_nanos = 0;
 };
 
 /// Outcome of a pipeline run. The run itself returning (rather than
@@ -63,29 +71,46 @@ struct ChaosResult {
   bool invariants_ok = false;
   /// First invariant violation, empty when invariants_ok.
   std::string failure;
+  /// One entry per stage that ran, in run order. Wall times differ from
+  /// run to run, so they are kept out of EventLog() and every other
+  /// compared artifact.
+  std::vector<ChaosStageTiming> stage_timings;
 
   /// One line per event: "stage|kind|detail". Bit-identical across
   /// same-seed runs.
   std::string EventLog() const;
 };
 
-/// Runs the full load -> train -> checkpoint -> kill -> resume -> serve ->
-/// cluster pipeline with seed-scheduled faults at every layer: planted
-/// dataset corruption, injected io::Env read/write faults, a mid-write
-/// process kill, a NaN divergence window, a corrupted checkpoint reload,
-/// FakeClock deadline pressure on the serving path, shard kills against
-/// a replicated ClusterServer (single-shard kill at R=2 must lose zero
-/// admitted requests; a fully-dark segment must fail with typed
-/// kUnavailable and recover through reinstatement), and kills against the
-/// durable user-state store (mid-WAL-append, mid-compaction, a silently
-/// torn tail, a failed fsync, and a shard kill under replicated appends —
-/// every recovery must reproduce the acked set exactly), plus an
-/// anti-entropy "repair" stage: a shard kill under appends followed by
-/// restore with hinted-handoff replay and a digest repair sweep, after
-/// which every replica's per-segment digests must be byte-identical, no
-/// acked event lost and none fabricated. Returns a Status only
-/// for harness-setup failures (e.g. unusable work_dir); every *injected*
-/// fault is expected, recorded in the result, and never escapes.
+/// Runs the pipeline with seed-scheduled faults at every layer, as seven
+/// stages in a fixed order that share one rng stream and one
+/// io::FaultInjectionEnv:
+///
+///  - "data": planted dataset corruption (strict load must fail typed,
+///    repair must quarantine exactly what was planted), then injected
+///    read faults;
+///  - "train": a process kill during a checkpoint write, then a resume
+///    that must be bit-identical to an uninterrupted run;
+///  - "diverge": a NaN loss window that must roll back or abort;
+///  - "serve": FakeClock deadline pressure, then a corrupted checkpoint
+///    reload that must roll back;
+///  - "cluster": shard kills against a replicated ClusterServer (a
+///    single-shard kill at R=2 must lose zero admitted requests; a
+///    fully-dark segment must fail with typed kUnavailable and recover
+///    through reinstatement), then a rolling reload;
+///  - "state": kills against the durable user-state store (mid-WAL-append,
+///    mid-compaction, a silently torn tail, a failed fsync, and a shard
+///    kill under replicated appends); every recovery must reproduce the
+///    acked set exactly;
+///  - "repair": a shard kill under appends, then a restore with
+///    hinted-handoff replay and a digest repair sweep, after which every
+///    replica's per-segment digests must be byte-identical, no acked
+///    event lost and none fabricated.
+///
+/// A closing "chaos" event summarises the invariants. A data stage whose
+/// repair load fails ends the run early, without that summary. Returns a
+/// Status only for harness-setup failures (e.g. unusable work_dir); every
+/// *injected* fault is expected, recorded in the result, and never
+/// escapes.
 Result<ChaosResult> RunChaosPipeline(const ChaosOptions& options);
 
 }  // namespace chaos

@@ -164,7 +164,6 @@ Status ClusterServer::AttachShardState(int64_t shard) {
   state::StateStoreOptions opts;
   opts.dir = options_.state_dir + "/shard_" + std::to_string(shard);
   opts.sync = options_.state_sync;
-  opts.snapshot_every_records = options_.state_snapshot_every;
   opts.env = env_;
   // Shards share the cluster's registry/tracer: state.* series aggregate
   // across the fleet, same convention as shared serving.* metrics.
@@ -414,9 +413,9 @@ Result<int64_t> ClusterServer::ReplayHints(int64_t shard) {
       // Re-queue the unreplayed remainder (the failed hint was not
       // applied, so the backlog from it onward is still owed).
       for (size_t j = i; j < backlog.size(); ++j) {
-        const int64_t dropped_before = hints_.dropped();
-        (void)hints_.Enqueue(shard, std::move(backlog[j]));
-        hints_dropped_.Increment(hints_.dropped() - dropped_before);
+        if (!hints_.Enqueue(shard, std::move(backlog[j]))) {
+          hints_dropped_.Increment();
+        }
       }
       hint_replay_failures_.Increment();
       hints_pending_gauge_.Set(hints_.total_pending());
@@ -569,7 +568,6 @@ void ClusterServer::ReadRepair(uint64_t user_key) {
   }
   if (!diverged) return;
   read_divergence_.Increment();
-  if (!options_.read_repair_heal) return;
   size_t ahead = 0;
   uint64_t best = first.items_total;
   for (size_t i = 1; i < stores.size(); ++i) {
@@ -644,13 +642,11 @@ Result<state::AppendAck> ClusterServer::AppendEvent(
           hint.items = items;
           hint.origin_seq =
               hint_seq_.fetch_add(1, std::memory_order_relaxed);
-          // The queue accounts drops exactly (a kDropOldest admit still
-          // evicts one); mirror its count into the metric by delta.
-          const int64_t dropped_before = hints_.dropped();
           if (hints_.Enqueue(shard, std::move(hint))) {
             hints_queued_.Increment();
+          } else {
+            hints_dropped_.Increment();
           }
-          hints_dropped_.Increment(hints_.dropped() - dropped_before);
         }
         hints_pending_gauge_.Set(hints_.total_pending());
       }

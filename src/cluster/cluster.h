@@ -95,7 +95,6 @@ struct ClusterOptions {
   /// RestoreShard re-runs recovery from disk.
   std::string state_dir;
   state::SyncMode state_sync = state::SyncMode::kGroup;
-  int64_t state_snapshot_every = 1024;
   /// --- Anti-entropy (docs/STATE.md "Anti-entropy") -------------------
   /// All off by default: the cluster then behaves exactly as before —
   /// a restored shard recovers only its own durable state, and replicas
@@ -112,12 +111,10 @@ struct ClusterOptions {
   /// or writes acked before the handoff queue existed).
   bool repair_on_restore = false;
   /// On every successful ServeSession, digest-compare the served user
-  /// across the segment's alive replicas and count observed divergence
-  /// (cluster.repair.read_divergence).
+  /// across the segment's alive replicas, count observed divergence
+  /// (cluster.repair.read_divergence) and heal it in the serve path
+  /// (suffix transfer through the normal Append path).
   bool read_repair = false;
-  /// With read_repair: also heal the divergence in the serve path (suffix
-  /// transfer through the normal Append path) instead of only counting it.
-  bool read_repair_heal = false;
 };
 
 /// Cumulative cluster counters (thin view over the "cluster.*" metrics).
@@ -139,7 +136,7 @@ struct ClusterStats {
   int64_t restore_failures = 0;   // RestoreShard reloads that failed
   int64_t hints_queued = 0;       // handoff hints admitted
   int64_t hints_replayed = 0;     // hints re-issued on restore
-  int64_t hints_dropped = 0;      // hints lost to the overflow policy
+  int64_t hints_dropped = 0;      // hints refused at queue capacity
   int64_t hints_pending = 0;      // backlog right now (gauge)
   int64_t repair_users_repaired = 0;
   int64_t repair_items_transferred = 0;
@@ -337,7 +334,7 @@ class ClusterServer {
       int64_t include_shard);
   /// Read-repair hook: after a successful session serve, digest-compare
   /// `user_key` across its segment's alive replicas; count divergence and
-  /// (with read_repair_heal) heal it.
+  /// heal it.
   void ReadRepair(uint64_t user_key);
   void NoteAttemptSuccess(int64_t shard);
   void NoteAttemptFailure(int64_t shard, const Status& status);

@@ -8,31 +8,11 @@
 namespace slime {
 namespace cluster {
 
-const char* ToString(HintOverflowPolicy policy) {
-  switch (policy) {
-    case HintOverflowPolicy::kDropNewest:
-      return "drop_newest";
-    case HintOverflowPolicy::kDropOldest:
-      return "drop_oldest";
-  }
-  return "unknown";
-}
-
 bool HintQueue::Enqueue(int64_t shard, HandoffHint hint) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (options_.max_hints_per_shard <= 0) {
-    ++dropped_;
-    return false;
-  }
   std::deque<HandoffHint>& q = queues_[shard];
   if (static_cast<int64_t>(q.size()) >= options_.max_hints_per_shard) {
-    if (options_.overflow == HintOverflowPolicy::kDropNewest) {
-      ++dropped_;
-      return false;
-    }
-    q.pop_front();
-    ++dropped_;
-    --total_pending_;
+    return false;
   }
   q.push_back(std::move(hint));
   ++total_pending_;
@@ -58,11 +38,6 @@ int64_t HintQueue::pending(int64_t shard) const {
 int64_t HintQueue::total_pending() const {
   std::lock_guard<std::mutex> lock(mu_);
   return total_pending_;
-}
-
-int64_t HintQueue::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
 }
 
 void RepairStats::Add(const RepairStats& o) {

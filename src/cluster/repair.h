@@ -26,22 +26,14 @@ namespace cluster {
 /// Append path; anything else is a typed, counted conflict left untouched
 /// for the operator.
 
-/// What to drop when a dead shard's hint queue is full.
-enum class HintOverflowPolicy {
-  /// Refuse the incoming hint, keep the oldest backlog. The write itself
-  /// is still durable on the replicas that acked it — dropping a hint only
-  /// loses the fast replay shortcut; the repair sweep remains the backstop.
-  kDropNewest,
-  /// Evict the oldest queued hint to admit the newest.
-  kDropOldest,
-};
-const char* ToString(HintOverflowPolicy policy);
-
 struct HandoffOptions {
   /// Per-dead-shard cap on queued hints; <= 0 disables queueing (every
-  /// would-be hint is an accounted drop).
+  /// would-be hint is an accounted drop). A full queue refuses the
+  /// incoming hint and keeps its oldest backlog, so replay always yields a
+  /// prefix of the missed stream, which the repair sweep can finish by
+  /// suffix transfer. The write itself is still durable on the replicas
+  /// that acked it: a refused hint only loses the fast replay shortcut.
   int64_t max_hints_per_shard = 1024;
-  HintOverflowPolicy overflow = HintOverflowPolicy::kDropOldest;
 };
 
 /// One write a dead replica missed: enough to re-issue it verbatim on
@@ -54,30 +46,26 @@ struct HandoffHint {
   uint64_t origin_seq = 0;
 };
 
-/// Bounded per-shard hint queues with exact drop accounting. Thread-safe;
-/// FIFO per shard in origin_seq order.
+/// Bounded per-shard hint queues. Thread-safe; FIFO per shard in
+/// origin_seq order.
 class HintQueue {
  public:
   explicit HintQueue(const HandoffOptions& options) : options_(options) {}
 
-  /// Queues `hint` for `shard`. Returns false when the overflow policy
-  /// dropped the *incoming* hint (kDropNewest at capacity, or queueing
-  /// disabled); a kDropOldest eviction still returns true. Every dropped
-  /// hint — incoming or evicted — is counted in dropped().
+  /// Queues `hint` for `shard`. Returns false (the caller counts the
+  /// drop) when the shard's queue is at capacity or queueing is disabled.
   bool Enqueue(int64_t shard, HandoffHint hint);
   /// Removes and returns `shard`'s backlog in enqueue order.
   std::vector<HandoffHint> Drain(int64_t shard);
 
   int64_t pending(int64_t shard) const;
   int64_t total_pending() const;
-  int64_t dropped() const;
 
  private:
   const HandoffOptions options_;
   mutable std::mutex mu_;
   std::map<int64_t, std::deque<HandoffHint>> queues_;
   int64_t total_pending_ = 0;
-  int64_t dropped_ = 0;
 };
 
 /// Aggregate outcome of a repair pass (one user, one segment, or a whole

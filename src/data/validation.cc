@@ -155,12 +155,11 @@ Result<InteractionDataset> LoadSequenceFileValidated(
   const bool repair = options.policy == ValidationPolicy::kRepair;
   io::Env* env = options.env != nullptr ? options.env : io::Env::Default();
 
-  // Records one offence; the first max_quarantine_samples get a sample.
-  const auto note = [&rep, &options](int64_t line_no, ErrorClass error,
-                                     std::string_view token) {
+  // Records one offence; the first kMaxQuarantineSamples get a sample.
+  const auto note = [&rep](int64_t line_no, ErrorClass error,
+                           std::string_view token) {
     ++rep.counts[static_cast<size_t>(error)];
-    if (static_cast<int64_t>(rep.samples.size()) <
-        options.max_quarantine_samples) {
+    if (static_cast<int64_t>(rep.samples.size()) < kMaxQuarantineSamples) {
       rep.samples.push_back({line_no, error, SanitizeToken(token)});
     }
   };

@@ -105,8 +105,11 @@ struct ValidationLimits {
   int64_t max_item_id = 50'000'000;
 };
 
-/// One quarantined token/line sample (the first
-/// ValidationOptions::max_quarantine_samples offenders are kept).
+/// Offending-line samples retained in a QuarantineReport.
+constexpr int64_t kMaxQuarantineSamples = 32;
+
+/// One quarantined token/line sample (the first kMaxQuarantineSamples
+/// offenders are kept).
 struct QuarantineSample {
   int64_t line = 0;  // 1-based line number
   ErrorClass error = ErrorClass::kNonNumericToken;
@@ -157,8 +160,6 @@ struct QuarantineReport {
 struct ValidationOptions {
   ValidationPolicy policy = ValidationPolicy::kStrict;
   ValidationLimits limits;
-  /// Offending-line samples retained in the report.
-  int64_t max_quarantine_samples = 32;
   /// Under kRepair: when the kept vocabulary is sparse (gaps between 1 and
   /// the max id), remap ids order-preservingly onto 1..K so num_items is
   /// the true vocabulary size instead of the largest id. Embedding tables

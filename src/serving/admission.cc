@@ -23,7 +23,7 @@ AdmissionController::AdmissionController(const AdmissionOptions& options,
 AdmissionDecision AdmissionController::TryAdmit() {
   std::lock_guard<std::mutex> lk(mu_);
   if (in_flight_ >= options_.max_in_flight) {
-    return {false, options_.in_flight_retry_hint_nanos, "in-flight"};
+    return {false, kInFlightRetryHintNanos, "in-flight"};
   }
   if (options_.tokens_per_second > 0.0) {
     const int64_t now = clock_->NowNanos();

@@ -23,17 +23,18 @@ struct AdmissionOptions {
   /// Bucket capacity: the largest instantaneous burst admitted after an
   /// idle period. Must be >= 1 when rate limiting is on.
   double burst = 32.0;
-  /// Retry-after hint handed out when shedding on the in-flight cap, where
-  /// (unlike an empty token bucket) no exact refill time is computable.
-  int64_t in_flight_retry_hint_nanos = kNanosPerMilli;
 };
+
+/// Retry-after hint handed out when shedding on the in-flight cap, where
+/// (unlike an empty token bucket) no exact refill time is computable.
+constexpr int64_t kInFlightRetryHintNanos = kNanosPerMilli;
 
 /// Outcome of one admission attempt.
 struct AdmissionDecision {
   bool admitted = false;
   /// When not admitted: suggested client back-off. For token exhaustion
   /// this is the exact time until the next token at the configured rate;
-  /// for the in-flight cap it is the configured hint.
+  /// for the in-flight cap it is kInFlightRetryHintNanos.
   int64_t retry_after_nanos = 0;
   /// Which limit rejected the request ("in-flight" or "rate"); nullptr
   /// when admitted.

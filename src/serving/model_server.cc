@@ -12,6 +12,9 @@ namespace slime {
 namespace serving {
 namespace {
 
+/// Top-K used for canary validation during Start/Reload.
+constexpr int64_t kCanaryTopK = 5;
+
 /// Releases one admission slot on scope exit.
 class AdmissionRelease {
  public:
@@ -68,7 +71,6 @@ ModelServer::ModelServer(const ModelServerOptions& options,
   SLIME_CHECK_GT(options_.default_deadline_nanos, 0);
   SLIME_CHECK_GE(options_.min_model_budget_nanos, 0);
   SLIME_CHECK_GE(options_.recovery_full_responses, 1);
-  SLIME_CHECK_GE(options_.canary_top_k, 1);
   // Metrics: publish into the caller's registry when provided (which may
   // be a NoopRegistry to disable instrumentation), else into a private
   // enabled registry so stats() is always live.
@@ -121,7 +123,7 @@ Status ModelServer::ValidateCanaries(
     models::SequentialRecommender* candidate) {
   RecommendationService service(candidate);
   RecommendOptions options;
-  options.top_k = options_.canary_top_k;
+  options.top_k = kCanaryTopK;
   // Canary forward passes share the compute pool (and, in chaos tests, the
   // clock seam) with live traffic; take the inference lock like any other
   // forward pass so the two never interleave on the model-stateful path.
@@ -453,15 +455,11 @@ Result<BatchServeResponse> ModelServer::ServeBatch(
   request_nanos_.Observe(clock_->NowNanos() - request_start_nanos);
   trace.Finish();
 
-  if (!pending.empty()) {
-    if (!options_.allow_partial_on_deadline ||
-        pending.size() == num_users) {
-      return Status::DeadlineExceeded(
-          "deadline of " + NanosAsMillis(budget) + " exceeded with " +
-          std::to_string(pending.size()) + " of " +
-          std::to_string(num_users) +
-          " users unserved and no fallback available");
-    }
+  if (!pending.empty() && pending.size() == num_users) {
+    return Status::DeadlineExceeded(
+        "deadline of " + NanosAsMillis(budget) + " exceeded with " +
+        std::to_string(pending.size()) + " of " + std::to_string(num_users) +
+        " users unserved and no fallback available");
   }
   return out;
 }

@@ -54,16 +54,9 @@ struct ModelServerOptions {
   /// request folds the budget it declined into the EWMA as a censored
   /// sample, so one stall cannot lock the model tier out for good.
   int64_t min_model_budget_nanos = kNanosPerMilli;
-  /// When the deadline fires with no fallback available: `true` returns
-  /// whatever completed (uncompleted users flagged via
-  /// ServeResponse::complete), `false` fails the whole batch with
-  /// DeadlineExceeded.
-  bool allow_partial_on_deadline = true;
   /// Consecutive fully-served (all users at the full-model tier) requests
   /// needed to leave kDegraded.
   int64_t recovery_full_responses = 8;
-  /// Top-K used for canary validation during Start/Reload.
-  int64_t canary_top_k = 5;
   /// Metrics registry the server publishes its counters/gauges/histograms
   /// into (names under "serving."). nullptr: the server owns a private
   /// enabled registry, so stats() always works. Pass an obs::NoopRegistry

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "compute/thread_pool.h"
 
@@ -89,6 +90,29 @@ TEST(ChaosPipelineTest, DifferentSeedsScheduleDifferentFaults) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_NE(a.value().EventLog(), b.value().EventLog());
+}
+
+TEST(ChaosPipelineTest, StagesRunInTableOrder) {
+  const std::vector<std::string> table = {
+      "data", "train", "diverge", "serve", "cluster", "state", "repair"};
+  const Result<ChaosResult> r = RunChaosPipeline(Options(3));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // Collapsing runs of equal stage names also rejects a stage whose
+  // events interleave with another's.
+  std::vector<std::string> stages;
+  for (const ChaosEvent& e : r.value().events) {
+    if (stages.empty() || stages.back() != e.stage) stages.push_back(e.stage);
+  }
+  std::vector<std::string> expected = table;
+  expected.push_back("chaos");
+  EXPECT_EQ(stages, expected);
+
+  std::vector<std::string> timed;
+  for (const ChaosStageTiming& t : r.value().stage_timings) {
+    timed.push_back(t.stage);
+    EXPECT_GE(t.wall_nanos, 0) << t.stage;
+  }
+  EXPECT_EQ(timed, table);
 }
 
 TEST(ChaosPipelineTest, RejectsUnusableOptions) {

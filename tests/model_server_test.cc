@@ -172,7 +172,7 @@ TEST(AdmissionTest, InFlightCapShedsAndReleases) {
   const AdmissionDecision shed = admission.TryAdmit();
   EXPECT_FALSE(shed.admitted);
   EXPECT_STREQ(shed.limit, "in-flight");
-  EXPECT_EQ(shed.retry_after_nanos, options.in_flight_retry_hint_nanos);
+  EXPECT_EQ(shed.retry_after_nanos, kInFlightRetryHintNanos);
   admission.Release();
   EXPECT_TRUE(admission.TryAdmit().admitted);
   EXPECT_EQ(admission.in_flight(), 2);

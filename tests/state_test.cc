@@ -1015,11 +1015,10 @@ TEST(ClusterAntiEntropyTest, RepairOnRestoreBackfillsWithoutHints) {
   EXPECT_EQ(CounterValue(metrics, "cluster.repair.items_transferred"), 2);
 }
 
-TEST(ClusterAntiEntropyTest, DropNewestOverflowKeepsPrefixAndSweepHeals) {
-  cluster::ClusterOptions options = AntiEntropyClusterOptions("ae_dropnew");
+TEST(ClusterAntiEntropyTest, FullHintQueueKeepsPrefixAndSweepHeals) {
+  cluster::ClusterOptions options = AntiEntropyClusterOptions("ae_fullq");
   options.hinted_handoff = true;
   options.handoff.max_hints_per_shard = 1;
-  options.handoff.overflow = cluster::HintOverflowPolicy::kDropNewest;
   options.repair_on_restore = true;
   cluster::ClusterServer cluster(options, SessionFactory());
   ASSERT_TRUE(cluster.Start().ok());
@@ -1036,9 +1035,10 @@ TEST(ClusterAntiEntropyTest, DropNewestOverflowKeepsPrefixAndSweepHeals) {
   EXPECT_EQ(cluster.hints_pending(), 1);
   EXPECT_EQ(cluster.stats().hints_dropped, 2);
 
-  // kDropNewest keeps the OLDEST hints, so the replayed backlog is a
-  // prefix of the missed stream — exactly the shape the digest sweep can
-  // finish healing (suffix transfer), with zero conflicts.
+  // A full queue refuses the newest hints and keeps the OLDEST, so the
+  // replayed backlog is a prefix of the missed stream — exactly the shape
+  // the digest sweep can finish healing (suffix transfer), with zero
+  // conflicts.
   ASSERT_TRUE(cluster.RestoreShard(primary).ok());
   EXPECT_EQ(cluster.shard_server(primary)->state_store()->History(user),
             (std::vector<int64_t>{3, 4, 5, 6, 7}));
@@ -1048,11 +1048,8 @@ TEST(ClusterAntiEntropyTest, DropNewestOverflowKeepsPrefixAndSweepHeals) {
   EXPECT_EQ(stats.repair_conflicts, 0);
 }
 
-TEST(ClusterAntiEntropyTest, DropOldestOverflowHoleIsAConflictNotAGuess) {
-  cluster::ClusterOptions options = AntiEntropyClusterOptions("ae_dropold");
-  options.hinted_handoff = true;
-  options.handoff.max_hints_per_shard = 1;
-  options.handoff.overflow = cluster::HintOverflowPolicy::kDropOldest;
+TEST(ClusterAntiEntropyTest, EqualLengthForkIsAConflictNotAGuess) {
+  cluster::ClusterOptions options = AntiEntropyClusterOptions("ae_fork");
   options.repair_on_restore = true;
   cluster::ClusterServer cluster(options, SessionFactory());
   ASSERT_TRUE(cluster.Start().ok());
@@ -1063,27 +1060,37 @@ TEST(ClusterAntiEntropyTest, DropOldestOverflowHoleIsAConflictNotAGuess) {
   const int64_t primary = replicas[0];
   const int64_t secondary = replicas[1];
   ASSERT_TRUE(cluster.AppendEvent(user, {3, 4}).ok());
-  cluster.KillShard(primary);
-  ASSERT_TRUE(cluster.AppendEvent(user, {5}).ok());
-  ASSERT_TRUE(cluster.AppendEvent(user, {6}).ok());
-  ASSERT_TRUE(cluster.AppendEvent(user, {7}).ok());
-  EXPECT_EQ(cluster.hints_pending(), 1);
-  EXPECT_EQ(cluster.stats().hints_dropped, 2);
+  // Fork the replicas: each store takes a different event straight
+  // through its own shard, so both streams are 3 items long with
+  // different digests.
+  ASSERT_TRUE(cluster.shard_server(primary)->AppendEvent(user, {5}).ok());
+  ASSERT_TRUE(cluster.shard_server(secondary)->AppendEvent(user, {6}).ok());
 
-  // kDropOldest keeps only the NEWEST hint, so replay leaves a hole in
-  // the middle of the stream. The sweep must refuse to paper over it:
-  // the suffix no longer extends the revived replica's digest, so this
-  // is a counted conflict and both histories are left untouched — repair
-  // never fabricates a merge.
+  // The restore sweep must refuse to paper over the fork: no suffix
+  // transfer can reconcile equal-length streams without rewriting one
+  // side's acked past, so this is a counted conflict and both histories
+  // are left untouched — repair never fabricates a merge.
+  cluster.KillShard(primary);
   ASSERT_TRUE(cluster.RestoreShard(primary).ok());
   EXPECT_EQ(cluster.shard_server(primary)->state_store()->History(user),
-            (std::vector<int64_t>{3, 4, 7}));
+            (std::vector<int64_t>{3, 4, 5}));
   EXPECT_EQ(cluster.shard_server(secondary)->state_store()->History(user),
-            (std::vector<int64_t>{3, 4, 5, 6, 7}));
-  const cluster::ClusterStats stats = cluster.stats();
-  EXPECT_EQ(stats.hints_replayed, 1);
-  EXPECT_EQ(stats.repair_conflicts, 1);
-  EXPECT_EQ(stats.repair_items_transferred, 0);
+            (std::vector<int64_t>{3, 4, 6}));
+  EXPECT_EQ(cluster.stats().repair_conflicts, 1);
+  EXPECT_EQ(cluster.stats().repair_items_transferred, 0);
+
+  // One side pulls ahead of the fork: the length gap now suggests a
+  // suffix transfer, but that suffix does not extend the behind stream's
+  // digest, so the pre-verified splice refuses it too.
+  ASSERT_TRUE(cluster.shard_server(secondary)->AppendEvent(user, {7}).ok());
+  cluster.KillShard(primary);
+  ASSERT_TRUE(cluster.RestoreShard(primary).ok());
+  EXPECT_EQ(cluster.shard_server(primary)->state_store()->History(user),
+            (std::vector<int64_t>{3, 4, 5}));
+  EXPECT_EQ(cluster.shard_server(secondary)->state_store()->History(user),
+            (std::vector<int64_t>{3, 4, 6, 7}));
+  EXPECT_EQ(cluster.stats().repair_conflicts, 2);
+  EXPECT_EQ(cluster.stats().repair_items_transferred, 0);
 }
 
 TEST(ClusterAntiEntropyTest, RestoreStaysDeadWhenStateRecoveryFails) {
@@ -1126,7 +1133,6 @@ TEST(ClusterAntiEntropyTest, RestoreStaysDeadWhenStateRecoveryFails) {
 TEST(ClusterAntiEntropyTest, ReadRepairCountsAndHealsServeTimeDivergence) {
   cluster::ClusterOptions options = AntiEntropyClusterOptions("ae_readrep");
   options.read_repair = true;
-  options.read_repair_heal = true;
   obs::MetricsRegistry metrics;
   options.metrics = &metrics;
   cluster::ClusterServer cluster(options, SessionFactory());

@@ -8,10 +8,12 @@
 // pipeline twice with the same seed and verifies the two event logs are
 // bit-identical, then checks the pipeline invariants (no crash, every
 // fault surfaced as a typed Status, recovery bit-identical to the
-// unfaulted baseline). Exit code 0 = all invariants held.
+// unfaulted baseline). Exit code 0 = all invariants held. After run 1 it
+// prints each stage's wall time; those lines never start with "[chaos] ",
+// so filtering stdout on that prefix keeps only the seed-pure event log.
 //
-// CI runs this and uploads the quarantine + telemetry + repair-report
-// JSONL artifacts.
+// CI runs this with --echo and uploads the quarantine + telemetry +
+// repair-report JSONL artifacts plus the echoed event log.
 
 #include <sys/stat.h>
 
@@ -97,6 +99,10 @@ int main(int argc, char** argv) {
   const slime::Result<slime::chaos::ChaosResult> first =
       slime::chaos::RunChaosPipeline(options);
   if (!first.ok()) return Fail(first.status().ToString());
+  for (const slime::chaos::ChaosStageTiming& t : first.value().stage_timings) {
+    std::printf("chaos_runner: stage %-8s %10.3f ms\n", t.stage.c_str(),
+                static_cast<double>(t.wall_nanos) / 1e6);
+  }
 
   std::printf("chaos_runner: seed %llu, run 2/2 (reproducibility check)\n",
               static_cast<unsigned long long>(seed));

@@ -599,10 +599,7 @@ int CmdServeCluster(const Flags& flags, const data::SplitDataset& split,
       opts.hinted_handoff = true;
       opts.repair_on_restore = true;
     }
-    if (flags.GetInt("read-repair", 0) != 0) {
-      opts.read_repair = true;
-      opts.read_repair_heal = true;
-    }
+    if (flags.GetInt("read-repair", 0) != 0) opts.read_repair = true;
   }
 
   const std::string metrics_out = flags.Get("metrics-out");
