@@ -218,8 +218,9 @@ SLIME_TARGET_AVX2 void MatMulTransBRowsSimd(const float* a, const float* b,
 
 /// Chunk [lo, hi) of the suffix-broadcast complex multiply. The vector body
 /// only engages while a full 8-lane span stays inside one b-block repeat;
-/// boundary elements take the scalar path, so chunk composition (fixed by
-/// the grain, not the thread count) fully determines each element's path.
+/// boundary elements take the scalar path, which rounds as the lanes do
+/// (one product, then a fused multiply-add), so no element's bits depend on
+/// where a chunk or a caller's sub-range starts.
 SLIME_TARGET_AVX2 void ComplexMulChunkSimd(const float* ar, const float* ai,
                                            const float* br, const float* bi,
                                            float* out_re, float* out_im,
@@ -241,8 +242,8 @@ SLIME_TARGET_AVX2 void ComplexMulChunkSimd(const float* ar, const float* ai,
       j += 8;
       if (j == block) j = 0;
     } else {
-      out_re[f] = ar[f] * br[j] - ai[f] * bi[j];
-      out_im[f] = ar[f] * bi[j] + ai[f] * br[j];
+      out_re[f] = std::fma(ar[f], br[j], -(ai[f] * bi[j]));
+      out_im[f] = std::fma(ar[f], bi[j], ai[f] * br[j]);
       ++f;
       if (++j == block) j = 0;
     }

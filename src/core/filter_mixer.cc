@@ -44,8 +44,21 @@ FilterMixerLayer::FilterMixerLayer(int64_t seq_len, int64_t dim,
       RegisterModule("layer_norm", std::make_shared<nn::LayerNorm>(dim));
 }
 
+namespace {
+
+/// x (B, N, d) at `positions`: itself, or its last position as (B, 1, d).
+autograd::Variable AtPositions(const autograd::Variable& x,
+                               Positions positions) {
+  if (positions == Positions::kAll) return x;
+  const int64_t n = x.size(1);
+  return autograd::Slice(x, 1, n - 1, n);
+}
+
+}  // namespace
+
 autograd::Variable FilterMixerLayer::Forward(const autograd::Variable& x,
-                                             Rng* rng) const {
+                                             Rng* rng,
+                                             Positions positions) const {
   using autograd::Variable;
   const int64_t n = x.size(1);
   SLIME_CHECK_EQ(n, seq_len_);
@@ -54,46 +67,24 @@ autograd::Variable FilterMixerLayer::Forward(const autograd::Variable& x,
   // Eq. 27: back to the time domain; Eq. 28: dropout + residual + LN. Each
   // activation is dropped at its last use, which frees it when no graph
   // holds it.
-  Variable h = fft::Irfft(mixed, n);
+  Variable h = AtPositions(fft::Irfft(mixed, n), positions);
   mixed = {};
   h = dropout_->Forward(h, rng);
-  Variable sum = autograd::Add(x, h);
+  Variable sum = autograd::Add(AtPositions(x, positions), h);
   h = Variable();
   return layer_norm_->Forward(sum);
 }
 
 namespace {
 
-/// complex_mul over one (M, d) plane of a (B, M, d) spectrum, cut into the
-/// pieces that the single whole-batch call's kElementwiseGrain chunks cut
-/// it into. Within a chunk the SIMD kernel picks each element's vector or
-/// scalar path from the chunk and block boundaries, so these pieces give
-/// every element the same path, and the same bits, as that call.
-void ComplexMulPlane(const float* xr, const float* xi, const float* wr,
-                     const float* wi, float* out_re, float* out_im,
-                     int64_t item, int64_t block) {
-  const auto& kt = compute::Dispatch();
-  const int64_t begin = item * block;
-  for (int64_t s = begin; s < begin + block;) {
-    const int64_t e =
-        std::min(begin + block, (s / compute::kElementwiseGrain + 1) *
-                                    compute::kElementwiseGrain);
-    const int64_t off = s - begin;
-    kt.complex_mul(xr + off, xi + off, wr + off, wi + off, out_re + off,
-                   out_im + off, /*repeats=*/1, e - s);
-    s = e;
-  }
-}
-
 /// sigma (.) (X (.) W) for one plane into `out`, as LearnableFilter::Apply
 /// computes it: the complex product, then the window mask row by row.
 void FilterPlane(const float* xr, const float* xi,
-                 const LearnableFilter& filter, const Tensor& mask,
-                 int64_t item, int64_t m, int64_t d, float* out_re,
-                 float* out_im) {
-  ComplexMulPlane(xr, xi, filter.weight_re().value().data(),
-                  filter.weight_im().value().data(), out_re, out_im, item,
-                  m * d);
+                 const LearnableFilter& filter, const Tensor& mask, int64_t m,
+                 int64_t d, float* out_re, float* out_im) {
+  compute::Dispatch().complex_mul(xr, xi, filter.weight_re().value().data(),
+                                  filter.weight_im().value().data(), out_re,
+                                  out_im, /*repeats=*/1, m * d);
   if (!mask.defined()) return;
   const float* pm = mask.data();
   for (int64_t row = 0; row < m; ++row) {
@@ -147,16 +138,15 @@ fft::SpectralPair FilterMixerLayer::FilterSpectrum(
           if (!both) {
             const bool dyn = options_.use_dynamic;
             FilterPlane(xr, xi, dyn ? *dynamic_filter_ : *static_filter_,
-                        dyn ? dynamic_mask_ : static_mask_, item, m, d, a_re,
-                        a_im);
+                        dyn ? dynamic_mask_ : static_mask_, m, d, a_re, a_im);
             std::copy(a_re, a_re + block, xr);
             std::copy(a_im, a_im + block, xi);
             continue;
           }
-          FilterPlane(xr, xi, *dynamic_filter_, dynamic_mask_, item, m, d,
-                      a_re, a_im);
-          FilterPlane(xr, xi, *static_filter_, static_mask_, item, m, d,
-                      b_re, b_im);
+          FilterPlane(xr, xi, *dynamic_filter_, dynamic_mask_, m, d, a_re,
+                      a_im);
+          FilterPlane(xr, xi, *static_filter_, static_mask_, m, d, b_re,
+                      b_im);
           // MixSpectra: (1 - gamma) * xd + gamma * xs, each product rounded.
           for (int64_t j = 0; j < block; ++j) {
             a_re[j] *= 1.0f - gamma;
@@ -206,15 +196,16 @@ FilterMixerBlock::FilterMixerBlock(int64_t seq_len, int64_t dim,
 }
 
 autograd::Variable FilterMixerBlock::Forward(const autograd::Variable& x,
-                                             Rng* rng) const {
+                                             Rng* rng,
+                                             Positions positions) const {
   using autograd::Add;
   using autograd::Variable;
-  Variable h_hat = mixer_->Forward(x, rng);
+  Variable h_hat = mixer_->Forward(x, rng, positions);
   // Eq. 30: densely residual combination of block input, mixer output and
   // FFN output; FeedForward's trailing dropout realises the Dropout(...)
   // term. h_hat and f are dropped at their last use.
   Variable f = ffn_->Forward(h_hat, rng);
-  Variable sum = Add(x, h_hat);
+  Variable sum = Add(AtPositions(x, positions), h_hat);
   h_hat = Variable();
   sum = Add(sum, f);
   f = Variable();

@@ -32,6 +32,12 @@ struct FilterMixerOptions {
   bool full_spectrum = false;
 };
 
+/// Which sequence positions a forward pass returns. kLast keeps only
+/// position N-1 from the inverse FFT on, as a (B, 1, d) tensor: the rFFT
+/// mixes all N positions, but every op after the irFFT treats positions
+/// independently, so row N-1 comes out bit-identical to kAll's.
+enum class Positions { kAll, kLast };
+
 /// One filter-mixer sublayer (the self-attention replacement): FFT ->
 /// DFS/SFS filtering with the frequency-ramp windows -> spectrum mixing
 /// (Eq. 26) -> inverse FFT -> dropout + residual + LayerNorm (Eq. 28).
@@ -41,8 +47,10 @@ class FilterMixerLayer : public nn::Module {
                    int64_t layer_index, const FilterMixerOptions& options,
                    float dropout, Rng* rng);
 
-  /// x: (B, N, d) time-domain features H^l; returns H-hat^l (Eq. 28).
-  autograd::Variable Forward(const autograd::Variable& x, Rng* rng) const;
+  /// x: (B, N, d) time-domain features H^l; returns H-hat^l (Eq. 28) at
+  /// `positions`.
+  autograd::Variable Forward(const autograd::Variable& x, Rng* rng,
+                             Positions positions = Positions::kAll) const;
 
   const LearnableFilter& dynamic_filter() const { return *dynamic_filter_; }
   const LearnableFilter& static_filter() const { return *static_filter_; }
@@ -81,7 +89,10 @@ class FilterMixerBlock : public nn::Module {
                    int64_t layer_index, const FilterMixerOptions& options,
                    float dropout, Rng* rng);
 
-  autograd::Variable Forward(const autograd::Variable& x, Rng* rng) const;
+  /// x: (B, N, d); returns H^{l+1} at `positions`. With kLast the dropout
+  /// layers after the irFFT draw B*d numbers from `rng` instead of B*N*d.
+  autograd::Variable Forward(const autograd::Variable& x, Rng* rng,
+                             Positions positions = Positions::kAll) const;
 
   const FilterMixerLayer& mixer() const { return *mixer_; }
 

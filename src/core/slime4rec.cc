@@ -1,5 +1,7 @@
 #include "core/slime4rec.h"
 
+#include <algorithm>
+
 #include "autograd/ops.h"
 #include "core/contrastive.h"
 #include "nn/init.h"
@@ -33,10 +35,10 @@ Slime4Rec::Slime4Rec(const Slime4RecConfig& config)
   }
 }
 
-autograd::Variable Slime4Rec::Encode(const std::vector<int64_t>& input_ids,
-                                     int64_t batch_size) {
+autograd::Variable Slime4Rec::EncodeAt(const std::vector<int64_t>& input_ids,
+                                       int64_t batch_size,
+                                       Positions positions) {
   using autograd::Add;
-  using autograd::AddConst;
   using autograd::Variable;
   const int64_t n = config_.max_len;
   SLIME_CHECK_EQ(static_cast<int64_t>(input_ids.size()), batch_size * n);
@@ -45,10 +47,17 @@ autograd::Variable Slime4Rec::Encode(const std::vector<int64_t>& input_ids,
   h = Add(h, pos_emb_);  // (B,N,d) + (N,d) broadcasts
   h = emb_norm_->Forward(h);
   h = emb_dropout_->Forward(h, &rng_);
-  for (const auto& block : blocks_) {
-    h = block->Forward(h, &rng_);
+  for (size_t l = 0; l < blocks_.size(); ++l) {
+    const bool final_block = l + 1 == blocks_.size();
+    h = blocks_[l]->Forward(h, &rng_,
+                            final_block ? positions : Positions::kAll);
   }
   return h;
+}
+
+autograd::Variable Slime4Rec::Encode(const std::vector<int64_t>& input_ids,
+                                     int64_t batch_size) {
+  return EncodeAt(input_ids, batch_size, Positions::kAll);
 }
 
 autograd::Variable Slime4Rec::EncodeLast(
@@ -56,9 +65,14 @@ autograd::Variable Slime4Rec::EncodeLast(
   using autograd::Reshape;
   using autograd::Slice;
   const int64_t n = config_.max_len;
+  const int64_t d = config_.hidden_dim;
+  if (!training() && !blocks_.empty()) {
+    return Reshape(EncodeAt(input_ids, batch_size, Positions::kLast),
+                   {batch_size, d});
+  }
   autograd::Variable h = Encode(input_ids, batch_size);
   // Left padding places the most recent item at position N-1.
-  return Reshape(Slice(h, 1, n - 1, n), {batch_size, config_.hidden_dim});
+  return Reshape(Slice(h, 1, n - 1, n), {batch_size, d});
 }
 
 autograd::Variable Slime4Rec::PredictLogits(
@@ -90,9 +104,32 @@ autograd::Variable Slime4Rec::Loss(const data::Batch& batch) {
   return Add(loss, MulScalar(cl, config_.cl_weight));
 }
 
+int64_t Slime4Rec::ScoreGroupSize() const {
+  // 2^17 floats: the 512 KB budget of one (G, N, d) activation.
+  constexpr int64_t kGroupFloats = int64_t{1} << 17;
+  return std::max<int64_t>(
+      1, kGroupFloats / (config_.max_len * config_.hidden_dim));
+}
+
 Tensor Slime4Rec::ScoreAll(const data::Batch& batch) {
-  autograd::Variable h = EncodeLast(batch.input_ids, batch.size);
-  return PredictLogits(h).value();
+  const int64_t n = config_.max_len;
+  const int64_t width = config_.num_items + 1;
+  const int64_t group = ScoreGroupSize();
+  SLIME_CHECK_EQ(static_cast<int64_t>(batch.input_ids.size()), batch.size * n);
+  if (batch.size <= group) {
+    // One group: its logits are the scores, with no second B x |V| buffer.
+    return PredictLogits(EncodeLast(batch.input_ids, batch.size)).value();
+  }
+  Tensor scores({batch.size, width});
+  for (int64_t lo = 0; lo < batch.size; lo += group) {
+    const int64_t rows = std::min(group, batch.size - lo);
+    const auto ids = batch.input_ids.begin() + lo * n;
+    const Tensor part =
+        PredictLogits(EncodeLast({ids, ids + rows * n}, rows)).value();
+    std::copy(part.data(), part.data() + rows * width,
+              scores.data() + lo * width);
+  }
+  return scores;
 }
 
 }  // namespace core

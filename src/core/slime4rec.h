@@ -31,7 +31,22 @@ class Slime4Rec : public models::SequentialRecommender {
   explicit Slime4Rec(const Slime4RecConfig& config);
 
   autograd::Variable Loss(const data::Batch& batch) override;
+
+  /// Scores (B, num_items + 1): EncodeLast + PredictLogits over consecutive
+  /// groups of ScoreGroupSize() sequences, each group's rows written into
+  /// the one output (a batch of one group returns its logits as they are).
+  /// Peak activations are O(G * N * d) plus the B x |V| output, not
+  /// O(B * N * d). Every op treats sequences independently,
+  /// so in eval mode the scores equal one whole-batch pass bit for bit, in
+  /// graph and no-grad mode alike. (In training mode a group's dropout
+  /// draws follow the previous group's, not the whole batch's.)
   Tensor ScoreAll(const data::Batch& batch) override;
+
+  /// G = max(1, floor(2^17 / (N * d))): the sequences whose (G, N, d)
+  /// activation fits a 512 KB budget, so one ScoreAll group stays
+  /// cache-sized. Fixed by the model's shape: 10 at (N, d) = (200, 64).
+  int64_t ScoreGroupSize() const;
+
   std::string name() const override { return "SLIME4Rec"; }
   bool needs_positives() const override {
     return slime_config_.use_contrastive;
@@ -43,7 +58,12 @@ class Slime4Rec : public models::SequentialRecommender {
   autograd::Variable Encode(const std::vector<int64_t>& input_ids,
                             int64_t batch_size);
 
-  /// Last-position user representation h_t^L, shape (B, d).
+  /// Last-position user representation h_t^L, shape (B, d). In eval mode
+  /// the final block keeps only position N-1 after its irFFT (mixer
+  /// dropout, residual, LayerNorm, FFN, dense residual, block LayerNorm),
+  /// bit-identical to the last row of Encode. Training keeps all rows:
+  /// that tail's dropout draws B * N * d numbers, and fewer draws would
+  /// shift every later mask.
   autograd::Variable EncodeLast(const std::vector<int64_t>& input_ids,
                                 int64_t batch_size);
 
@@ -58,6 +78,11 @@ class Slime4Rec : public models::SequentialRecommender {
   const nn::Embedding& item_embedding() const { return *item_emb_; }
 
  private:
+  /// The embedding layer and the L blocks, the final block at `positions`:
+  /// (B, N, d) for kAll, (B, 1, d) for kLast.
+  autograd::Variable EncodeAt(const std::vector<int64_t>& input_ids,
+                              int64_t batch_size, Positions positions);
+
   Slime4RecConfig slime_config_;
   std::shared_ptr<nn::Embedding> item_emb_;
   autograd::Variable pos_emb_;  // (N, d)

@@ -11,6 +11,7 @@
 #include "autograd/ops.h"
 #include "compute/backend.h"
 #include "compute/thread_pool.h"
+#include "core/slime4rec.h"
 #include "data/batcher.h"
 #include "data/synthetic.h"
 #include "fft/spectral_ops.h"
@@ -369,6 +370,99 @@ TEST(NoGradDeterminismTest, ScoreTensorsEqualGraphModeForEveryModel) {
                               graph.numel() * sizeof(float)),
                   0)
             << label;
+      }
+    }
+  }
+}
+
+// ScoreAll runs the encoder over groups of ScoreGroupSize() sequences and,
+// in eval mode, computes only position N-1 after the final irFFT. Neither
+// may move a bit: at batch sizes on either side of one and two group
+// boundaries, graph-mode and no-grad ScoreAll at 1/2/8 threads must equal
+// a single whole-batch, all-positions pass built in graph mode (taken at 1
+// thread; that pass is itself thread-count invariant).
+TEST(NoGradDeterminismTest, ScoreAllGroupsEqualOneWholeBatchPass) {
+  BackendGuard guard;
+  const data::SplitDataset split = TinySplit();
+  struct Case {
+    std::string label;
+    int64_t n;
+    int64_t d;
+    core::FilterMixerOptions mixer;
+  };
+  core::FilterMixerOptions dfs_only;
+  dfs_only.use_static = false;
+  core::FilterMixerOptions sfs_only;
+  sfs_only.use_dynamic = false;
+  core::FilterMixerOptions full;
+  full.full_spectrum = true;
+  // (N, d) = (50, 13) puts work-chunk edges inside batch items; (200, 64)
+  // is the long-sequence serving shape.
+  const std::vector<Case> cases = {{"dfs+sfs", 50, 13, {}},
+                                   {"dfs-only", 50, 13, dfs_only},
+                                   {"sfs-only", 50, 13, sfs_only},
+                                   {"full_spectrum", 50, 13, full},
+                                   {"dfs+sfs", 200, 64, {}}};
+  for (const auto& backend : compute::AvailableKernelBackends()) {
+    compute::SetKernelBackend(backend).value();
+    for (const Case& c : cases) {
+      core::Slime4RecConfig config;
+      static_cast<models::ModelConfig&>(config) = TinyModelConfig(split);
+      config.max_len = c.n;
+      config.hidden_dim = c.d;
+      config.mixer = c.mixer;
+      core::Slime4Rec model(config);
+      model.SetTraining(false);
+      const int64_t g = model.ScoreGroupSize();
+      std::vector<std::vector<int64_t>> histories;
+      for (int64_t u = 0; u < 2 * g + 3; ++u) {
+        std::vector<int64_t> h;
+        for (int64_t j = 0; j < 1 + u % 11; ++j) {
+          h.push_back(1 + (u * 5 + j * 7) % (split.num_items() - 1));
+        }
+        histories.push_back(std::move(h));
+      }
+      std::vector<data::Batch> batches;
+      std::vector<Tensor> wholes;
+      for (const int64_t b : {int64_t{1}, g - 1, g, g + 1, 2 * g + 3}) {
+        if (b < 1) continue;
+        batches.push_back(
+            BatchOf({histories.begin(), histories.begin() + b}, c.n));
+        compute::ComputeContext ctx(1);
+        wholes.push_back(
+            model
+                .PredictLogits(autograd::Reshape(
+                    autograd::Slice(model.Encode(batches.back().input_ids, b),
+                                    1, c.n - 1, c.n),
+                    {b, c.d}))
+                .value());
+      }
+      for (int threads : {1, 2, 8}) {
+        compute::ComputeContext ctx(threads);
+        for (size_t i = 0; i < batches.size(); ++i) {
+          const std::string label =
+              backend + " threads=" + std::to_string(threads) + " " +
+              c.label + " N=" + std::to_string(c.n) +
+              " G=" + std::to_string(g) +
+              " B=" + std::to_string(batches[i].size);
+          const Tensor& whole = wholes[i];
+          const Tensor graph = model.ScoreAll(batches[i]);
+          Tensor lean;
+          {
+            autograd::NoGradScope no_grad;
+            lean = model.ScoreAll(batches[i]);
+          }
+          ASSERT_EQ(graph.shape(), whole.shape()) << label;
+          ASSERT_EQ(lean.shape(), whole.shape()) << label;
+          EXPECT_EQ(std::memcmp(graph.data(), whole.data(),
+                                whole.numel() * sizeof(float)),
+                    0)
+              << "graph " << label;
+          EXPECT_EQ(std::memcmp(lean.data(), whole.data(),
+                                whole.numel() * sizeof(float)),
+                    0)
+              << "no-grad " << label;
+        }
       }
     }
   }

@@ -96,7 +96,8 @@ TEST(ServingTest, BatchMatchesSingleRequests) {
     ASSERT_EQ(single.size(), batched[i].size());
     for (size_t j = 0; j < single.size(); ++j) {
       EXPECT_EQ(single[j].item, batched[i][j].item) << i << "," << j;
-      EXPECT_NEAR(single[j].score, batched[i][j].score, 1e-4);
+      // Exact: a user's scores must not depend on who shares the batch.
+      EXPECT_EQ(single[j].score, batched[i][j].score) << i << "," << j;
     }
   }
 }

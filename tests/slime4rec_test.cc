@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
+#include "autograd/variable.h"
 #include "data/batcher.h"
 #include "optim/adam.h"
 
@@ -50,6 +54,58 @@ TEST(Slime4RecTest, EncodeShapes) {
   EXPECT_EQ(h.shape(), (std::vector<int64_t>{3, 8, 16}));
   autograd::Variable last = model.EncodeLast(b.input_ids, b.size);
   EXPECT_EQ(last.shape(), (std::vector<int64_t>{3, 16}));
+}
+
+/// The bit patterns of `count` floats, so EXPECT_EQ compares bits.
+std::vector<uint32_t> Bits(const float* p, int64_t count) {
+  std::vector<uint32_t> out(count);
+  std::memcpy(out.data(), p, count * sizeof(float));
+  return out;
+}
+
+std::vector<uint32_t> Bits(const Tensor& t) {
+  return Bits(t.data(), t.numel());
+}
+
+/// Row N-1 of `h` (B, N, d), as bit patterns.
+std::vector<uint32_t> LastRow(const Tensor& h) {
+  const int64_t n = h.size(1);
+  const int64_t d = h.size(2);
+  std::vector<uint32_t> out;
+  for (int64_t b = 0; b < h.size(0); ++b) {
+    const std::vector<uint32_t> row = Bits(h.data() + (b * n + n - 1) * d, d);
+    out.insert(out.end(), row.begin(), row.end());
+  }
+  return out;
+}
+
+TEST(Slime4RecTest, EvalEncodeLastEqualsLastRowOfEncode) {
+  // Eval mode computes only position N-1 after the final irFFT; the row
+  // must equal Encode's bit for bit, with and without a graph.
+  Slime4Rec model(SmallConfig());
+  model.SetTraining(false);
+  const data::Batch b = SmallBatch(false);
+  const std::vector<uint32_t> want =
+      LastRow(model.Encode(b.input_ids, b.size).value());
+  EXPECT_EQ(Bits(model.EncodeLast(b.input_ids, b.size).value()), want);
+  autograd::NoGradScope no_grad;
+  EXPECT_EQ(Bits(model.EncodeLast(b.input_ids, b.size).value()), want);
+}
+
+TEST(Slime4RecTest, TrainingEncodeLastKeepsEncodesDropoutStream) {
+  // Training keeps every row through the final block, so EncodeLast makes
+  // the same dropout draws as Encode: same generator state afterwards and
+  // the same row N-1.
+  Slime4Rec full(SmallConfig());
+  Slime4Rec last(SmallConfig());
+  const data::Batch b = SmallBatch(false);
+  const Tensor h = full.Encode(b.input_ids, b.size).value();
+  const Tensor h_last = last.EncodeLast(b.input_ids, b.size).value();
+  const RngState want = full.rng()->state();
+  const RngState got = last.rng()->state();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(got.s[i], want.s[i]) << "word " << i;
+  EXPECT_EQ(got.have_cached_gaussian, want.have_cached_gaussian);
+  EXPECT_EQ(Bits(h_last), LastRow(h));
 }
 
 TEST(Slime4RecTest, ScoreAllShapeIncludesPaddingColumn) {
