@@ -18,10 +18,10 @@ using compute::ParallelFor;
 /// Reduces a broadcast gradient back to the operand shape and accumulates.
 void AccumulateBroadcast(const std::shared_ptr<Node>& node, const Tensor& g) {
   if (!node || !node->requires_grad) return;
-  if (g.shape() == node->value.shape()) {
+  if (g.shape() == node->shape) {
     AccumulateGrad(node, g);
   } else {
-    AccumulateGrad(node, ops::ReduceTo(g, node->value.shape()));
+    AccumulateGrad(node, ops::ReduceTo(g, node->shape));
   }
 }
 
@@ -32,9 +32,9 @@ Variable UnaryFromInput(const Variable& a, float (*fwd)(float),
   Tensor out = ops::Map(a.value(), fwd);
   auto an = a.node();
   return MakeOpVariable(
-      std::move(out), {an}, [an, dfdx](const Tensor& g) {
+      std::move(out), {an}, [an, x = a.value(), dfdx](const Tensor& g) {
         Tensor dx(g.shape());
-        const float* px = an->value.data();
+        const float* px = x.data();
         const float* pg = g.data();
         float* pd = dx.data();
         ParallelFor(0, g.numel(), kElementwiseGrain,
@@ -80,28 +80,32 @@ Variable Mul(const Variable& a, const Variable& b) {
   Tensor out = ops::Mul(a.value(), b.value());
   auto an = a.node();
   auto bn = b.node();
-  return MakeOpVariable(std::move(out), {an, bn}, [an, bn](const Tensor& g) {
-    if (an && an->requires_grad)
-      AccumulateBroadcast(an, ops::Mul(g, bn->value));
-    if (bn && bn->requires_grad)
-      AccumulateBroadcast(bn, ops::Mul(g, an->value));
-  });
+  return MakeOpVariable(
+      std::move(out), {an, bn},
+      [an, bn, av = a.value(), bv = b.value()](const Tensor& g) {
+        if (an && an->requires_grad)
+          AccumulateBroadcast(an, ops::Mul(g, bv));
+        if (bn && bn->requires_grad)
+          AccumulateBroadcast(bn, ops::Mul(g, av));
+      });
 }
 
 Variable Div(const Variable& a, const Variable& b) {
   Tensor out = ops::Div(a.value(), b.value());
   auto an = a.node();
   auto bn = b.node();
-  return MakeOpVariable(std::move(out), {an, bn}, [an, bn](const Tensor& g) {
-    if (an && an->requires_grad)
-      AccumulateBroadcast(an, ops::Div(g, bn->value));
-    if (bn && bn->requires_grad) {
-      // d/db (a/b) = -a / b^2
-      Tensor t = ops::Mul(g, an->value);
-      t = ops::Div(t, ops::Mul(bn->value, bn->value));
-      AccumulateBroadcast(bn, ops::MulScalar(t, -1.0f));
-    }
-  });
+  return MakeOpVariable(
+      std::move(out), {an, bn},
+      [an, bn, av = a.value(), bv = b.value()](const Tensor& g) {
+        if (an && an->requires_grad)
+          AccumulateBroadcast(an, ops::Div(g, bv));
+        if (bn && bn->requires_grad) {
+          // d/db (a/b) = -a / b^2
+          Tensor t = ops::Mul(g, av);
+          t = ops::Div(t, ops::Mul(bv, bv));
+          AccumulateBroadcast(bn, ops::MulScalar(t, -1.0f));
+        }
+      });
 }
 
 Variable Neg(const Variable& a) { return MulScalar(a, -1.0f); }
@@ -152,12 +156,12 @@ Variable Gelu(const Variable& a) {
   Tensor out(a.value().shape());
   compute::Dispatch().gelu(a.value().data(), out.data(), out.numel());
   auto an = a.node();
-  return MakeOpVariable(std::move(out), {an}, [an](const Tensor& g) {
-    Tensor dx(g.shape());
-    compute::Dispatch().gelu_bwd(an->value.data(), g.data(), dx.data(),
-                                 g.numel());
-    AccumulateGrad(an, dx);
-  });
+  return MakeOpVariable(
+      std::move(out), {an}, [an, x = a.value()](const Tensor& g) {
+        Tensor dx(g.shape());
+        compute::Dispatch().gelu_bwd(x.data(), g.data(), dx.data(), g.numel());
+        AccumulateGrad(an, dx);
+      });
 }
 
 Variable GeluInPlace(Variable a) {
@@ -345,8 +349,7 @@ Variable Concat(const std::vector<Variable>& vars, int64_t axis) {
         for (size_t i = 0; i < parents.size(); ++i) {
           const int64_t w = widths[i];
           if (parents[i] && parents[i]->requires_grad) {
-            std::vector<int64_t> shape = parents[i]->value.shape();
-            Tensor dx(shape);
+            Tensor dx(parents[i]->shape);
             for (int64_t o = 0; o < outer; ++o) {
               const float* src = g.data() + (o * total + off2) * inner;
               std::copy(src, src + w * inner, dx.data() + o * w * inner);
@@ -362,50 +365,58 @@ Variable MatMul(const Variable& a, const Variable& b) {
   Tensor out = ops::MatMul(a.value(), b.value());
   auto an = a.node();
   auto bn = b.node();
-  return MakeOpVariable(std::move(out), {an, bn}, [an, bn](const Tensor& g) {
-    if (an && an->requires_grad)
-      AccumulateGrad(an, ops::MatMulTransB(g, bn->value));
-    if (bn && bn->requires_grad)
-      AccumulateGrad(bn, ops::MatMulTransA(an->value, g));
-  });
+  return MakeOpVariable(
+      std::move(out), {an, bn},
+      [an, bn, av = a.value(), bv = b.value()](const Tensor& g) {
+        if (an && an->requires_grad)
+          AccumulateGrad(an, ops::MatMulTransB(g, bv));
+        if (bn && bn->requires_grad)
+          AccumulateGrad(bn, ops::MatMulTransA(av, g));
+      });
 }
 
 Variable MatMulTransB(const Variable& a, const Variable& b) {
   Tensor out = ops::MatMulTransB(a.value(), b.value());
   auto an = a.node();
   auto bn = b.node();
-  return MakeOpVariable(std::move(out), {an, bn}, [an, bn](const Tensor& g) {
-    // y = a b^T: da = g b; db = g^T a.
-    if (an && an->requires_grad)
-      AccumulateGrad(an, ops::MatMul(g, bn->value));
-    if (bn && bn->requires_grad)
-      AccumulateGrad(bn, ops::MatMulTransA(g, an->value));
-  });
+  return MakeOpVariable(
+      std::move(out), {an, bn},
+      [an, bn, av = a.value(), bv = b.value()](const Tensor& g) {
+        // y = a b^T: da = g b; db = g^T a.
+        if (an && an->requires_grad)
+          AccumulateGrad(an, ops::MatMul(g, bv));
+        if (bn && bn->requires_grad)
+          AccumulateGrad(bn, ops::MatMulTransA(g, av));
+      });
 }
 
 Variable BatchMatMul(const Variable& a, const Variable& b) {
   Tensor out = ops::BatchMatMul(a.value(), b.value());
   auto an = a.node();
   auto bn = b.node();
-  return MakeOpVariable(std::move(out), {an, bn}, [an, bn](const Tensor& g) {
-    if (an && an->requires_grad)
-      AccumulateGrad(an, ops::BatchMatMulTransB(g, bn->value));
-    if (bn && bn->requires_grad)
-      AccumulateGrad(bn, ops::BatchMatMulTransA(an->value, g));
-  });
+  return MakeOpVariable(
+      std::move(out), {an, bn},
+      [an, bn, av = a.value(), bv = b.value()](const Tensor& g) {
+        if (an && an->requires_grad)
+          AccumulateGrad(an, ops::BatchMatMulTransB(g, bv));
+        if (bn && bn->requires_grad)
+          AccumulateGrad(bn, ops::BatchMatMulTransA(av, g));
+      });
 }
 
 Variable BatchMatMulTransB(const Variable& a, const Variable& b) {
   Tensor out = ops::BatchMatMulTransB(a.value(), b.value());
   auto an = a.node();
   auto bn = b.node();
-  return MakeOpVariable(std::move(out), {an, bn}, [an, bn](const Tensor& g) {
-    // y_i = a_i b_i^T: da_i = g_i b_i; db_i = g_i^T a_i.
-    if (an && an->requires_grad)
-      AccumulateGrad(an, ops::BatchMatMul(g, bn->value));
-    if (bn && bn->requires_grad)
-      AccumulateGrad(bn, ops::BatchMatMulTransA(g, an->value));
-  });
+  return MakeOpVariable(
+      std::move(out), {an, bn},
+      [an, bn, av = a.value(), bv = b.value()](const Tensor& g) {
+        // y_i = a_i b_i^T: da_i = g_i b_i; db_i = g_i^T a_i.
+        if (an && an->requires_grad)
+          AccumulateGrad(an, ops::BatchMatMul(g, bv));
+        if (bn && bn->requires_grad)
+          AccumulateGrad(bn, ops::BatchMatMulTransA(g, av));
+      });
 }
 
 Variable BroadcastMatMul(const Variable& w, const Variable& x) {
@@ -436,7 +447,7 @@ Variable BroadcastMatMul(const Variable& w, const Variable& x) {
   auto xn = x.node();
   return MakeOpVariable(
       std::move(out), {wn, xn},
-      [wn, xn, batch, m, k, n](const Tensor& g) {
+      [wn, xn, wv = wt, xv = xt, batch, m, k, n](const Tensor& g) {
         const auto& kt = compute::Dispatch();
         if (wn && wn->requires_grad) {
           // dw accumulates across batch items in index order (serial outer
@@ -447,15 +458,14 @@ Variable BroadcastMatMul(const Variable& w, const Variable& x) {
           for (int64_t i = 0; i < batch; ++i) {
             tmp.Zero();
             kt.matmul_trans_b(g.data() + i * m * n,
-                              xn->value.data() + i * k * n, tmp.data(), m, n,
-                              k);
+                              xv.data() + i * k * n, tmp.data(), m, n, k);
             ops::AddInPlace(&dw, tmp);
           }
           AccumulateGrad(wn, dw);
         }
         if (xn && xn->requires_grad) {
           Tensor dx({batch, k, n});
-          const float* pw = wn->value.data();
+          const float* pw = wv.data();
           const float* pg = g.data();
           float* pd = dx.data();
           ParallelFor(0, batch, GrainForWork(2 * m * k * n),
@@ -684,7 +694,8 @@ Variable LayerNorm(const Variable& x, const Variable& gamma,
   auto bn = beta.node();
   return MakeOpVariable(
       std::move(y), {xn, gn, bn},
-      [xn, gn, bn, xhat, inv_std, rows, d](const Tensor& g) {
+      [xn, gn, bn, gv = gamma.value(), xhat, inv_std, rows,
+       d](const Tensor& g) {
         const auto& kt = compute::Dispatch();
         if (gn && gn->requires_grad) {
           Tensor dgamma({d});
@@ -700,9 +711,9 @@ Variable LayerNorm(const Variable& x, const Variable& gamma,
           AccumulateGrad(bn, dbeta);
         }
         if (xn && xn->requires_grad) {
-          Tensor dx(xn->value.shape());
+          Tensor dx(xn->shape);
           kt.layer_norm_bwd(g.data(), xhat.data(), inv_std.data(),
-                            gn->value.data(), dx.data(), rows, d);
+                            gv.data(), dx.data(), rows, d);
           AccumulateGrad(xn, dx);
         }
       });
@@ -802,7 +813,7 @@ Variable HorizontalConv(const Variable& x, const Variable& w,
   auto bn = bias.node();
   return MakeOpVariable(
       std::move(out), {xn, wn, bn},
-      [xn, wn, bn, b, n, d, f, h, t](const Tensor& g) {
+      [xn, wn, bn, xv = xt, wv = wt, b, n, d, f, h, t](const Tensor& g) {
         const float* pg = g.data();
         if (bn && bn->requires_grad) {
           Tensor db({f});
@@ -814,7 +825,7 @@ Variable HorizontalConv(const Variable& x, const Variable& w,
         if (wn && wn->requires_grad) {
           Tensor dw({f, h, d});
           float* pd = dw.data();
-          const float* px2 = xn->value.data();
+          const float* px2 = xv.data();
           for (int64_t bi = 0; bi < b; ++bi)
             for (int64_t ti = 0; ti < t; ++ti)
               for (int64_t fi = 0; fi < f; ++fi) {
@@ -831,7 +842,7 @@ Variable HorizontalConv(const Variable& x, const Variable& w,
           // because every item accumulates into the shared filter grad.
           Tensor dx({b, n, d});
           float* pd = dx.data();
-          const float* pw2 = wn->value.data();
+          const float* pw2 = wv.data();
           ParallelFor(0, b, GrainForWork(2 * t * f * h * d),
                       [&](int64_t lo, int64_t hi) {
                         for (int64_t bi = lo; bi < hi; ++bi)

@@ -9,9 +9,9 @@ namespace autograd {
 
 void AccumulateGrad(const std::shared_ptr<Node>& node, const Tensor& g) {
   if (!node || !node->requires_grad) return;
-  SLIME_CHECK_MSG(g.shape() == node->value.shape(),
+  SLIME_CHECK_MSG(g.shape() == node->shape,
                   "gradient shape " << g.ShapeString() << " != value shape "
-                                    << node->value.ShapeString());
+                                    << ShapeToString(node->shape));
   if (!node->grad.defined()) {
     node->grad = g.Clone();
   } else {
@@ -19,26 +19,27 @@ void AccumulateGrad(const std::shared_ptr<Node>& node, const Tensor& g) {
   }
 }
 
-Variable::Variable(Tensor value, bool requires_grad) {
-  node_ = std::make_shared<Node>();
-  node_->value = std::move(value);
+Variable::Variable(Tensor value, bool requires_grad)
+    : value_(std::make_shared<Tensor>(std::move(value))),
+      node_(std::make_shared<Node>()) {
+  node_->shape = value_->shape();
   node_->requires_grad = requires_grad;
 }
 
 const Tensor& Variable::value() const {
   SLIME_CHECK(defined());
-  return node_->value;
+  return *value_;
 }
 
 Tensor& Variable::mutable_value() {
   SLIME_CHECK(defined());
-  return node_->value;
+  return *value_;
 }
 
 const Tensor& Variable::grad() const {
   SLIME_CHECK(defined());
   if (!node_->grad.defined()) {
-    node_->grad = Tensor::Zeros(node_->value.shape());
+    node_->grad = Tensor::Zeros(node_->shape);
   }
   return node_->grad;
 }
@@ -56,9 +57,9 @@ void Variable::ZeroGrad() {
 
 void Variable::Backward() const {
   SLIME_CHECK(defined());
-  SLIME_CHECK_MSG(node_->value.numel() == 1,
+  SLIME_CHECK_MSG(value_->numel() == 1,
                   "Backward() requires a scalar, got shape "
-                      << node_->value.ShapeString());
+                      << value_->ShapeString());
   // Iterative post-order DFS to get a topological order (children after all
   // of their ancestors' processing). Traversal is pruned at nodes that do
   // not require grad: nothing upstream of them can receive gradient.
@@ -98,7 +99,7 @@ void Variable::Backward() const {
   // gradient nothing reads it or its closure again, so both are released
   // here: saved activations and intermediate gradients die at last use
   // instead of when the whole graph does.
-  AccumulateGrad(node_, Tensor::Ones(node_->value.shape()));
+  AccumulateGrad(node_, Tensor::Ones(node_->shape));
   for (size_t i = topo.size(); i-- > 0;) {
     Node* n = topo[i];
     if (n->backward_fn && n->grad.defined()) {

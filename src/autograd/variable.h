@@ -10,21 +10,36 @@
 namespace slime {
 namespace autograd {
 
+/// Who owns a value. A Variable's value lives in one block shared by that
+/// Variable and its copies, and by nothing else: it is freed when the last
+/// copy goes. The graph is made of Nodes, and a Node holds no value, only
+/// gradient bookkeeping (shape, gradient, parents, closure); a child's
+/// `parents` keep the parent's Node, never its value. So an op output that
+/// no backward closure reads dies as soon as the forward code drops its last
+/// Variable, and one that a closure does read stays alive in that closure
+/// until Backward() runs the closure and releases it.
+///
+/// The op-author rule: a backward closure captures the Tensors it reads; it
+/// never reads a parent node's value (Node has none). A parent's shape is
+/// `Node::shape`.
+
 /// A node in the dynamically-built computation graph. Users interact with
 /// Variable (a shared handle); Node is exposed so operation implementations
 /// in ops.cc can build graphs.
 struct Node {
-  Tensor value;
-  /// Gradient of the final scalar loss w.r.t. `value`; lazily allocated by
+  /// Shape of the value, recorded when the Variable was made: gradients are
+  /// checked against it after the value itself may have been freed.
+  std::vector<int64_t> shape;
+  /// Gradient of the final scalar loss w.r.t. the value; lazily allocated by
   /// AccumulateGrad during the backward pass. Backward() releases it again
   /// on op outputs once it has been propagated; only leaves keep theirs.
   Tensor grad;
   bool requires_grad = false;
   /// Parents (operation inputs). Only set on op outputs.
   std::vector<std::shared_ptr<Node>> parents;
-  /// Propagates `grad` into the parents. Null on leaves, and reset on op
-  /// outputs by the Backward() that ran it (parents without a backward_fn
-  /// mark a consumed graph).
+  /// Propagates `grad` into the parents, reading only the Tensors it
+  /// captured. Null on leaves, and reset on op outputs by the Backward()
+  /// that ran it (parents without a backward_fn mark a consumed graph).
   std::function<void(const Tensor& grad_out)> backward_fn;
 };
 
@@ -45,11 +60,12 @@ class NoGradScope {
 };
 
 /// Adds `g` into `node->grad`, allocating zeros on first touch. No-op when
-/// the node does not require grad.
+/// the node does not require grad. `g` must have the node's recorded shape.
 void AccumulateGrad(const std::shared_ptr<Node>& node, const Tensor& g);
 
-/// A differentiable tensor: a shared handle to a graph Node. Copying a
-/// Variable aliases the node. Default-constructed Variables are undefined.
+/// A differentiable tensor: a shared handle to a value and its graph Node.
+/// Copying a Variable aliases both. Default-constructed Variables are
+/// undefined.
 class Variable {
  public:
   Variable() = default;
@@ -60,7 +76,8 @@ class Variable {
   bool defined() const { return node_ != nullptr; }
 
   const Tensor& value() const;
-  /// Mutable access for optimizers (in-place parameter updates).
+  /// Mutable access for optimizers (in-place parameter updates). A
+  /// reassignment must keep the shape the node recorded.
   Tensor& mutable_value();
 
   /// Gradient accumulated by the last Backward(); zeros-shaped if the
@@ -93,6 +110,7 @@ class Variable {
                                  std::vector<std::shared_ptr<Node>> parents,
                                  std::function<void(const Tensor&)> backward);
 
+  std::shared_ptr<Tensor> value_;
   std::shared_ptr<Node> node_;
 };
 
@@ -107,8 +125,9 @@ Variable MakeOpVariable(Tensor value,
 bool NoGradActive();
 
 /// Whether an op may write its result over `v`'s buffer: a NoGradScope is
-/// active on this thread, `v` is the only handle on its node, and no other
-/// Tensor shares its storage. Callers pass operands they give up (moved in)
+/// active on this thread, `v` is the only handle on its node (so also on
+/// its value: every copy of a Variable holds both), and no other Tensor
+/// shares its storage. Callers pass operands they give up (moved in)
 /// and never read them again.
 bool CanReuse(const Variable& v);
 

@@ -8,6 +8,7 @@
 
 #include "autograd/gradcheck.h"
 #include "autograd/variable.h"
+#include "fft/spectral_ops.h"
 #include "optim/adam.h"
 #include "tensor/tensor_ops.h"
 
@@ -344,14 +345,24 @@ TEST(AutogradTest, BackwardConsumesGraphButKeepsLeafGrads) {
   // y = sum((x w)^2): dx = 2 h w^T, dw = x^T 2h with h = x w.
   Variable x = RandParam({2, 3}, 47);
   Variable w = RandParam({3, 2}, 48);
-  Variable h = MatMul(x, w);
-  Variable y = Sum(Mul(h, h));
+  Tensor h;
+  Tensor sq;
+  std::shared_ptr<Node> hn;
+  Variable y;
+  {
+    Variable hv = MatMul(x, w);
+    Variable sqv = Mul(hv, hv);
+    h = hv.value();
+    sq = sqv.value();
+    hn = hv.node();
+    y = Sum(sqv);
+  }
   y.Backward();
   for (int64_t i = 0; i < 2; ++i) {
     for (int64_t k = 0; k < 3; ++k) {
       float dx = 0.0f;
       for (int64_t j = 0; j < 2; ++j) {
-        dx += 2.0f * h.value()[i * 2 + j] * w.value()[k * 2 + j];
+        dx += 2.0f * h[i * 2 + j] * w.value()[k * 2 + j];
       }
       EXPECT_NEAR(x.grad()[i * 3 + k], dx, 1e-5f);
     }
@@ -360,18 +371,21 @@ TEST(AutogradTest, BackwardConsumesGraphButKeepsLeafGrads) {
     for (int64_t j = 0; j < 2; ++j) {
       float dw = 0.0f;
       for (int64_t i = 0; i < 2; ++i) {
-        dw += x.value()[i * 3 + k] * 2.0f * h.value()[i * 2 + j];
+        dw += x.value()[i * 3 + k] * 2.0f * h[i * 2 + j];
       }
       EXPECT_NEAR(w.grad()[k * 2 + j], dw, 1e-5f);
     }
   }
-  // Op outputs gave up their gradient and closure once propagated; their
-  // values stay readable.
-  EXPECT_FALSE(h.has_grad());
+  // Op outputs gave up their gradient and closure once propagated.
+  EXPECT_FALSE(hn->grad.defined());
   EXPECT_FALSE(y.has_grad());
-  EXPECT_FALSE(h.node()->backward_fn);
+  EXPECT_FALSE(hn->backward_fn);
   EXPECT_FALSE(y.node()->backward_fn);
-  EXPECT_EQ(h.numel(), 4);
+  // With the loss still alive, no intermediate's storage survives: the
+  // square died with its Variable, h with the Mul closure that read it.
+  EXPECT_TRUE(h.UniqueStorage());
+  EXPECT_TRUE(sq.UniqueStorage());
+  EXPECT_EQ(hn->shape, (std::vector<int64_t>{2, 2}));
 }
 
 TEST(AutogradDeathTest, SecondBackwardOnConsumedGraphDies) {
@@ -384,6 +398,56 @@ TEST(AutogradDeathTest, SecondBackwardOnConsumedGraphDies) {
   MulScalar(h, 2.0f).Backward();
   Variable z = MulScalar(h, 5.0f);
   EXPECT_DEATH(z.Backward(), "already consumed");
+}
+
+TEST(GraphRetentionTest, OutputNoBackwardReadsDiesWithItsVariable) {
+  // Neither MulScalar's nor Irfft's backward reads its input, so the graph
+  // edge to that input keeps no value alive.
+  Variable x = RandParam({2, 4, 3}, 60);
+  Variable a = Add(x, x);
+  const Tensor added = a.value();
+  Variable y = MulScalar(a, 2.0f);
+  a = Variable();
+  EXPECT_TRUE(added.UniqueStorage());
+  fft::SpectralPair spectrum = fft::Rfft(y);
+  const Tensor re = spectrum.re.value();
+  const Tensor im = spectrum.im.value();
+  Variable loss = Sum(fft::Irfft(spectrum, 4));
+  spectrum = {};
+  y = Variable();
+  EXPECT_TRUE(re.UniqueStorage());
+  EXPECT_TRUE(im.UniqueStorage());
+  loss.Backward();
+  // irfft(rfft(y)) = y and y = 4x, so every element of dx is 4.
+  for (int64_t i = 0; i < x.numel(); ++i) EXPECT_NEAR(x.grad()[i], 4.0f, 1e-5f);
+}
+
+TEST(GraphRetentionTest, ValueABackwardReadsLivesUntilBackward) {
+  Variable x = RandParam({3, 4}, 61);
+  Variable w = RandParam({4, 2}, 62);
+  Variable h = MulScalar(x, 1.5f);
+  Variable a = MulScalar(x, 0.5f);
+  const Tensor gelu_in = h.value();
+  const Tensor matmul_a = a.value();
+  // Gelu's backward reads its input; MatMul's dW reads A.
+  Variable loss = Add(Sum(Gelu(h)), Sum(MatMul(a, w)));
+  h = Variable();
+  a = Variable();
+  EXPECT_FALSE(gelu_in.UniqueStorage());
+  EXPECT_FALSE(matmul_a.UniqueStorage());
+  loss.Backward();
+  EXPECT_TRUE(gelu_in.UniqueStorage());
+  EXPECT_TRUE(matmul_a.UniqueStorage());
+  EXPECT_TRUE(w.has_grad());
+}
+
+TEST(GraphRetentionDeathTest, WrongShapeGradientIntoReleasedOutputNamesBoth) {
+  Variable x = RandParam({2, 3}, 65);
+  std::shared_ptr<Node> hn = MulScalar(x, 2.0f).node();
+  // The Variable is gone, so is its value; the node's recorded shape is
+  // what the message reports.
+  EXPECT_DEATH(AccumulateGrad(hn, Tensor::Ones({3, 2})),
+               "gradient shape \\[3, 2\\] != value shape \\[2, 3\\]");
 }
 
 TEST(NoGradScopeTest, OpOutputsBuildNoGraph) {
