@@ -254,14 +254,6 @@ Variable Reshape(const Variable& a, std::vector<int64_t> shape) {
                         });
 }
 
-Variable TransposeLastTwo(const Variable& a) {
-  Tensor out = ops::TransposeLastTwo(a.value());
-  auto an = a.node();
-  return MakeOpVariable(std::move(out), {an}, [an](const Tensor& g) {
-    AccumulateGrad(an, ops::TransposeLastTwo(g));
-  });
-}
-
 Variable Slice(const Variable& a, int64_t axis, int64_t start, int64_t end) {
   const Tensor& x = a.value();
   const int64_t rank = x.dim();
@@ -549,49 +541,6 @@ Variable Softmax(const Variable& a) {
     const int64_t d = g.size(-1);
     compute::Dispatch().softmax_rows_bwd(ycopy.data(), g.data(), dx.data(),
                                          g.numel() / d, d);
-    AccumulateGrad(an, dx);
-  });
-}
-
-Variable LogSoftmax(const Variable& a) {
-  const Tensor& x = a.value();
-  Tensor y(x.shape());
-  const int64_t d = x.size(-1);
-  const int64_t rows = x.numel() / d;
-  const float* px = x.data();
-  float* py = y.data();
-  ParallelFor(0, rows, GrainForWork(4 * d), [&](int64_t lo, int64_t hi) {
-    for (int64_t r = lo; r < hi; ++r) {
-      const float* in = px + r * d;
-      float* out = py + r * d;
-      float mx = in[0];
-      for (int64_t i = 1; i < d; ++i) mx = std::max(mx, in[i]);
-      double z = 0.0;
-      for (int64_t i = 0; i < d; ++i) z += std::exp(in[i] - mx);
-      const float lz = mx + static_cast<float>(std::log(z));
-      for (int64_t i = 0; i < d; ++i) out[i] = in[i] - lz;
-    }
-  });
-  auto an = a.node();
-  Tensor ycopy = y;
-  return MakeOpVariable(std::move(y), {an}, [an, ycopy, d](const Tensor& g) {
-    // dx = g - softmax * rowsum(g).
-    Tensor dx(g.shape());
-    const int64_t rows2 = g.numel() / d;
-    const float* py2 = ycopy.data();
-    const float* pg = g.data();
-    float* pd = dx.data();
-    ParallelFor(0, rows2, GrainForWork(4 * d), [&](int64_t lo, int64_t hi) {
-      for (int64_t r = lo; r < hi; ++r) {
-        const float* yr = py2 + r * d;
-        const float* gr = pg + r * d;
-        float* dr = pd + r * d;
-        double s = 0.0;
-        for (int64_t i = 0; i < d; ++i) s += gr[i];
-        for (int64_t i = 0; i < d; ++i)
-          dr[i] = gr[i] - std::exp(yr[i]) * static_cast<float>(s);
-      }
-    });
     AccumulateGrad(an, dx);
   });
 }

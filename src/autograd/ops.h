@@ -50,7 +50,6 @@ Variable Sqrt(const Variable& a);
 /// A view: the output shares `a`'s storage (and its gradient reshapes the
 /// incoming one without a copy).
 Variable Reshape(const Variable& a, std::vector<int64_t> shape);
-Variable TransposeLastTwo(const Variable& a);
 /// Slice along `axis`: indices [start, end). Produces a copy.
 Variable Slice(const Variable& a, int64_t axis, int64_t start, int64_t end);
 /// Concatenates along `axis`.
@@ -80,8 +79,6 @@ Variable SumAxis(const Variable& a, int64_t axis, bool keepdim);
 // --- Neural-network primitives ---------------------------------------------------
 /// Softmax over the last dimension.
 Variable Softmax(const Variable& a);
-/// Log-softmax over the last dimension (numerically stable).
-Variable LogSoftmax(const Variable& a);
 
 /// Mean cross-entropy of row-wise logits against integer targets.
 /// `targets.size()` must equal the number of rows; rows whose target equals

@@ -315,8 +315,7 @@ void AdamStepKernel(float* w, float* m, float* v, const float* g, int64_t n,
       v[j] = b2 * v[j] + (1.0f - b2) * g[j] * g[j];
       const float mhat = m[j] / p.bias_corr1;
       const float vhat = v[j] / p.bias_corr2;
-      float update = mhat / (std::sqrt(vhat) + p.eps);
-      if (p.weight_decay > 0.0f) update += p.weight_decay * w[j];
+      const float update = mhat / (std::sqrt(vhat) + p.eps);
       w[j] -= p.lr * update;
     }
   });

@@ -105,7 +105,6 @@ struct AdamStepParams {
   float bias_corr2 = 1.0f;
   float lr = 1e-3f;
   float eps = 1e-8f;
-  float weight_decay = 0.0f;
 };
 
 /// One fused Adam update over n elements: moments m/v and weights w updated

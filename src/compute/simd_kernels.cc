@@ -292,8 +292,6 @@ SLIME_TARGET_AVX2 void AdamChunkSimd(float* w, float* m, float* v,
   const __m256 vbc2 = _mm256_set1_ps(p.bias_corr2);
   const __m256 veps = _mm256_set1_ps(p.eps);
   const __m256 vlr = _mm256_set1_ps(p.lr);
-  const __m256 vwd = _mm256_set1_ps(p.weight_decay);
-  const bool decay = p.weight_decay > 0.0f;
   int64_t j = lo;
   for (; j + 8 <= hi; j += 8) {
     const __m256 vg = _mm256_loadu_ps(g + j);
@@ -305,10 +303,9 @@ SLIME_TARGET_AVX2 void AdamChunkSimd(float* w, float* m, float* v,
     _mm256_storeu_ps(v + j, vv);
     const __m256 mhat = _mm256_div_ps(vm, vbc1);
     const __m256 vhat = _mm256_div_ps(vv, vbc2);
-    __m256 update =
+    const __m256 update =
         _mm256_div_ps(mhat, _mm256_add_ps(_mm256_sqrt_ps(vhat), veps));
     __m256 vw = _mm256_loadu_ps(w + j);
-    if (decay) update = _mm256_fmadd_ps(vwd, vw, update);
     vw = _mm256_fnmadd_ps(vlr, update, vw);
     _mm256_storeu_ps(w + j, vw);
   }
@@ -317,8 +314,7 @@ SLIME_TARGET_AVX2 void AdamChunkSimd(float* w, float* m, float* v,
     v[j] = p.beta2 * v[j] + (1.0f - p.beta2) * g[j] * g[j];
     const float mhat = m[j] / p.bias_corr1;
     const float vhat = v[j] / p.bias_corr2;
-    float update = mhat / (std::sqrt(vhat) + p.eps);
-    if (decay) update += p.weight_decay * w[j];
+    const float update = mhat / (std::sqrt(vhat) + p.eps);
     w[j] -= p.lr * update;
   }
 }

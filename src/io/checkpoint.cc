@@ -3,6 +3,9 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <set>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "io/serializer.h"
@@ -12,11 +15,12 @@ namespace slime {
 namespace io {
 namespace {
 
-constexpr std::string_view kMagicV1 = "SLM1";
 constexpr std::string_view kMagicV2 = "SLM2";
 
-/// Parses the shared entry layout (count + named tensors) of v1/v2 bodies
-/// into `module`, validating names and shapes against the live model.
+/// Parses the entry layout (count + named tensors) into `module`. Every
+/// entry is validated against the live model first (known and unrepeated
+/// name, equal shape, complete data); only then are the parameters written,
+/// so a rejected file leaves the model untouched.
 Status ParseBody(nn::Module* module, std::string_view body,
                  const std::string& path) {
   BinaryReader reader(body);
@@ -34,6 +38,10 @@ Status ParseBody(nn::Module* module, std::string_view body,
         "checkpoint has " + std::to_string(count) + " parameters, model has " +
         std::to_string(by_name.size()));
   }
+  // Each validated entry's parameter and its bytes within `body`.
+  std::vector<std::pair<Tensor*, std::string_view>> staged;
+  staged.reserve(count);
+  std::set<std::string> seen;
   for (uint64_t i = 0; i < count; ++i) {
     std::string name;
     if (!reader.GetString(&name, /*max_len=*/4096)) {
@@ -53,16 +61,25 @@ Status ParseBody(nn::Module* module, std::string_view body,
     if (it == by_name.end()) {
       return Status::InvalidArgument("model has no parameter '" + name + "'");
     }
+    if (!seen.insert(name).second) {
+      return Status::InvalidArgument("checkpoint lists parameter '" + name +
+                                     "' twice");
+    }
     Tensor& value = it->second->mutable_value();
     if (value.shape() != shape) {
       return Status::InvalidArgument(
           "shape mismatch for '" + name + "': checkpoint " +
           ShapeToString(shape) + " vs model " + value.ShapeString());
     }
-    if (!reader.GetRaw(value.data(),
-                       static_cast<size_t>(value.numel()) * sizeof(float))) {
+    std::string_view data;
+    if (!reader.GetView(static_cast<size_t>(value.numel()) * sizeof(float),
+                        &data)) {
       return Status::Corruption("truncated data for '" + name + "'");
     }
+    staged.emplace_back(&value, data);
+  }
+  for (const auto& [value, data] : staged) {
+    std::memcpy(value->data(), data.data(), data.size());
   }
   return Status::OK();
 }
@@ -84,15 +101,8 @@ Status SaveCheckpoint(const nn::Module& module, const std::string& path,
 
 Status LoadCheckpoint(nn::Module* module, const std::string& path, Env* env) {
   if (env == nullptr) env = Env::Default();
-  Result<std::string> file = env->ReadFile(path);
-  if (!file.ok()) return file.status();
-  const std::string& bytes = file.value();
-  if (bytes.size() >= 4 && std::string_view(bytes).substr(0, 4) == kMagicV1) {
-    // Legacy v1: entry layout with no CRC footer.
-    return ParseBody(module, std::string_view(bytes).substr(4), path);
-  }
-  // v2 (or corrupt/foreign): envelope verification reports truncation, bad
-  // magic and bit flips as Corruption before any parsing happens.
+  // Envelope verification reports truncation, a foreign magic and bit flips
+  // as Corruption before any parsing happens.
   Result<std::string> payload = ReadEnvelope(env, path, kMagicV2);
   if (!payload.ok()) return payload.status();
   return ParseBody(module, payload.value(), path);

@@ -68,6 +68,9 @@ class BinaryReader {
 
   bool GetRaw(void* dst, size_t n);
 
+  /// Reads the next `n` bytes as a view into the underlying data (no copy).
+  bool GetView(size_t n, std::string_view* v);
+
   size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
 

@@ -7,8 +7,15 @@
 
 namespace slime {
 namespace optim {
+namespace {
 
-double Optimizer::GradNorm() const {
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEps = 1e-8f;
+
+}  // namespace
+
+double Adam::GradNorm() const {
   double total = 0.0;
   for (const auto& p : params_) {
     if (!p.has_grad()) continue;
@@ -18,7 +25,7 @@ double Optimizer::GradNorm() const {
   return std::sqrt(total);
 }
 
-void Optimizer::ClipGradNorm(double max_norm, double total) {
+void Adam::ClipGradNorm(double max_norm, double total) {
   if (total <= max_norm || total == 0.0) return;
   const float scale = static_cast<float>(max_norm / total);
   for (auto& p : params_) {
@@ -32,7 +39,7 @@ Adam::Adam(std::vector<autograd::Variable> params)
     : Adam(std::move(params), Options()) {}
 
 Adam::Adam(std::vector<autograd::Variable> params, Options options)
-    : Optimizer(std::move(params)), options_(options) {
+    : params_(std::move(params)), options_(options) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const auto& p : params_) {
@@ -71,15 +78,12 @@ Status Adam::RestoreState(int64_t step_count, std::vector<Tensor> m,
 void Adam::Step() {
   ++t_;
   compute::AdamStepParams step;
-  step.beta1 = options_.beta1;
-  step.beta2 = options_.beta2;
-  step.bias_corr1 =
-      1.0f - std::pow(options_.beta1, static_cast<float>(t_));
-  step.bias_corr2 =
-      1.0f - std::pow(options_.beta2, static_cast<float>(t_));
+  step.beta1 = kBeta1;
+  step.beta2 = kBeta2;
+  step.bias_corr1 = 1.0f - std::pow(kBeta1, static_cast<float>(t_));
+  step.bias_corr2 = 1.0f - std::pow(kBeta2, static_cast<float>(t_));
   step.lr = options_.lr;
-  step.eps = options_.eps;
-  step.weight_decay = options_.weight_decay;
+  step.eps = kEps;
   const auto& kt = compute::Dispatch();
   for (size_t i = 0; i < params_.size(); ++i) {
     auto& p = params_[i];

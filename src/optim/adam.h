@@ -3,32 +3,48 @@
 
 #include <vector>
 
+#include "autograd/variable.h"
 #include "common/status.h"
-#include "optim/optimizer.h"
 #include "tensor/tensor.h"
 
 namespace slime {
 namespace optim {
 
-/// Adam (Kingma & Ba) with bias correction and optional decoupled weight
-/// decay. Defaults mirror the paper's training setup (lr 1e-3).
-class Adam : public Optimizer {
+/// Adam (Kingma & Ba) with bias correction over a fixed parameter list
+/// (beta1 0.9, beta2 0.999, eps 1e-8). Parameters are shared Variable
+/// handles; Step() reads their accumulated gradients, updates values in
+/// place and clears the gradients. The default lr mirrors the paper's
+/// training setup (1e-3).
+class Adam {
  public:
   struct Options {
     float lr = 1e-3f;
-    float beta1 = 0.9f;
-    float beta2 = 0.999f;
-    float eps = 1e-8f;
-    /// Decoupled (AdamW-style) weight decay; 0 disables.
-    float weight_decay = 0.0f;
   };
 
   Adam(std::vector<autograd::Variable> params, Options options);
   explicit Adam(std::vector<autograd::Variable> params);
 
-  void Step() override;
+  /// Applies one update from the current gradients and clears them.
+  void Step();
 
-  const Options& options() const { return options_; }
+  /// Clears all parameter gradients.
+  void ZeroGrad() {
+    for (auto& p : params_) p.ZeroGrad();
+  }
+
+  /// The global L2 norm over all parameter gradients (sqrt of the sum of
+  /// squared per-parameter norms). Telemetry reads this pre-clip.
+  double GradNorm() const;
+
+  /// Global-norm gradient clipping; a no-op if the norm is under
+  /// `max_norm`. Call before Step().
+  void ClipGradNorm(double max_norm) { ClipGradNorm(max_norm, GradNorm()); }
+
+  /// Same, with the norm precomputed by GradNorm() — callers that already
+  /// read the norm (the trainer, for telemetry) avoid a second pass.
+  void ClipGradNorm(double max_norm, double total_norm);
+
+  const std::vector<autograd::Variable>& params() const { return params_; }
   void set_lr(float lr) { options_.lr = lr; }
 
   /// Serialisable optimizer state, exposed so train-state snapshots can
@@ -45,6 +61,7 @@ class Adam : public Optimizer {
                       std::vector<Tensor> v);
 
  private:
+  std::vector<autograd::Variable> params_;
   Options options_;
   int64_t t_ = 0;
   std::vector<Tensor> m_;

@@ -492,25 +492,6 @@ Tensor SumAxis(const Tensor& a, int64_t axis, bool keepdim) {
   return out;
 }
 
-float MaxAll(const Tensor& a) {
-  SLIME_CHECK_GT(a.numel(), 0);
-  const float* p = a.data();
-  const int64_t n = a.numel();
-  // Max is associative and commutative, so chunked partials combined in
-  // index order equal the serial scan exactly.
-  const int64_t grain = kReductionGrain;
-  const int64_t chunks = (n + grain - 1) / grain;
-  std::vector<float> partials(chunks, p[0]);
-  ParallelFor(0, n, grain, [&](int64_t lo, int64_t hi) {
-    float m = p[lo];
-    for (int64_t i = lo + 1; i < hi; ++i) m = std::max(m, p[i]);
-    partials[lo / grain] = m;
-  });
-  float m = partials[0];
-  for (float v : partials) m = std::max(m, v);
-  return m;
-}
-
 double Dot(const Tensor& a, const Tensor& b) {
   SLIME_CHECK_EQ(a.numel(), b.numel());
   return Dispatch().dot(a.data(), b.data(), a.numel());

@@ -76,9 +76,6 @@ float SumAll(const Tensor& a);
 /// Sum along `axis` (negative ok); keepdim retains a size-1 extent.
 Tensor SumAxis(const Tensor& a, int64_t axis, bool keepdim);
 
-/// Max element value.
-float MaxAll(const Tensor& a);
-
 /// Dot product of two same-numel tensors (flattened).
 double Dot(const Tensor& a, const Tensor& b);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <utility>
 
 #include "io/checkpoint.h"
@@ -139,11 +140,16 @@ Result<TrainResult> Trainer::Fit(models::SequentialRecommender* model,
           "train state has " + std::to_string(s.params.size()) +
           " parameters, model has " + std::to_string(by_name.size()));
     }
+    std::set<std::string> seen;
     for (const auto& [name, tensor] : s.params) {
       const auto it = by_name.find(name);
       if (it == by_name.end()) {
         return Status::InvalidArgument("model has no parameter '" + name +
                                        "'");
+      }
+      if (!seen.insert(name).second) {
+        return Status::InvalidArgument("train state lists parameter '" +
+                                       name + "' twice");
       }
       if (it->second->value().shape() != tensor.shape()) {
         return Status::InvalidArgument(

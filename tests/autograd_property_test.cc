@@ -120,16 +120,6 @@ TEST(AutogradIdentityTest, SoftmaxRowsSumToOneAnyShape) {
   }
 }
 
-TEST(AutogradIdentityTest, LogSoftmaxIsLogOfSoftmax) {
-  Rng rng(8);
-  Variable x = Param(Tensor::Randn({4, 6}, &rng, 3.0f));
-  const Tensor soft = Softmax(x).value();
-  const Tensor log_soft = LogSoftmax(x).value();
-  for (int64_t i = 0; i < soft.numel(); ++i) {
-    EXPECT_NEAR(log_soft[i], std::log(soft[i]), 1e-4);
-  }
-}
-
 TEST(AutogradIdentityTest, SoftmaxInvariantToRowShift) {
   Rng rng(9);
   const Tensor x = Tensor::Randn({2, 5}, &rng);

@@ -6,9 +6,14 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/slime4rec.h"
 #include "data/batcher.h"
+#include "io/env.h"
+#include "io/serializer.h"
 #include "models/model_factory.h"
 #include "nn/linear.h"
 
@@ -171,46 +176,92 @@ TEST(CheckpointTest, TrailingGarbageIsCorruption) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointTest, LegacySlm1FileStillLoads) {
-  // Files written before the CRC footer (magic "SLM1", same entry layout,
-  // no checksum) must keep loading: users have old checkpoints on disk.
-  const std::string path = TempPath("ckpt_legacy.bin");
+/// The entry layout SaveCheckpoint writes, for hand-built files.
+std::string EntryPayload(
+    const std::vector<std::pair<std::string, Tensor>>& entries) {
+  BinaryWriter writer;
+  writer.PutU64(entries.size());
+  for (const auto& [name, value] : entries) {
+    writer.PutString(name);
+    writer.PutTensor(value);
+  }
+  return writer.buffer();
+}
+
+std::vector<std::pair<std::string, Tensor>> Entries(const nn::Module& m) {
+  std::vector<std::pair<std::string, Tensor>> entries;
+  for (const auto& [name, variable] : m.NamedParameters()) {
+    entries.emplace_back(name, variable.value());
+  }
+  return entries;
+}
+
+/// Deep copies of every parameter value, to compare bytes after a load.
+std::vector<Tensor> Snapshot(const nn::Module& m) {
+  std::vector<Tensor> values;
+  for (const auto& variable : m.Parameters()) {
+    values.push_back(variable.value().Clone());
+  }
+  return values;
+}
+
+void ExpectUnchanged(const nn::Module& m, const std::vector<Tensor>& before) {
+  const auto params = m.NamedParameters();
+  ASSERT_EQ(params.size(), before.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    const Tensor& now = params[i].second.value();
+    ASSERT_EQ(now.numel(), before[i].numel()) << params[i].first;
+    EXPECT_EQ(std::memcmp(now.data(), before[i].data(),
+                          static_cast<size_t>(now.numel()) * sizeof(float)),
+              0)
+        << params[i].first;
+  }
+}
+
+/// Loads a CRC-valid file that fails validation into a model whose
+/// weights differ from the file's; the load must fail with `code` and
+/// leave every parameter byte-identical.
+void ExpectRejectedUntouched(const std::string& path, Status::Code code) {
   core::Slime4RecConfig config = SmallConfig();
-  core::Slime4Rec model(config);
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write("SLM1", 4);
-    const auto params = model.NamedParameters();
-    const uint64_t count = params.size();
-    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-    for (const auto& [name, variable] : params) {
-      const Tensor& value = variable.value();
-      const auto name_len = static_cast<uint32_t>(name.size());
-      out.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-      out.write(name.data(), static_cast<std::streamsize>(name.size()));
-      const auto rank = static_cast<uint32_t>(value.dim());
-      out.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
-      for (int64_t d : value.shape()) {
-        out.write(reinterpret_cast<const char*>(&d), sizeof(d));
-      }
-      out.write(reinterpret_cast<const char*>(value.data()),
-                static_cast<std::streamsize>(value.numel() * sizeof(float)));
-    }
-    ASSERT_TRUE(static_cast<bool>(out));
-  }
-  config.seed = 1234;  // different init, must be fully overwritten
+  config.seed = 1234;
   core::Slime4Rec fresh(config);
-  ASSERT_TRUE(LoadCheckpoint(&fresh, path).ok());
-  const auto p1 = model.NamedParameters();
-  const auto p2 = fresh.NamedParameters();
-  ASSERT_EQ(p1.size(), p2.size());
-  for (size_t i = 0; i < p1.size(); ++i) {
-    for (int64_t j = 0; j < p1[i].second.numel(); ++j) {
-      ASSERT_FLOAT_EQ(p1[i].second.value()[j], p2[i].second.value()[j])
-          << p1[i].first;
-    }
-  }
+  const std::vector<Tensor> before = Snapshot(fresh);
+  const Status st = LoadCheckpoint(&fresh, path);
+  EXPECT_EQ(st.code(), code) << st.ToString();
+  ExpectUnchanged(fresh, before);
   std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, Slm1FileIsRejectedAsCorruption) {
+  // The pre-CRC format: magic "SLM1", the same entry layout, no footer.
+  const std::string path = TempPath("ckpt_legacy.bin");
+  core::Slime4Rec model(SmallConfig());
+  WriteAll(path, "SLM1" + EntryPayload(Entries(model)));
+  ExpectRejectedUntouched(path, Status::Code::kCorruption);
+}
+
+TEST(CheckpointTest, RepeatedNameIsRejectedAndModelUntouched) {
+  // The first entry written twice in place of the last: the count matches
+  // the model, but the last parameter is never mentioned.
+  const std::string path = TempPath("ckpt_repeated.bin");
+  core::Slime4Rec model(SmallConfig());
+  auto entries = Entries(model);
+  entries.back() = entries.front();
+  ASSERT_TRUE(
+      WriteEnvelope(Env::Default(), path, "SLM2", EntryPayload(entries))
+          .ok());
+  ExpectRejectedUntouched(path, Status::Code::kInvalidArgument);
+}
+
+TEST(CheckpointTest, ShapeMismatchInLastEntryLeavesEarlierEntriesUntouched) {
+  const std::string path = TempPath("ckpt_last_shape.bin");
+  core::Slime4Rec model(SmallConfig());
+  auto entries = Entries(model);
+  entries.back().second = Tensor::Zeros({entries.back().second.numel() + 1});
+  ASSERT_TRUE(
+      WriteEnvelope(Env::Default(), path, "SLM2", EntryPayload(entries))
+          .ok());
+  ExpectRejectedUntouched(path, Status::Code::kInvalidArgument);
 }
 
 TEST(CheckpointTest, NewFilesCarryV2MagicAndNoTempResidue) {

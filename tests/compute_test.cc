@@ -505,7 +505,6 @@ TEST(KernelsTest, AdamStepMatchesScalarReference) {
   p.lr = 0.01f;
   p.bias_corr1 = 0.5f;
   p.bias_corr2 = 0.25f;
-  p.weight_decay = 0.1f;
   ComputeContext ctx(4);
   AdamStepKernel(w.data(), m.data(), v.data(), g.data(), n, p);
   for (int64_t i = 0; i < n; ++i) {
@@ -513,8 +512,7 @@ TEST(KernelsTest, AdamStepMatchesScalarReference) {
     vr[i] = p.beta2 * vr[i] + (1.0f - p.beta2) * g[i] * g[i];
     const float mhat = mr[i] / p.bias_corr1;
     const float vhat = vr[i] / p.bias_corr2;
-    float update = mhat / (std::sqrt(vhat) + p.eps);
-    update += p.weight_decay * wr[i];
+    const float update = mhat / (std::sqrt(vhat) + p.eps);
     wr[i] -= p.lr * update;
     EXPECT_NEAR(w[i], wr[i], 1e-6f) << i;
     EXPECT_NEAR(m[i], mr[i], 1e-7f) << i;

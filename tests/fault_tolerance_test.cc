@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -347,6 +348,36 @@ TEST(KillAndResumeTest, SnapshotIOErrorsSurfaceFromFit) {
       train::Trainer(tc).Fit(model.get(), split);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kIOError);
+}
+
+TEST(KillAndResumeTest, RepeatedParameterNameFailsResume) {
+  // A CRC-valid snapshot naming one parameter twice (and so never naming
+  // another) must be rejected, not resumed with the unnamed one stale.
+  const data::SplitDataset split = TinySplit();
+  const std::string dir = ::testing::TempDir() + "/ft_repeated_name";
+  std::filesystem::create_directories(dir);
+  train::TrainConfig tc = FtTrainConfig(1);
+  tc.checkpoint_dir = dir;
+  {
+    auto model = models::CreateModel("SASRec", TinyModelConfig(split));
+    ASSERT_TRUE(train::Trainer(tc).Fit(model.get(), split).ok());
+  }
+  train::TrainState state =
+      train::LoadTrainState(train::SnapshotPath(dir)).value();
+  ASSERT_GE(state.params.size(), 2u);
+  state.params.back().first = state.params.front().first;
+  state.params.back().second = state.params.front().second.Clone();
+  const std::string path = dir + "/repeated_name.slt";
+  ASSERT_TRUE(train::SaveTrainState(state, path).ok());
+
+  auto model = models::CreateModel("SASRec", TinyModelConfig(split));
+  train::TrainConfig resume = FtTrainConfig(2);
+  resume.resume_from = path;
+  const Result<train::TrainResult> r =
+      train::Trainer(resume).Fit(model.get(), split);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument);
+  std::filesystem::remove_all(dir);
 }
 
 // --- Divergence rollback --------------------------------------------------

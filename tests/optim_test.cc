@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 
 #include "autograd/ops.h"
 #include "optim/adam.h"
-#include "optim/sgd.h"
 #include "tensor/tensor_ops.h"
 
 namespace slime {
@@ -53,43 +51,6 @@ TEST(AdamTest, FirstStepMagnitudeIsLr) {
   autograd::MulScalar(x, 1000.0f).Backward();
   adam.Step();
   EXPECT_NEAR(x.value()[0], 100.0f - 0.01f, 1e-4);
-}
-
-TEST(AdamTest, WeightDecayShrinksParameters) {
-  Variable x = Param(Tensor::Full({1}, 1.0f));
-  Adam adam({x}, {.lr = 0.1f, .weight_decay = 1.0f});
-  // Zero loss gradient: only decay acts.
-  autograd::MulScalar(x, 0.0f).Backward();
-  adam.Step();
-  EXPECT_LT(x.value()[0], 1.0f);
-}
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  Rng rng(2);
-  Variable x = Param(Tensor::Randn({4}, &rng, 2.0f));
-  const Tensor target = Tensor::Randn({4}, &rng);
-  Sgd sgd({x}, {.lr = 0.05f});
-  for (int step = 0; step < 300; ++step) {
-    Quadratic(x, target).Backward();
-    sgd.Step();
-  }
-  for (int64_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(x.value()[i], target[i], 1e-2);
-  }
-}
-
-TEST(SgdTest, MomentumAcceleratesDescent) {
-  auto run = [](float momentum) {
-    Variable x = Param(Tensor::Full({1}, 10.0f));
-    const Tensor target = Tensor::Zeros({1});
-    Sgd sgd({x}, {.lr = 0.01f, .momentum = momentum});
-    for (int step = 0; step < 30; ++step) {
-      Quadratic(x, target).Backward();
-      sgd.Step();
-    }
-    return std::abs(x.value()[0]);
-  };
-  EXPECT_LT(run(0.9f), run(0.0f));
 }
 
 TEST(ClipGradNormTest, LargeGradientsAreScaled) {
