@@ -395,6 +395,7 @@ std::vector<Measurement> BenchServeBatch(
   c.num_layers = 2;
   c.seed = 11;
   auto model = models::CreateModel("SLIME4Rec", c);
+  model->SetTraining(false);
   serving::RecommendationService service(model.get());
   serving::RecommendOptions options;
   options.top_k = 10;

@@ -59,7 +59,6 @@ train::TrainConfig DefaultTrainConfig() {
   t.batch_size = 128;
   t.lr = 1e-3f;
   t.patience = 3;
-  t.max_prefixes_per_user = 4;
   t.grad_clip_norm = 5.0;
   t.seed = 97;
   return t;

@@ -11,10 +11,6 @@ namespace core {
 
 Slime4Rec::Slime4Rec(const Slime4RecConfig& config)
     : models::SequentialRecommender(config), slime_config_(config) {
-  SLIME_CHECK_MSG(!config.per_position_loss,
-                  "the filter mixer is non-causal: a per-position loss "
-                  "would leak each label into its own input (see "
-                  "ModelConfig::per_position_loss)");
   const int64_t d = config.hidden_dim;
   const int64_t n = config.max_len;
   item_emb_ = RegisterModule(

@@ -9,6 +9,12 @@ namespace slime {
 namespace data {
 namespace {
 
+/// Fraction of noise drawn from the emitting track's own category
+/// (confusable noise: wrong item, plausible content) instead of uniformly
+/// over the catalogue. Real interaction noise is mostly in-interest:
+/// accidental clicks land on related items.
+constexpr double kCategoryNoiseFraction = 0.7;
+
 /// Contiguous item-id range [first, last] of one category (1-based ids).
 struct CategoryRange {
   int64_t first = 0;
@@ -121,7 +127,7 @@ InteractionDataset GenerateSynthetic(const SyntheticConfig& config) {
       const auto& range = categories[chosen->category];
       int64_t emitted = chosen->current_item;
       if (rng.Bernoulli(config.noise_prob)) {
-        if (rng.Bernoulli(config.category_noise_fraction)) {
+        if (rng.Bernoulli(kCategoryNoiseFraction)) {
           // Confusable noise: a random item of the same category.
           emitted = rng.UniformInt(range.first, range.last);
         } else {

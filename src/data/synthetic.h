@@ -21,9 +21,10 @@ namespace data {
 /// category). Tracks with small periods are the user's high-frequency
 /// behaviours (clothes-like), large periods the low-frequency ones
 /// (electronics-like). A fraction `noise_prob` of emissions is replaced by
-/// a uniformly random item. Users belong to preference clusters that share
-/// category subsets, giving contrastive methods semantically similar
-/// sequences across users.
+/// a noise item: 70% of them a random item of the track's own category,
+/// the rest uniform over the catalogue. Users belong to preference
+/// clusters that share category subsets, giving contrastive methods
+/// semantically similar sequences across users.
 struct SyntheticConfig {
   std::string name = "synthetic";
   int64_t num_users = 1000;
@@ -43,11 +44,6 @@ struct SyntheticConfig {
   int64_t max_len = 15;
   /// Probability an emitted item is replaced by a noise item.
   double noise_prob = 0.15;
-  /// Fraction of noise drawn from the emitting track's own category
-  /// (confusable noise: wrong item, plausible content) instead of
-  /// uniformly over the catalogue. Real interaction noise is mostly
-  /// in-interest: accidental clicks land on related items.
-  double category_noise_fraction = 0.7;
   /// Probability a track follows its category successor chain instead of
   /// jumping to a Zipf-popular category item.
   double markov_strength = 0.8;

@@ -147,7 +147,6 @@ size_t FaultInjectionEnv::TornPrefix(size_t size) const {
 }
 
 Result<std::string> FaultInjectionEnv::ReadFile(const std::string& path) {
-  ++reads_seen_;
   if (!ShouldFire(OpKind::kRead)) {
     return base_->ReadFile(path);
   }
@@ -178,7 +177,6 @@ Result<std::string> FaultInjectionEnv::ReadFile(const std::string& path) {
 
 Status FaultInjectionEnv::WriteFile(const std::string& path,
                                     std::string_view contents) {
-  ++writes_seen_;
   if (!ShouldFire(OpKind::kWrite)) {
     return base_->WriteFile(path, contents);
   }
@@ -211,7 +209,6 @@ Status FaultInjectionEnv::WriteFile(const std::string& path,
 
 Status FaultInjectionEnv::AppendFile(const std::string& path,
                                      std::string_view contents) {
-  ++appends_seen_;
   if (!ShouldFire(OpKind::kWrite)) {
     return base_->AppendFile(path, contents);
   }
@@ -255,7 +252,6 @@ Status FaultInjectionEnv::SyncFile(const std::string& path) {
 
 Status FaultInjectionEnv::RenameFile(const std::string& from,
                                      const std::string& to) {
-  ++renames_seen_;
   if (!ShouldFire(OpKind::kRename)) {
     return base_->RenameFile(from, to);
   }

@@ -122,15 +122,6 @@ class FaultInjectionEnv : public Env {
   /// offset in a WAL record or snapshot.
   void set_torn_tail_bytes(int64_t n) { torn_tail_bytes_ = n; }
 
-  /// Mutating operations (writes + appends + renames) observed since
-  /// construction.
-  int64_t mutating_ops() const {
-    return writes_seen_ + appends_seen_ + renames_seen_;
-  }
-  /// ReadFile calls observed since construction.
-  int64_t reads_seen() const { return reads_seen_; }
-  /// AppendFile calls observed since construction.
-  int64_t appends_seen() const { return appends_seen_; }
   /// SyncFile calls observed since construction.
   int64_t syncs_seen() const { return syncs_seen_; }
 
@@ -156,10 +147,6 @@ class FaultInjectionEnv : public Env {
   Fault fault_ = Fault::kNone;
   int64_t fire_at_ = 0;  // remaining matching ops before firing
   int64_t torn_tail_bytes_ = -1;
-  int64_t reads_seen_ = 0;
-  int64_t writes_seen_ = 0;
-  int64_t appends_seen_ = 0;
-  int64_t renames_seen_ = 0;
   int64_t syncs_seen_ = 0;
 };
 

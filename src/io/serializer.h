@@ -34,7 +34,6 @@ class BinaryWriter {
   void PutRaw(const void* data, size_t n);
 
   const std::string& buffer() const { return buffer_; }
-  std::string&& TakeBuffer() { return std::move(buffer_); }
 
  private:
   template <typename T>

@@ -22,6 +22,7 @@ class BprMf : public SequentialRecommender {
   autograd::Variable Loss(const data::Batch& batch) override;
   Tensor ScoreAll(const data::Batch& batch) override;
   std::string name() const override { return "BPR-MF"; }
+  bool needs_user_ids() const override { return true; }
 
  private:
   std::shared_ptr<nn::Embedding> user_emb_;

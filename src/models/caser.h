@@ -25,6 +25,7 @@ class Caser : public SequentialRecommender {
   autograd::Variable Loss(const data::Batch& batch) override;
   Tensor ScoreAll(const data::Batch& batch) override;
   std::string name() const override { return "Caser"; }
+  bool needs_user_ids() const override { return true; }
 
  private:
   autograd::Variable EncodeLast(const data::Batch& batch);

@@ -7,9 +7,6 @@ namespace slime {
 namespace models {
 
 FmlpRec::FmlpRec(const ModelConfig& config) : SequentialRecommender(config) {
-  SLIME_CHECK_MSG(!config.per_position_loss,
-                  "FMLP-Rec's global filter is non-causal; per-position "
-                  "training would leak labels");
   const int64_t d = config.hidden_dim;
   const int64_t n = config.max_len;
   item_emb_ = RegisterModule(

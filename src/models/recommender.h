@@ -1,7 +1,6 @@
 #ifndef SLIME4REC_MODELS_RECOMMENDER_H_
 #define SLIME4REC_MODELS_RECOMMENDER_H_
 
-#include <atomic>
 #include <string>
 
 #include "autograd/variable.h"
@@ -25,22 +24,18 @@ struct ModelConfig {
   /// Contrastive-learning strength lambda (Eq. 36) and InfoNCE temperature.
   float cl_weight = 0.1f;
   float cl_temperature = 0.5f;
-  /// Train with cross-entropy at every sequence position (SASRec's
-  /// original sequence-to-sequence objective) instead of the last position
-  /// only. Only valid for causal encoders: the filter mixer (and FMLP) mix
-  /// the whole sequence in the frequency domain, so a per-position loss
-  /// would leak each label into its own input representation.
-  bool per_position_loss = false;
   uint64_t seed = 7;
 };
 
 /// Common interface of the eleven models in Table II. Training code builds
-/// batches, calls Loss() (which constructs an autograd graph using the
-/// model's internal RNG for dropout/augmentation), backpropagates, and
-/// steps an optimizer over Parameters(). Evaluation and serving call
-/// ScoreAll() in eval mode inside an autograd::NoGradScope, so scoring
-/// builds no graph; implementations need not (and do not) manage that
-/// themselves.
+/// batches, calls Loss() in training mode (which constructs an autograd
+/// graph using the model's internal RNG for dropout/augmentation),
+/// backpropagates, and steps an optimizer over Parameters(). Evaluation and
+/// serving call ScoreAll() in eval mode inside an autograd::NoGradScope, so
+/// scoring builds no graph; implementations need not (and do not) manage
+/// that themselves. Evaluation switches the mode around its own pass;
+/// serving requires a model already in eval mode and never writes it (see
+/// serving::RecommendationService).
 class SequentialRecommender : public nn::Module {
  public:
   explicit SequentialRecommender(const ModelConfig& config)
@@ -65,42 +60,17 @@ class SequentialRecommender : public nn::Module {
   /// whether the batcher must materialise positives.
   virtual bool needs_positives() const { return false; }
 
+  /// Whether ScoreAll() reads batch.user_ids (a learned user embedding, as
+  /// in BPR-MF and Caser). Such a model cannot score a bare history, so
+  /// serving, which has nothing but the history, rejects it.
+  virtual bool needs_user_ids() const { return false; }
+
   const ModelConfig& config() const { return config_; }
   Rng* rng() { return &rng_; }
-
-  /// Concurrent-use detector (see ModelUseGuard). Models are stateful
-  /// during both training (autograd graphs, RNG draws) and inference
-  /// (SetTraining toggles, RNG for augmentation-based models; scoring
-  /// itself builds no graph, but it still reads that state), so no two
-  /// guarded activities may overlap on one instance — in particular a
-  /// RecommendationService call racing a Trainer::Fit on the same model.
-  /// Best-effort: two activities starting in the same instant may both
-  /// pass, but any sustained overlap (the realistic bug) is caught. Two
-  /// cheap atomic ops per guarded call, so it stays on in release builds,
-  /// matching the SLIME_CHECK philosophy.
-  std::atomic<const char*>& active_use() { return active_use_; }
 
  protected:
   ModelConfig config_;
   Rng rng_;
-
- private:
-  std::atomic<const char*> active_use_{nullptr};
-};
-
-/// RAII scope marking a model as exclusively in use for `what` ("training",
-/// "serving"); aborts via SLIME_CHECK if the model is already inside
-/// another guarded scope. Taken by Trainer::Fit around the whole run and by
-/// RecommendationService around each model interaction.
-class ModelUseGuard {
- public:
-  ModelUseGuard(SequentialRecommender* model, const char* what);
-  ~ModelUseGuard();
-  ModelUseGuard(const ModelUseGuard&) = delete;
-  ModelUseGuard& operator=(const ModelUseGuard&) = delete;
-
- private:
-  SequentialRecommender* model_;
 };
 
 }  // namespace models

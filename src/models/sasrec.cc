@@ -79,32 +79,7 @@ autograd::Variable SasRec::PredictLogits(const autograd::Variable& h) const {
   return autograd::MatMulTransB(h, item_emb_->weight());
 }
 
-autograd::Variable SasRec::PerPositionLoss(const data::Batch& batch) {
-  using autograd::Reshape;
-  const int64_t n = config_.max_len;
-  // Position t predicts the item at t+1; the final position predicts the
-  // held-out target. Padding positions contribute nothing.
-  constexpr int64_t kIgnore = -100;
-  std::vector<int64_t> labels(batch.size * n, kIgnore);
-  for (int64_t i = 0; i < batch.size; ++i) {
-    for (int64_t t = 0; t + 1 < n; ++t) {
-      // Supervise only positions with real context: a padding position
-      // "predicting" the first real item has nothing to condition on.
-      if (batch.input_ids[i * n + t] == 0) continue;
-      const int64_t next = batch.input_ids[i * n + t + 1];
-      if (next != 0) labels[i * n + t] = next;
-    }
-    labels[i * n + n - 1] = batch.targets[i];
-  }
-  autograd::Variable h = Encode(batch.input_ids, batch.size);
-  autograd::Variable logits = autograd::MatMulTransB(
-      Reshape(h, {batch.size * n, config_.hidden_dim}),
-      item_emb_->weight());
-  return autograd::CrossEntropy(logits, labels, kIgnore);
-}
-
 autograd::Variable SasRec::Loss(const data::Batch& batch) {
-  if (config_.per_position_loss) return PerPositionLoss(batch);
   autograd::Variable h = EncodeLast(batch.input_ids, batch.size);
   return autograd::CrossEntropy(PredictLogits(h), batch.targets);
 }

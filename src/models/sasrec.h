@@ -38,10 +38,6 @@ class SasRec : public SequentialRecommender {
   /// Tied-embedding logits (B, num_items + 1).
   autograd::Variable PredictLogits(const autograd::Variable& h) const;
 
-  /// Cross-entropy over every valid position of the batch (the original
-  /// SASRec objective); used when config.per_position_loss is set.
-  autograd::Variable PerPositionLoss(const data::Batch& batch);
-
  protected:
   /// Additive key-padding mask (B, N): 0 for real items, -1e9 for pads.
   Tensor PaddingMask(const std::vector<int64_t>& input_ids,

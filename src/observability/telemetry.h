@@ -38,7 +38,7 @@ struct EpochRecord {
   std::string model;
   int64_t epoch = 0;
   double loss = 0.0;      // mean train loss over the epoch's batches
-  double lr = 0.0;        // effective rate after warmup/decay/rollbacks
+  double lr = 0.0;        // rate used: the base rate, halved per rollback
   double grad_norm = 0.0; // max pre-clip global grad norm (0 if clipping off)
   int64_t batches = 0;
   metrics::RankingMetrics valid;  // validation pass after the epoch

@@ -41,9 +41,6 @@ std::vector<Recommendation> PopularityFallback::Recommend(
       if (item >= 1 && item <= n) excluded[item] = true;
     }
   }
-  for (int64_t item : options.exclude_items) {
-    if (item >= 1 && item <= n) excluded[item] = true;
-  }
   return TopKFromScores(scores_.data(), n, std::max<int64_t>(0, options.top_k),
                         excluded);
 }

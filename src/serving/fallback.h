@@ -36,10 +36,9 @@ class PopularityFallback {
     return scores_.empty() ? 0 : static_cast<int64_t>(scores_.size()) - 1;
   }
 
-  /// Ranked top-K by popularity, honouring exclude_seen / exclude_items
-  /// exactly like the model path. History entries outside the catalogue are
-  /// ignored rather than rejected: the fallback is the tier that must not
-  /// fail.
+  /// Ranked top-K by popularity, honouring exclude_seen exactly like the
+  /// model path. History entries outside the catalogue are ignored rather
+  /// than rejected: the fallback is the tier that must not fail.
   std::vector<Recommendation> Recommend(const std::vector<int64_t>& history,
                                         const RecommendOptions& options) const;
 

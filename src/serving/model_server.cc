@@ -15,6 +15,10 @@ namespace {
 /// Top-K used for canary validation during Start/Reload.
 constexpr int64_t kCanaryTopK = 5;
 
+/// Consecutive fully-served (all users at the full-model tier) requests
+/// needed to leave kDegraded.
+constexpr int64_t kRecoveryFullResponses = 8;
+
 /// Releases one admission slot on scope exit.
 class AdmissionRelease {
  public:
@@ -70,7 +74,6 @@ ModelServer::ModelServer(const ModelServerOptions& options,
       admission_(options.admission, clock_) {
   SLIME_CHECK_GT(options_.default_deadline_nanos, 0);
   SLIME_CHECK_GE(options_.min_model_budget_nanos, 0);
-  SLIME_CHECK_GE(options_.recovery_full_responses, 1);
   // Metrics: publish into the caller's registry when provided (which may
   // be a NoopRegistry to disable instrumentation), else into a private
   // enabled registry so stats() is always live.
@@ -121,6 +124,10 @@ std::shared_ptr<models::SequentialRecommender> ModelServer::ModelSnapshot(
 
 Status ModelServer::ValidateCanaries(
     models::SequentialRecommender* candidate) {
+  // The one mode switch serving makes: a candidate enters eval mode before
+  // its first pass and is never written again once installed, so live
+  // passes only read it.
+  candidate->SetTraining(false);
   RecommendationService service(candidate);
   RecommendOptions options;
   options.top_k = kCanaryTopK;
@@ -256,7 +263,7 @@ void ModelServer::UpdateHealthAfterServe(bool all_full_tier) {
   }
   if (all_full_tier) {
     if (state_ == HealthState::kDegraded &&
-        ++consecutive_full_ >= options_.recovery_full_responses) {
+        ++consecutive_full_ >= kRecoveryFullResponses) {
       state_ = HealthState::kServing;
       consecutive_full_ = 0;
     }
@@ -506,8 +513,7 @@ Result<ServeResponse> ModelServer::ServeSession(uint64_t user_id,
     if (it != session_cache_.end() && it->second.version == version &&
         it->second.generation == live_generation &&
         it->second.top_k == request.options.top_k &&
-        it->second.exclude_seen == request.options.exclude_seen &&
-        request.options.exclude_items.empty()) {
+        it->second.exclude_seen == request.options.exclude_seen) {
       session_hits_.Increment();
       return it->second.response;
     }
@@ -522,7 +528,10 @@ Result<ServeResponse> ModelServer::ServeSession(uint64_t user_id,
   live.history = std::move(history);
   Result<ServeResponse> response = Serve(live);
   if (!response.ok()) return response;
-  if (request.options.exclude_items.empty()) {
+  // Only the model's own answer is worth reusing: a fallback ranking was a
+  // deadline's stopgap, and caching it would serve popularity to this user
+  // until their next append or a reload.
+  if (response.value().tier == ServeTier::kFullModel) {
     SessionCacheEntry entry;
     entry.version = version;
     entry.generation = response.value().generation;

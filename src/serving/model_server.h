@@ -54,9 +54,6 @@ struct ModelServerOptions {
   /// request folds the budget it declined into the EWMA as a censored
   /// sample, so one stall cannot lock the model tier out for good.
   int64_t min_model_budget_nanos = kNanosPerMilli;
-  /// Consecutive fully-served (all users at the full-model tier) requests
-  /// needed to leave kDegraded.
-  int64_t recovery_full_responses = 8;
   /// Metrics registry the server publishes its counters/gauges/histograms
   /// into (names under "serving."). nullptr: the server owns a private
   /// enabled registry, so stats() always works. Pass an obs::NoopRegistry
@@ -159,9 +156,12 @@ struct ServerStats {
 ///    kDegraded/kDraining and the ServerStats counters.
 ///
 /// Concurrency: Serve/ServeBatch may be called from any number of threads.
-/// Model inference is serialised by an internal mutex (the model object is
-/// stateful during a forward pass); parallelism *within* a request comes
-/// from the compute pool, which is where CPU time goes anyway, and the
+/// A model is put into eval mode once, before its canaries, and is never
+/// written after it is installed. Model inference is still serialised by
+/// an internal mutex: it bounds each server to one forward pass of work
+/// and activation memory at a time (saturating callers would otherwise
+/// run passes side by side). Parallelism *within* a request comes from
+/// the compute pool, which is where CPU time goes anyway, and the
 /// admission in-flight cap bounds the queue behind the mutex. With a
 /// FakeClock every outcome — tiers, shed decisions, counters, rankings —
 /// is bit-identical at any compute thread count.
@@ -190,8 +190,10 @@ class ModelServer {
   /// false, or DeadlineExceeded).
   void set_fallback(PopularityFallback fallback);
 
-  /// Validates `model` against the canary set and goes kServing. On
-  /// canary failure the server stays kStarting and keeps no model.
+  /// Puts `model` into eval mode, validates it against the canary set and
+  /// goes kServing. On canary failure the server stays kStarting and keeps
+  /// no model. A model that scores by user id (BPR-MF, Caser) fails every
+  /// canary, since serving has only histories.
   Status Start(std::unique_ptr<models::SequentialRecommender> model);
 
   /// factory() + LoadCheckpoint + Start, the usual boot path.
@@ -220,11 +222,12 @@ class ModelServer {
                                        const std::vector<int64_t>& items);
 
   /// Serves a session request: like Serve, but the history is the user's
-  /// live state from the store (request.history is ignored). Responses are
-  /// cached per user and reused while (user state version, model
-  /// generation, ranking options) all match — the cached-inference
-  /// stand-in that AppendEvent invalidates. Unknown users fail with a
-  /// typed NotFound (append first).
+  /// live state from the store (request.history is ignored). Full-model
+  /// responses are cached per user and reused while (user state version,
+  /// model generation, ranking options) all match — the cached-inference
+  /// stand-in that AppendEvent invalidates. A popularity-fallback response
+  /// is never cached, so the next call tries the model again. Unknown
+  /// users fail with a typed NotFound (append first).
   Result<ServeResponse> ServeSession(uint64_t user_id,
                                      const ServeRequest& request);
 
@@ -287,7 +290,7 @@ class ModelServer {
   std::shared_ptr<models::SequentialRecommender> model_;
   int64_t generation_ = 0;
 
-  std::mutex infer_mu_;   // serialises forward passes (live + canary)
+  std::mutex infer_mu_;   // one forward pass at a time (live + canary)
   std::mutex reload_mu_;  // one Start/Reload at a time
 
   mutable std::mutex state_mu_;  // health state + recovery hysteresis

@@ -50,6 +50,11 @@ std::vector<Recommendation> TopKFromScores(
 Status RecommendationService::Validate(
     const std::vector<std::vector<int64_t>>& histories,
     const RecommendOptions& options) const {
+  if (model_->needs_user_ids()) {
+    return Status::InvalidArgument(
+        model_->name() +
+        " scores by user id and cannot rank a bare history");
+  }
   if (options.top_k <= 0) {
     return Status::InvalidArgument("top_k must be positive, got " +
                                    std::to_string(options.top_k));
@@ -95,6 +100,8 @@ RecommendationService::RecommendBatch(
 Result<PartialBatch> RecommendationService::RecommendBatchCancellable(
     const std::vector<std::vector<int64_t>>& histories,
     const RecommendOptions& options, const CancelFn& cancelled) const {
+  SLIME_CHECK_MSG(!model_->training(),
+                  "serving needs a model in eval mode; is it still training?");
   SLIME_RETURN_IF_ERROR(Validate(histories, options));
   PartialBatch out;
   if (histories.empty()) return out;  // an empty batch is a no-op
@@ -108,8 +115,8 @@ Result<PartialBatch> RecommendationService::RecommendBatchCancellable(
   batch.size = static_cast<int64_t>(histories.size());
   batch.max_len = n;
   for (const auto& history : histories) {
-    batch.user_ids.push_back(0);   // models that use user ids need real ones;
-    batch.targets.push_back(1);    // placeholder, unused by ScoreAll
+    batch.user_ids.push_back(0);  // unread: Validate refused user-keyed models
+    batch.targets.push_back(1);   // placeholder, unused by ScoreAll
     batch.raw_prefixes.push_back(history);
     const std::vector<int64_t> padded = data::PadTruncate(history, n);
     batch.input_ids.insert(batch.input_ids.end(), padded.begin(),
@@ -126,16 +133,10 @@ Result<PartialBatch> RecommendationService::RecommendBatchCancellable(
     return out;
   }
 
-  // Exclusive-use scope: catches a concurrent Trainer::Fit (or a second
-  // un-serialised service call) on the same model while we run inference.
-  models::ModelUseGuard use(model_, "serving");
-  const bool was_training = model_->training();
-  model_->SetTraining(false);
   // Serving reads values only: no graph, so each activation is freed as
   // soon as the next layer has consumed it.
   autograd::NoGradScope no_grad;
   const Tensor scores = model_->ScoreAll(batch);
-  model_->SetTraining(was_training);
   SLIME_CHECK_EQ(scores.size(0), batch.size);
   SLIME_CHECK_EQ(scores.size(1), num_items + 1);
 
@@ -159,9 +160,6 @@ Result<PartialBatch> RecommendationService::RecommendBatchCancellable(
           std::vector<bool> excluded(num_items + 1, false);
           if (options.exclude_seen) {
             for (int64_t item : histories[i]) excluded[item] = true;
-          }
-          for (int64_t item : options.exclude_items) {
-            if (item >= 1 && item <= num_items) excluded[item] = true;
           }
           out.lists[i] = TopKFromScores(scores.data() + i * (num_items + 1),
                                         num_items, options.top_k, excluded);

@@ -24,8 +24,6 @@ struct RecommendOptions {
   /// serving default; evaluation benches do NOT filter, matching the
   /// paper's protocol).
   bool exclude_seen = true;
-  /// Optional explicit blocklist (e.g. out-of-stock items).
-  std::vector<int64_t> exclude_items;
 };
 
 /// Cooperative cancellation predicate: returns true once the caller wants
@@ -47,17 +45,23 @@ struct PartialBatch {
 
 /// Serving wrapper over any trained SequentialRecommender: takes raw user
 /// histories, handles padding/truncation and batching, and returns ranked
-/// top-K lists. The service switches the model to eval mode for the
-/// duration of each call and restores the previous mode afterwards, and
-/// scores inside an autograd::NoGradScope: serving builds no autograd
-/// graph, so activations are freed layer by layer and rankings are
-/// bit-identical to a graph-building ScoreAll on the same model.
+/// top-K lists. It scores inside an autograd::NoGradScope: serving builds
+/// no autograd graph, so activations are freed layer by layer and rankings
+/// are bit-identical to a graph-building ScoreAll on the same model.
+///
+/// The model must be in eval mode (`SetTraining(false)`) before the first
+/// call, and the service never changes it. Every call SLIME_CHECKs the
+/// mode, so serving a model that is in the middle of Trainer::Fit (which
+/// trains in training mode) fails loudly instead of ranking with dropout
+/// on.
 ///
 /// Requests are untrusted input: malformed histories (item ids outside
 /// [1, num_items], empty histories) and non-positive top_k are rejected
 /// with Status::InvalidArgument rather than crossing into the model, where
-/// an out-of-range id would index out of bounds. An empty batch is valid
-/// and yields an empty result.
+/// an out-of-range id would index out of bounds. A model that scores by
+/// user id (needs_user_ids()) is rejected the same way, since a request
+/// carries only a history. An empty batch is valid and yields an empty
+/// result.
 ///
 /// Thread-safety contract (the fan-out inside RecommendBatch uses the
 /// compute pool, but that changes nothing for callers):
@@ -66,12 +70,9 @@ struct PartialBatch {
 ///    deterministic work split of compute::ParallelFor, so results are
 ///    bit-identical at any thread count.
 ///  - Calls on the same underlying model must be *externally* serialised:
-///    the model object is stateful during inference (training-mode toggle,
-///    RNG), so two concurrent calls — or a call racing Trainer::Fit — are
-///    data races. A models::ModelUseGuard taken around each call turns a
-///    sustained violation into an immediate SLIME_CHECK failure instead of
-///    silent corruption. ModelServer provides the serialisation (and
-///    admission control) for concurrent callers.
+///    SequentialRecommender::ScoreAll makes no promise of re-entrancy.
+///    ModelServer's `infer_mu_` serialises the forward passes (and its
+///    admission control bounds the queue) for concurrent callers.
 ///
 /// The model pointer is non-owning; the caller keeps it alive across calls.
 class RecommendationService {

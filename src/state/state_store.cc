@@ -109,9 +109,6 @@ StateStore::StateStore(const StateStoreOptions& options)
 Result<std::unique_ptr<StateStore>> StateStore::Open(
     const StateStoreOptions& options) {
   SLIME_RETURN_IF_ERROR(EnsureDir(options.dir));
-  if (options.sync == SyncMode::kGroup && options.group_commit_every < 1) {
-    return Status::InvalidArgument("group_commit_every must be >= 1");
-  }
   std::unique_ptr<StateStore> store(new StateStore(options));
   std::lock_guard<std::mutex> lock(store->mu_);
   SLIME_RETURN_IF_ERROR(store->RecoverLocked());
@@ -140,12 +137,9 @@ void StateStore::ApplyLocked(uint64_t user_id, const int64_t* items,
   user.items_total += static_cast<uint64_t>(n);
   user.crc = ExtendItemDigest(user.crc, items, n);
   user.items.insert(user.items.end(), items, items + n);
-  if (options_.max_history_per_user > 0 &&
-      static_cast<int64_t>(user.items.size()) >
-          options_.max_history_per_user) {
+  if (static_cast<int64_t>(user.items.size()) > kMaxHistoryPerUser) {
     const size_t drop =
-        user.items.size() -
-        static_cast<size_t>(options_.max_history_per_user);
+        user.items.size() - static_cast<size_t>(kMaxHistoryPerUser);
     user.items.erase(user.items.begin(),
                      user.items.begin() + static_cast<int64_t>(drop));
   }
@@ -384,7 +378,7 @@ Result<AppendAck> StateStore::Append(uint64_t user_id,
   bool durable = false;
   if (options_.sync == SyncMode::kAlways ||
       (options_.sync == SyncMode::kGroup &&
-       unsynced_records_ >= options_.group_commit_every)) {
+       unsynced_records_ >= kGroupCommitEvery)) {
     obs::TraceSpan span(trace, "sync");
     Status st = SyncLocked();
     if (!st.ok()) {

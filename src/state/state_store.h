@@ -23,7 +23,7 @@ enum class SyncMode {
   /// Sync barrier after every append: an OK Append survives a kill.
   kAlways,
   /// Group commit: appends buffer and the barrier runs every
-  /// `group_commit_every` records (or at an explicit Sync()/Compact()).
+  /// kGroupCommitEvery records (or at an explicit Sync()/Compact()).
   /// Amortises fsync cost; an unsynced tail can be lost to a kill, and the
   /// ack says so (`AppendAck::durable == false`).
   kGroup,
@@ -35,21 +35,22 @@ enum class SyncMode {
 Result<SyncMode> ParseSyncMode(const std::string& name);
 const char* SyncModeName(SyncMode mode);
 
+/// Group-commit width for SyncMode::kGroup.
+inline constexpr int64_t kGroupCommitEvery = 8;
+/// Per-user history cap: oldest events beyond it are dropped on apply.
+/// Keeps memory and snapshot size bounded under unbounded streams; the
+/// slide-filter model only ever reads a bounded window anyway.
+inline constexpr int64_t kMaxHistoryPerUser = 4096;
+
 struct StateStoreOptions {
   /// Directory holding the store's two files, created if missing:
   /// `<dir>/state.wal` and `<dir>/state.snapshot`.
   std::string dir;
   SyncMode sync = SyncMode::kGroup;
-  /// Group-commit width for SyncMode::kGroup.
-  int64_t group_commit_every = 8;
   /// Compact (snapshot + WAL truncate) automatically once the WAL holds
   /// this many records; 0 disables auto-compaction (explicit Compact()
   /// only).
   int64_t snapshot_every_records = 1024;
-  /// Per-user history cap: oldest events beyond it are dropped on apply.
-  /// Keeps memory and snapshot size bounded under unbounded streams; the
-  /// slide-filter model only ever reads a bounded window anyway.
-  int64_t max_history_per_user = 4096;
   io::Env* env = nullptr;                  // nullptr = Env::Default()
   obs::MetricsRegistry* metrics = nullptr;  // nullptr = no metrics
   obs::Tracer* tracer = nullptr;            // nullptr = no spans

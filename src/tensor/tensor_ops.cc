@@ -228,11 +228,6 @@ void AddInPlace(Tensor* out, const Tensor& a) {
   BinaryOpInto(*out, a, [](float x, float y) { return x + y; }, out);
 }
 
-void AxpyInPlace(Tensor* out, const Tensor& a, float scale) {
-  SLIME_CHECK(out->SameShape(a));
-  Dispatch().axpy(out->data(), a.data(), scale, out->numel());
-}
-
 void ScaleInPlace(Tensor* out, float scale) {
   Dispatch().scale(out->data(), scale, out->numel());
 }

@@ -33,9 +33,6 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, float (*f)(float, float));
 /// shape (e.g. a bias).
 void AddInPlace(Tensor* out, const Tensor& a);
 
-/// out += a * scale (shapes must match exactly).
-void AxpyInPlace(Tensor* out, const Tensor& a, float scale);
-
 /// out *= scale.
 void ScaleInPlace(Tensor* out, float scale);
 

@@ -27,17 +27,9 @@ struct TrainConfig {
   int64_t max_epochs = 40;
   int64_t batch_size = 128;
   float lr = 1e-3f;
-  /// Linear warmup over the first `warmup_epochs` epochs (0 disables).
-  int64_t warmup_epochs = 0;
-  /// Multiplies the learning rate by this factor every epoch after warmup
-  /// (1.0 disables decay).
-  float lr_decay = 1.0f;
   /// Stop after this many epochs without validation NDCG@10 improvement;
   /// the best-validation parameters are restored before the test pass.
   int64_t patience = 4;
-  /// Cap on (prefix -> next) training instances per user (most recent
-  /// kept); 0 = all.
-  int64_t max_prefixes_per_user = 4;
   double grad_clip_norm = 5.0;
   bool verbose = false;
   uint64_t seed = 97;

@@ -72,10 +72,6 @@ std::vector<std::vector<int64_t>> ExportCanarySet(
 
 Result<TrainResult> Trainer::Fit(models::SequentialRecommender* model,
                                  const data::SplitDataset& split) {
-  // Exclusive-use scope for the whole run: a serving call racing this
-  // training loop on the same model is a data race, caught here instead of
-  // corrupting parameters mid-epoch.
-  models::ModelUseGuard use(model, "training");
   io::Env* env = config_.env != nullptr ? config_.env : io::Env::Default();
   serving::Clock* clock =
       config_.clock != nullptr ? config_.clock : serving::Clock::Default();
@@ -205,20 +201,8 @@ Result<TrainResult> Trainer::Fit(models::SequentialRecommender* model,
 
   for (int64_t epoch = start_epoch; epoch <= config_.max_epochs; ++epoch) {
     const int64_t epoch_start_nanos = clock->NowNanos();
-    // Per-epoch learning-rate schedule: linear warmup then exponential
-    // decay, on top of the (rollback-halvable) base rate.
-    float lr = base_lr;
-    if (config_.warmup_epochs > 0 && epoch <= config_.warmup_epochs) {
-      lr *= static_cast<float>(epoch) /
-            static_cast<float>(config_.warmup_epochs);
-    } else if (config_.lr_decay != 1.0f) {
-      const int64_t decay_epochs =
-          epoch - std::max<int64_t>(config_.warmup_epochs, 0) - 1;
-      if (decay_epochs > 0) {
-        lr *= std::pow(config_.lr_decay, static_cast<float>(decay_epochs));
-      }
-    }
-    optimizer.set_lr(lr);
+    // The rate is constant except that each divergence rollback halves it.
+    optimizer.set_lr(base_lr);
     model->SetTraining(true);
     double loss_sum = 0.0;
     int64_t loss_count = 0;
@@ -283,7 +267,7 @@ Result<TrainResult> Trainer::Fit(models::SequentialRecommender* model,
       record.model = model->name();
       record.epoch = epoch;
       record.loss = result.final_train_loss;
-      record.lr = lr;
+      record.lr = base_lr;
       record.grad_norm = max_grad_norm;
       record.batches = loss_count;
       record.valid = valid;

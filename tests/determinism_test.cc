@@ -86,6 +86,7 @@ RunOutputs TrainAndServe(int threads, bool with_metrics = false) {
   for (const auto& p : model->Parameters()) {
     out.params.push_back(p.value().ToVector());
   }
+  model->SetTraining(false);
   serving::RecommendationService service(model.get());
   serving::RecommendOptions options;
   options.top_k = 10;
@@ -481,12 +482,12 @@ TEST(NoGradDeterminismTest, ServedRankingsEqualGraphBuildingScoreAll) {
       compute::ComputeContext ctx(threads);
       const std::string label = backend + " threads=" + std::to_string(threads);
       auto model = models::CreateModel("SLIME4Rec", TinyModelConfig(split));
+      model->SetTraining(false);
       const auto served = serving::RecommendationService(model.get())
                               .RecommendBatch(histories, options)
                               .value();
       // Twin: the same batch scored outside any scope, graph and all.
       const int64_t num_items = model->config().num_items;
-      model->SetTraining(false);
       const Tensor scores =
           model->ScoreAll(BatchOf(histories, model->config().max_len));
       ASSERT_EQ(served.size(), histories.size());

@@ -339,7 +339,6 @@ TEST(ModelServerLadderTest, DeadlineDropsToFallbackThenRecovers) {
   obs::Tracer tracer(&clock);
   ModelServerOptions options;
   options.default_deadline_nanos = 50 * kNanosPerMilli;
-  options.recovery_full_responses = 2;
   options.tracer = &tracer;
   ModelServer server(options, nullptr, &clock);
   server.set_fallback(PopularityFallback::FromCounts(
@@ -381,14 +380,14 @@ TEST(ModelServerLadderTest, DeadlineDropsToFallbackThenRecovers) {
   EXPECT_TRUE(LastTraceAnnotates(tracer, "forward.full", "skipped", "budget"));
   EXPECT_EQ(server.health(), HealthState::kDegraded);
 
-  // Requests 3-4: a generous budget clears the estimate gate, the model is
-  // fast again, and two consecutive full-tier responses restore kServing.
+  // Requests 3-10: a generous budget clears the estimate gate, the model is
+  // fast again, and eight consecutive full-tier responses restore kServing.
   request.deadline_nanos = 400 * kNanosPerMilli;
-  const auto third = server.Serve(request).value();
-  EXPECT_EQ(third.tier, ServeTier::kFullModel);
-  EXPECT_EQ(server.health(), HealthState::kDegraded);  // 1 of 2 needed
-  const auto fourth = server.Serve(request).value();
-  EXPECT_EQ(fourth.tier, ServeTier::kFullModel);
+  for (int i = 1; i < 8; ++i) {
+    EXPECT_EQ(server.Serve(request).value().tier, ServeTier::kFullModel);
+    EXPECT_EQ(server.health(), HealthState::kDegraded) << i << " of 8 needed";
+  }
+  EXPECT_EQ(server.Serve(request).value().tier, ServeTier::kFullModel);
   EXPECT_EQ(server.health(), HealthState::kServing);
   // The estimate decays (3/4 old + 1/4 new) as fast passes accumulate.
   EXPECT_LT(server.stats().full_cost_estimate_nanos, 100 * kNanosPerMilli);
@@ -475,7 +474,6 @@ TEST(ModelServerLadderTest, ShedBurstDegradesThenRecovers) {
   ModelServerOptions options;
   options.admission.tokens_per_second = 1.0;
   options.admission.burst = 1.0;
-  options.recovery_full_responses = 1;
   ModelServer server(options, nullptr, &clock);
   ASSERT_TRUE(
       server.Start(std::make_unique<ScriptedModel>(TinyConfig(), 0.0f)).ok());
@@ -492,10 +490,15 @@ TEST(ModelServerLadderTest, ShedBurstDegradesThenRecovers) {
   EXPECT_EQ(server.health(), HealthState::kDegraded);
   EXPECT_EQ(server.stats().shed, 1);
 
-  clock.Advance(kNanosPerSecond);  // bucket refills
-  const auto recovered = server.Serve(request).value();
-  EXPECT_EQ(recovered.tier, ServeTier::kFullModel);
-  EXPECT_EQ(server.health(), HealthState::kServing);
+  // One token a second: eight admitted full-tier responses in a row
+  // restore kServing.
+  for (int i = 1; i <= 8; ++i) {
+    clock.Advance(kNanosPerSecond);  // bucket refills
+    EXPECT_EQ(server.Serve(request).value().tier, ServeTier::kFullModel);
+    EXPECT_EQ(server.health(),
+              i < 8 ? HealthState::kDegraded : HealthState::kServing)
+        << i;
+  }
 }
 
 // --- Validated hot reload ------------------------------------------------
@@ -600,13 +603,30 @@ TEST(ModelServerReloadTest, ReloadBeforeStartIsRejected) {
   EXPECT_EQ(status.code(), Status::Code::kInvalidArgument);
 }
 
-// --- Concurrent-use guard ------------------------------------------------
+// --- Eval-mode contract --------------------------------------------------
 
-TEST(ModelUseGuardDeathTest, CatchesServingDuringTraining) {
+TEST(EvalModeDeathTest, ServingAModelInTrainingModeFails) {
+  // A freshly built model, like one inside Trainer::Fit, is in training
+  // mode: serving it would rank with dropout on.
   ScriptedModel model(TinyConfig(), 0.0f);
-  models::ModelUseGuard guard(&model, "training");
+  ASSERT_TRUE(model.training());
   RecommendationService service(&model);
-  EXPECT_DEATH((void)service.Recommend({1, 2}), "concurrent model use");
+  EXPECT_DEATH((void)service.Recommend({1, 2}), "eval mode");
+
+  // The server puts its model into eval mode once, at Start. A trainer
+  // switching the live model back to training mode makes the next
+  // request fail loudly.
+  ModelServer server(ModelServerOptions{});
+  auto owned = std::make_unique<ScriptedModel>(TinyConfig(), 0.0f);
+  ScriptedModel* live = owned.get();
+  ASSERT_TRUE(server.Start(std::move(owned)).ok());
+  EXPECT_FALSE(live->training());
+  ServeRequest request;
+  request.history = {1, 2};
+  request.options = Top3Unfiltered();
+  ASSERT_TRUE(server.Serve(request).ok());
+  live->SetTraining(true);
+  EXPECT_DEATH((void)server.Serve(request), "eval mode");
 }
 
 // --- Determinism ---------------------------------------------------------
@@ -623,7 +643,6 @@ std::string RunScenario(int threads, const std::string& reload_path) {
   obs::Tracer tracer(&clock);
   ModelServerOptions options;
   options.default_deadline_nanos = 50 * kNanosPerMilli;
-  options.recovery_full_responses = 2;
   options.metrics = &registry;
   options.tracer = &tracer;
   ModelServer server(options, TinyFactory(), &clock);
@@ -976,7 +995,6 @@ TEST(ModelServerHealthTest, FlappingStaysDegradedThroughHysteresisWindow) {
   FakeClock clock;
   ModelServerOptions options;
   options.default_deadline_nanos = 50 * kNanosPerMilli;
-  options.recovery_full_responses = 4;  // the hysteresis window
   ModelServer server(options, nullptr, &clock);
   server.set_fallback(PopularityFallback::FromCounts(
       {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
@@ -1008,15 +1026,70 @@ TEST(ModelServerHealthTest, FlappingStaysDegradedThroughHysteresisWindow) {
   EXPECT_EQ(server.Serve(tight).value().tier,
             ServeTier::kPopularityFallback);
   EXPECT_EQ(server.health(), HealthState::kDegraded);
-  // Recovery: kServing only after the full hysteresis window of
+  // Recovery: kServing only after the full hysteresis window of eight
   // consecutive full-tier responses, never sooner.
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 7; ++i) {
     EXPECT_EQ(server.Serve(roomy).value().tier, ServeTier::kFullModel)
         << "request " << i;
     EXPECT_EQ(server.health(), HealthState::kDegraded) << "request " << i;
   }
   EXPECT_EQ(server.Serve(roomy).value().tier, ServeTier::kFullModel);
   EXPECT_EQ(server.health(), HealthState::kServing);
+}
+
+// --- Session cache -------------------------------------------------------
+
+TEST(ModelServerSessionTest, FallbackAnswerIsNotCached) {
+  FakeClock clock;
+  ModelServerOptions options;
+  options.default_deadline_nanos = 50 * kNanosPerMilli;
+  ModelServer server(options, nullptr, &clock);
+  // Popularity reversed against the scripted scores, so the two tiers
+  // rank differently: fallback {1, 2, 3}, model {10, 9, 8}.
+  server.set_fallback(PopularityFallback::FromCounts(
+      {0, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1}));
+  auto model = std::make_unique<ScriptedModel>(
+      TinyConfig(), 0.0f, &clock,
+      std::vector<int64_t>{100 * kNanosPerMilli, 0});
+  const ScriptedModel* scripted = model.get();
+  ASSERT_TRUE(server.Start(std::move(model)).ok());
+
+  state::StateStoreOptions store_options;
+  store_options.dir = TempPath("ms_session_fallback");
+  store_options.sync = state::SyncMode::kAlways;
+  for (const char* file : {"/state.wal", "/state.snapshot"}) {
+    (void)io::Env::Default()->RemoveFile(store_options.dir + file);
+  }
+  Result<std::unique_ptr<state::StateStore>> store =
+      state::StateStore::Open(store_options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  server.AttachStateStore(std::move(store.value()));
+  ASSERT_TRUE(server.AppendEvent(7, {4, 5, 6}).ok());
+  const int64_t version = server.state_store()->UserVersion(7);
+
+  // The slow first pass blows the 50 ms deadline: the fallback answers.
+  ServeRequest request;
+  request.options = Top3Unfiltered();
+  const ServeResponse first = server.ServeSession(7, request).value();
+  EXPECT_EQ(first.tier, ServeTier::kPopularityFallback);
+  EXPECT_EQ(Items(first.items), (std::vector<int64_t>{1, 2, 3}));
+
+  // With a budget that covers the pass, the model answers again, though
+  // the user's state has not changed since the fallback answer.
+  request.deadline_nanos = 400 * kNanosPerMilli;
+  const ServeResponse second = server.ServeSession(7, request).value();
+  EXPECT_EQ(second.tier, ServeTier::kFullModel);
+  EXPECT_EQ(Items(second.items), (std::vector<int64_t>{10, 9, 8}));
+  EXPECT_EQ(server.state_store()->UserVersion(7), version);
+  EXPECT_EQ(server.state_store()->History(7),
+            (std::vector<int64_t>{4, 5, 6}));
+
+  // The full-model answer is cached: the next call runs no pass.
+  const int64_t calls = scripted->calls();
+  const ServeResponse third = server.ServeSession(7, request).value();
+  EXPECT_EQ(third.tier, ServeTier::kFullModel);
+  EXPECT_EQ(Items(third.items), (std::vector<int64_t>{10, 9, 8}));
+  EXPECT_EQ(scripted->calls(), calls);
 }
 
 }  // namespace

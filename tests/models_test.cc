@@ -206,60 +206,6 @@ namespace slime {
 namespace models {
 namespace {
 
-TEST(PerPositionLossTest, SasRecTrainsWithSeq2SeqObjective) {
-  ModelConfig c = SmallConfig();
-  c.per_position_loss = true;
-  c.dropout = 0.0f;
-  c.emb_dropout = 0.0f;
-  SasRec model(c);
-  optim::Adam adam(model.Parameters(), {.lr = 0.02f});
-  const data::Batch b = SmallBatch();
-  const float initial = model.Loss(b).value()[0];
-  for (int step = 0; step < 12; ++step) {
-    autograd::Variable loss = model.Loss(b);
-    loss.Backward();
-    adam.Step();
-  }
-  EXPECT_LT(model.Loss(b).value()[0], initial);
-}
-
-TEST(PerPositionLossTest, MatchesLastPositionWhenOnlyOneValidLabel) {
-  // A length-1 history: the only supervised position is the last one, so
-  // both objectives coincide.
-  ModelConfig c = SmallConfig();
-  c.dropout = 0.0f;
-  c.emb_dropout = 0.0f;
-  ModelConfig c2 = c;
-  c2.per_position_loss = true;
-  SasRec last(c);
-  SasRec per(c2);
-  data::Batch b;
-  b.size = 1;
-  b.max_len = c.max_len;
-  b.user_ids = {0};
-  b.targets = {5};
-  b.raw_prefixes = {{3}};
-  b.input_ids = data::PadTruncate({3}, c.max_len);
-  last.SetTraining(false);
-  per.SetTraining(false);
-  EXPECT_NEAR(last.Loss(b).value()[0], per.Loss(b).value()[0], 1e-5);
-}
-
-TEST(PerPositionLossTest, FrequencyModelsRejectIt) {
-  ModelConfig c = SmallConfig();
-  c.per_position_loss = true;
-  EXPECT_DEATH(CreateModel("FMLP-Rec", c), "non-causal");
-  EXPECT_DEATH(CreateModel("SLIME4Rec", c), "non-causal");
-}
-
-}  // namespace
-}  // namespace models
-}  // namespace slime
-
-namespace slime {
-namespace models {
-namespace {
-
 TEST(MostPopTest, ScoresAreTrainingFrequencies) {
   data::InteractionDataset dataset(
       "pop", {{1, 1, 1, 2, 9}, {1, 2, 2, 3, 9}}, 9);
@@ -306,24 +252,6 @@ TEST(MostPopTest, TrainableZooModelsBeatPopularityOnSequentialData) {
   const auto pop_result = trainer.Fit(pop.get(), split).value();
   const auto fmlp_result = trainer.Fit(fmlp.get(), split).value();
   EXPECT_GT(fmlp_result.test.ndcg10, pop_result.test.ndcg10);
-}
-
-TEST(LrScheduleTest, WarmupAndDecayTrainWithoutDivergence) {
-  data::InteractionDataset dataset(
-      "lr", {{1, 2, 3, 4, 5, 6}, {2, 3, 4, 5, 6, 7}}, 8);
-  data::SplitDataset split(dataset, 0);
-  ModelConfig c = SmallConfig();
-  c.num_items = 8;
-  auto model = CreateModel("SASRec", c);
-  train::TrainConfig tc;
-  tc.max_epochs = 4;
-  tc.patience = 4;
-  tc.warmup_epochs = 2;
-  tc.lr_decay = 0.5f;
-  train::Trainer trainer(tc);
-  const auto r = trainer.Fit(model.get(), split).value();
-  EXPECT_GT(r.final_train_loss, 0.0);
-  EXPECT_TRUE(std::isfinite(r.final_train_loss));
 }
 
 }  // namespace

@@ -249,36 +249,43 @@ TEST(StateStoreTest, AutoCompactionTriggersAtThreshold) {
   EXPECT_TRUE(io::Env::Default()->FileExists(opts.dir + "/state.snapshot"));
 }
 
+/// Items first..last, in order.
+std::vector<int64_t> ItemRange(int64_t first, int64_t last) {
+  std::vector<int64_t> items;
+  for (int64_t item = first; item <= last; ++item) items.push_back(item);
+  return items;
+}
+
 TEST(StateStoreTest, MaxHistoryPerUserTrimsOldest) {
   StateStoreOptions opts = Opts(FreshStateDir("store_trim"), SyncMode::kNone);
-  opts.max_history_per_user = 4;
   auto store = MustOpen(opts);
-  ASSERT_TRUE(store->Append(1, {1, 2, 3}).ok());
-  ASSERT_TRUE(store->Append(1, {4, 5, 6}).ok());
-  EXPECT_EQ(store->History(1), (std::vector<int64_t>{3, 4, 5, 6}));
+  ASSERT_TRUE(store->Append(1, ItemRange(1, kMaxHistoryPerUser)).ok());
+  EXPECT_EQ(store->History(1), ItemRange(1, kMaxHistoryPerUser));
+  ASSERT_TRUE(store->Append(1, {kMaxHistoryPerUser + 1,
+                                kMaxHistoryPerUser + 2}).ok());
+  const std::vector<int64_t> want = ItemRange(3, kMaxHistoryPerUser + 2);
+  EXPECT_EQ(store->History(1), want);
   // The trim is part of the replayed state machine: recovery agrees.
   ASSERT_TRUE(store->Sync().ok());
   auto reopened = MustOpen(opts);
-  EXPECT_EQ(reopened->History(1), (std::vector<int64_t>{3, 4, 5, 6}));
+  EXPECT_EQ(reopened->History(1), want);
 }
 
 TEST(StateStoreTest, GroupCommitSyncsEveryNthAppend) {
   io::FaultInjectionEnv env;
   StateStoreOptions opts =
       Opts(FreshStateDir("store_group"), SyncMode::kGroup, &env);
-  opts.group_commit_every = 3;
   auto store = MustOpen(opts);
   const int64_t baseline = env.syncs_seen();
-  Result<AppendAck> a1 = store->Append(1, {1});
-  Result<AppendAck> a2 = store->Append(1, {2});
-  ASSERT_TRUE(a1.ok());
-  ASSERT_TRUE(a2.ok());
-  EXPECT_FALSE(a1.value().durable);
-  EXPECT_FALSE(a2.value().durable);
+  for (int64_t i = 1; i < kGroupCommitEvery; ++i) {
+    Result<AppendAck> ack = store->Append(1, {i});
+    ASSERT_TRUE(ack.ok());
+    EXPECT_FALSE(ack.value().durable) << i;
+  }
   EXPECT_EQ(env.syncs_seen(), baseline);  // no barrier yet
-  Result<AppendAck> a3 = store->Append(1, {3});
-  ASSERT_TRUE(a3.ok());
-  EXPECT_TRUE(a3.value().durable);  // third append runs the group barrier
+  Result<AppendAck> last = store->Append(1, {kGroupCommitEvery});
+  ASSERT_TRUE(last.ok());
+  EXPECT_TRUE(last.value().durable);  // the 8th append runs the barrier
   EXPECT_EQ(env.syncs_seen(), baseline + 1);
   // Explicit barrier flushes a partial group.
   ASSERT_TRUE(store->Append(1, {4}).ok());
@@ -570,32 +577,40 @@ TEST(DigestTest, EnumerateDigestsIsOrderedAndFilterable) {
   EXPECT_EQ(odd[1].user_id, 3u);
 }
 
-/// max_history trimming keeps the digest: the digest covers every item
-/// ever appended, so a trimmed store and an untrimmed store that saw the
-/// same appends agree — and the digest survives reopen (it rides in the
-/// snapshot because it cannot be recomputed from a trimmed history).
+/// History trimming keeps the digest: the digest covers every item ever
+/// appended, so a trimmed store's digest equals ExtendItemDigest folded
+/// over the whole append stream — and the digest survives reopen (it rides
+/// in the snapshot because it cannot be recomputed from a trimmed
+/// history).
 TEST(DigestTest, DigestSurvivesTrimCompactionAndReopen) {
-  StateStoreOptions trimmed_opts =
+  const StateStoreOptions trimmed_opts =
       Opts(FreshStateDir("digest_trim"), SyncMode::kAlways);
-  trimmed_opts.max_history_per_user = 2;
-  auto reference =
-      MustOpen(Opts(FreshStateDir("digest_trim_ref"), SyncMode::kNone));
+  // A digest folded over every item appended, without any trimming.
+  uint32_t untrimmed_crc = 0;
+  // Five appends of 1000 items: the store keeps the last kMaxHistoryPerUser.
+  const int64_t total = 5000;
+  const std::vector<int64_t> kept =
+      ItemRange(100 + total - kMaxHistoryPerUser, 100 + total - 1);
   UserDigest expected;
   {
     auto trimmed = MustOpen(trimmed_opts);
-    for (int64_t i = 0; i < 5; ++i) {
-      ASSERT_TRUE(trimmed->Append(1, {100 + i}).ok());
-      ASSERT_TRUE(reference->Append(1, {100 + i}).ok());
+    for (int64_t first = 100; first < 100 + total; first += 1000) {
+      const std::vector<int64_t> items = ItemRange(first, first + 999);
+      ASSERT_TRUE(trimmed->Append(1, items).ok());
+      untrimmed_crc = ExtendItemDigest(untrimmed_crc, items.data(),
+                                       items.size());
     }
-    EXPECT_EQ(trimmed->History(1), (std::vector<int64_t>{103, 104}));
-    expected = reference->Digest(1);
+    EXPECT_EQ(trimmed->History(1), kept);
+    expected.user_id = 1;
+    expected.items_total = total;
+    expected.crc = untrimmed_crc;
     EXPECT_EQ(trimmed->Digest(1), expected);
     // Compact so recovery comes from the snapshot alone: the digest can
     // only survive if it was persisted.
     ASSERT_TRUE(trimmed->Compact().ok());
   }
   auto reopened = MustOpen(trimmed_opts);
-  EXPECT_EQ(reopened->History(1), (std::vector<int64_t>{103, 104}));
+  EXPECT_EQ(reopened->History(1), kept);
   EXPECT_EQ(reopened->Digest(1), expected);
 }
 
