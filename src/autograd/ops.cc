@@ -46,6 +46,23 @@ Variable UnaryFromInput(const Variable& a, float (*fwd)(float),
       });
 }
 
+/// out[i] = in[i] * (bit i of `bits` ? scale : 0) for i < n: the same
+/// product as multiplying by a float mask of {0, scale}, bit for bit.
+void ApplyDropoutMask(const float* in, const uint64_t* bits, float scale,
+                      float* out, int64_t n) {
+  ParallelFor(0, (n + 63) / 64, kElementwiseGrain / 64,
+              [&](int64_t lo, int64_t hi) {
+                for (int64_t w = lo; w < hi; ++w) {
+                  const uint64_t word = bits[w];
+                  const int64_t m = std::min<int64_t>(64, n - 64 * w);
+                  const float* pi = in + 64 * w;
+                  float* po = out + 64 * w;
+                  for (int64_t j = 0; j < m; ++j)
+                    po[j] = pi[j] * ((word >> j) & 1 ? scale : 0.0f);
+                }
+              });
+}
+
 }  // namespace
 
 Variable Add(const Variable& a, const Variable& b) {
@@ -673,14 +690,32 @@ Variable Dropout(const Variable& x, float p, bool training, Rng* rng) {
   SLIME_CHECK_LT(p, 1.0f);
   const float keep = 1.0f - p;
   const float scale = 1.0f / keep;
-  Tensor mask(x.value().shape());
-  float* pm = mask.data();
-  // Integer-threshold Bernoulli: one raw 64-bit draw per element.
-  const uint64_t threshold = static_cast<uint64_t>(
-      keep * 18446744073709551616.0 /* 2^64 */);
-  for (int64_t i = 0; i < mask.numel(); ++i)
-    pm[i] = rng->NextUint64() < threshold ? scale : 0.0f;
-  return MulConst(x, mask);
+  // Integer-threshold Bernoulli: one raw 64-bit draw per element, in
+  // element order. A p small enough that keep rounds to 1 keeps everything
+  // (keep * 2^64 would not fit) but still draws numel numbers.
+  const uint64_t threshold =
+      keep < 1.0f ? static_cast<uint64_t>(keep * 18446744073709551616.0)
+                  : UINT64_MAX;
+  // Bit j of word w keeps element 64 w + j.
+  const int64_t n = x.numel();
+  std::vector<uint64_t> bits(static_cast<size_t>((n + 63) / 64));
+  for (size_t w = 0; w < bits.size(); ++w) {
+    const int64_t m = std::min<int64_t>(64, n - 64 * int64_t(w));
+    uint64_t word = 0;
+    for (int64_t j = 0; j < m; ++j)
+      word |= uint64_t(rng->NextUint64() < threshold) << j;
+    bits[w] = word;
+  }
+  Tensor y(x.value().shape());
+  ApplyDropoutMask(x.value().data(), bits.data(), scale, y.data(), n);
+  auto xn = x.node();
+  return MakeOpVariable(
+      std::move(y), {xn},
+      [xn, bits = std::move(bits), scale, n](const Tensor& g) {
+        Tensor dx(g.shape());
+        ApplyDropoutMask(g.data(), bits.data(), scale, dx.data(), n);
+        AccumulateGrad(xn, dx);
+      });
 }
 
 Variable MaxPoolAxis1(const Variable& x) {

@@ -100,7 +100,8 @@ Variable LayerNorm(const Variable& x, const Variable& gamma,
                    const Variable& beta, float eps = 1e-12f);
 
 /// Inverted dropout: scales kept activations by 1/(1-p). Identity when
-/// `training` is false or p == 0.
+/// `training` is false or p == 0. Draws one `rng` number per element and
+/// keeps the mask for backward as one bit per element.
 Variable Dropout(const Variable& x, float p, bool training, Rng* rng);
 
 /// Max over axis 1 of a (B,T,F) tensor -> (B,F); used by Caser.

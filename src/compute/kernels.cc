@@ -289,18 +289,29 @@ void LayerNormBwdKernel(const float* g, const float* xhat,
 
 void LayerNormParamBwdKernel(const float* g, const float* xhat, float* dgamma,
                              float* dbeta, int64_t rows, int64_t d) {
+  // Rows outside, columns inside: each column still sums its rows in
+  // ascending order, and the inner loop runs along a contiguous row. A
+  // chunk spans at least 64 columns, so a d = 64 row is one chunk: narrower
+  // chunks would each re-walk every row for a few columns.
   if (dgamma != nullptr) {
-    ParallelFor(0, d, GrainForWork(4 * rows), [=](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i)
-        for (int64_t r = 0; r < rows; ++r) {
-          dgamma[i] += g[r * d + i] * xhat[r * d + i];
-          dbeta[i] += g[r * d + i];
+    const int64_t grain = std::max<int64_t>(64, GrainForWork(4 * rows));
+    ParallelFor(0, d, grain, [=](int64_t lo, int64_t hi) {
+      for (int64_t r = 0; r < rows; ++r) {
+        const float* gr = g + r * d;
+        const float* hr = xhat + r * d;
+        for (int64_t i = lo; i < hi; ++i) {
+          dgamma[i] += gr[i] * hr[i];
+          dbeta[i] += gr[i];
         }
+      }
     });
   } else {
-    ParallelFor(0, d, GrainForWork(2 * rows), [=](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i)
-        for (int64_t r = 0; r < rows; ++r) dbeta[i] += g[r * d + i];
+    const int64_t grain = std::max<int64_t>(64, GrainForWork(2 * rows));
+    ParallelFor(0, d, grain, [=](int64_t lo, int64_t hi) {
+      for (int64_t r = 0; r < rows; ++r) {
+        const float* gr = g + r * d;
+        for (int64_t i = lo; i < hi; ++i) dbeta[i] += gr[i];
+      }
     });
   }
 }

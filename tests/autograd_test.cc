@@ -299,8 +299,9 @@ TEST(AutogradTest, DropoutEvalIsIdentity) {
 
 TEST(AutogradTest, DropoutTrainScalesSurvivors) {
   Rng rng(46);
-  Variable x = Param(Tensor::Ones({1000}));
+  Variable x = Param(Tensor::Ones({4, 25, 10}));
   Variable y = Dropout(x, 0.25f, /*training=*/true, &rng);
+  ASSERT_EQ(y.shape(), x.shape());
   int64_t zeros = 0;
   double sum = 0.0;
   for (int64_t i = 0; i < 1000; ++i) {
@@ -314,6 +315,54 @@ TEST(AutogradTest, DropoutTrainScalesSurvivors) {
   }
   EXPECT_NEAR(static_cast<double>(zeros) / 1000.0, 0.25, 0.06);
   EXPECT_NEAR(sum / 1000.0, 1.0, 0.1);
+}
+
+bool SameRngState(const RngState& a, const RngState& b) {
+  return std::memcmp(a.s, b.s, sizeof(a.s)) == 0 &&
+         a.have_cached_gaussian == b.have_cached_gaussian &&
+         a.cached_gaussian == b.cached_gaussian;
+}
+
+TEST(AutogradTest, DropoutMatchesFloatMaskBitForBit) {
+  // Reference: the float mask of {0, 1/keep} drawn from a twin generator
+  // (one threshold test per element, in order), applied with ops::Mul.
+  const float p = 0.3f;
+  const float keep = 1.0f - p;
+  const uint64_t threshold =
+      static_cast<uint64_t>(keep * 18446744073709551616.0);
+  for (int64_t n : {105, 1000, 4096}) {
+    Rng rng(70 + n), twin(70 + n);
+    Variable x = RandParam({n}, 71);
+    Variable y = Dropout(x, p, /*training=*/true, &rng);
+    Tensor mask({n});
+    for (int64_t i = 0; i < n; ++i)
+      mask[i] = twin.NextUint64() < threshold ? 1.0f / keep : 0.0f;
+    EXPECT_TRUE(SameRngState(rng.state(), twin.state())) << n;
+    const Tensor y_ref = ops::Mul(x.value(), mask);
+    EXPECT_EQ(std::memcmp(y.value().data(), y_ref.data(), n * sizeof(float)),
+              0)
+        << n;
+    Rng grng(72);
+    const Tensor g = Tensor::Randn({n}, &grng);
+    Sum(Mul(y, Constant(g))).Backward();
+    const Tensor dx_ref = ops::Mul(g, mask);
+    EXPECT_EQ(std::memcmp(x.grad().data(), dx_ref.data(), n * sizeof(float)),
+              0)
+        << n;
+  }
+}
+
+TEST(AutogradTest, DropoutTinyRateKeepsEverything) {
+  // keep = 1 - 1e-9 rounds to 1: every element survives at scale 1, and
+  // the generator still advances one draw per element.
+  const int64_t n = 300;
+  Rng rng(73), twin(73);
+  Variable x = RandParam({3, n / 3}, 74);
+  Variable y = Dropout(x, 1e-9f, /*training=*/true, &rng);
+  EXPECT_EQ(std::memcmp(y.value().data(), x.value().data(), n * sizeof(float)),
+            0);
+  for (int64_t i = 0; i < n; ++i) twin.NextUint64();
+  EXPECT_TRUE(SameRngState(rng.state(), twin.state()));
 }
 
 TEST(AutogradTest, MulConstBackwardUsesMask) {

@@ -493,6 +493,38 @@ TEST(KernelsTest, LayerNormNormalizesRowsAndParamGradsSum) {
   for (int64_t j = 0; j < d; ++j) EXPECT_EQ(dbeta2[j], dbeta[j]);
 }
 
+TEST(KernelsTest, LayerNormParamBwdMatchesColumnOrderBitwise) {
+  // Each column sums its rows in ascending order, so the kernel equals a
+  // column-at-a-time loop bit for bit at every thread count. d = 200 spans
+  // several column chunks.
+  for (const int64_t d : {int64_t{64}, int64_t{37}, int64_t{200}}) {
+    const int64_t rows = 6400;
+    const auto g = RandomVec(rows * d, 80 + d);
+    const auto xhat = RandomVec(rows * d, 81 + d);
+    std::vector<float> gamma_ref(d, 0.0f), beta_ref(d, 0.0f);
+    for (int64_t i = 0; i < d; ++i)
+      for (int64_t r = 0; r < rows; ++r) {
+        gamma_ref[i] += g[r * d + i] * xhat[r * d + i];
+        beta_ref[i] += g[r * d + i];
+      }
+    for (int threads : {1, 4}) {
+      ComputeContext ctx(threads);
+      std::vector<float> dgamma(d, 0.0f), dbeta(d, 0.0f), dbeta_only(d, 0.0f);
+      LayerNormParamBwdKernel(g.data(), xhat.data(), dgamma.data(),
+                              dbeta.data(), rows, d);
+      LayerNormParamBwdKernel(g.data(), xhat.data(), nullptr,
+                              dbeta_only.data(), rows, d);
+      const size_t bytes = d * sizeof(float);
+      EXPECT_EQ(std::memcmp(dgamma.data(), gamma_ref.data(), bytes), 0)
+          << "d=" << d << " threads=" << threads;
+      EXPECT_EQ(std::memcmp(dbeta.data(), beta_ref.data(), bytes), 0)
+          << "d=" << d << " threads=" << threads;
+      EXPECT_EQ(std::memcmp(dbeta_only.data(), beta_ref.data(), bytes), 0)
+          << "d=" << d << " threads=" << threads;
+    }
+  }
+}
+
 TEST(KernelsTest, AdamStepMatchesScalarReference) {
   const int64_t n = 29;
   auto w = RandomVec(n, 65);
