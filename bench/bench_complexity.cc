@@ -81,7 +81,9 @@ void BM_ElementwiseFilterProduct(benchmark::State& state) {
       Tensor::Randn({kBatch, fft::RfftBins(n), kDim}, &rng));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        filter.Apply({re, im}, Tensor()).re.value().data());
+        fft::FilterMix({re, im}, {{filter.weight(), Tensor()}})
+            .re.value()
+            .data());
   }
   state.SetComplexityN(n);
 }

@@ -20,7 +20,8 @@ struct FilterMixerOptions {
   /// Dynamic filter size ratio alpha (Eq. 19), in (0, 1]. alpha = 1 with
   /// use_static = false degenerates to FMLP-Rec's global filter.
   double alpha = 0.4;
-  /// Mixing coefficient gamma of Eq. 26 between DFS and SFS outputs.
+  /// Mixing coefficient gamma of Eq. 26 between DFS and SFS outputs, in
+  /// [0, 1] (the layer rejects any other value).
   double gamma = 0.5;
   bool use_dynamic = true;
   bool use_static = true;
@@ -39,8 +40,9 @@ struct FilterMixerOptions {
 enum class Positions { kAll, kLast };
 
 /// One filter-mixer sublayer (the self-attention replacement): FFT ->
-/// DFS/SFS filtering with the frequency-ramp windows -> spectrum mixing
-/// (Eq. 26) -> inverse FFT -> dropout + residual + LayerNorm (Eq. 28).
+/// DFS/SFS filtering with the frequency-ramp windows and their gamma mix
+/// (Eqs. 21, 25, 26) as one fft::FilterMix op, in training and in serving
+/// -> inverse FFT -> dropout + residual + LayerNorm (Eq. 28).
 class FilterMixerLayer : public nn::Module {
  public:
   FilterMixerLayer(int64_t seq_len, int64_t dim, int64_t num_layers,
@@ -63,11 +65,6 @@ class FilterMixerLayer : public nn::Module {
   Tensor MaskedStaticAmplitude() const;
 
  private:
-  /// DFS/SFS filtering and mixing of `spectrum` (Eqs. 21, 25, 26). Under a
-  /// NoGradScope it overwrites the spectrum's own buffers; otherwise it
-  /// records the composed filter ops. Bit-identical either way.
-  fft::SpectralPair FilterSpectrum(fft::SpectralPair spectrum) const;
-
   int64_t seq_len_;
   FilterMixerOptions options_;
   FilterWindow dynamic_window_;

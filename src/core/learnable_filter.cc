@@ -2,46 +2,32 @@
 
 #include <cmath>
 
-#include "autograd/ops.h"
-#include "compute/thread_pool.h"
 #include "nn/init.h"
+#include "tensor/tensor_ops.h"
 
 namespace slime {
 namespace core {
 
-LearnableFilter::LearnableFilter(int64_t num_bins, int64_t dim, Rng* rng,
-                                 float init_stddev) {
-  w_re_ = RegisterParameter(
-      "w_re",
-      autograd::Param(nn::NormalInit({num_bins, dim}, rng, init_stddev)));
-  w_im_ = RegisterParameter(
-      "w_im",
-      autograd::Param(nn::NormalInit({num_bins, dim}, rng, init_stddev)));
-}
+namespace {
 
-fft::SpectralPair LearnableFilter::Apply(const fft::SpectralPair& spectrum,
-                                         const Tensor& mask) const {
-  fft::SpectralPair filtered =
-      fft::ComplexMul(spectrum, fft::SpectralPair{w_re_, w_im_});
-  if (mask.defined()) {
-    filtered = fft::MaskSpectrum(filtered, mask);
-  }
-  return filtered;
+constexpr float kInitStddev = 0.02f;
+
+}  // namespace
+
+LearnableFilter::LearnableFilter(int64_t num_bins, int64_t dim, Rng* rng) {
+  w_.re = RegisterParameter(
+      "w_re",
+      autograd::Param(nn::NormalInit({num_bins, dim}, rng, kInitStddev)));
+  w_.im = RegisterParameter(
+      "w_im",
+      autograd::Param(nn::NormalInit({num_bins, dim}, rng, kInitStddev)));
 }
 
 Tensor LearnableFilter::Amplitude() const {
-  const Tensor& re = w_re_.value();
-  const Tensor& im = w_im_.value();
-  Tensor amp(re.shape());
-  const float* pr = re.data();
-  const float* pi = im.data();
-  float* pa = amp.data();
-  compute::ParallelFor(0, amp.numel(), compute::kElementwiseGrain,
-                       [&](int64_t lo, int64_t hi) {
-                         for (int64_t i = lo; i < hi; ++i)
-                           pa[i] = std::sqrt(pr[i] * pr[i] + pi[i] * pi[i]);
-                       });
-  return amp;
+  const Tensor& re = w_.re.value();
+  const Tensor& im = w_.im.value();
+  return ops::Map(ops::Add(ops::Mul(re, re), ops::Mul(im, im)),
+                  [](float v) { return std::sqrt(v); });
 }
 
 }  // namespace core

@@ -7,32 +7,23 @@
 namespace slime {
 namespace core {
 
-/// A learnable complex filter W in C^{M x d} (Eqs. 14/21/25). Applying it
-/// to a spectrum performs the complex elementwise product X (.) sigma (.)
-/// W, where sigma is a constant 0/1 frequency-window mask supplied by the
-/// FrequencyRamp (an undefined Tensor disables masking, the FMLP-Rec
-/// alpha = 1 case).
+/// A learnable complex filter W in C^{M x d} (Eqs. 14/21/25), held as two
+/// real (M, d) parameters. fft::FilterMix applies it to a spectrum.
 class LearnableFilter : public nn::Module {
  public:
-  /// Complex weights initialised N(0, init_stddev) per component, matching
-  /// the FMLP-Rec reference initialisation (0.02).
-  LearnableFilter(int64_t num_bins, int64_t dim, Rng* rng,
-                  float init_stddev = 0.02f);
-
-  /// Filters `spectrum` (shapes (B, M, d)): returns sigma (.) (X (.) W).
-  fft::SpectralPair Apply(const fft::SpectralPair& spectrum,
-                          const Tensor& mask) const;
+  /// Complex weights initialised N(0, 0.02) per component, the FMLP-Rec
+  /// reference initialisation.
+  LearnableFilter(int64_t num_bins, int64_t dim, Rng* rng);
 
   /// Amplitude |W| of the learned filter, shape (M, d); used by the
   /// Fig. 7 visualisation bench.
   Tensor Amplitude() const;
 
-  const autograd::Variable& weight_re() const { return w_re_; }
-  const autograd::Variable& weight_im() const { return w_im_; }
+  /// The weights W, real and imaginary parts, each (M, d).
+  const fft::SpectralPair& weight() const { return w_; }
 
  private:
-  autograd::Variable w_re_;  // (M, d)
-  autograd::Variable w_im_;  // (M, d)
+  fft::SpectralPair w_;
 };
 
 }  // namespace core

@@ -288,16 +288,106 @@ SpectralPair ComplexMul(const SpectralPair& a, const SpectralPair& b) {
   return {vre, vim};
 }
 
-SpectralPair MaskSpectrum(const SpectralPair& a, const Tensor& mask) {
-  return {autograd::MulConst(a.re, mask), autograd::MulConst(a.im, mask)};
-}
+namespace {
 
-SpectralPair MixSpectra(const SpectralPair& a, const SpectralPair& b,
-                        float gamma) {
-  using autograd::Add;
-  using autograd::MulScalar;
-  return {Add(MulScalar(a.re, 1.0f - gamma), MulScalar(b.re, gamma)),
-          Add(MulScalar(a.im, 1.0f - gamma), MulScalar(b.im, gamma))};
+/// One FilterMix term's backward: the complex-product gradients, and the
+/// window and coefficient its cotangent is scaled by.
+struct FilterTermGrads {
+  ComplexMulGrads product;
+  Tensor window;  // (M, 1), or undefined: 1 everywhere
+  float coeff;    // 1 for a lone term
+};
+
+}  // namespace
+
+SpectralPair FilterMix(SpectralPair x, const std::vector<FilterTerm>& terms) {
+  SLIME_CHECK(terms.size() == 1 || terms.size() == 2);
+  SLIME_CHECK(x.re.shape() == x.im.shape() && x.re.value().dim() == 3);
+  const int64_t b = x.re.size(0);
+  const int64_t m = x.re.size(1);
+  const int64_t d = x.re.size(2);
+  const int64_t block = m * d;
+  const bool mix = terms.size() == 2;
+  // Asked before `grads` and `parents` take their own handles on X.
+  const bool in_place = autograd::CanReuse(x.re) && autograd::CanReuse(x.im);
+  std::vector<std::shared_ptr<autograd::Node>> parents{x.re.node(),
+                                                       x.im.node()};
+  std::vector<FilterTermGrads> grads;
+  for (const FilterTerm& t : terms) {
+    SLIME_CHECK(t.weight.re.shape() == (std::vector<int64_t>{m, d}) &&
+                t.weight.im.shape() == t.weight.re.shape() &&
+                (!t.window.defined() || t.window.numel() == m));
+    grads.push_back({{x.re.node(), x.im.node(), t.weight.re.node(),
+                      t.weight.im.node(), x.re.value(), x.im.value(),
+                      t.weight.re.value(), t.weight.im.value(), b, block},
+                     t.window,
+                     mix ? t.coeff : 1.0f});
+    parents.push_back(t.weight.re.node());
+    parents.push_back(t.weight.im.node());
+  }
+  Tensor re = in_place ? x.re.value() : Tensor(x.re.shape());
+  Tensor im = in_place ? x.im.value() : Tensor(x.re.shape());
+  const auto& kt = compute::Dispatch();
+  // One batch item at a time: every term into scratch planes, then the
+  // item's output (which may be X's own item). Per element, (v * sigma) * c
+  // and the add round as the window mask, MulScalar and Add would; a
+  // factor of 1 is exact.
+  ParallelFor(0, b, GrainForWork(8 * block), [&](int64_t lo, int64_t hi) {
+    std::vector<float> scratch(2 * terms.size() * block);
+    for (int64_t off = lo * block; off < hi * block; off += block) {
+      for (size_t t = 0; t < terms.size(); ++t) {
+        float* tr = scratch.data() + 2 * t * block;
+        float* ti = tr + block;
+        const ComplexMulGrads& p = grads[t].product;
+        kt.complex_mul(p.ar.data() + off, p.ai.data() + off, p.br.data(),
+                       p.bi.data(), tr, ti, /*repeats=*/1, block);
+        const Tensor& window = grads[t].window;
+        const float* sigma = window.defined() ? window.data() : nullptr;
+        const float c = grads[t].coeff;
+        for (int64_t row = 0; row < m; ++row) {
+          const float s = sigma ? sigma[row] : 1.0f;
+          for (int64_t j = row * d; j < (row + 1) * d; ++j) {
+            tr[j] = tr[j] * s * c;
+            ti[j] = ti[j] * s * c;
+          }
+        }
+      }
+      const float* s0 = scratch.data();
+      if (mix) {
+        kt.add(s0, s0 + 2 * block, re.data() + off, block);
+        kt.add(s0 + block, s0 + 3 * block, im.data() + off, block);
+      } else {
+        std::copy(s0, s0 + block, re.data() + off);
+        std::copy(s0 + block, s0 + 2 * block, im.data() + off);
+      }
+    }
+  });
+  // Terms last to first, as a graph of Add(term_0, term_1) runs them. Each
+  // cotangent is (g * c) * sigma, rounded as MulScalar and the mask would.
+  const auto backward = [grads, m, d](bool imag_component) {
+    return [grads, m, d, imag_component](const Tensor& g) {
+      Tensor cot(g.shape());
+      const float* pg = g.data();
+      float* pc = cot.data();
+      for (size_t t = grads.size(); t-- > 0;) {
+        const Tensor& window = grads[t].window;
+        const float* sigma = window.defined() ? window.data() : nullptr;
+        const float c = grads[t].coeff;
+        ParallelFor(0, g.numel() / d, GrainForWork(2 * d),
+                    [&](int64_t lo, int64_t hi) {
+                      for (int64_t row = lo; row < hi; ++row) {
+                        const float s = sigma ? sigma[row % m] : 1.0f;
+                        for (int64_t j = row * d; j < (row + 1) * d; ++j) {
+                          pc[j] = pg[j] * c * s;
+                        }
+                      }
+                    });
+        grads[t].product.Apply(cot, imag_component);
+      }
+    };
+  };
+  return {MakeOpVariable(std::move(re), parents, backward(false)),
+          MakeOpVariable(std::move(im), parents, backward(true))};
 }
 
 }  // namespace fft

@@ -1,6 +1,8 @@
 #ifndef SLIME4REC_FFT_SPECTRAL_OPS_H_
 #define SLIME4REC_FFT_SPECTRAL_OPS_H_
 
+#include <vector>
+
 #include "autograd/variable.h"
 
 namespace slime {
@@ -32,13 +34,21 @@ autograd::Variable Irfft(const SpectralPair& spectrum, int64_t n);
 /// shape aborts.
 SpectralPair ComplexMul(const SpectralPair& a, const SpectralPair& b);
 
-/// Scales both components by a constant real mask (broadcastable), used for
-/// the indicator windows sigma(omega).
-SpectralPair MaskSpectrum(const SpectralPair& a, const Tensor& mask);
+/// One FilterMix term: a filter W_t (M, d), its frequency window sigma_t
+/// (M, 1) (undefined: the whole spectrum) and its mixing weight c_t, which
+/// a lone term ignores.
+struct FilterTerm {
+  SpectralPair weight;
+  Tensor window;
+  float coeff = 1.0f;
+};
 
-/// (1 - gamma) * a + gamma * b, the DFS/SFS mixing of Eq. (26).
-SpectralPair MixSpectra(const SpectralPair& a, const SpectralPair& b,
-                        float gamma);
+/// The filter step of Eqs. 21, 25 and 26 as one op on a (B, M, d) spectrum:
+/// sum_t c_t * (sigma_t (.) (X (.) W_t)) over one or two terms, rounded as
+/// ComplexMul, the window mask, MulScalar and Add round it. Its two graph
+/// nodes have X and every W_t as parents. Under a NoGradScope, when
+/// autograd::CanReuse holds for X, the result overwrites X's buffers.
+SpectralPair FilterMix(SpectralPair x, const std::vector<FilterTerm>& terms);
 
 }  // namespace fft
 }  // namespace slime

@@ -206,6 +206,11 @@ if "$CLI" append-events --state-dir "$TMP/state" --events "$TMP/events.txt" \
   echo "expected unknown state sync mode to fail"; exit 1
 fi
 grep -q "valid: always, group, none" "$TMP/badsync.err"
+# The Eq. 26 mix is convex: a gamma outside [0, 1] must be refused.
+if "$CLI" train --data "$TMP/data.txt" --epochs 1 --gamma 1.5 \
+    >/dev/null 2>&1; then
+  echo "expected --gamma 1.5 to fail"; exit 1
+fi
 # Error paths: bad preset and missing file must fail cleanly.
 if "$CLI" generate --preset not-a-preset --out "$TMP/x.txt" 2>/dev/null; then
   echo "expected bad preset to fail"; exit 1

@@ -167,22 +167,27 @@ TEST(DeterminismTest, GradcheckPassesWithPoolActive) {
   using autograd::Sum;
   using autograd::Variable;
   Rng rng(17);
-  // The fused complex-multiply op on its broadcast path (B,M,d) * (M,d).
-  Variable ar = Param(Tensor::Randn({2, 4, 3}, &rng, 0.5f));
-  Variable ai = Param(Tensor::Randn({2, 4, 3}, &rng, 0.5f));
-  Variable br = Param(Tensor::Randn({4, 3}, &rng, 0.5f));
-  Variable bi = Param(Tensor::Randn({4, 3}, &rng, 0.5f));
+  // The filter op on its broadcast path (B,M,d) * (M,d): two windowed
+  // filters mixed, as the DFS+SFS layer runs it.
+  std::vector<Variable> in = {Param(Tensor::Randn({2, 4, 3}, &rng, 0.5f)),
+                              Param(Tensor::Randn({2, 4, 3}, &rng, 0.5f))};
+  for (int i = 0; i < 4; ++i) {
+    in.push_back(Param(Tensor::Randn({4, 3}, &rng, 0.5f)));
+  }
+  const Tensor dynamic_window = Tensor::FromVector({4, 1}, {0, 1, 1, 1});
+  const Tensor static_window = Tensor::FromVector({4, 1}, {1, 1, 0, 0});
   const auto result = autograd::CheckGradients(
-      [](const std::vector<Variable>& in) {
-        const fft::SpectralPair y =
-            fft::ComplexMul({in[0], in[1]}, {in[2], in[3]});
+      [&](const std::vector<Variable>& in) {
+        const fft::SpectralPair y = fft::FilterMix(
+            {in[0], in[1]}, {{{in[2], in[3]}, dynamic_window, 0.5f},
+                             {{in[4], in[5]}, static_window, 0.5f}});
         Rng wrng(5);
         Tensor w1 = Tensor::Randn({2, 4, 3}, &wrng);
         Tensor w2 = Tensor::Randn({2, 4, 3}, &wrng);
         return autograd::Add(Sum(autograd::MulConst(y.re, w1)),
                              Sum(autograd::MulConst(y.im, w2)));
       },
-      {ar, ai, br, bi});
+      in);
   EXPECT_TRUE(result.ok) << result.message;
 }
 

@@ -221,21 +221,26 @@ TEST(SpectralOpsTest, IrfftGradcheck) {
 }
 
 TEST(SpectralOpsTest, FilterPipelineGradcheck) {
-  // The exact op composition of the paper's filter step (Eq. 21):
-  // irfft(mask . (rfft(x) . W)).
+  // The paper's filter step end to end (Eqs. 21, 25, 26):
+  // irfft(c_d * (mask_d . (rfft(x) . W_d)) + c_s * (mask_s . (rfft(x) . W_s))).
   Rng rng(5);
   Variable x = Param(Tensor::Randn({1, 6, 2}, &rng, 0.5f));
-  Variable wre = Param(Tensor::Randn({4, 2}, &rng, 0.5f));
-  Variable wim = Param(Tensor::Randn({4, 2}, &rng, 0.5f));
-  Tensor mask = Tensor::FromVector({4, 1}, {0, 1, 1, 0});
+  std::vector<Variable> in = {x};
+  for (int i = 0; i < 4; ++i) {
+    in.push_back(Param(Tensor::Randn({4, 2}, &rng, 0.5f)));
+  }
+  Tensor mask_d = Tensor::FromVector({4, 1}, {0, 1, 1, 0});
+  Tensor mask_s = Tensor::FromVector({4, 1}, {1, 0, 1, 1});
   const auto result = autograd::CheckGradients(
-      [mask](const std::vector<Variable>& in) {
-        const SpectralPair s = Rfft(in[0]);
+      [mask_d, mask_s](const std::vector<Variable>& in) {
         const SpectralPair filtered =
-            MaskSpectrum(ComplexMul(s, {in[1], in[2]}), mask);
-        return Sum(Irfft(filtered, 6));
+            FilterMix(Rfft(in[0]), {{{in[1], in[2]}, mask_d, 0.6f},
+                                    {{in[3], in[4]}, mask_s, 0.4f}});
+        Rng wrng(97);
+        Tensor w = Tensor::Randn({1, 6, 2}, &wrng);
+        return Sum(autograd::MulConst(Irfft(filtered, 6), w));
       },
-      {x, wre, wim});
+      in);
   EXPECT_TRUE(result.ok) << result.message;
 }
 
@@ -261,12 +266,18 @@ TEST(SpectralOpsDeathTest, ComplexMulRejectsNonSuffixShape) {
   EXPECT_DEATH(ComplexMul(a, b), "IsSuffixShape");
 }
 
-TEST(SpectralOpsTest, MixSpectraConvexCombination) {
-  Variable a = Param(Tensor::FromVector({1, 1, 1}, {1}));
-  Variable b = Param(Tensor::FromVector({1, 1, 1}, {3}));
-  const SpectralPair mixed = MixSpectra({a, a}, {b, b}, 0.25f);
+TEST(SpectralOpsTest, FilterMixConvexCombination) {
+  // x = 1 + 2i through W_a = 1 and W_b = 3 mixed 0.75 / 0.25: 1.5 * x.
+  Variable xr = Param(Tensor::FromVector({1, 1, 1}, {1}));
+  Variable xi = Param(Tensor::FromVector({1, 1, 1}, {2}));
+  Variable zero = Param(Tensor::FromVector({1, 1}, {0}));
+  Variable a = Param(Tensor::FromVector({1, 1}, {1}));
+  Variable b = Param(Tensor::FromVector({1, 1}, {3}));
+  const SpectralPair mixed =
+      FilterMix({xr, xi}, {{{a, zero}, Tensor(), 0.75f},
+                           {{b, zero}, Tensor(), 0.25f}});
   EXPECT_FLOAT_EQ(mixed.re.value()[0], 1.5f);
-  EXPECT_FLOAT_EQ(mixed.im.value()[0], 1.5f);
+  EXPECT_FLOAT_EQ(mixed.im.value()[0], 3.0f);
 }
 
 TEST(SpectralOpsTest, PureToneConcentratesInOneBin) {
