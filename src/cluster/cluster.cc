@@ -47,20 +47,19 @@ const char* ToString(ShardLiveness liveness) {
   return "unknown";
 }
 
+RingOptions FleetRing(const ClusterOptions& options) {
+  RingOptions ring;
+  ring.num_shards = options.num_shards;
+  ring.replication = options.replication;
+  ring.seed = options.seed;
+  return ring;
+}
+
 ClusterServer::ClusterServer(const ClusterOptions& options,
                              ModelFactory factory, serving::Clock* clock,
                              io::Env* env)
     : options_(options),
-      ring_([&options] {
-        RingOptions ring;
-        ring.num_shards = options.num_shards;
-        ring.replication = options.replication;
-        ring.vnodes_per_shard = options.vnodes_per_shard;
-        ring.seed = options.seed;
-        return ring;
-      }()),
-      retry_(options.retry),
-      hedge_(options.hedge),
+      ring_(FleetRing(options)),
       hints_(options.handoff),
       factory_(std::move(factory)),
       clock_(clock != nullptr ? clock : serving::Clock::Default()),
@@ -257,7 +256,7 @@ void ClusterServer::NoteAttemptSuccess(int64_t shard) {
   s.consecutive_failures = 0;
   RefreshEjections();
   if (s.probation) {
-    if (++s.consecutive_successes >= options_.health.reinstate_successes) {
+    if (++s.consecutive_successes >= kReinstateSuccesses) {
       s.probation = false;
       s.ejection_window_nanos = 0;  // full recovery resets the backoff
       reinstatements_.Increment();
@@ -275,15 +274,14 @@ void ClusterServer::NoteAttemptFailure(int64_t shard, const Status& status) {
   RefreshEjections();
   s.consecutive_successes = 0;
   ++s.consecutive_failures;
-  const HealthOptions& h = options_.health;
   const auto eject = [&] {
     s.ejection_window_nanos =
         s.ejection_window_nanos == 0
-            ? h.ejection_nanos
+            ? kEjectionNanos
             : std::min(static_cast<int64_t>(
                            static_cast<double>(s.ejection_window_nanos) *
-                           h.ejection_backoff),
-                       h.max_ejection_nanos);
+                           kEjectionBackoff),
+                       kMaxEjectionNanos);
     s.ejected = true;
     s.probation = false;
     s.consecutive_failures = 0;
@@ -292,7 +290,7 @@ void ClusterServer::NoteAttemptFailure(int64_t shard, const Status& status) {
   };
   if (s.probation) {
     eject();  // one strike on probation: back out, longer window
-  } else if (!s.ejected && s.consecutive_failures >= h.ejection_failures) {
+  } else if (!s.ejected && s.consecutive_failures >= kEjectionFailures) {
     eject();
   }
 }
@@ -702,22 +700,25 @@ Result<serving::ServeResponse> ClusterServer::ServeRouted(
     trace.EndSpan(route_span);
   }
 
-  const int64_t max_attempts = retry_.options().max_attempts;
   Result<serving::ServeResponse> out =
       Status::Unavailable("no shard attempted");
   size_t pos = 0;
   bool hedged = false;
   bool next_is_hedge = false;
-  for (int64_t attempt = 0; attempt < max_attempts; ++attempt) {
+  for (int64_t attempt = 0; attempt < kMaxAttempts; ++attempt) {
     const bool is_hedge_attempt = next_is_hedge;
     next_is_hedge = false;
     const int64_t shard = plan[pos % plan.size()];
     const int64_t attempt_start = clock_->NowNanos();
     const int64_t remaining = deadline - attempt_start;
     if (remaining <= 0) {
-      out = Status::DeadlineExceeded(
-          "cluster retry budget exhausted before attempt " +
-          std::to_string(attempt));
+      // Callers classify by the code, so it stays DeadlineExceeded; the
+      // message names what the previous attempt returned (timed out,
+      // shed, refused or hedged).
+      std::string message = "cluster retry budget exhausted before attempt " +
+                            std::to_string(attempt);
+      if (attempt > 0) message += "; last attempt: " + out.status().ToString();
+      out = Status::DeadlineExceeded(message);
       break;
     }
 
@@ -726,10 +727,9 @@ Result<serving::ServeResponse> ClusterServer::ServeRouted(
     // only with a replica to hedge to, an attempt slot to spend, and
     // enough budget that the hedged attempt could still finish.
     int64_t hedge_deadline = 0;
-    if (options_.hedge.enabled && !hedged && plan.size() > 1 &&
-        attempt + 1 < max_attempts) {
+    if (!hedged && plan.size() > 1 && attempt + 1 < kMaxAttempts) {
       const int64_t delay = hedge_.DelayNanos();
-      if (delay + retry_.options().min_attempt_budget_nanos < remaining) {
+      if (delay + kMinAttemptBudgetNanos < remaining) {
         hedge_deadline = attempt_start + delay;
       }
     }
@@ -781,7 +781,7 @@ Result<serving::ServeResponse> ClusterServer::ServeRouted(
 
     const int64_t next_shard = plan[(pos + 1) % plan.size()];
     const bool same_shard = next_shard == shard;
-    const RetryDecision decision = retry_.Next(
+    const RetryDecision decision = NextRetry(
         attempt, st, same_shard, deadline - clock_->NowNanos(), &rng);
     if (!decision.retry) {
       const int32_t give_up = trace.BeginSpan("retry.give_up");

@@ -43,24 +43,23 @@ enum class ShardLiveness {
 };
 const char* ToString(ShardLiveness liveness);
 
-/// Outlier-detection knobs (the Envoy outlier ejection analogue).
-struct HealthOptions {
-  /// Consecutive transport failures (kUnavailable) before a shard is
-  /// ejected from preferred rotation.
-  int64_t ejection_failures = 3;
-  /// First ejection lasts this long; while ejected the shard is only
-  /// routed when every preferred replica has already failed.
-  int64_t ejection_nanos = 100 * serving::kNanosPerMilli;
-  /// Hysteresis: when the window expires the shard enters *probation* and
-  /// must serve this many consecutive successes to be reinstated. A single
-  /// failure on probation re-ejects it with the window multiplied by
-  /// `ejection_backoff` (capped), so a flapping shard oscillates ever more
-  /// slowly instead of whipping the cluster between kServing and
-  /// kDegraded at the flap frequency.
-  int64_t reinstate_successes = 2;
-  double ejection_backoff = 2.0;
-  int64_t max_ejection_nanos = 1600 * serving::kNanosPerMilli;
-};
+// Outlier detection (the Envoy outlier ejection analogue).
+
+/// Consecutive transport failures (kUnavailable) before a shard is ejected
+/// from preferred rotation.
+inline constexpr int64_t kEjectionFailures = 3;
+/// First ejection lasts this long; while ejected the shard is only routed
+/// when every preferred replica has already failed.
+inline constexpr int64_t kEjectionNanos = 100 * serving::kNanosPerMilli;
+/// Hysteresis: when the window expires the shard enters *probation* and
+/// must serve this many consecutive successes to be reinstated. A single
+/// failure on probation re-ejects it with the window multiplied by
+/// kEjectionBackoff (capped at kMaxEjectionNanos), so a flapping shard
+/// oscillates ever more slowly instead of whipping the cluster between
+/// kServing and kDegraded at the flap frequency.
+inline constexpr int64_t kReinstateSuccesses = 2;
+inline constexpr double kEjectionBackoff = 2.0;
+inline constexpr int64_t kMaxEjectionNanos = 1600 * serving::kNanosPerMilli;
 
 /// Everything a ClusterServer needs to build its fleet.
 struct ClusterOptions {
@@ -68,7 +67,6 @@ struct ClusterOptions {
   /// Replicas per key (primary + R-1 failover targets); clamped to
   /// num_shards by the ring.
   int64_t replication = 2;
-  int64_t vnodes_per_shard = 16;
   /// Seeds ring placement and the per-request jitter streams. Two clusters
   /// with equal options, seeds, and request sequences behave identically.
   uint64_t seed = 0x5eedc105ull;
@@ -78,9 +76,6 @@ struct ClusterOptions {
   /// private registry, and the cluster-level cluster.* series below are
   /// the fleet view.
   serving::ModelServerOptions shard;
-  RetryOptions retry;
-  HedgeOptions hedge;
-  HealthOptions health;
   /// Cluster-level request budget when the request carries none. Retries,
   /// backoff waits and hedges are all paid out of this one budget.
   int64_t default_deadline_nanos = 50 * serving::kNanosPerMilli;
@@ -96,9 +91,9 @@ struct ClusterOptions {
   std::string state_dir;
   state::SyncMode state_sync = state::SyncMode::kGroup;
   /// --- Anti-entropy (docs/STATE.md "Anti-entropy") -------------------
-  /// All off by default: the cluster then behaves exactly as before —
-  /// a restored shard recovers only its own durable state, and replicas
-  /// that missed a write stay behind until an operator intervenes.
+  /// All off by default: a restored shard then recovers only its own
+  /// durable state, and replicas that missed a write stay behind until an
+  /// operator intervenes.
   ///
   /// Queue a bounded hint for every replica that misses an acked append
   /// (dead or failing), and replay the backlog to a shard during
@@ -116,6 +111,11 @@ struct ClusterOptions {
   /// (suffix transfer through the normal Append path).
   bool read_repair = false;
 };
+
+/// The ring a ClusterServer built from `options` routes over: its shard
+/// count, replication and seed, with kVnodesPerShard points per shard.
+/// Offline tools rebuild a fleet's layout from the same call.
+RingOptions FleetRing(const ClusterOptions& options);
 
 /// Cumulative cluster counters (thin view over the "cluster.*" metrics).
 struct ClusterStats {
@@ -159,7 +159,7 @@ struct ClusterStats {
 /// routing never peeks at the kill switch, it learns through failures,
 /// like a real client).
 ///
-/// **Retries.** RetryPolicy: bounded attempts, exponential backoff with
+/// **Retries.** NextRetry: bounded attempts, exponential backoff with
 /// seeded jitter, immediate failover on transport failure, the server's
 /// typed retry_after hint honoured, and every wait paid from the request
 /// deadline (retry budget). Waits go through Clock::SleepFor, so a
@@ -174,7 +174,8 @@ struct ClusterStats {
 /// cancelled cooperatively, never detached.
 ///
 /// **Health.** Consecutive kUnavailable failures eject a shard; expiry
-/// leads to probation and hysteresis-gated reinstatement (HealthOptions).
+/// leads to probation and hysteresis-gated reinstatement (kEjection*,
+/// kReinstateSuccesses).
 /// Cluster health is the per-segment quorum: kDegraded while every
 /// segment keeps >= 1 routable replica, kUnavailable only when some
 /// segment is completely dark.
@@ -344,7 +345,6 @@ class ClusterServer {
 
   const ClusterOptions options_;
   ShardRing ring_;
-  RetryPolicy retry_;
   HedgeDelayTracker hedge_;
   HintQueue hints_;
   /// Deterministic hint enqueue index (cluster-wide): replay order is a

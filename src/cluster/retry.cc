@@ -6,40 +6,21 @@
 namespace slime {
 namespace cluster {
 
-RetryPolicy::RetryPolicy(const RetryOptions& options) : options_(options) {
-  if (options_.max_attempts < 1) options_.max_attempts = 1;
-  if (options_.initial_backoff_nanos < 0) options_.initial_backoff_nanos = 0;
-  if (options_.backoff_multiplier < 1.0) options_.backoff_multiplier = 1.0;
-  if (options_.max_backoff_nanos < options_.initial_backoff_nanos) {
-    options_.max_backoff_nanos = options_.initial_backoff_nanos;
-  }
-  options_.jitter = std::min(std::max(options_.jitter, 0.0), 1.0);
-  if (options_.min_attempt_budget_nanos < 0) {
-    options_.min_attempt_budget_nanos = 0;
-  }
-}
-
-int64_t RetryPolicy::BackoffNanos(int64_t attempt, Rng* rng) const {
-  double backoff = static_cast<double>(options_.initial_backoff_nanos);
+int64_t BackoffNanos(int64_t attempt, Rng* rng) {
+  double backoff = static_cast<double>(kInitialBackoffNanos);
   for (int64_t i = 0; i < attempt; ++i) {
-    backoff *= options_.backoff_multiplier;
-    if (backoff >= static_cast<double>(options_.max_backoff_nanos)) break;
+    backoff *= kBackoffMultiplier;
+    if (backoff >= static_cast<double>(kMaxBackoffNanos)) break;
   }
-  backoff = std::min(backoff, static_cast<double>(options_.max_backoff_nanos));
-  if (options_.jitter > 0.0 && rng != nullptr) {
-    // One draw per decision keeps the jitter stream aligned with the
-    // attempt sequence, so a same-seed rerun backs off identically.
-    const double factor =
-        1.0 + options_.jitter * (2.0 * rng->UniformDouble() - 1.0);
-    backoff *= factor;
-  }
-  return static_cast<int64_t>(backoff);
+  backoff = std::min(backoff, static_cast<double>(kMaxBackoffNanos));
+  const double factor =
+      1.0 + kBackoffJitter * (2.0 * rng->UniformDouble() - 1.0);
+  return static_cast<int64_t>(backoff * factor);
 }
 
-RetryDecision RetryPolicy::Next(int64_t attempt, const Status& failure,
-                                bool same_shard,
-                                int64_t remaining_budget_nanos,
-                                Rng* rng) const {
+RetryDecision NextRetry(int64_t attempt, const Status& failure,
+                        bool same_shard, int64_t remaining_budget_nanos,
+                        Rng* rng) {
   RetryDecision decision;
   const Status::Code code = failure.code();
   const bool retryable = code == Status::Code::kUnavailable ||
@@ -48,7 +29,7 @@ RetryDecision RetryPolicy::Next(int64_t attempt, const Status& failure,
     decision.reason = "permanent";
     return decision;
   }
-  if (attempt + 1 >= options_.max_attempts) {
+  if (attempt + 1 >= kMaxAttempts) {
     decision.reason = "attempts";
     return decision;
   }
@@ -69,7 +50,7 @@ RetryDecision RetryPolicy::Next(int64_t attempt, const Status& failure,
     }
   }
 
-  if (wait + options_.min_attempt_budget_nanos > remaining_budget_nanos) {
+  if (wait + kMinAttemptBudgetNanos > remaining_budget_nanos) {
     decision.reason = "budget";
     return decision;
   }
@@ -79,46 +60,35 @@ RetryDecision RetryPolicy::Next(int64_t attempt, const Status& failure,
   return decision;
 }
 
-HedgeDelayTracker::HedgeDelayTracker(const HedgeOptions& options)
-    : options_(options) {
-  if (options_.window < 1) options_.window = 1;
-  if (options_.min_samples < 1) options_.min_samples = 1;
-  options_.percentile = std::min(std::max(options_.percentile, 0.0), 1.0);
-  if (options_.min_delay_nanos < 0) options_.min_delay_nanos = 0;
-  window_.reserve(static_cast<size_t>(options_.window));
+HedgeDelayTracker::HedgeDelayTracker() {
+  window_.reserve(static_cast<size_t>(kHedgeWindow));
 }
 
 void HedgeDelayTracker::Observe(int64_t latency_nanos) {
   if (latency_nanos < 0) latency_nanos = 0;
   std::lock_guard<std::mutex> lock(mu_);
-  if (static_cast<int64_t>(window_.size()) < options_.window) {
+  if (static_cast<int64_t>(window_.size()) < kHedgeWindow) {
     window_.push_back(latency_nanos);
   } else {
     window_[next_] = latency_nanos;
   }
-  next_ = (next_ + 1) % static_cast<size_t>(options_.window);
+  next_ = (next_ + 1) % static_cast<size_t>(kHedgeWindow);
   ++seen_;
 }
 
 int64_t HedgeDelayTracker::DelayNanos() const {
   std::lock_guard<std::mutex> lock(mu_);
-  int64_t delay = options_.initial_delay_nanos;
-  if (seen_ >= options_.min_samples && !window_.empty()) {
+  int64_t delay = kHedgeInitialDelayNanos;
+  if (seen_ >= kHedgeMinSamples) {
     std::vector<int64_t> sorted = window_;
     std::sort(sorted.begin(), sorted.end());
-    // Nearest-rank percentile, matching the observability histograms.
-    size_t rank = static_cast<size_t>(
-        std::ceil(options_.percentile * static_cast<double>(sorted.size())));
-    if (rank > 0) --rank;
-    if (rank >= sorted.size()) rank = sorted.size() - 1;
-    delay = sorted[rank];
+    // Nearest-rank percentile, matching the observability histograms:
+    // rank ceil(p * n) in [1, n] for 0 < p <= 1 and n >= kHedgeMinSamples.
+    const size_t rank = static_cast<size_t>(
+        std::ceil(kHedgePercentile * static_cast<double>(sorted.size())));
+    delay = sorted[rank - 1];
   }
-  return std::max(delay, options_.min_delay_nanos);
-}
-
-int64_t HedgeDelayTracker::samples_seen() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return seen_;
+  return std::max(delay, kHedgeMinDelayNanos);
 }
 
 }  // namespace cluster

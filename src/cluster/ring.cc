@@ -19,8 +19,6 @@ ShardRing::ShardRing(const RingOptions& options)
     : num_shards_(options.num_shards > 0 ? options.num_shards : 1),
       replication_(options.replication > 0 ? options.replication : 1) {
   if (replication_ > num_shards_) replication_ = num_shards_;
-  const int64_t vnodes =
-      options.vnodes_per_shard > 0 ? options.vnodes_per_shard : 1;
 
   // Place every vnode. Ties in the 64-bit hash are possible in principle;
   // sorting (hash, shard, vnode) keeps even that case deterministic.
@@ -30,9 +28,9 @@ ShardRing::ShardRing(const RingOptions& options)
     int64_t vnode;
   };
   std::vector<Point> placed;
-  placed.reserve(static_cast<size_t>(num_shards_ * vnodes));
+  placed.reserve(static_cast<size_t>(num_shards_ * kVnodesPerShard));
   for (int64_t shard = 0; shard < num_shards_; ++shard) {
-    for (int64_t vnode = 0; vnode < vnodes; ++vnode) {
+    for (int64_t vnode = 0; vnode < kVnodesPerShard; ++vnode) {
       const uint64_t h =
           Mix(options.seed ^ Mix(static_cast<uint64_t>(shard) * 0x10001ull +
                                  static_cast<uint64_t>(vnode)));

@@ -7,6 +7,12 @@
 namespace slime {
 namespace cluster {
 
+/// Virtual nodes per shard. More vnodes smooth the key distribution and
+/// shrink the keyspace slice that moves when a shard is added; 16 keeps
+/// the per-segment replica tables small while staying within a few
+/// percent of uniform at the fleet sizes this library simulates.
+inline constexpr int64_t kVnodesPerShard = 16;
+
 /// Layout of a consistent-hash ring over a fixed shard fleet.
 struct RingOptions {
   /// Number of shards on the ring. Must be >= 1.
@@ -14,11 +20,6 @@ struct RingOptions {
   /// Replication factor R: every key is owned by R distinct shards (a
   /// primary plus R-1 replicas). Clamped to num_shards.
   int64_t replication = 2;
-  /// Virtual nodes per shard. More vnodes smooth the key distribution and
-  /// shrink the keyspace slice that moves when a shard is added; 16 keeps
-  /// the per-segment replica tables small while staying within a few
-  /// percent of uniform at the fleet sizes this library simulates.
-  int64_t vnodes_per_shard = 16;
   /// Seed for the ring's hash placement. Two rings built with identical
   /// options are identical; changing the seed reshuffles every placement,
   /// which is how tests prove routing derives only from (options, key).
@@ -27,7 +28,7 @@ struct RingOptions {
 
 /// Deterministic consistent-hash ring with replication.
 ///
-/// Each shard owns vnodes_per_shard pseudo-random points on a 64-bit ring;
+/// Each shard owns kVnodesPerShard pseudo-random points on a 64-bit ring;
 /// the arc between consecutive points is a **segment**. A user key hashes
 /// onto the ring and is owned by the segment it lands in; the segment's
 /// replica set is the first R *distinct* shards found walking clockwise
@@ -50,7 +51,7 @@ class ShardRing {
   int64_t num_shards() const { return num_shards_; }
   /// Effective replication factor (min(options.replication, num_shards)).
   int64_t replication() const { return replication_; }
-  /// Number of ring segments (num_shards * vnodes_per_shard).
+  /// Number of ring segments (num_shards * kVnodesPerShard).
   int64_t num_segments() const {
     return static_cast<int64_t>(points_.size());
   }

@@ -74,7 +74,7 @@ class Status {
   /// Typed back-off hint attached to ResourceExhausted/Unavailable
   /// statuses (0 = no hint). The machine-readable twin of the "retry
   /// after" text some messages carry, so a retrying client (see
-  /// cluster::RetryPolicy) can honour the server's hint without parsing
+  /// cluster::NextRetry) can honour the server's hint without parsing
   /// prose. Analogue of gRPC's RetryInfo error detail.
   int64_t retry_after_nanos() const { return retry_after_nanos_; }
   Status&& WithRetryAfter(int64_t nanos) && {

@@ -196,6 +196,26 @@ printf '1 99\n' > "$TMP/diverge.txt"
 grep -q "1 repaired, 1 item(s) transferred, 0 conflict(s)" "$TMP/repair1.log"
 "$CLI" repair --state-dir "$TMP/cluster_state" --shards 2 > "$TMP/repair2.log"
 grep -q "0 repaired, 0 item(s) transferred, 0 conflict(s)" "$TMP/repair2.log"
+# With 2 shards every segment's replicas are {0, 1}, so the sweep above
+# cannot tell one ring from another. With 3 shards it can: user 0's
+# replicas on serve's ring are shards {0, 1}, so an event planted on
+# shard 1 must move exactly one item to shard 0. A repair that rebuilt a
+# different ring (another seed or vnode count) would pair user 0 with
+# another shard or another segment count and report something else.
+"$CLI" serve --data "$TMP/data.txt" --load "$TMP/m.ckpt" --requests 8 \
+    --shards 3 --state-dir "$TMP/cluster3_state" > "$TMP/serve_c3.log"
+grep -q "state: 8 replicated append(s) across 3 shard store(s)" \
+    "$TMP/serve_c3.log"
+printf '0 99\n' > "$TMP/diverge3.txt"
+"$CLI" append-events --state-dir "$TMP/cluster3_state/shard_1" \
+    --events "$TMP/diverge3.txt" > /dev/null
+"$CLI" repair --state-dir "$TMP/cluster3_state" --shards 3 \
+    > "$TMP/repair3a.log"
+grep -q "48 segment(s) swept (1 diverged)" "$TMP/repair3a.log"
+grep -q "1 repaired, 1 item(s) transferred, 0 conflict(s)" "$TMP/repair3a.log"
+"$CLI" repair --state-dir "$TMP/cluster3_state" --shards 3 \
+    > "$TMP/repair3b.log"
+grep -q "0 repaired, 0 item(s) transferred, 0 conflict(s)" "$TMP/repair3b.log"
 # A single-shard fleet has nothing to repair against; reject up front.
 if "$CLI" repair --state-dir "$TMP/cluster_state" --shards 1 2>/dev/null; then
   echo "expected repair with --shards 1 to fail"; exit 1

@@ -147,8 +147,7 @@ TEST(ShardRingTest, ReplicasAreDistinctAndComplete) {
   options.num_shards = 4;
   options.replication = 2;
   ShardRing ring(options);
-  EXPECT_EQ(ring.num_segments(),
-            options.num_shards * options.vnodes_per_shard);
+  EXPECT_EQ(ring.num_segments(), options.num_shards * kVnodesPerShard);
   for (int64_t seg = 0; seg < ring.num_segments(); ++seg) {
     const std::vector<int64_t>& replicas = ring.Replicas(seg);
     ASSERT_EQ(static_cast<int64_t>(replicas.size()), ring.replication());
@@ -207,100 +206,127 @@ TEST(ShardRingTest, SharesSegmentMatchesSegmentLists) {
   }
 }
 
-// --- RetryPolicy ---------------------------------------------------------
+// --- Retry policy ---------------------------------------------------------
 
-TEST(RetryPolicyTest, ExponentialBackoffGrowsAndCaps) {
-  RetryOptions options;
-  options.initial_backoff_nanos = 1 * kNanosPerMilli;
-  options.backoff_multiplier = 2.0;
-  options.max_backoff_nanos = 4 * kNanosPerMilli;
-  options.jitter = 0.0;
-  RetryPolicy policy(options);
-  EXPECT_EQ(policy.BackoffNanos(0, nullptr), 1 * kNanosPerMilli);
-  EXPECT_EQ(policy.BackoffNanos(1, nullptr), 2 * kNanosPerMilli);
-  EXPECT_EQ(policy.BackoffNanos(2, nullptr), 4 * kNanosPerMilli);
-  EXPECT_EQ(policy.BackoffNanos(5, nullptr), 4 * kNanosPerMilli);  // capped
+/// The jitter factor BackoffNanos applies on its next draw from `rng`,
+/// taken from a copy so `rng` itself is not advanced.
+double NextJitterFactor(const Rng& rng) {
+  Rng copy = rng;
+  return 1.0 + kBackoffJitter * (2.0 * copy.UniformDouble() - 1.0);
 }
 
-TEST(RetryPolicyTest, JitterIsBoundedAndSeedDeterministic) {
-  RetryOptions options;
-  options.initial_backoff_nanos = 10 * kNanosPerMilli;
-  options.jitter = 0.25;
-  RetryPolicy policy(options);
-  Rng a(42);
-  Rng b(42);
-  for (int i = 0; i < 64; ++i) {
-    const int64_t wait_a = policy.BackoffNanos(0, &a);
-    const int64_t wait_b = policy.BackoffNanos(0, &b);
-    EXPECT_EQ(wait_a, wait_b);  // same seed, same jitter stream
-    EXPECT_GE(wait_a, static_cast<int64_t>(10 * kNanosPerMilli * 0.75) - 1);
-    EXPECT_LE(wait_a, static_cast<int64_t>(10 * kNanosPerMilli * 1.25) + 1);
+TEST(RetryPolicyTest, ExponentialBackoffGrowsAndCaps) {
+  // Unjittered base per failed attempt: 2 ms doubling, capped at 64 ms.
+  const std::vector<int64_t> base_ms = {2, 4, 8, 16, 32, 64, 64, 64};
+  Rng rng(42);
+  for (size_t attempt = 0; attempt < base_ms.size(); ++attempt) {
+    const double factor = NextJitterFactor(rng);
+    const int64_t want = static_cast<int64_t>(
+        static_cast<double>(base_ms[attempt] * kNanosPerMilli) * factor);
+    EXPECT_EQ(BackoffNanos(static_cast<int64_t>(attempt), &rng), want)
+        << "attempt " << attempt;
   }
 }
 
+TEST(RetryPolicyTest, JitterIsBoundedAndSeedDeterministic) {
+  Rng a(42);
+  Rng b(42);
+  int64_t lo = kMaxBackoffNanos;
+  int64_t hi = 0;
+  for (int i = 0; i < 64; ++i) {
+    const int64_t wait_a = BackoffNanos(0, &a);
+    const int64_t wait_b = BackoffNanos(0, &b);
+    EXPECT_EQ(wait_a, wait_b);  // same seed, same jitter stream
+    EXPECT_GE(wait_a, static_cast<int64_t>(kInitialBackoffNanos * 0.75) - 1);
+    EXPECT_LE(wait_a, static_cast<int64_t>(kInitialBackoffNanos * 1.25) + 1);
+    lo = std::min(lo, wait_a);
+    hi = std::max(hi, wait_a);
+  }
+  // The band is actually used: 64 draws spread over more than half of it.
+  EXPECT_GT(hi - lo, static_cast<int64_t>(kInitialBackoffNanos * 0.25));
+}
+
 TEST(RetryPolicyTest, HonorsServerRetryAfterHint) {
-  RetryOptions options;
-  options.initial_backoff_nanos = 1 * kNanosPerMilli;
-  options.jitter = 0.0;
-  RetryPolicy policy(options);
+  Rng rng(1);
   const Status shed = Status::ResourceExhausted("rate limited")
                           .WithRetryAfter(30 * kNanosPerMilli);
-  const RetryDecision d = policy.Next(
+  const RetryDecision d = NextRetry(
       /*attempt=*/0, shed, /*same_shard=*/true,
-      /*remaining_budget_nanos=*/kNanosPerSecond, /*rng=*/nullptr);
+      /*remaining_budget_nanos=*/kNanosPerSecond, &rng);
   ASSERT_TRUE(d.retry);
-  // Backoff alone would be 1ms; the server said 30ms, so wait 30ms.
+  // Backoff alone would be at most 2.5 ms; the server said 30 ms.
   EXPECT_EQ(d.wait_nanos, 30 * kNanosPerMilli);
+  EXPECT_STREQ(d.reason, "backoff");
 }
 
 TEST(RetryPolicyTest, ImmediateFailoverOnTransportErrorToOtherShard) {
-  RetryPolicy policy(RetryOptions{});
-  const RetryDecision d = policy.Next(
+  Rng rng(7);
+  const RetryDecision d = NextRetry(
       /*attempt=*/0, Status::Unavailable("refused"), /*same_shard=*/false,
-      /*remaining_budget_nanos=*/kNanosPerSecond, /*rng=*/nullptr);
+      /*remaining_budget_nanos=*/kNanosPerSecond, &rng);
   ASSERT_TRUE(d.retry);
   EXPECT_EQ(d.wait_nanos, 0);
   EXPECT_STREQ(d.reason, "failover");
+  // A failover draws no jitter, so the request's stream stays aligned.
+  Rng fresh(7);
+  EXPECT_EQ(rng.NextUint64(), fresh.NextUint64());
 }
 
 TEST(RetryPolicyTest, RefusesWhenBudgetCannotCoverWaitPlusAttempt) {
-  RetryOptions options;
-  options.initial_backoff_nanos = 10 * kNanosPerMilli;
-  options.jitter = 0.0;
-  options.min_attempt_budget_nanos = 2 * kNanosPerMilli;
-  RetryPolicy policy(options);
-  const RetryDecision d = policy.Next(
-      /*attempt=*/0, Status::ResourceExhausted("shed"), /*same_shard=*/true,
-      /*remaining_budget_nanos=*/11 * kNanosPerMilli, /*rng=*/nullptr);
-  EXPECT_FALSE(d.retry);
-  EXPECT_STREQ(d.reason, "budget");
+  // The wait the seeded stream yields, then the budget boundary around it:
+  // wait + kMinAttemptBudgetNanos is admitted, one nanosecond less is not.
+  Rng probe(9);
+  const int64_t wait = BackoffNanos(0, &probe);
+  const Status shed = Status::ResourceExhausted("shed");
+  Rng fits(9);
+  const RetryDecision admitted = NextRetry(
+      /*attempt=*/0, shed, /*same_shard=*/true,
+      /*remaining_budget_nanos=*/wait + kMinAttemptBudgetNanos, &fits);
+  ASSERT_TRUE(admitted.retry);
+  EXPECT_EQ(admitted.wait_nanos, wait);
+  Rng short_of(9);
+  const RetryDecision refused = NextRetry(
+      /*attempt=*/0, shed, /*same_shard=*/true,
+      /*remaining_budget_nanos=*/wait + kMinAttemptBudgetNanos - 1,
+      &short_of);
+  EXPECT_FALSE(refused.retry);
+  EXPECT_STREQ(refused.reason, "budget");
 }
 
 TEST(RetryPolicyTest, PermanentFailuresAndAttemptCapAreTerminal) {
-  RetryPolicy policy(RetryOptions{});  // max_attempts = 3
-  const RetryDecision permanent = policy.Next(
-      0, Status::InvalidArgument("bad request"), true, kNanosPerSecond,
-      nullptr);
+  Rng rng(3);
+  const RetryDecision permanent = NextRetry(
+      0, Status::InvalidArgument("bad request"), true, kNanosPerSecond, &rng);
   EXPECT_FALSE(permanent.retry);
   EXPECT_STREQ(permanent.reason, "permanent");
-  const RetryDecision exhausted = policy.Next(
-      2, Status::Unavailable("down"), false, kNanosPerSecond, nullptr);
+  const RetryDecision last_retry = NextRetry(
+      kMaxAttempts - 2, Status::Unavailable("down"), false, kNanosPerSecond,
+      &rng);
+  EXPECT_TRUE(last_retry.retry);
+  const RetryDecision exhausted = NextRetry(
+      kMaxAttempts - 1, Status::Unavailable("down"), false, kNanosPerSecond,
+      &rng);
   EXPECT_FALSE(exhausted.retry);
   EXPECT_STREQ(exhausted.reason, "attempts");
 }
 
 TEST(HedgeDelayTrackerTest, InitialDelayThenWindowPercentile) {
-  HedgeOptions options;
-  options.window = 100;
-  options.min_samples = 10;
-  options.percentile = 0.95;
-  options.initial_delay_nanos = 77 * kNanosPerMilli;
-  options.min_delay_nanos = 0;
-  HedgeDelayTracker tracker(options);
-  EXPECT_EQ(tracker.DelayNanos(), 77 * kNanosPerMilli);
-  for (int64_t v = 1; v <= 100; ++v) tracker.Observe(v);
-  // Nearest-rank p95 of {1..100} is 95.
-  EXPECT_EQ(tracker.DelayNanos(), 95);
+  HedgeDelayTracker tracker;
+  EXPECT_EQ(tracker.DelayNanos(), kHedgeInitialDelayNanos);
+  // Until kHedgeMinSamples latencies are seen the initial delay stands.
+  for (int64_t i = 1; i < kHedgeMinSamples; ++i) {
+    tracker.Observe(5 * kNanosPerMilli);
+    EXPECT_EQ(tracker.DelayNanos(), kHedgeInitialDelayNanos) << i;
+  }
+  tracker.Observe(5 * kNanosPerMilli);
+  EXPECT_EQ(tracker.DelayNanos(), 5 * kNanosPerMilli);
+  // Only the last kHedgeWindow = 64 samples count: after 1..100 ms the
+  // window holds 37..100 ms, whose nearest-rank p95 (rank 61) is 97 ms.
+  for (int64_t v = 1; v <= 100; ++v) tracker.Observe(v * kNanosPerMilli);
+  EXPECT_EQ(tracker.DelayNanos(), 97 * kNanosPerMilli);
+  // A window of instant attempts still waits kHedgeMinDelayNanos.
+  for (int64_t i = 0; i < kHedgeWindow; ++i) tracker.Observe(0);
+  EXPECT_EQ(tracker.DelayNanos(), kHedgeMinDelayNanos);
 }
 
 // --- ClusterServer -------------------------------------------------------
@@ -309,10 +335,22 @@ ClusterOptions TinyClusterOptions() {
   ClusterOptions options;
   options.num_shards = 4;
   options.replication = 2;
-  options.retry.jitter = 0.0;  // exact waits in unit tests
-  options.hedge.enabled = false;
   options.default_deadline_nanos = 50 * kNanosPerMilli;
   return options;
+}
+
+/// One model per shard, in Start()'s boot order: shard 0's passes each
+/// advance `clock` by `primary_latency`, every other shard is instant.
+ClusterServer::ModelFactory SlowPrimaryFactory(FakeClock* clock,
+                                               int64_t primary_latency) {
+  auto created = std::make_shared<int64_t>(0);
+  return [clock, primary_latency, created] {
+    std::vector<int64_t> latencies;
+    if ((*created)++ == 0) latencies = {primary_latency};
+    return std::unique_ptr<models::SequentialRecommender>(
+        std::make_unique<ScriptedModel>(TinyConfig(), 0.0f, clock,
+                                        latencies));
+  };
 }
 
 TEST(ClusterServerTest, HealthyClusterServesEveryKey) {
@@ -396,10 +434,6 @@ TEST(ClusterServerTest, RetryWaitsAtLeastServerRetryAfterHint) {
   ClusterOptions options;
   options.num_shards = 1;
   options.replication = 1;
-  options.retry.jitter = 0.0;
-  options.retry.initial_backoff_nanos = 1 * kNanosPerMilli;
-  options.retry.max_attempts = 3;
-  options.hedge.enabled = false;
   options.shard.admission.tokens_per_second = 1.0;  // refill hint = 1s
   options.shard.admission.burst = 1.0;
   FakeClock clock;
@@ -426,9 +460,6 @@ TEST(ClusterServerTest, EjectionThenProbationThenReinstatement) {
   ClusterOptions options = TinyClusterOptions();
   options.num_shards = 2;
   options.replication = 2;
-  options.health.ejection_failures = 3;
-  options.health.ejection_nanos = 100 * kNanosPerMilli;
-  options.health.reinstate_successes = 2;
   FakeClock clock;
   ClusterServer cluster(options, TinyFactory(), &clock);
   ASSERT_TRUE(cluster.Start().ok());
@@ -436,11 +467,13 @@ TEST(ClusterServerTest, EjectionThenProbationThenReinstatement) {
   const uint64_t key = KeyRoutedTo(cluster.ring(), {0, 1});
   cluster.KillShard(0);
   serving::ServeRequest request = TinyRequest();
-  // Three failed first-attempts eject the dead primary.
-  for (int i = 0; i < 3; ++i) {
+  // kEjectionFailures failed first-attempts eject the dead primary, and
+  // not one fewer.
+  for (int64_t i = 1; i <= kEjectionFailures; ++i) {
     ASSERT_TRUE(cluster.Serve(key, request).ok());
+    EXPECT_EQ(cluster.stats().ejections, i == kEjectionFailures ? 1 : 0)
+        << "after " << i << " failure(s)";
   }
-  EXPECT_EQ(cluster.stats().ejections, 1);
   EXPECT_EQ(cluster.shard_liveness(0), ShardLiveness::kDown);
 
   // Restore does NOT reinstate: the shard must sit out its window first.
@@ -448,14 +481,16 @@ TEST(ClusterServerTest, EjectionThenProbationThenReinstatement) {
   EXPECT_EQ(cluster.shard_liveness(0), ShardLiveness::kEjected);
   EXPECT_EQ(cluster.health(), ClusterHealth::kDegraded);
 
-  clock.Advance(101 * kNanosPerMilli);
+  clock.Advance(kEjectionNanos + kNanosPerMilli);
   EXPECT_EQ(cluster.shard_liveness(0), ShardLiveness::kProbation);
   EXPECT_EQ(cluster.health(), ClusterHealth::kDegraded) << "probation is "
                                                            "not yet healthy";
 
-  // Two successes through the probing shard reinstate it.
-  ASSERT_TRUE(cluster.Serve(key, request).ok());
-  EXPECT_EQ(cluster.shard_liveness(0), ShardLiveness::kProbation);
+  // kReinstateSuccesses successes through the probing shard reinstate it.
+  for (int64_t i = 1; i < kReinstateSuccesses; ++i) {
+    ASSERT_TRUE(cluster.Serve(key, request).ok());
+    EXPECT_EQ(cluster.shard_liveness(0), ShardLiveness::kProbation) << i;
+  }
   ASSERT_TRUE(cluster.Serve(key, request).ok());
   EXPECT_EQ(cluster.shard_liveness(0), ShardLiveness::kHealthy);
   EXPECT_EQ(cluster.stats().reinstatements, 1);
@@ -465,14 +500,11 @@ TEST(ClusterServerTest, EjectionThenProbationThenReinstatement) {
 TEST(ClusterServerTest, FlappingShardBacksOffExponentially) {
   // A shard that fails exactly as it re-enters rotation must not whip the
   // cluster between serving and degraded at the flap frequency: each
-  // probation failure doubles the ejection window (up to the cap).
+  // probation failure multiplies the ejection window by kEjectionBackoff,
+  // up to kMaxEjectionNanos.
   ClusterOptions options = TinyClusterOptions();
   options.num_shards = 2;
   options.replication = 2;
-  options.health.ejection_failures = 1;  // eject on first refusal
-  options.health.ejection_nanos = 100 * kNanosPerMilli;
-  options.health.ejection_backoff = 2.0;
-  options.health.max_ejection_nanos = 800 * kNanosPerMilli;
   FakeClock clock;
   ClusterServer cluster(options, TinyFactory(), &clock);
   ASSERT_TRUE(cluster.Start().ok());
@@ -480,21 +512,31 @@ TEST(ClusterServerTest, FlappingShardBacksOffExponentially) {
   const uint64_t key = KeyRoutedTo(cluster.ring(), {0, 1});
   cluster.KillShard(0);
   serving::ServeRequest request = TinyRequest();
-
-  // Flap loop: wait out the window, probe (fails — still dead), re-eject.
-  int64_t expected_window = 100 * kNanosPerMilli;
-  for (int flap = 0; flap < 3; ++flap) {
+  for (int64_t i = 0; i < kEjectionFailures; ++i) {
     ASSERT_TRUE(cluster.Serve(key, request).ok());  // replica answers
-    EXPECT_EQ(cluster.stats().ejections, flap + 1);
-    clock.Advance(expected_window - kNanosPerMilli);
-    // Still inside the (growing) window: the shard must not be probed yet.
-    EXPECT_EQ(cluster.shard_liveness(0), ShardLiveness::kDown);
-    clock.Advance(2 * kNanosPerMilli);
-    expected_window = std::min(2 * expected_window, 800 * kNanosPerMilli);
   }
-  // Three flaps took >= 100+200+400ms of enforced quiet time — the
-  // oscillation slows down instead of tracking the flap frequency.
-  EXPECT_GE(clock.NowNanos(), 700 * kNanosPerMilli);
+  ASSERT_EQ(cluster.stats().ejections, 1);
+
+  // Flap loop: the shard comes back inside its window, is probed the
+  // moment the window ends, and is down again. Windows 100, 200, 400,
+  // 800, 1600 ms, then the 1600 ms cap.
+  int64_t window = kEjectionNanos;
+  for (int flap = 0; flap < 6; ++flap) {
+    ASSERT_TRUE(cluster.RestoreShard(0).ok());
+    clock.Advance(window - kNanosPerMilli);
+    EXPECT_EQ(cluster.shard_liveness(0), ShardLiveness::kEjected)
+        << "flap " << flap;
+    clock.Advance(2 * kNanosPerMilli);
+    EXPECT_EQ(cluster.shard_liveness(0), ShardLiveness::kProbation)
+        << "flap " << flap;
+    cluster.KillShard(0);
+    ASSERT_TRUE(cluster.Serve(key, request).ok());  // probe fails over
+    EXPECT_EQ(cluster.stats().ejections, flap + 2);
+    window = std::min(
+        static_cast<int64_t>(static_cast<double>(window) * kEjectionBackoff),
+        kMaxEjectionNanos);
+  }
+  EXPECT_EQ(window, kMaxEjectionNanos);
   EXPECT_EQ(cluster.stats().reinstatements, 0);
 }
 
@@ -502,27 +544,16 @@ TEST(ClusterServerTest, HedgeAbandonsSlowPrimaryAndWinsOnReplica) {
   ClusterOptions options;
   options.num_shards = 2;
   options.replication = 2;
-  options.retry.jitter = 0.0;
-  options.hedge.enabled = true;
-  options.hedge.initial_delay_nanos = 10 * kNanosPerMilli;
-  options.hedge.min_samples = 1000;  // pin the initial delay for the test
   options.default_deadline_nanos = 200 * kNanosPerMilli;
   FakeClock clock;
   obs::Tracer tracer(&clock);
   options.tracer = &tracer;
 
-  // Shard 0's model takes 50ms per pass; shard 1 is instant. Start() boots
-  // shards in order, so instance 0 lands on shard 0.
-  int64_t created = 0;
-  auto factory = [&clock, &created]() {
-    const int64_t idx = created++;
-    std::vector<int64_t> latencies;
-    if (idx == 0) latencies = {50 * kNanosPerMilli};
-    return std::unique_ptr<models::SequentialRecommender>(
-        std::make_unique<ScriptedModel>(TinyConfig(), 0.0f, &clock,
-                                        latencies));
-  };
-  ClusterServer cluster(options, factory, &clock);
+  // Shard 0's pass (50 ms) outlives the fresh tracker's hedge delay
+  // (kHedgeInitialDelayNanos, 20 ms); shard 1 is instant.
+  ClusterServer cluster(options,
+                        SlowPrimaryFactory(&clock, 50 * kNanosPerMilli),
+                        &clock);
   ASSERT_TRUE(cluster.Start().ok());
 
   const uint64_t key = KeyRoutedTo(cluster.ring(), {0, 1});
@@ -543,6 +574,37 @@ TEST(ClusterServerTest, HedgeAbandonsSlowPrimaryAndWinsOnReplica) {
   const std::string jsonl = obs::TracesToJsonl(tracer.Traces());
   EXPECT_NE(jsonl.find("\"outcome\":\"hedged\""), std::string::npos) << jsonl;
   EXPECT_NE(jsonl.find("\"hedge\":\"true\""), std::string::npos) << jsonl;
+}
+
+TEST(ClusterServerTest, BudgetExhaustedAfterHedgeNamesTheLastAttempt) {
+  // The primary's pass (60 ms) outlives the whole 40 ms budget after the
+  // hedge was armed at 20 ms: the hedge fires, but no budget is left for
+  // the replica. The failure keeps its DeadlineExceeded code and names
+  // what the abandoned attempt returned.
+  ClusterOptions options = TinyClusterOptions();
+  options.num_shards = 2;
+  options.default_deadline_nanos = 40 * kNanosPerMilli;
+  FakeClock clock;
+  ClusterServer cluster(options,
+                        SlowPrimaryFactory(&clock, 60 * kNanosPerMilli),
+                        &clock);
+  ASSERT_TRUE(cluster.Start().ok());
+
+  const uint64_t key = KeyRoutedTo(cluster.ring(), {0, 1});
+  const auto result = cluster.Serve(key, TinyRequest());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Status::Code::kDeadlineExceeded);
+  const std::string message = result.status().ToString();
+  EXPECT_NE(message.find("budget exhausted before attempt 1"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("last attempt: Aborted: request cancelled by caller"),
+            std::string::npos)
+      << message;
+  const ClusterStats stats = cluster.stats();
+  EXPECT_EQ(stats.attempts, 1);
+  EXPECT_EQ(stats.hedges, 1);
+  EXPECT_EQ(stats.typed_failures, 1);
 }
 
 TEST(ClusterServerTest, CallerCancelIsPermanentNotRetried) {
@@ -630,11 +692,6 @@ std::string RunClusterScenario(int threads, const std::string& reload_path) {
   options.num_shards = 4;
   options.replication = 2;
   options.seed = 0xfeed5eedull;
-  options.retry.jitter = 0.25;  // jitter ON: must still be deterministic
-  options.hedge.enabled = true;
-  options.hedge.min_samples = 4;
-  options.health.ejection_failures = 2;
-  options.health.ejection_nanos = 40 * kNanosPerMilli;
   options.metrics = &registry;
   options.tracer = &tracer;
   ClusterServer cluster(options, TinyFactory(), &clock);

@@ -982,7 +982,7 @@ TEST(ModelServerTest, ShedStatusCarriesTypedRetryAfterHint) {
   EXPECT_EQ(shed.status().code(), Status::Code::kResourceExhausted);
   // The machine-readable twin of the message's retry-after text: at 1
   // token/s with an empty bucket the next token is ~1s out. This is the
-  // hint cluster::RetryPolicy sleeps on.
+  // hint cluster::NextRetry sleeps on.
   EXPECT_GE(shed.status().retry_after_nanos(),
             kNanosPerSecond - kNanosPerMilli);
   EXPECT_LE(shed.status().retry_after_nanos(),

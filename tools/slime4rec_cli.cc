@@ -16,8 +16,8 @@
 //              [--state-dir DIR] [--state-sync always|group|none]
 //   append-events --state-dir DIR --events FILE
 //              [--state-sync always|group|none] [--compact 1]
-//   repair     --state-dir DIR --shards N [--replication R] [--vnodes V]
-//              [--ring-seed S] [--state-sync always|group|none]
+//   repair     --state-dir DIR --shards N [--replication R]
+//              [--state-sync always|group|none]
 //
 // With --state-dir, `serve` opens the durable per-user state store (WAL +
 // snapshot, see docs/STATE.md), streams each traffic user's history into
@@ -40,9 +40,9 @@
 // the same consistent-hash ring, and runs the digest-based anti-entropy
 // sweep across every segment's replica set — back-filling missed suffixes
 // through the normal durable append path and reporting conflicts it will
-// not auto-resolve. Ring flags must match the serve run that wrote the
-// stores (same --shards, --replication, --vnodes, --ring-seed), or the
-// segment->replica mapping will not line up.
+// not auto-resolve. --shards and --replication must match the serve run
+// that wrote the stores, or the segment->replica mapping will not line
+// up; the vnode count and ring seed are the ones every cluster uses.
 //
 // --metrics-out writes a JSONL observability log (see
 // docs/OBSERVABILITY.md): training telemetry plus compute-layer metrics
@@ -487,13 +487,12 @@ int CmdRepair(const Flags& flags) {
     std::fprintf(stderr, "--shards must be in [2,64] for repair\n");
     return 2;
   }
-  cluster::RingOptions ropts;
-  ropts.num_shards = shards;
-  ropts.replication = flags.GetInt("replication", 2);
-  ropts.vnodes_per_shard = flags.GetInt("vnodes", 16);
-  ropts.seed = static_cast<uint64_t>(
-      flags.GetInt("ring-seed", 0x5eedc105ll));
-  const cluster::ShardRing ring(ropts);
+  // The ring `serve --shards N --replication R` routed over: the same
+  // ClusterOptions defaults, so the same vnodes and seed.
+  cluster::ClusterOptions fleet;
+  fleet.num_shards = shards;
+  fleet.replication = flags.GetInt("replication", 2);
+  const cluster::ShardRing ring(cluster::FleetRing(fleet));
 
   // Same per-shard directory layout `serve --shards N --state-dir DIR`
   // uses; every store's crash recovery runs (and is reported) on open.
@@ -882,8 +881,7 @@ int Usage() {
       "(anti-entropy, docs/CLUSTER.md)\n"
       "  append-events --state-dir DIR --events FILE "
       "[--state-sync group] [--compact 1]\n"
-      "  repair    --state-dir DIR --shards N [--replication 2] "
-      "[--vnodes 16] [--ring-seed S]\n"
+      "  repair    --state-dir DIR --shards N [--replication 2]\n"
       "            (offline digest anti-entropy over a cluster's shard "
       "state dirs)\n");
   return 2;
