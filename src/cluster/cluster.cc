@@ -426,95 +426,17 @@ Result<int64_t> ClusterServer::ReplayHints(int64_t shard) {
   return replayed;
 }
 
-Result<RepairStats> ClusterServer::RepairSegmentFiltered(
-    int64_t segment, const std::function<bool(uint64_t)>& filter,
-    int64_t include_shard) {
-  if (!started_) return Status::Unavailable("cluster is not started");
-  if (options_.state_dir.empty()) {
-    return Status::InvalidArgument(
-        "cluster has no state dir configured (stateless)");
-  }
-  if (segment < 0 || segment >= ring_.num_segments()) {
-    return Status::InvalidArgument("segment " + std::to_string(segment) +
-                                   " out of range");
-  }
-  // Reachable replicas of the segment: alive shards, plus the one being
-  // restored (its process is back up, it just has not rejoined rotation).
-  // A dead shard is a partitioned process — repair cannot talk to it.
+std::vector<state::StateStore*> ClusterServer::ReachableStores(
+    int64_t segment, int64_t include_shard) {
   std::vector<state::StateStore*> stores;
-  {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    for (int64_t shard : ring_.Replicas(segment)) {
-      if (!shards_[static_cast<size_t>(shard)].alive &&
-          shard != include_shard) {
-        continue;
-      }
-      state::StateStore* store =
-          shards_[static_cast<size_t>(shard)].server->state_store();
-      if (store != nullptr) stores.push_back(store);
-    }
+  std::lock_guard<std::mutex> lock(health_mu_);
+  for (int64_t shard : ring_.Replicas(segment)) {
+    const Shard& s = shards_[static_cast<size_t>(shard)];
+    if (!s.alive && shard != include_shard) continue;
+    state::StateStore* store = s.server->state_store();
+    if (store != nullptr) stores.push_back(store);
   }
-  RepairStats total;
-  if (stores.size() < 2) return total;  // nothing to compare against
-  const std::function<bool(uint64_t)> in_segment =
-      [this, segment, &filter](uint64_t user) {
-        return ring_.SegmentOf(user) == segment &&
-               (!filter || filter(user));
-      };
-  // Union of the segment's users across all reachable replicas,
-  // ascending — the pass order is a pure function of the states.
-  std::vector<uint64_t> users;
-  for (state::StateStore* store : stores) {
-    for (const state::UserDigest& d : store->EnumerateDigests(in_segment)) {
-      users.push_back(d.user_id);
-    }
-  }
-  std::sort(users.begin(), users.end());
-  users.erase(std::unique(users.begin(), users.end()), users.end());
-  // Per user: elect the most advanced replica (longest stream; ties keep
-  // ring order) and pull every other replica up to it. One directed pass,
-  // so every divergent pair is compared — and counted — exactly once.
-  for (uint64_t user : users) {
-    size_t ahead = 0;
-    uint64_t best = stores[0]->Digest(user).items_total;
-    for (size_t i = 1; i < stores.size(); ++i) {
-      const uint64_t total_i = stores[i]->Digest(user).items_total;
-      if (total_i > best) {
-        best = total_i;
-        ahead = i;
-      }
-    }
-    for (size_t i = 0; i < stores.size(); ++i) {
-      if (i == ahead) continue;
-      RepairStats stats;
-      SLIME_RETURN_IF_ERROR(
-          RepairUser(stores[ahead], stores[i], user, &stats));
-      total.Add(stats);
-    }
-  }
-  repair_segments_.Increment();
-  repair_users_repaired_.Increment(total.users_repaired);
-  repair_items_.Increment(total.items_transferred);
-  repair_conflicts_.Increment(total.conflicts);
-  return total;
-}
-
-Result<RepairStats> ClusterServer::RepairSegment(int64_t segment) {
-  obs::TraceBuilder trace;
-  if (tracer_ != nullptr) trace = tracer_->StartTrace("cluster.repair");
-  const int32_t span = trace.BeginSpan("segment");
-  trace.Annotate(span, "segment", std::to_string(segment));
-  Result<RepairStats> stats =
-      RepairSegmentFiltered(segment, nullptr, /*include_shard=*/-1);
-  if (stats.ok()) {
-    trace.Annotate(span, "repaired",
-                   std::to_string(stats.value().users_repaired));
-    trace.Annotate(span, "conflicts",
-                   std::to_string(stats.value().conflicts));
-  }
-  trace.EndSpan(span);
-  trace.Finish();
-  return stats;
+  return stores;
 }
 
 Result<RepairStats> ClusterServer::RepairShard(int64_t shard) {
@@ -522,20 +444,39 @@ Result<RepairStats> ClusterServer::RepairShard(int64_t shard) {
     return Status::InvalidArgument("shard " + std::to_string(shard) +
                                    " out of range");
   }
+  if (!started_) return Status::Unavailable("cluster is not started");
+  if (options_.state_dir.empty()) {
+    return Status::InvalidArgument(
+        "cluster has no state dir configured (stateless)");
+  }
   obs::TraceBuilder trace;
   if (tracer_ != nullptr) trace = tracer_->StartTrace("cluster.repair");
   const int32_t span = trace.BeginSpan("shard");
   trace.Annotate(span, "shard", std::to_string(shard));
   RepairStats total;
   for (int64_t segment : ring_.SegmentsOfShard(shard)) {
-    Result<RepairStats> stats =
-        RepairSegmentFiltered(segment, nullptr, shard);
-    if (!stats.ok()) {
+    // The shard being repaired counts as reachable even while marked dead:
+    // a restore repairs it an instant before it rejoins rotation.
+    const std::vector<state::StateStore*> stores =
+        ReachableStores(segment, shard);
+    if (stores.size() < 2) continue;  // nothing to compare against
+    RepairStats stats;
+    const Status st = RepairReplicaSet(
+        stores,
+        [this, segment](uint64_t user) {
+          return ring_.SegmentOf(user) == segment;
+        },
+        &stats);
+    if (!st.ok()) {
       trace.EndSpan(span);
       trace.Finish();
-      return stats.status();
+      return st;
     }
-    total.Add(stats.value());
+    repair_segments_.Increment();
+    repair_users_repaired_.Increment(stats.users_repaired);
+    repair_items_.Increment(stats.items_transferred);
+    repair_conflicts_.Increment(stats.conflicts);
+    total.Add(stats);
   }
   trace.Annotate(span, "repaired", std::to_string(total.users_repaired));
   trace.Annotate(span, "conflicts", std::to_string(total.conflicts));
@@ -545,46 +486,24 @@ Result<RepairStats> ClusterServer::RepairShard(int64_t shard) {
 }
 
 void ClusterServer::ReadRepair(uint64_t user_key) {
-  // Divergence check on the serve path: cheap (R digest lookups), and the
-  // optional heal goes through the same never-fabricate repair core.
-  const int64_t segment = ring_.SegmentOf(user_key);
-  std::vector<state::StateStore*> stores;
-  {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    for (int64_t shard : ring_.Replicas(segment)) {
-      if (!shards_[static_cast<size_t>(shard)].alive) continue;
-      state::StateStore* store =
-          shards_[static_cast<size_t>(shard)].server->state_store();
-      if (store != nullptr) stores.push_back(store);
-    }
-  }
+  // Divergence check on the serve path: a converged user costs R digest
+  // reads; only a divergence runs the election and the heal.
+  const std::vector<state::StateStore*> stores =
+      ReachableStores(ring_.SegmentOf(user_key), /*include_shard=*/-1);
   if (stores.size() < 2) return;
-  bool diverged = false;
   const state::UserDigest first = stores[0]->Digest(user_key);
-  for (size_t i = 1; i < stores.size(); ++i) {
-    if (stores[i]->Digest(user_key) != first) diverged = true;
-  }
+  const bool diverged =
+      std::any_of(stores.begin() + 1, stores.end(),
+                  [&](const state::StateStore* store) {
+                    return store->Digest(user_key) != first;
+                  });
   if (!diverged) return;
   read_divergence_.Increment();
-  size_t ahead = 0;
-  uint64_t best = first.items_total;
-  for (size_t i = 1; i < stores.size(); ++i) {
-    const uint64_t total_i = stores[i]->Digest(user_key).items_total;
-    if (total_i > best) {
-      best = total_i;
-      ahead = i;
-    }
-  }
-  RepairStats total;
-  for (size_t i = 0; i < stores.size(); ++i) {
-    if (i == ahead) continue;
-    RepairStats stats;
-    if (!RepairUser(stores[ahead], stores[i], user_key, &stats).ok()) return;
-    total.Add(stats);
-  }
-  repair_users_repaired_.Increment(total.users_repaired);
-  repair_items_.Increment(total.items_transferred);
-  repair_conflicts_.Increment(total.conflicts);
+  RepairStats stats;
+  if (!RepairReplicas(stores, user_key, &stats).ok()) return;
+  repair_users_repaired_.Increment(stats.users_repaired);
+  repair_items_.Increment(stats.items_transferred);
+  repair_conflicts_.Increment(stats.conflicts);
 }
 
 Result<state::AppendAck> ClusterServer::AppendEvent(

@@ -263,15 +263,12 @@ class ClusterServer {
   void KillShard(int64_t shard);
   Status RestoreShard(int64_t shard);
 
-  /// Anti-entropy sweeps (cluster.repair.* metrics; docs/CLUSTER.md).
-  /// RepairSegment digest-diffs one segment's alive replicas pairwise
-  /// against the most advanced one and back-fills missing suffixes
-  /// through the normal durable Append path — never fabricating: a
-  /// transfer happens only when the suffix provably extends the behind
-  /// replica's stream to the ahead digest; anything else is a counted
-  /// conflict left untouched. RepairShard sweeps every segment the shard
-  /// replicates. Both require a stateful cluster.
-  Result<RepairStats> RepairSegment(int64_t segment);
+  /// Anti-entropy sweep (cluster.repair.* metrics; docs/CLUSTER.md): for
+  /// every segment `shard` replicates, heals the reachable replicas (the
+  /// alive ones, plus `shard` itself even while dead) with
+  /// RepairReplicaSet, which owns the election and never fabricates. Out
+  /// of range shards and stateless clusters are refused with
+  /// kInvalidArgument.
   Result<RepairStats> RepairShard(int64_t shard);
 
   /// Handoff hints currently queued for dead shards (drains to 0 once
@@ -325,17 +322,14 @@ class ClusterServer {
   /// Replays shard `s`'s queued handoff hints through its server's normal
   /// Append path (in origin_seq order). Returns the count replayed.
   Result<int64_t> ReplayHints(int64_t shard);
-  /// RepairSegment's core, shared with read-repair: heal `segment`'s
-  /// alive-replica stores for the users `filter` accepts (all users in
-  /// the segment when null). `include_shard` >= 0 additionally treats
-  /// that shard as reachable even while marked dead (the restore path
-  /// repairs a shard an instant before it rejoins rotation).
-  Result<RepairStats> RepairSegmentFiltered(
-      int64_t segment, const std::function<bool(uint64_t)>& filter,
-      int64_t include_shard);
+  /// The state stores of `segment`'s replicas that repair can reach: the
+  /// alive shards in ring order, plus `include_shard` (>= 0) even while it
+  /// is marked dead. A dead shard is a partitioned process.
+  std::vector<state::StateStore*> ReachableStores(int64_t segment,
+                                                  int64_t include_shard);
   /// Read-repair hook: after a successful session serve, digest-compare
   /// `user_key` across its segment's alive replicas; count divergence and
-  /// heal it.
+  /// heal it with RepairReplicas.
   void ReadRepair(uint64_t user_key);
   void NoteAttemptSuccess(int64_t shard);
   void NoteAttemptFailure(int64_t shard, const Status& status);
@@ -388,7 +382,7 @@ class ClusterServer {
   obs::Counter hints_replayed_;
   obs::Counter hints_dropped_;
   obs::Counter hint_replay_failures_;
-  obs::Counter repair_segments_;        // RepairSegment passes completed
+  obs::Counter repair_segments_;        // segment passes completed
   obs::Counter repair_users_repaired_;
   obs::Counter repair_items_;
   obs::Counter repair_conflicts_;

@@ -29,12 +29,6 @@ std::vector<HandoffHint> HintQueue::Drain(int64_t shard) {
   return out;
 }
 
-int64_t HintQueue::pending(int64_t shard) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = queues_.find(shard);
-  return it == queues_.end() ? 0 : static_cast<int64_t>(it->second.size());
-}
-
 int64_t HintQueue::total_pending() const {
   std::lock_guard<std::mutex> lock(mu_);
   return total_pending_;
@@ -94,22 +88,38 @@ Status RepairUser(state::StateStore* a, state::StateStore* b,
   return Status::OK();
 }
 
-Status SyncStores(state::StateStore* a, state::StateStore* b,
-                  const std::function<bool(uint64_t user_id)>& filter,
-                  RepairStats* stats) {
-  SLIME_CHECK(a != nullptr && b != nullptr && stats != nullptr);
-  // Union of both stores' users, ascending: the pass order (and so the
-  // repaired stores' bytes) is a pure function of the two states.
-  const std::vector<state::UserDigest> da = a->EnumerateDigests(filter);
-  const std::vector<state::UserDigest> db = b->EnumerateDigests(filter);
+Status RepairReplicas(const std::vector<state::StateStore*>& replicas,
+                      uint64_t user_id, RepairStats* stats) {
+  size_t ahead = 0;
+  uint64_t best = 0;
+  for (size_t i = 0; i < replicas.size(); ++i) {
+    const uint64_t total = replicas[i]->Digest(user_id).items_total;
+    if (total > best) {
+      best = total;
+      ahead = i;
+    }
+  }
+  for (size_t i = 0; i < replicas.size(); ++i) {
+    if (i == ahead) continue;
+    SLIME_RETURN_IF_ERROR(
+        RepairUser(replicas[ahead], replicas[i], user_id, stats));
+  }
+  return Status::OK();
+}
+
+Status RepairReplicaSet(const std::vector<state::StateStore*>& replicas,
+                        const std::function<bool(uint64_t user_id)>& in_scope,
+                        RepairStats* stats) {
   std::vector<uint64_t> users;
-  users.reserve(da.size() + db.size());
-  for (const state::UserDigest& d : da) users.push_back(d.user_id);
-  for (const state::UserDigest& d : db) users.push_back(d.user_id);
+  for (const state::StateStore* store : replicas) {
+    for (const state::UserDigest& d : store->EnumerateDigests(in_scope)) {
+      users.push_back(d.user_id);
+    }
+  }
   std::sort(users.begin(), users.end());
   users.erase(std::unique(users.begin(), users.end()), users.end());
   for (uint64_t user : users) {
-    SLIME_RETURN_IF_ERROR(RepairUser(a, b, user, stats));
+    SLIME_RETURN_IF_ERROR(RepairReplicas(replicas, user, stats));
   }
   return Status::OK();
 }

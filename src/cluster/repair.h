@@ -16,9 +16,9 @@ namespace cluster {
 
 /// Anti-entropy building blocks for the replicated state tier
 /// (docs/STATE.md "Anti-entropy"): a bounded deterministic hinted-handoff
-/// queue, and the digest-diff / suffix-transfer repair core shared by the
-/// cluster repair sweep, serve-time read-repair, and the offline CLI
-/// `repair` command.
+/// queue, and the digest-diff / suffix-transfer repair core. The cluster's
+/// restore sweep, serve-time read-repair and the offline CLI `repair`
+/// command all elect and heal through RepairReplicas / RepairReplicaSet.
 ///
 /// The one rule everything here obeys: **repair never fabricates**. A
 /// behind replica is only ever extended by a suffix whose digest provably
@@ -58,7 +58,6 @@ class HintQueue {
   /// Removes and returns `shard`'s backlog in enqueue order.
   std::vector<HandoffHint> Drain(int64_t shard);
 
-  int64_t pending(int64_t shard) const;
   int64_t total_pending() const;
 
  private:
@@ -93,11 +92,21 @@ struct RepairStats {
 Status RepairUser(state::StateStore* a, state::StateStore* b,
                   uint64_t user_id, RepairStats* stats);
 
-/// Runs RepairUser over every user either store knows (restricted to the
-/// users `filter` accepts when non-null), in ascending user-id order.
-Status SyncStores(state::StateStore* a, state::StateStore* b,
-                  const std::function<bool(uint64_t user_id)>& filter,
-                  RepairStats* stats);
+/// The election every repair path uses: the replica holding `user_id`'s
+/// longest stream (largest items_total) is ahead, and a tie keeps the
+/// earliest replica in `replicas` (callers pass ring order). Every other
+/// replica, in vector order, is then pulled up to it with RepairUser, so
+/// each divergent pair is compared, and counted, exactly once. Stops at
+/// the first append/IO failure.
+Status RepairReplicas(const std::vector<state::StateStore*>& replicas,
+                      uint64_t user_id, RepairStats* stats);
+
+/// RepairReplicas for every user that `in_scope` accepts on any replica,
+/// in ascending user-id order: the pass order, and so the repaired
+/// stores' bytes, is a pure function of the replicas' states.
+Status RepairReplicaSet(const std::vector<state::StateStore*>& replicas,
+                        const std::function<bool(uint64_t user_id)>& in_scope,
+                        RepairStats* stats);
 
 }  // namespace cluster
 }  // namespace slime

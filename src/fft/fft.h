@@ -90,7 +90,7 @@ class VerticalFftPlan {
 };
 
 /// A real-input "vertical" transform plan: the half-spectrum fast path for
-/// the filter mixer's FFT -> ComplexMul -> iFFT hot loop. Computes the
+/// the filter mixer's FFT -> complex product -> iFFT hot loop. Computes the
 /// forward rfft of an (n, d) real block into (m, d) half-spectrum planes
 /// (m = RfftBins(n)) and the matching half-spectrum inverse, doing roughly
 /// half the butterfly work of the full complex VerticalFftPlan:

@@ -162,18 +162,6 @@ Variable Irfft(const SpectralPair& spectrum, int64_t n) {
 
 namespace {
 
-/// True if `bsh` equals the trailing dims of `ash` (so b tiles a as a
-/// repeated suffix block).
-bool IsSuffixShape(const std::vector<int64_t>& ash,
-                   const std::vector<int64_t>& bsh) {
-  if (bsh.size() > ash.size()) return false;
-  const size_t off = ash.size() - bsh.size();
-  for (size_t i = 0; i < bsh.size(); ++i) {
-    if (bsh[i] != ash[off + i]) return false;
-  }
-  return true;
-}
-
 /// Backward of one output component of the fused complex product. For the
 /// real output (g = g_re): d_ar = g*br, d_ai = -g*bi, d_br = sum_r g*ar,
 /// d_bi = -sum_r g*ai. For the imaginary output (g = g_im): d_ar = g*bi,
@@ -253,42 +241,6 @@ struct ComplexMulGrads {
     }
   }
 };
-
-}  // namespace
-
-SpectralPair ComplexMul(const SpectralPair& a, const SpectralPair& b) {
-  const Tensor& art = a.re.value();
-  const Tensor& ait = a.im.value();
-  const Tensor& brt = b.re.value();
-  const Tensor& bit = b.im.value();
-  SLIME_CHECK(art.shape() == ait.shape());
-  SLIME_CHECK(brt.shape() == bit.shape());
-  // b is a's shape or a repeated suffix block of it (the learnable-filter
-  // case (B,M,d) * (M,d)); the numel guard keeps `repeats` well defined.
-  SLIME_CHECK(IsSuffixShape(art.shape(), brt.shape()) && brt.numel() > 0);
-  const int64_t block = brt.numel();
-  const int64_t repeats = art.numel() / block;
-  Tensor re(art.shape());
-  Tensor im(art.shape());
-  compute::Dispatch().complex_mul(art.data(), ait.data(), brt.data(),
-                                  bit.data(), re.data(), im.data(), repeats,
-                                  block);
-  ComplexMulGrads grads{a.re.node(), a.im.node(), b.re.node(),
-                        b.im.node(), art,         ait,
-                        brt,         bit,         repeats,
-                        block};
-  std::vector<std::shared_ptr<autograd::Node>> parents{grads.arn, grads.ain,
-                                                       grads.brn, grads.bin};
-  Variable vre = MakeOpVariable(
-      std::move(re), parents,
-      [grads](const Tensor& g) { grads.Apply(g, /*imag_component=*/false); });
-  Variable vim = MakeOpVariable(
-      std::move(im), parents,
-      [grads](const Tensor& g) { grads.Apply(g, /*imag_component=*/true); });
-  return {vre, vim};
-}
-
-namespace {
 
 /// One FilterMix term's backward: the complex-product gradients, and the
 /// window and coefficient its cotangent is scaled by.

@@ -27,13 +27,6 @@ SpectralPair Rfft(const autograd::Variable& x);
 /// RfftBins(n) == M.
 autograd::Variable Irfft(const SpectralPair& spectrum, int64_t n);
 
-/// Complex elementwise product of two spectra (the filtering operation of
-/// Eqs. 14/21/25): (a.re + i*a.im) * (b.re + i*b.im), as one fused kernel.
-/// `b` must be non-empty and either a's shape or a suffix of it (the
-/// learnable filter (M, d) tiled over a (B, M, d) spectrum); any other
-/// shape aborts.
-SpectralPair ComplexMul(const SpectralPair& a, const SpectralPair& b);
-
 /// One FilterMix term: a filter W_t (M, d), its frequency window sigma_t
 /// (M, 1) (undefined: the whole spectrum) and its mixing weight c_t, which
 /// a lone term ignores.
@@ -44,9 +37,10 @@ struct FilterTerm {
 };
 
 /// The filter step of Eqs. 21, 25 and 26 as one op on a (B, M, d) spectrum:
-/// sum_t c_t * (sigma_t (.) (X (.) W_t)) over one or two terms, rounded as
-/// ComplexMul, the window mask, MulScalar and Add round it. Its two graph
-/// nodes have X and every W_t as parents. Under a NoGradScope, when
+/// sum_t c_t * (sigma_t (.) (X (.) W_t)) over one or two terms. Values and
+/// gradients round exactly as the composed chain of complex product,
+/// window mask, MulScalar and Add does. Its two graph nodes have X and
+/// every W_t as parents. Under a NoGradScope, when
 /// autograd::CanReuse holds for X, the result overwrites X's buffers.
 SpectralPair FilterMix(SpectralPair x, const std::vector<FilterTerm>& terms);
 

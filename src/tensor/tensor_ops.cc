@@ -425,30 +425,6 @@ Tensor BatchMatMulTransA(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor TransposeLastTwo(const Tensor& a) {
-  SLIME_CHECK_MSG(a.dim() >= 2, "TransposeLastTwo needs rank >= 2, got "
-                                    << ShapeToString(a.shape()));
-  std::vector<int64_t> shape = a.shape();
-  std::swap(shape[shape.size() - 1], shape[shape.size() - 2]);
-  Tensor out(shape);
-  const int64_t rows = a.size(-2);
-  const int64_t cols = a.size(-1);
-  const int64_t mat = rows * cols;
-  const int64_t batch = a.numel() / mat;
-  const float* pa = a.data();
-  float* po = out.data();
-  ParallelFor(0, batch, GrainForWork(mat), [&](int64_t lo, int64_t hi) {
-    for (int64_t bidx = lo; bidx < hi; ++bidx) {
-      const float* src = pa + bidx * mat;
-      float* dst = po + bidx * mat;
-      for (int64_t r = 0; r < rows; ++r)
-        for (int64_t c = 0; c < cols; ++c)
-          dst[c * rows + r] = src[r * cols + c];
-    }
-  });
-  return out;
-}
-
 float SumAll(const Tensor& a) {
   return static_cast<float>(Dispatch().sum(a.data(), a.numel()));
 }

@@ -64,9 +64,6 @@ Tensor BatchMatMulTransB(const Tensor& a, const Tensor& b);
 /// Batched C_b = A_b^T @ B_b for 3-D A (B,k,m), B (B,k,n).
 Tensor BatchMatMulTransA(const Tensor& a, const Tensor& b);
 
-/// Swaps the last two dimensions (rank >= 2).
-Tensor TransposeLastTwo(const Tensor& a);
-
 /// Sum of all elements.
 float SumAll(const Tensor& a);
 

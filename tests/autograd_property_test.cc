@@ -9,6 +9,7 @@
 
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
+#include "reference_ops.h"
 #include "tensor/tensor_ops.h"
 
 namespace slime {
@@ -89,12 +90,12 @@ TEST_P(MatmulShapeSweep, TransposeVariantsAgree) {
   Rng rng(4000 + m * 100 + k * 10 + n);
   const Tensor a = Tensor::Randn({m, k}, &rng);
   const Tensor b = Tensor::Randn({k, n}, &rng);
-  const Tensor reference = ops::MatMul(a, b);
-  const Tensor via_tb = ops::MatMulTransB(a, ops::TransposeLastTwo(b));
-  const Tensor via_ta = ops::MatMulTransA(ops::TransposeLastTwo(a), b);
-  for (int64_t i = 0; i < reference.numel(); ++i) {
-    EXPECT_NEAR(reference[i], via_tb[i], 1e-4);
-    EXPECT_NEAR(reference[i], via_ta[i], 1e-4);
+  const Tensor expected = ops::MatMul(a, b);
+  const Tensor via_tb = ops::MatMulTransB(a, reference::TransposeLastTwo(b));
+  const Tensor via_ta = ops::MatMulTransA(reference::TransposeLastTwo(a), b);
+  for (int64_t i = 0; i < expected.numel(); ++i) {
+    EXPECT_NEAR(expected[i], via_tb[i], 1e-4);
+    EXPECT_NEAR(expected[i], via_ta[i], 1e-4);
   }
 }
 

@@ -216,6 +216,16 @@ grep -q "1 repaired, 1 item(s) transferred, 0 conflict(s)" "$TMP/repair3a.log"
 "$CLI" repair --state-dir "$TMP/cluster3_state" --shards 3 \
     > "$TMP/repair3b.log"
 grep -q "0 repaired, 0 item(s) transferred, 0 conflict(s)" "$TMP/repair3b.log"
+# Each subcommand takes only the flags it reads: a retired ring flag and a
+# misspelt one exit 2 naming the valid set instead of being ignored.
+rc=0
+"$CLI" repair --state-dir "$TMP/cluster3_state" --shards 3 --vnodes 8 \
+    >/dev/null 2>"$TMP/badflag.err" || rc=$?
+[ "$rc" = 2 ] || { echo "expected repair --vnodes to exit 2, got $rc"; exit 1; }
+grep -q "unknown flag --vnodes for repair (valid: --threads" "$TMP/badflag.err"
+rc=0
+"$CLI" train --data "$TMP/data.txt" --epoch 1 >/dev/null 2>&1 || rc=$?
+[ "$rc" = 2 ] || { echo "expected train --epoch to exit 2, got $rc"; exit 1; }
 # A single-shard fleet has nothing to repair against; reject up front.
 if "$CLI" repair --state-dir "$TMP/cluster_state" --shards 1 2>/dev/null; then
   echo "expected repair with --shards 1 to fail"; exit 1

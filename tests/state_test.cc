@@ -1180,44 +1180,125 @@ TEST(ClusterAntiEntropyTest, ReadRepairCountsAndHealsServeTimeDivergence) {
   EXPECT_EQ(CounterValue(metrics, "cluster.repair.read_divergence"), 1);
 }
 
-TEST(ClusterAntiEntropyTest, RepairSegmentIsIdempotentAndScoped) {
-  cluster::ClusterOptions options = AntiEntropyClusterOptions("ae_segment");
+TEST(ClusterAntiEntropyTest, RepairShardIsIdempotentAndScoped) {
+  cluster::ClusterOptions options = AntiEntropyClusterOptions("ae_shard");
   cluster::ClusterServer cluster(options, SessionFactory());
   ASSERT_TRUE(cluster.Start().ok());
+  const cluster::ShardRing& ring = cluster.ring();
 
   const uint64_t user = 42;
-  const int64_t segment = cluster.ring().SegmentOf(user);
-  const int64_t primary = cluster.ring().Replicas(segment)[0];
+  const int64_t primary = ring.Replicas(ring.SegmentOf(user))[0];
   ASSERT_TRUE(cluster.AppendEvent(user, {3, 4}).ok());
   cluster.KillShard(primary);
   ASSERT_TRUE(cluster.AppendEvent(user, {5}).ok());
   ASSERT_TRUE(cluster.RestoreShard(primary).ok());
 
-  // An explicit segment sweep heals the lagging replica; running it again
-  // finds nothing (idempotent), and a foreign segment transfers nothing.
-  Result<cluster::RepairStats> first = cluster.RepairSegment(segment);
+  // A user in a segment the primary does not replicate (3 shards, R = 2),
+  // diverged by an append that reaches only one of its replicas.
+  uint64_t outside = 0;
+  std::vector<int64_t> outside_replicas;
+  for (uint64_t u = 0; outside_replicas.empty(); ++u) {
+    const std::vector<int64_t>& r = ring.Replicas(ring.SegmentOf(u));
+    if (std::find(r.begin(), r.end(), primary) == r.end()) {
+      outside = u;
+      outside_replicas = r;
+    }
+  }
+  const auto store = [&cluster](int64_t shard) {
+    return cluster.shard_server(shard)->state_store();
+  };
+  ASSERT_TRUE(cluster.AppendEvent(outside, {7}).ok());
+  ASSERT_TRUE(cluster.shard_server(outside_replicas[0])
+                  ->AppendEvent(outside, {8})
+                  .ok());
+
+  // The sweep heals the primary's lagging replica and nothing outside the
+  // primary's segments; running it again finds nothing (idempotent).
+  Result<cluster::RepairStats> first = cluster.RepairShard(primary);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.value().users_repaired, 1);
   EXPECT_EQ(first.value().items_transferred, 1);
-  EXPECT_EQ(cluster.shard_server(primary)->state_store()->History(user),
-            (std::vector<int64_t>{3, 4, 5}));
-  Result<cluster::RepairStats> second = cluster.RepairSegment(segment);
+  EXPECT_EQ(store(primary)->History(user), (std::vector<int64_t>{3, 4, 5}));
+  EXPECT_NE(store(outside_replicas[0])->Digest(outside),
+            store(outside_replicas[1])->Digest(outside));
+  Result<cluster::RepairStats> second = cluster.RepairShard(primary);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second.value().users_repaired, 0);
   EXPECT_EQ(second.value().items_transferred, 0);
-  Result<cluster::RepairStats> foreign = cluster.RepairSegment(
-      (segment + 1) % cluster.ring().num_segments());
-  ASSERT_TRUE(foreign.ok());
-  EXPECT_EQ(foreign.value().items_transferred, 0);
-  // Out-of-range and stateless clusters are refused, typed.
-  EXPECT_EQ(cluster.RepairSegment(-1).status().code(),
+  // A shard that does replicate the outside segment heals it.
+  Result<cluster::RepairStats> healed =
+      cluster.RepairShard(outside_replicas[1]);
+  ASSERT_TRUE(healed.ok());
+  EXPECT_EQ(healed.value().users_repaired, 1);
+  EXPECT_EQ(store(outside_replicas[1])->History(outside),
+            (std::vector<int64_t>{7, 8}));
+  // Out-of-range shards and stateless clusters are refused, typed.
+  EXPECT_EQ(cluster.RepairShard(-1).status().code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(cluster.RepairShard(options.num_shards).status().code(),
             Status::Code::kInvalidArgument);
   cluster::ClusterOptions stateless = options;
   stateless.state_dir.clear();
   cluster::ClusterServer plain(stateless, SessionFactory());
   ASSERT_TRUE(plain.Start().ok());
-  EXPECT_EQ(plain.RepairSegment(segment).status().code(),
+  EXPECT_EQ(plain.RepairShard(primary).status().code(),
             Status::Code::kInvalidArgument);
+}
+
+/// The one election, on three replicas (R = 3) in ring order a, b, c.
+TEST(ClusterAntiEntropyTest, RepairReplicaSetElectsLongestThenEarliest) {
+  std::vector<std::unique_ptr<StateStore>> owned;
+  for (const char* name : {"rrs_a", "rrs_b", "rrs_c"}) {
+    owned.push_back(MustOpen(Opts(FreshStateDir(name), SyncMode::kNone)));
+  }
+  StateStore* a = owned[0].get();
+  StateStore* b = owned[1].get();
+  StateStore* c = owned[2].get();
+  // User 1: b holds the longest stream, so a and c are both back-filled.
+  ASSERT_TRUE(a->Append(1, {1}).ok());
+  ASSERT_TRUE(b->Append(1, {1, 2, 3}).ok());
+  ASSERT_TRUE(c->Append(1, {1, 2}).ok());
+  // User 2: b and c tie at two items, so the earlier b is elected: a takes
+  // b's suffix, and the b/c fork is a conflict.
+  ASSERT_TRUE(a->Append(2, {9}).ok());
+  ASSERT_TRUE(b->Append(2, {9, 10}).ok());
+  ASSERT_TRUE(c->Append(2, {9, 11}).ok());
+  // User 3: an equal-length fork on all three; a and c agree.
+  ASSERT_TRUE(a->Append(3, {4, 5}).ok());
+  ASSERT_TRUE(b->Append(3, {4, 6}).ok());
+  ASSERT_TRUE(c->Append(3, {4, 5}).ok());
+  // User 4: out of scope, so it stays diverged.
+  ASSERT_TRUE(b->Append(4, {7}).ok());
+  // User 5: known to c alone; the union of users reaches it.
+  ASSERT_TRUE(c->Append(5, {3}).ok());
+
+  const auto in_scope = [](uint64_t user) { return user != 4; };
+  cluster::RepairStats stats;
+  ASSERT_TRUE(cluster::RepairReplicaSet({a, b, c}, in_scope, &stats).ok());
+  for (StateStore* store : {a, b, c}) {
+    EXPECT_EQ(store->History(1), (std::vector<int64_t>{1, 2, 3}));
+    EXPECT_EQ(store->History(5), (std::vector<int64_t>{3}));
+  }
+  EXPECT_EQ(a->History(2), (std::vector<int64_t>{9, 10}));
+  EXPECT_EQ(b->History(2), (std::vector<int64_t>{9, 10}));
+  EXPECT_EQ(c->History(2), (std::vector<int64_t>{9, 11}));
+  EXPECT_EQ(a->History(3), (std::vector<int64_t>{4, 5}));
+  EXPECT_EQ(b->History(3), (std::vector<int64_t>{4, 6}));
+  EXPECT_EQ(c->History(3), (std::vector<int64_t>{4, 5}));
+  EXPECT_EQ(a->History(4), (std::vector<int64_t>{}));
+  // Two pairs per user: users 1, 2, 3 and 5 in scope.
+  EXPECT_EQ(stats.users_scanned, 8);
+  EXPECT_EQ(stats.users_diverged, 7);
+  EXPECT_EQ(stats.users_repaired, 5);
+  EXPECT_EQ(stats.items_transferred, 6);
+  EXPECT_EQ(stats.conflicts, 2);
+
+  // A second pass moves nothing and recounts the two forks.
+  cluster::RepairStats again;
+  ASSERT_TRUE(cluster::RepairReplicaSet({a, b, c}, in_scope, &again).ok());
+  EXPECT_EQ(again.users_repaired, 0);
+  EXPECT_EQ(again.items_transferred, 0);
+  EXPECT_EQ(again.conflicts, 2);
 }
 
 }  // namespace

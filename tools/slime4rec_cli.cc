@@ -1,23 +1,31 @@
 // slime4rec — command-line interface to the library.
 //
-// Subcommands:
+// Subcommands and the flags each one reads; any other flag exits 2 and
+// names the subcommand's valid set. Every subcommand also takes the global
+// --threads N and --kernel-backend auto|scalar|simd, and every --data
+// subcommand takes --data-policy strict|repair (validated ingestion, see
+// docs/DATA.md) and --quarantine-out FILE (JSONL quarantine report).
 //   stats      --data FILE
 //   generate   --preset NAME --scale S --out FILE [--seed N]
-//   train      --data FILE [--model NAME] [--epochs N] [--alpha A]
-//              [--layers L] [--hidden D] [--max-len N] [--save CKPT]
+//   train      --data FILE [MODEL] [--max-prefixes N] [--epochs N]
+//              [--patience N] [--batch B] [--lr LR] [--save CKPT]
 //              [--checkpoint-dir DIR] [--checkpoint-every N]
 //              [--resume DIR_OR_SNAPSHOT] [--metrics-out FILE]
-//   evaluate   --data FILE --load CKPT [--model NAME] [...model flags]
-//   recommend  --data FILE --load CKPT --user U [--topk K] [...model flags]
-//   serve      --data FILE --load CKPT [--requests N] [--deadline-ms D]
-//              [--max-inflight M] [--rate QPS] [--burst B]
-//              [--canaries C] [--reload CKPT2]
+//   evaluate   --data FILE --load CKPT [MODEL] [--max-prefixes N]
+//   recommend  --data FILE --load CKPT --user U [--topk K] [MODEL]
+//   serve      --data FILE --load CKPT [MODEL] [--requests N] [--topk K]
+//              [--deadline-ms D] [--max-inflight M] [--rate QPS]
+//              [--burst B] [--canaries C] [--reload CKPT2]
 //              [--metrics-out FILE] [--shards N] [--replication R]
 //              [--state-dir DIR] [--state-sync always|group|none]
+//              [--repair-on-restore 1] [--read-repair 1]
 //   append-events --state-dir DIR --events FILE
 //              [--state-sync always|group|none] [--compact 1]
 //   repair     --state-dir DIR --shards N [--replication R]
 //              [--state-sync always|group|none]
+// MODEL is any of [--model NAME] [--alpha A] [--gamma G] [--layers L]
+// [--hidden D] [--heads H] [--max-len N] [--dropout P] [--cl-weight W]
+// [--cl-temperature T] [--seed N].
 //
 // With --state-dir, `serve` opens the durable per-user state store (WAL +
 // snapshot, see docs/STATE.md), streams each traffic user's history into
@@ -50,9 +58,7 @@
 // `serve`.
 //
 // Dataset files use the plain-text format of data/loader.h (one user per
-// line, chronological 1-based item ids). Every command taking --data also
-// accepts --data-policy strict|repair (validated ingestion, see
-// docs/DATA.md) and --quarantine-out FILE (JSONL quarantine report).
+// line, chronological 1-based item ids).
 
 #include <sys/stat.h>
 
@@ -91,10 +97,13 @@ namespace slime {
 namespace cli {
 namespace {
 
-/// Minimal --key value flag parser; flags may appear in any order.
+/// Minimal --key value flag parser; flags may appear in any order. A flag
+/// outside `valid` exits 2 naming the valid set, so a misspelt or retired
+/// flag is never silently ignored.
 class Flags {
  public:
-  Flags(int argc, char** argv, int first) {
+  Flags(int argc, char** argv, int first, const std::string& cmd,
+        const std::vector<std::string>& valid) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
@@ -102,6 +111,15 @@ class Flags {
         std::exit(2);
       }
       key = key.substr(2);
+      if (std::find(valid.begin(), valid.end(), key) == valid.end()) {
+        std::string names;
+        for (const std::string& v : valid) {
+          names += (names.empty() ? "--" : ", --") + v;
+        }
+        std::fprintf(stderr, "unknown flag --%s for %s (valid: %s)\n",
+                     key.c_str(), cmd.c_str(), names.c_str());
+        std::exit(2);
+      }
       if (i + 1 >= argc) {
         std::fprintf(stderr, "flag --%s needs a value\n", key.c_str());
         std::exit(2);
@@ -138,6 +156,41 @@ class Flags {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// The flags `cmd` reads, the global --threads and --kernel-backend first;
+/// empty for an unknown subcommand.
+std::vector<std::string> ValidFlags(const std::string& cmd) {
+  using Names = std::vector<std::string>;
+  const Names data = {"data", "data-policy", "quarantine-out"};
+  const Names model = {"model",     "alpha",          "gamma", "layers",
+                       "hidden",    "heads",          "max-len", "dropout",
+                       "cl-weight", "cl-temperature", "seed"};
+  const std::map<std::string, std::vector<Names>> table = {
+      {"stats", {data}},
+      {"generate", {{"preset", "scale", "out", "seed"}}},
+      {"train",
+       {data, model,
+        {"max-prefixes", "epochs", "patience", "batch", "lr", "save",
+         "checkpoint-dir", "checkpoint-every", "resume", "metrics-out"}}},
+      {"evaluate", {data, model, {"load", "max-prefixes"}}},
+      {"recommend", {data, model, {"load", "user", "topk"}}},
+      {"serve",
+       {data, model,
+        {"load", "requests", "topk", "deadline-ms", "max-inflight", "rate",
+         "burst", "canaries", "reload", "metrics-out", "shards",
+         "replication", "state-dir", "state-sync", "repair-on-restore",
+         "read-repair"}}},
+      {"append-events", {{"state-dir", "events", "state-sync", "compact"}}},
+      {"repair", {{"state-dir", "shards", "replication", "state-sync"}}},
+  };
+  const auto it = table.find(cmd);
+  if (it == table.end()) return {};
+  Names valid = {"threads", "kernel-backend"};
+  for (const Names& part : it->second) {
+    valid.insert(valid.end(), part.begin(), part.end());
+  }
+  return valid;
+}
 
 int Fail(const Status& st) {
   std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
@@ -474,12 +527,10 @@ int CmdAppendEvents(const Flags& flags) {
 
 /// `repair --state-dir DIR --shards N`: offline anti-entropy sweep over
 /// the per-shard state stores a cluster `serve` run wrote. Rebuilds the
-/// serve run's consistent-hash ring, and for every segment elects the
-/// most-advanced replica per user (by monotone append count) and
-/// back-fills the others' missing suffixes through the normal durable
-/// append path — after verifying the suffix extends the lagging digest to
-/// exactly the leading one. Equal-length-but-different histories are
-/// conflicts: counted and left untouched, never overwritten.
+/// serve run's consistent-hash ring and heals every segment's replica set
+/// with cluster::RepairReplicaSet, the election the cluster's own sweeps
+/// use. Equal-length-but-different histories are conflicts: counted and
+/// left untouched, never overwritten.
 int CmdRepair(const Flags& flags) {
   const std::string state_dir = flags.Require("state-dir");
   const int64_t shards = flags.GetInt("shards", 2);
@@ -516,40 +567,16 @@ int CmdRepair(const Flags& flags) {
   cluster::RepairStats total;
   int64_t segments_diverged = 0;
   for (int64_t seg = 0; seg < ring.num_segments(); ++seg) {
-    const std::vector<int64_t>& replicas = ring.Replicas(seg);
-    if (replicas.size() < 2) continue;
-    std::vector<uint64_t> users;
-    for (const int64_t shard : replicas) {
-      for (const state::UserDigest& d :
-           stores[static_cast<size_t>(shard)]->EnumerateDigests(
-               [&ring, seg](uint64_t u) {
-                 return ring.SegmentOf(u) == seg;
-               })) {
-        users.push_back(d.user_id);
-      }
+    std::vector<state::StateStore*> replicas;
+    for (const int64_t shard : ring.Replicas(seg)) {
+      replicas.push_back(stores[static_cast<size_t>(shard)].get());
     }
-    std::sort(users.begin(), users.end());
-    users.erase(std::unique(users.begin(), users.end()), users.end());
     const int64_t diverged_before = total.users_diverged;
-    for (const uint64_t user : users) {
-      // Elect the most-advanced replica, then pull the others up to it.
-      state::StateStore* ahead =
-          stores[static_cast<size_t>(replicas[0])].get();
-      for (size_t i = 1; i < replicas.size(); ++i) {
-        state::StateStore* other =
-            stores[static_cast<size_t>(replicas[i])].get();
-        if (other->Digest(user).items_total >
-            ahead->Digest(user).items_total) {
-          ahead = other;
-        }
-      }
-      for (const int64_t shard : replicas) {
-        state::StateStore* other = stores[static_cast<size_t>(shard)].get();
-        if (other == ahead) continue;
-        const Status st = cluster::RepairUser(ahead, other, user, &total);
-        if (!st.ok()) return Fail(st);
-      }
-    }
+    const Status st = cluster::RepairReplicaSet(
+        replicas,
+        [&ring, seg](uint64_t u) { return ring.SegmentOf(u) == seg; },
+        &total);
+    if (!st.ok()) return Fail(st);
     if (total.users_diverged != diverged_before) ++segments_diverged;
   }
   for (const std::unique_ptr<state::StateStore>& store : stores) {
@@ -890,7 +917,9 @@ int Usage() {
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
-  const Flags flags(argc, argv, 2);
+  const std::vector<std::string> valid = ValidFlags(cmd);
+  if (valid.empty()) return Usage();
+  const Flags flags(argc, argv, 2, cmd, valid);
   // --threads overrides SLIME_NUM_THREADS (which overrides the hardware
   // default). Pin --threads 1 for paper-exact single-thread runs. The
   // value is untrusted input: reject garbage up front instead of spawning
