@@ -23,12 +23,14 @@ FilterMixerLayer::FilterMixerLayer(int64_t seq_len, int64_t dim,
   const FrequencyRamp ramp(m, num_layers, options.alpha,
                            options.dynamic_direction,
                            options.static_direction);
-  dynamic_window_ = options.full_spectrum ? FilterWindow{0, m}
-                                          : ramp.DynamicWindow(layer_index);
-  static_window_ = options.full_spectrum ? FilterWindow{0, m}
-                                         : ramp.StaticWindow(layer_index);
-  if (!options.full_spectrum) {
+  dynamic_window_ = ramp.DynamicWindow(layer_index);
+  static_window_ = ramp.StaticWindow(layer_index);
+  // A window over all M bins gets no mask: multiplying by 1 changes no bit,
+  // so FilterMix skips it (FMLP-Rec's alpha = 1 global filter).
+  if (dynamic_window_.size() < m) {
     dynamic_mask_ = ramp.WindowMask(dynamic_window_);
+  }
+  if (static_window_.size() < m) {
     static_mask_ = ramp.WindowMask(static_window_);
   }
   if (options.use_dynamic) {

@@ -18,7 +18,8 @@ namespace core {
 /// is SLIME4Rec_w/oS.
 struct FilterMixerOptions {
   /// Dynamic filter size ratio alpha (Eq. 19), in (0, 1]. alpha = 1 with
-  /// use_static = false degenerates to FMLP-Rec's global filter.
+  /// use_static = false degenerates to FMLP-Rec's global filter: every
+  /// layer's DFS window then covers all M bins.
   double alpha = 0.4;
   /// Mixing coefficient gamma of Eq. 26 between DFS and SFS outputs, in
   /// [0, 1] (the layer rejects any other value).
@@ -28,9 +29,6 @@ struct FilterMixerOptions {
   /// Slide directions (Table IV); mode 4 ("<-", "<-") is the paper's best.
   SlideDirection dynamic_direction = SlideDirection::kHighToLow;
   SlideDirection static_direction = SlideDirection::kHighToLow;
-  /// When true the DFS/SFS frequency windows are disabled and the
-  /// learnable filters cover the whole spectrum (used by FMLP-Rec).
-  bool full_spectrum = false;
 };
 
 /// Which sequence positions a forward pass returns. kLast keeps only
@@ -69,7 +67,7 @@ class FilterMixerLayer : public nn::Module {
   FilterMixerOptions options_;
   FilterWindow dynamic_window_;
   FilterWindow static_window_;
-  Tensor dynamic_mask_;  // undefined when full_spectrum
+  Tensor dynamic_mask_;  // undefined when the window covers all M bins
   Tensor static_mask_;
   std::shared_ptr<LearnableFilter> dynamic_filter_;
   std::shared_ptr<LearnableFilter> static_filter_;

@@ -7,7 +7,6 @@
 
 #include "core/filter_mixer.h"
 #include "models/recommender.h"
-#include "nn/embedding.h"
 
 namespace slime {
 namespace core {
@@ -30,6 +29,7 @@ class Slime4Rec : public models::SequentialRecommender {
  public:
   explicit Slime4Rec(const Slime4RecConfig& config);
 
+  /// core::DuoRecLoss, or its cross-entropy alone without use_contrastive.
   autograd::Variable Loss(const data::Batch& batch) override;
 
   /// Scores (B, num_items + 1): EncodeLast + PredictLogits over consecutive
@@ -75,7 +75,7 @@ class Slime4Rec : public models::SequentialRecommender {
   const std::vector<std::shared_ptr<FilterMixerBlock>>& blocks() const {
     return blocks_;
   }
-  const nn::Embedding& item_embedding() const { return *item_emb_; }
+  const nn::Embedding& item_embedding() const { return *stem_.item_emb; }
 
  private:
   /// The embedding layer and the L blocks, the final block at `positions`:
@@ -84,10 +84,7 @@ class Slime4Rec : public models::SequentialRecommender {
                               int64_t batch_size, Positions positions);
 
   Slime4RecConfig slime_config_;
-  std::shared_ptr<nn::Embedding> item_emb_;
-  autograd::Variable pos_emb_;  // (N, d)
-  std::shared_ptr<nn::LayerNorm> emb_norm_;
-  std::shared_ptr<nn::Dropout> emb_dropout_;
+  EmbeddingStem stem_;
   std::vector<std::shared_ptr<FilterMixerBlock>> blocks_;
 };
 

@@ -1,64 +1,9 @@
 #include "models/bert4rec.h"
 
 #include "autograd/ops.h"
-#include "nn/init.h"
 
 namespace slime {
 namespace models {
-
-Bert4Rec::Bert4Rec(const ModelConfig& config)
-    : SequentialRecommender(config) {
-  const int64_t d = config.hidden_dim;
-  const int64_t n = config.max_len;
-  // Vocabulary: 0 pad, 1..num_items real, num_items+1 [MASK].
-  item_emb_ = RegisterModule(
-      "item_emb",
-      std::make_shared<nn::Embedding>(config.num_items + 2, d, &rng_));
-  pos_emb_ = RegisterParameter(
-      "pos_emb", autograd::Param(nn::NormalInit({n, d}, &rng_, 0.02f)));
-  emb_norm_ = RegisterModule("emb_norm", std::make_shared<nn::LayerNorm>(d));
-  emb_dropout_ = RegisterModule(
-      "emb_dropout", std::make_shared<nn::Dropout>(config.emb_dropout));
-  for (int64_t l = 0; l < config.num_layers; ++l) {
-    Block b;
-    b.attn = RegisterModule(
-        "attn" + std::to_string(l),
-        std::make_shared<nn::MultiHeadSelfAttention>(d, config.num_heads,
-                                                     config.dropout, &rng_));
-    b.attn_norm = RegisterModule("attn_norm" + std::to_string(l),
-                                 std::make_shared<nn::LayerNorm>(d));
-    b.ffn = RegisterModule(
-        "ffn" + std::to_string(l),
-        std::make_shared<nn::FeedForward>(d, config.dropout, &rng_));
-    b.ffn_norm = RegisterModule("ffn_norm" + std::to_string(l),
-                                std::make_shared<nn::LayerNorm>(d));
-    blocks_.push_back(std::move(b));
-  }
-}
-
-autograd::Variable Bert4Rec::Encode(const std::vector<int64_t>& input_ids,
-                                    int64_t batch_size) {
-  using autograd::Add;
-  using autograd::Variable;
-  const int64_t n = config_.max_len;
-  Variable e = item_emb_->Forward(input_ids, {batch_size, n});
-  e = Add(e, pos_emb_);
-  e = emb_norm_->Forward(e);
-  e = emb_dropout_->Forward(e, &rng_);
-  Tensor padding({batch_size, n});
-  for (int64_t i = 0; i < batch_size * n; ++i) {
-    padding.data()[i] = input_ids[i] == 0 ? -1e9f : 0.0f;
-  }
-  Variable h = e;
-  for (const auto& b : blocks_) {
-    // Bidirectional: causal = false.
-    Variable a = b.attn->Forward(h, /*causal=*/false, padding, &rng_);
-    h = b.attn_norm->Forward(Add(h, a));
-    Variable f = b.ffn->Forward(h, &rng_);
-    h = b.ffn_norm->Forward(Add(h, f));
-  }
-  return h;
-}
 
 autograd::Variable Bert4Rec::Loss(const data::Batch& batch) {
   using autograd::CrossEntropy;
@@ -89,9 +34,8 @@ autograd::Variable Bert4Rec::Loss(const data::Batch& batch) {
     }
   }
   Variable h = Encode(masked, batch.size);  // (B, N, d)
-  Variable logits = autograd::MatMulTransB(
-      Reshape(h, {batch.size * n, config_.hidden_dim}),
-      item_emb_->weight());  // (B*N, V+2)
+  Variable logits = PredictLogits(
+      Reshape(h, {batch.size * n, config_.hidden_dim}));  // (B*N, V+2)
   return CrossEntropy(logits, labels, kIgnore);
 }
 
@@ -105,11 +49,7 @@ Tensor Bert4Rec::ScoreAll(const data::Batch& batch) {
     const std::vector<int64_t> padded = data::PadTruncate(input, n);
     for (int64_t t = 0; t < n; ++t) masked[i * n + t] = padded[t];
   }
-  autograd::Variable h = Encode(masked, batch.size);
-  autograd::Variable last = autograd::Reshape(
-      autograd::Slice(h, 1, n - 1, n), {batch.size, config_.hidden_dim});
-  const Tensor full =
-      autograd::MatMulTransB(last, item_emb_->weight()).value();
+  const Tensor full = PredictLogits(EncodeLast(masked, batch.size)).value();
   // Drop the [MASK] column: return (B, num_items + 1).
   Tensor out({batch.size, config_.num_items + 1});
   for (int64_t i = 0; i < batch.size; ++i) {

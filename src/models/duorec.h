@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "core/contrastive.h"
 #include "models/sasrec.h"
 
 namespace slime {
@@ -14,12 +15,15 @@ namespace models {
 /// through the encoder again, differing only by dropout) and a
 /// *supervised* semantic view (another training sequence with the same
 /// target item), with in-batch negatives. SLIME4Rec adopts exactly this
-/// objective on top of its filter-mixer encoder.
+/// objective on top of its filter-mixer encoder: both call
+/// core::DuoRecLoss.
 class DuoRec : public SasRec {
  public:
   explicit DuoRec(const ModelConfig& config) : SasRec(config) {}
 
-  autograd::Variable Loss(const data::Batch& batch) override;
+  autograd::Variable Loss(const data::Batch& batch) override {
+    return core::DuoRecLoss(*this, batch, /*contrastive=*/true);
+  }
   std::string name() const override { return "DuoRec"; }
   bool needs_positives() const override { return true; }
 };

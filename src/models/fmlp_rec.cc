@@ -1,29 +1,19 @@
 #include "models/fmlp_rec.h"
 
 #include "autograd/ops.h"
-#include "nn/init.h"
 
 namespace slime {
 namespace models {
 
-FmlpRec::FmlpRec(const ModelConfig& config) : SequentialRecommender(config) {
+FmlpRec::FmlpRec(const ModelConfig& config)
+    : SequentialRecommender(config),
+      stem_(RegisterEmbeddingStem(config.num_items + 1)) {
   const int64_t d = config.hidden_dim;
   const int64_t n = config.max_len;
-  item_emb_ = RegisterModule(
-      "item_emb",
-      std::make_shared<nn::Embedding>(config.num_items + 1, d, &rng_));
-  pos_emb_ = RegisterParameter(
-      "pos_emb", autograd::Param(nn::NormalInit({n, d}, &rng_, 0.02f)));
-  emb_norm_ = RegisterModule("emb_norm", std::make_shared<nn::LayerNorm>(d));
-  emb_dropout_ = RegisterModule(
-      "emb_dropout", std::make_shared<nn::Dropout>(config.emb_dropout));
-  // Global filter = the filter mixer with alpha = 1, full spectrum, DFS
-  // only.
+  // Global filter = the filter mixer with alpha = 1, DFS only.
   core::FilterMixerOptions options;
   options.alpha = 1.0;
-  options.use_dynamic = true;
   options.use_static = false;
-  options.full_spectrum = true;
   for (int64_t l = 0; l < config.num_layers; ++l) {
     Block b;
     b.filter = RegisterModule(
@@ -47,11 +37,7 @@ autograd::Variable FmlpRec::EncodeLast(const std::vector<int64_t>& input_ids,
   using autograd::Slice;
   using autograd::Variable;
   const int64_t n = config_.max_len;
-  Variable e = item_emb_->Forward(input_ids, {batch_size, n});
-  e = Add(e, pos_emb_);
-  e = emb_norm_->Forward(e);
-  e = emb_dropout_->Forward(e, &rng_);
-  Variable h = e;
+  Variable h = stem_.Forward(input_ids, batch_size, &rng_);
   for (const auto& b : blocks_) {
     Variable filtered = b.filter->Forward(h, &rng_);  // includes residual+LN
     Variable f = b.ffn->Forward(filtered, &rng_);
@@ -62,13 +48,14 @@ autograd::Variable FmlpRec::EncodeLast(const std::vector<int64_t>& input_ids,
 
 autograd::Variable FmlpRec::Loss(const data::Batch& batch) {
   autograd::Variable h = EncodeLast(batch.input_ids, batch.size);
-  autograd::Variable logits = autograd::MatMulTransB(h, item_emb_->weight());
+  autograd::Variable logits =
+      autograd::MatMulTransB(h, stem_.item_emb->weight());
   return autograd::CrossEntropy(logits, batch.targets);
 }
 
 Tensor FmlpRec::ScoreAll(const data::Batch& batch) {
   autograd::Variable h = EncodeLast(batch.input_ids, batch.size);
-  return autograd::MatMulTransB(h, item_emb_->weight()).value();
+  return autograd::MatMulTransB(h, stem_.item_emb->weight()).value();
 }
 
 }  // namespace models

@@ -7,16 +7,15 @@
 
 #include "core/filter_mixer.h"
 #include "models/recommender.h"
-#include "nn/embedding.h"
 
 namespace slime {
 namespace models {
 
 /// FMLP-Rec (Zhou et al., WWW'22): the all-MLP frequency baseline. Each
-/// block multiplies the full spectrum by one global learnable filter (no
-/// frequency windows, no static branch — the alpha = 1 degenerate case of
-/// SLIME4Rec's mixer, as the paper notes below Eq. 20) followed by the
-/// point-wise FFN with standard residual connections.
+/// block multiplies the whole spectrum by one global learnable filter:
+/// SLIME4Rec's mixer at alpha = 1 with DFS only, whose window covers all M
+/// bins in every layer (the degenerate case the paper notes below Eq. 20).
+/// The point-wise FFN follows with standard residual connections.
 class FmlpRec : public SequentialRecommender {
  public:
   explicit FmlpRec(const ModelConfig& config);
@@ -29,10 +28,7 @@ class FmlpRec : public SequentialRecommender {
                                 int64_t batch_size);
 
  private:
-  std::shared_ptr<nn::Embedding> item_emb_;
-  autograd::Variable pos_emb_;
-  std::shared_ptr<nn::LayerNorm> emb_norm_;
-  std::shared_ptr<nn::Dropout> emb_dropout_;
+  EmbeddingStem stem_;
   struct Block {
     std::shared_ptr<core::FilterMixerLayer> filter;
     std::shared_ptr<nn::FeedForward> ffn;

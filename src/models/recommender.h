@@ -1,10 +1,15 @@
 #ifndef SLIME4REC_MODELS_RECOMMENDER_H_
 #define SLIME4REC_MODELS_RECOMMENDER_H_
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "autograd/variable.h"
 #include "data/batcher.h"
+#include "nn/dropout.h"
+#include "nn/embedding.h"
+#include "nn/layer_norm.h"
 #include "nn/module.h"
 
 namespace slime {
@@ -69,6 +74,25 @@ class SequentialRecommender : public nn::Module {
   Rng* rng() { return &rng_; }
 
  protected:
+  /// The embedding layer of Eqs. 9-10, SASRec's, which FMLP-Rec and
+  /// SLIME4Rec share: item plus learned positional embedding, LayerNorm,
+  /// dropout. `item_emb` is also the tied output matrix.
+  struct EmbeddingStem {
+    std::shared_ptr<nn::Embedding> item_emb;
+    autograd::Variable pos_emb;  // (N, d)
+    std::shared_ptr<nn::LayerNorm> norm;
+    std::shared_ptr<nn::Dropout> dropout;
+
+    /// `input_ids` is a flat (batch_size * N) buffer; returns (B, N, d),
+    /// the dropout drawing from `rng`.
+    autograd::Variable Forward(const std::vector<int64_t>& input_ids,
+                               int64_t batch_size, Rng* rng) const;
+  };
+
+  /// Registers the stem on this model as item_emb (`vocab` rows), pos_emb,
+  /// emb_norm and emb_dropout, initialised from rng_ in that order.
+  EmbeddingStem RegisterEmbeddingStem(int64_t vocab);
+
   ModelConfig config_;
   Rng rng_;
 };

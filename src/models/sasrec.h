@@ -7,10 +7,7 @@
 
 #include "models/recommender.h"
 #include "nn/attention.h"
-#include "nn/dropout.h"
-#include "nn/embedding.h"
 #include "nn/feed_forward.h"
-#include "nn/layer_norm.h"
 
 namespace slime {
 namespace models {
@@ -18,7 +15,7 @@ namespace models {
 /// SASRec (Kang & McAuley, ICDM'18): causal multi-head self-attention
 /// encoder trained with next-item cross-entropy at the last position,
 /// scoring through the tied item-embedding matrix. Also the backbone that
-/// CL4SRec, CoSeRec, DuoRec and ContrastVAE subclass.
+/// CL4SRec, CoSeRec, DuoRec, ContrastVAE and BERT4Rec subclass.
 class SasRec : public SequentialRecommender {
  public:
   explicit SasRec(const ModelConfig& config);
@@ -27,7 +24,7 @@ class SasRec : public SequentialRecommender {
   Tensor ScoreAll(const data::Batch& batch) override;
   std::string name() const override { return "SASRec"; }
 
-  /// Encoder: embedding + L causal attention blocks; (B, N, d).
+  /// Encoder: embedding + L attention blocks (causal for SASRec); (B, N, d).
   autograd::Variable Encode(const std::vector<int64_t>& input_ids,
                             int64_t batch_size);
 
@@ -39,14 +36,12 @@ class SasRec : public SequentialRecommender {
   autograd::Variable PredictLogits(const autograd::Variable& h) const;
 
  protected:
-  /// Additive key-padding mask (B, N): 0 for real items, -1e9 for pads.
-  Tensor PaddingMask(const std::vector<int64_t>& input_ids,
-                     int64_t batch_size) const;
+  /// The encoder with `causal` attention over a `vocab`-row item embedding;
+  /// SASRec is (causal, num_items + 1).
+  SasRec(const ModelConfig& config, bool causal, int64_t vocab);
 
-  std::shared_ptr<nn::Embedding> item_emb_;
-  autograd::Variable pos_emb_;
-  std::shared_ptr<nn::LayerNorm> emb_norm_;
-  std::shared_ptr<nn::Dropout> emb_dropout_;
+  bool causal_;
+  EmbeddingStem stem_;
   struct Block {
     std::shared_ptr<nn::MultiHeadSelfAttention> attn;
     std::shared_ptr<nn::LayerNorm> attn_norm;

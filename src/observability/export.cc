@@ -3,8 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "bench_util/table_printer.h"
-
 namespace slime {
 namespace obs {
 namespace {
@@ -13,12 +11,6 @@ void AppendInt(std::string* out, int64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%" PRId64, v);
   *out += buf;
-}
-
-std::string IntStr(int64_t v) {
-  std::string s;
-  AppendInt(&s, v);
-  return s;
 }
 
 void AppendIntArray(std::string* out, const std::vector<int64_t>& values) {
@@ -108,31 +100,6 @@ std::string SnapshotToJsonl(const MetricsSnapshot& snapshot) {
   return out;
 }
 
-std::string SnapshotToTable(const MetricsSnapshot& snapshot) {
-  std::string out;
-  if (!snapshot.counters.empty() || !snapshot.gauges.empty()) {
-    bench::TablePrinter scalars({"metric", "kind", "value"});
-    for (const MetricValue& c : snapshot.counters) {
-      scalars.AddRow({c.name, "counter", IntStr(c.value)});
-    }
-    for (const MetricValue& g : snapshot.gauges) {
-      scalars.AddRow({g.name, "gauge", IntStr(g.value)});
-    }
-    out += scalars.ToString();
-  }
-  if (!snapshot.histograms.empty()) {
-    bench::TablePrinter hist(
-        {"histogram", "count", "min", "p50", "p95", "p99", "max"});
-    for (const HistogramValue& h : snapshot.histograms) {
-      hist.AddRow({h.name, IntStr(h.count), IntStr(h.min), IntStr(h.p50),
-                   IntStr(h.p95), IntStr(h.p99), IntStr(h.max)});
-    }
-    if (!out.empty()) out += "\n";
-    out += hist.ToString();
-  }
-  return out;
-}
-
 std::string TraceToJsonl(const Trace& trace) {
   std::string out = "{\"type\":\"trace\",\"id\":";
   AppendInt(&out, trace.id);
@@ -170,24 +137,6 @@ std::string TracesToJsonl(const std::vector<Trace>& traces) {
   std::string out;
   for (const Trace& t : traces) out += TraceToJsonl(t);
   return out;
-}
-
-std::string TraceToTable(const Trace& trace) {
-  bench::TablePrinter table({"span", "us", "notes"});
-  for (const SpanRecord& s : trace.spans) {
-    std::string name(static_cast<size_t>(s.depth) * 2, ' ');
-    name += s.name;
-    std::string notes;
-    for (size_t a = 0; a < s.annotations.size(); ++a) {
-      if (a > 0) notes += ' ';
-      notes += s.annotations[a].first;
-      notes += '=';
-      notes += s.annotations[a].second;
-    }
-    table.AddRow(
-        {name, IntStr(s.duration_nanos() / serving::kNanosPerMicro), notes});
-  }
-  return table.ToString();
 }
 
 }  // namespace obs

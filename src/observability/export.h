@@ -34,18 +34,11 @@ std::string JsonEscape(std::string_view s);
 /// export of a given snapshot is byte-identical across runs.
 std::string SnapshotToJsonl(const MetricsSnapshot& snapshot);
 
-/// Human-readable rendering: a counters/gauges table followed by a
-/// histogram table with count/min/p50/p95/p99/max columns.
-std::string SnapshotToTable(const MetricsSnapshot& snapshot);
-
 /// One JSONL line per trace, spans inline in creation (pre-order) order:
 ///   {"type":"trace","id":3,"spans":[{"name":"request","start":0,
 ///    "end":9000,"parent":-1,"annotations":{"tier":"full"}},...]}
 std::string TraceToJsonl(const Trace& trace);
 std::string TracesToJsonl(const std::vector<Trace>& traces);
-
-/// Indented tree rendering of one trace (durations in microseconds).
-std::string TraceToTable(const Trace& trace);
 
 }  // namespace obs
 }  // namespace slime

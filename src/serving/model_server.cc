@@ -544,15 +544,6 @@ Result<ServeResponse> ModelServer::ServeSession(uint64_t user_id,
   return response;
 }
 
-Result<state::UserDigest> ModelServer::UserStateDigest(
-    uint64_t user_id) const {
-  if (state_store_ == nullptr) {
-    return Status::InvalidArgument(
-        "no state store attached (boot with a state dir)");
-  }
-  return state_store_->Digest(user_id);
-}
-
 Status ModelServer::ReloadStateFromDisk() {
   if (state_store_ == nullptr) return Status::OK();
   SLIME_RETURN_IF_ERROR(state_store_->Reload());

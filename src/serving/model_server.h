@@ -236,12 +236,6 @@ class ModelServer {
   /// cluster::ClusterServer::RestoreShard. No-op without a store.
   Status ReloadStateFromDisk();
 
-  /// The user's anti-entropy digest from the attached store (zero digest
-  /// for an unknown user) — what the cluster's repair sweep and read-
-  /// repair compare across replicas without shipping histories. Fails
-  /// with InvalidArgument when no store is attached.
-  Result<state::UserDigest> UserStateDigest(uint64_t user_id) const;
-
   /// Validated hot reload; see class comment. Serialised against other
   /// reloads; concurrent requests keep serving the previous model until
   /// the swap. Returns the load/validation error on rollback.

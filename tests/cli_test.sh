@@ -19,6 +19,24 @@ TRAIN_LINE=$(grep '^test' "$TMP/train.log" | tr -s ' ')
 EVAL_LINE=$(grep '^test' "$TMP/eval.log" | tr -s ' ')
 [ "$TRAIN_LINE" = "$EVAL_LINE" ] || { echo "metric mismatch:"; echo "$TRAIN_LINE"; echo "$EVAL_LINE"; exit 1; }
 "$CLI" recommend --data "$TMP/data.txt" --load "$TMP/m.ckpt" --user 0 --topk 3 | grep -q top-3
+# A checkpoint holds parameters only: a loaded MostPop must be prepared on
+# the data again, or every item scores 0. Its evaluation must then repeat
+# the training run's, and `recommend` must list the most frequent
+# training-region items (all but each user's last two; users with fewer
+# than 5 events are dropped), equal counts in ascending id order.
+"$CLI" train --data "$TMP/data.txt" --model MostPop --epochs 1 \
+    --save "$TMP/pop.ckpt" > "$TMP/pop_train.log"
+"$CLI" evaluate --data "$TMP/data.txt" --model MostPop \
+    --load "$TMP/pop.ckpt" > "$TMP/pop_eval.log"
+TRAIN_LINE=$(grep '^test' "$TMP/pop_train.log" | tr -s ' ')
+EVAL_LINE=$(grep '^test' "$TMP/pop_eval.log" | tr -s ' ')
+[ "$TRAIN_LINE" = "$EVAL_LINE" ] || { echo "MostPop metric mismatch:"; echo "$TRAIN_LINE"; echo "$EVAL_LINE"; exit 1; }
+WANT=$(awk 'NF >= 5 { for (i = 1; i <= NF - 2; ++i) c[$i]++ }
+            END { for (v in c) print c[v], v }' "$TMP/data.txt" |
+       sort -k1,1nr -k2,2n | head -5 | awk '{ printf " %s", $2 }')
+GOT=$("$CLI" recommend --data "$TMP/data.txt" --model MostPop \
+    --load "$TMP/pop.ckpt" --user 0 --topk 5 | grep '^top-5:')
+[ "$GOT" = "top-5:$WANT" ] || { echo "MostPop top-5 mismatch:"; echo "$GOT"; echo "top-5:$WANT"; exit 1; }
 # Fault tolerance: an interrupted run resumed from its snapshot must end
 # with exactly the metrics of an uninterrupted run of the same length.
 "$CLI" train --data "$TMP/data.txt" --epochs 4 > "$TMP/full.log"
@@ -84,6 +102,26 @@ grep -q '"type":"counter","name":"cluster.requests","value":8' \
     "$TMP/cluster_metrics.jsonl"
 grep -q '"type":"gauge","name":"cluster.health","value":0' \
     "$TMP/cluster_metrics.jsonl"
+# Each serve mode takes only the flags it reads: one server has no
+# replicas, read repair needs a cluster with a state dir, and
+# --repair-on-restore is gone (no CLI path restores a shard).
+rc=0
+"$CLI" serve --data "$TMP/data.txt" --load "$TMP/m.ckpt" --requests 2 \
+    --replication 3 >/dev/null 2>"$TMP/badmode.err" || rc=$?
+[ "$rc" = 2 ] || { echo "expected one-server --replication to exit 2, got $rc"; exit 1; }
+grep -q "flag --replication is not read by serve on one server without --state-dir (valid: --threads" \
+    "$TMP/badmode.err"
+rc=0
+"$CLI" serve --data "$TMP/data.txt" --load "$TMP/m.ckpt" --requests 2 \
+    --shards 2 --read-repair 1 >/dev/null 2>"$TMP/badmode.err" || rc=$?
+[ "$rc" = 2 ] || { echo "expected --read-repair without --state-dir to exit 2, got $rc"; exit 1; }
+grep -q "flag --read-repair is not read by serve --shards N without --state-dir" \
+    "$TMP/badmode.err"
+rc=0
+"$CLI" serve --data "$TMP/data.txt" --load "$TMP/m.ckpt" --requests 2 \
+    --shards 2 --repair-on-restore 1 >/dev/null 2>"$TMP/badmode.err" || rc=$?
+[ "$rc" = 2 ] || { echo "expected --repair-on-restore to exit 2, got $rc"; exit 1; }
+grep -q "unknown flag --repair-on-restore for serve" "$TMP/badmode.err"
 # Invalid --threads values must be rejected up front, not crash or hang.
 for bad in 0 -3 abc 99999; do
   if "$CLI" stats --data "$TMP/data.txt" --threads "$bad" 2>/dev/null; then
@@ -177,12 +215,11 @@ grep -q "state shard 0 recovered" "$TMP/serve_cstate.log"
 grep -q "state shard 1 recovered" "$TMP/serve_cstate.log"
 grep -q "replicated append(s) across 2 shard store(s)" "$TMP/serve_cstate.log"
 [ -f "$TMP/cluster_state/shard_0/state.wal" ] || { echo "no shard 0 wal"; exit 1; }
-# Anti-entropy: --repair-on-restore / --read-repair arm hinted handoff,
-# the post-restore digest sweep, and serve-path divergence healing; the
-# run reports the anti-entropy counters (all zero without a shard kill).
+# Anti-entropy: --read-repair arms serve-path divergence healing; the run
+# reports the anti-entropy counters (all zero on replicas that agree).
 "$CLI" serve --data "$TMP/data.txt" --load "$TMP/m.ckpt" --requests 8 \
-    --shards 2 --state-dir "$TMP/cluster_state" --repair-on-restore 1 \
-    --read-repair 1 > "$TMP/serve_ae.log"
+    --shards 2 --state-dir "$TMP/cluster_state" --read-repair 1 \
+    > "$TMP/serve_ae.log"
 grep -q "anti-entropy: 0 underreplicated append(s), 0 hint(s) queued" \
     "$TMP/serve_ae.log"
 grep -q "requests ok 8" "$TMP/serve_ae.log"

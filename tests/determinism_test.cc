@@ -344,12 +344,20 @@ TEST(NoGradDeterminismTest, ScoreTensorsEqualGraphModeForEveryModel) {
   dfs_only.use_static = false;
   core::FilterMixerOptions sfs_only;
   sfs_only.use_dynamic = false;
+  // Windows over all M bins, which the layer leaves unmasked: DFS only at
+  // alpha = 1, and both filters at alpha = 1 with L = 1.
+  core::FilterMixerOptions global = dfs_only;
+  global.alpha = 1.0;
   core::FilterMixerOptions full;
-  full.full_spectrum = true;
+  full.alpha = 1.0;
+  models::ModelConfig one_layer = wide;
+  one_layer.num_layers = 1;
   cases.push_back({"SLIME4Rec dfs+sfs", "SLIME4Rec", wide, {}});
   cases.push_back({"SLIME4Rec dfs-only", "SLIME4Rec", wide, dfs_only});
   cases.push_back({"SLIME4Rec sfs-only", "SLIME4Rec", wide, sfs_only});
-  cases.push_back({"SLIME4Rec full_spectrum", "SLIME4Rec", wide, full});
+  cases.push_back({"SLIME4Rec dfs-only alpha=1", "SLIME4Rec", wide, global});
+  cases.push_back(
+      {"SLIME4Rec dfs+sfs alpha=1 L=1", "SLIME4Rec", one_layer, full});
   std::vector<std::vector<int64_t>> histories;
   for (int64_t u = 0; u < 60; ++u) {
     std::vector<int64_t> h;
@@ -395,19 +403,24 @@ TEST(NoGradDeterminismTest, ScoreAllGroupsEqualOneWholeBatchPass) {
     int64_t n;
     int64_t d;
     core::FilterMixerOptions mixer;
+    int64_t num_layers = 2;
   };
   core::FilterMixerOptions dfs_only;
   dfs_only.use_static = false;
   core::FilterMixerOptions sfs_only;
   sfs_only.use_dynamic = false;
+  // Windows over all M bins, which the layer leaves unmasked.
+  core::FilterMixerOptions global = dfs_only;
+  global.alpha = 1.0;
   core::FilterMixerOptions full;
-  full.full_spectrum = true;
+  full.alpha = 1.0;
   // (N, d) = (50, 13) puts work-chunk edges inside batch items; (200, 64)
   // is the long-sequence serving shape.
   const std::vector<Case> cases = {{"dfs+sfs", 50, 13, {}},
                                    {"dfs-only", 50, 13, dfs_only},
                                    {"sfs-only", 50, 13, sfs_only},
-                                   {"full_spectrum", 50, 13, full},
+                                   {"dfs-only alpha=1", 50, 13, global},
+                                   {"dfs+sfs alpha=1 L=1", 50, 13, full, 1},
                                    {"dfs+sfs", 200, 64, {}}};
   for (const auto& backend : compute::AvailableKernelBackends()) {
     compute::SetKernelBackend(backend).value();
@@ -416,6 +429,7 @@ TEST(NoGradDeterminismTest, ScoreAllGroupsEqualOneWholeBatchPass) {
       static_cast<models::ModelConfig&>(config) = TinyModelConfig(split);
       config.max_len = c.n;
       config.hidden_dim = c.d;
+      config.num_layers = c.num_layers;
       config.mixer = c.mixer;
       core::Slime4Rec model(config);
       model.SetTraining(false);

@@ -31,6 +31,11 @@ FilterMixerOptions DefaultOptions() {
   return o;
 }
 
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
 TEST(FilterMixTest, OneTermMatchesManualComplexProduct) {
   Rng rng(1);
   LearnableFilter filter(3, 2, &rng);
@@ -134,16 +139,22 @@ TEST(FilterMixerLayerTest, WindowsFollowRampStructure) {
   EXPECT_EQ(bottom.dynamic_window().begin, 0);
 }
 
-TEST(FilterMixerLayerTest, FullSpectrumDisablesMasks) {
+TEST(FilterMixerLayerTest, AlphaOneDynamicWindowCoversAllBins) {
+  // FMLP-Rec's global filter: at alpha = 1 every layer's DFS window is the
+  // whole spectrum, so the layer applies no mask.
   Rng rng(7);
   FilterMixerOptions o;
   o.alpha = 1.0;
   o.use_static = false;
-  o.full_spectrum = true;
-  FilterMixerLayer layer(8, 4, 2, 1, o, 0.0f, &rng);
   const int64_t m = fft::RfftBins(8);
-  EXPECT_EQ(layer.dynamic_window().begin, 0);
-  EXPECT_EQ(layer.dynamic_window().end, m);
+  for (int64_t l = 0; l < 2; ++l) {
+    FilterMixerLayer layer(8, 4, 2, l, o, 0.0f, &rng);
+    EXPECT_EQ(layer.dynamic_window().begin, 0) << l;
+    EXPECT_EQ(layer.dynamic_window().end, m) << l;
+    EXPECT_TRUE(BitEqual(layer.MaskedDynamicAmplitude(),
+                         layer.dynamic_filter().Amplitude()))
+        << l;
+  }
 }
 
 TEST(FilterMixerLayerTest, OnlyWindowFrequenciesPassTheDynamicBranch) {
@@ -257,6 +268,7 @@ struct BackendGuard {
 struct Variant {
   std::string name;
   FilterMixerOptions options;
+  int64_t num_layers = 2;  // the variant's layer is the last one, L - 1
 };
 
 std::vector<Variant> MixerVariants() {
@@ -268,19 +280,15 @@ std::vector<Variant> MixerVariants() {
   FilterMixerOptions sfs = DefaultOptions();
   sfs.use_dynamic = false;
   out.push_back({"sfs-only", sfs});
+  // Windows over all M bins, which the layer leaves unmasked: both
+  // filters at alpha = 1 with L = 1, and FMLP-Rec's DFS-only alpha = 1.
   FilterMixerOptions full = DefaultOptions();
-  full.full_spectrum = true;
-  out.push_back({"full_spectrum", full});
+  full.alpha = 1.0;
+  out.push_back({"dfs+sfs alpha=1 L=1", full, 1});
   FilterMixerOptions global = dfs;
   global.alpha = 1.0;
-  global.full_spectrum = true;
-  out.push_back({"full_spectrum dfs-only", global});
+  out.push_back({"dfs-only alpha=1", global});
   return out;
-}
-
-bool BitEqual(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
 }
 
 TEST(NoGradFilterStepTest, LayerAndBlockMatchGraphOpsBitForBit) {
@@ -297,7 +305,8 @@ TEST(NoGradFilterStepTest, LayerAndBlockMatchGraphOpsBitForBit) {
     for (const Variant& variant : MixerVariants()) {
       for (const Shape& shape : shapes) {
         Rng rng(61);
-        FilterMixerBlock block(shape.n, shape.d, 2, 1, variant.options, 0.1f,
+        FilterMixerBlock block(shape.n, shape.d, variant.num_layers,
+                               variant.num_layers - 1, variant.options, 0.1f,
                                &rng);
         block.SetTraining(false);
         const Tensor xt = Tensor::Randn({shape.b, shape.n, shape.d}, &rng);
@@ -328,8 +337,10 @@ TEST(NoGradFilterStepTest, LayerAndBlockMatchGraphOpsBitForBit) {
 // window mask (MulConst), MulScalar and Add that it replaced, bit for bit,
 // for every mixer variant, under both backends and at any thread count.
 
-/// The (M, 1) 0/1 mask of `w` over `m` bins.
+/// The (M, 1) 0/1 mask of `w` over `m` bins, or none when `w` covers them
+/// all, as the layer builds it.
 Tensor MaskOf(const FilterWindow& w, int64_t m) {
+  if (w.size() == m) return Tensor();
   Tensor mask({m, 1});
   for (int64_t k = 0; k < m; ++k) mask.data()[k] = w.Contains(k) ? 1.0f : 0.0f;
   return mask;
@@ -343,15 +354,11 @@ std::vector<fft::FilterTerm> TermsOf(const FilterMixerLayer& layer,
   std::vector<fft::FilterTerm> terms;
   if (o.use_dynamic) {
     terms.push_back({layer.dynamic_filter().weight(),
-                     o.full_spectrum ? Tensor()
-                                     : MaskOf(layer.dynamic_window(), m),
-                     1.0f - gamma});
+                     MaskOf(layer.dynamic_window(), m), 1.0f - gamma});
   }
   if (o.use_static) {
     terms.push_back({layer.static_filter().weight(),
-                     o.full_spectrum ? Tensor()
-                                     : MaskOf(layer.static_window(), m),
-                     gamma});
+                     MaskOf(layer.static_window(), m), gamma});
   }
   return terms;
 }
@@ -429,7 +436,8 @@ TEST(FilterMixTest, ValuesAndGradientsEqualComposedChainBitForBit) {
     for (const Variant& variant : MixerVariants()) {
       for (const Shape& shape : shapes) {
         Rng rng(71);
-        FilterMixerLayer layer(shape.n, shape.d, 2, 1, variant.options, 0.0f,
+        FilterMixerLayer layer(shape.n, shape.d, variant.num_layers,
+                               variant.num_layers - 1, variant.options, 0.0f,
                                &rng);
         const std::vector<fft::FilterTerm> terms =
             TermsOf(layer, variant.options, fft::RfftBins(shape.n));
@@ -467,6 +475,41 @@ TEST(FilterMixTest, ValuesAndGradientsEqualComposedChainBitForBit) {
           }
         }
       }
+    }
+  }
+}
+
+// The layer leaves a window over all M bins unmasked because multiplying
+// by 1 is exact: FilterMix with all-ones windows must give the values and
+// gradients of no windows, bit for bit.
+TEST(FilterMixTest, AllOnesWindowsEqualNoWindowsBitForBit) {
+  BackendGuard guard;
+  for (const auto& backend : compute::AvailableKernelBackends()) {
+    compute::SetKernelBackend(backend).value();
+    Rng rng(77);
+    FilterMixerOptions o = DefaultOptions();
+    o.alpha = 1.0;
+    FilterMixerLayer layer(50, 13, 1, 0, o, 0.0f, &rng);
+    const int64_t m = fft::RfftBins(50);
+    const std::vector<fft::FilterTerm> unmasked = TermsOf(layer, o, m);
+    std::vector<fft::FilterTerm> ones = unmasked;
+    for (fft::FilterTerm& t : ones) {
+      ASSERT_FALSE(t.window.defined()) << backend;
+      t.window = Tensor::Ones({m, 1});
+    }
+    std::vector<Variable> xs;
+    std::vector<Tensor> projections;
+    for (int pass = 0; pass < 3; ++pass) {
+      xs.push_back(Param(Tensor::Randn({4, 50, 13}, &rng)));
+      projections.push_back(Tensor::Randn({4, 50, 13}, &rng));
+    }
+    const FilterRun a = RunFilter(true, xs, ones, projections);
+    const FilterRun b = RunFilter(true, xs, unmasked, projections);
+    for (size_t i = 0; i < a.values.size(); ++i) {
+      EXPECT_TRUE(BitEqual(a.values[i], b.values[i])) << backend << " " << i;
+    }
+    for (size_t i = 0; i < a.grads.size(); ++i) {
+      EXPECT_TRUE(BitEqual(a.grads[i], b.grads[i])) << backend << " " << i;
     }
   }
 }
@@ -567,7 +610,8 @@ std::vector<const autograd::Node*> OpNodes(
 TEST(FilterMixerLayerTest, FilterStepRecordsTwoNodesPerLayerPass) {
   for (const Variant& variant : MixerVariants()) {
     Rng rng(76);
-    FilterMixerLayer layer(8, 4, 2, 1, variant.options, 0.0f, &rng);
+    FilterMixerLayer layer(8, 4, variant.num_layers, variant.num_layers - 1,
+                           variant.options, 0.0f, &rng);
     layer.SetTraining(false);
     const Variable x = Param(Tensor::Randn({2, 8, 4}, &rng));
     const Variable y = layer.Forward(x, &rng);

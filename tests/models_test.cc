@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
+#include "common/crc32.h"
 #include "data/batcher.h"
 #include "models/cl4srec.h"
 #include "models/coserec.h"
@@ -188,6 +191,137 @@ TEST(CoSeRecTest, UnknownItemHasNoCorrelation) {
   ModelConfig c = SmallConfig();
   CoSeRec model(c);
   EXPECT_EQ(model.MostCorrelated(3), 0);  // Prepare() never called
+}
+
+// A checkpoint stores each parameter under its NamedParameters() name, so
+// the names, shapes and order below are every model's checkpoint layout,
+// and the CRC-32 of the freshly initialised bytes pins the initialiser
+// calls and their RNG draws. A refactor of a model must leave both alone.
+std::string LayoutOf(const SequentialRecommender& model) {
+  std::string layout;
+  for (const auto& [name, param] : model.NamedParameters()) {
+    if (!layout.empty()) layout += ' ';
+    layout += name;
+    char sep = '[';
+    for (const int64_t dim : param.value().shape()) {
+      layout += sep;
+      layout += std::to_string(dim);
+      sep = 'x';
+    }
+    layout += ']';
+  }
+  return layout;
+}
+
+uint32_t InitCrcOf(const SequentialRecommender& model) {
+  uint32_t crc = 0;
+  for (const auto& [name, param] : model.NamedParameters()) {
+    crc = ExtendCrc32(crc, param.value().data(),
+                      param.value().numel() * sizeof(float));
+  }
+  return crc;
+}
+
+TEST(CheckpointLayoutTest, NamesShapesAndInitialBytesArePinned) {
+  struct Pin {
+    std::string layout;
+    uint32_t init_crc;
+  };
+  const std::string stem =
+      "pos_emb[8x16] item_emb.weight[21x16] emb_norm.gamma[16] "
+      "emb_norm.beta[16]";
+  const std::string attention =
+      "attn0.w_q.weight[16x16] attn0.w_q.bias[16] attn0.w_k.weight[16x16] "
+      "attn0.w_k.bias[16] attn0.w_v.weight[16x16] attn0.w_v.bias[16] "
+      "attn0.w_o.weight[16x16] attn0.w_o.bias[16] attn_norm0.gamma[16] "
+      "attn_norm0.beta[16] ffn0.w1.weight[16x16] ffn0.w1.bias[16] "
+      "ffn0.w2.weight[16x16] ffn0.w2.bias[16] ffn_norm0.gamma[16] "
+      "ffn_norm0.beta[16] attn1.w_q.weight[16x16] attn1.w_q.bias[16] "
+      "attn1.w_k.weight[16x16] attn1.w_k.bias[16] attn1.w_v.weight[16x16] "
+      "attn1.w_v.bias[16] attn1.w_o.weight[16x16] attn1.w_o.bias[16] "
+      "attn_norm1.gamma[16] attn_norm1.beta[16] ffn1.w1.weight[16x16] "
+      "ffn1.w1.bias[16] ffn1.w2.weight[16x16] ffn1.w2.bias[16] "
+      "ffn_norm1.gamma[16] ffn_norm1.beta[16]";
+  const std::map<std::string, Pin> pins = {
+      {"BPR-MF",
+       {"user_emb.weight[10x16] item_emb.weight[21x16]",
+        0x696d2ea7}},
+      {"GRU4Rec",
+       {"item_emb.weight[21x16] gru.w_x.weight[16x32] gru.w_x.bias[32] "
+        "gru.w_h.weight[16x32] gru.w_c_x.weight[16x16] gru.w_c_x.bias[16] "
+        "gru.w_c_h.weight[16x16]",
+        0x9d7adb85}},
+      {"Caser",
+       {"item_emb.weight[21x16] user_emb.weight[10x16] horizontal.w2[4x2x16] "
+        "horizontal.b2[4] horizontal.w3[4x3x16] horizontal.b3[4] "
+        "horizontal.w4[4x4x16] horizontal.b4[4] vertical.weight[2x8] "
+        "fc.weight[44x16] fc.bias[16] out.weight[32x16] out.bias[16]",
+        0x28f088bd}},
+      {"SASRec",
+       {stem + " " + attention,
+        0xd512f3b3}},
+      {"BERT4Rec",
+       {"pos_emb[8x16] item_emb.weight[22x16] emb_norm.gamma[16] "
+        "emb_norm.beta[16] " + attention,
+        0xaa29c63d}},
+      {"FMLP-Rec",
+       {stem + " " +
+        "filter0.dynamic_filter.w_re[5x16] filter0.dynamic_filter.w_im[5x16] "
+        "filter0.layer_norm.gamma[16] filter0.layer_norm.beta[16] "
+        "ffn0.w1.weight[16x16] ffn0.w1.bias[16] ffn0.w2.weight[16x16] "
+        "ffn0.w2.bias[16] ffn_norm0.gamma[16] ffn_norm0.beta[16] "
+        "filter1.dynamic_filter.w_re[5x16] filter1.dynamic_filter.w_im[5x16] "
+        "filter1.layer_norm.gamma[16] filter1.layer_norm.beta[16] "
+        "ffn1.w1.weight[16x16] ffn1.w1.bias[16] ffn1.w2.weight[16x16] "
+        "ffn1.w2.bias[16] ffn_norm1.gamma[16] ffn_norm1.beta[16]",
+        0x3ac5f015}},
+      {"CL4SRec",
+       {stem + " " + attention,
+        0xd512f3b3}},
+      {"ContrastVAE",
+       {stem + " " + attention + " " +
+        "mu_head.weight[16x16] mu_head.bias[16] logvar_head.weight[16x16] "
+        "logvar_head.bias[16]",
+        0x94a415ae}},
+      {"CoSeRec",
+       {stem + " " + attention,
+        0xd512f3b3}},
+      {"DuoRec",
+       {stem + " " + attention,
+        0xd512f3b3}},
+      {"SLIME4Rec",
+       {stem + " " +
+        "block0.mixer.dynamic_filter.w_re[5x16] "
+        "block0.mixer.dynamic_filter.w_im[5x16] "
+        "block0.mixer.static_filter.w_re[5x16] "
+        "block0.mixer.static_filter.w_im[5x16] "
+        "block0.mixer.layer_norm.gamma[16] block0.mixer.layer_norm.beta[16] "
+        "block0.ffn.w1.weight[16x16] block0.ffn.w1.bias[16] "
+        "block0.ffn.w2.weight[16x16] block0.ffn.w2.bias[16] "
+        "block0.layer_norm.gamma[16] block0.layer_norm.beta[16] "
+        "block1.mixer.dynamic_filter.w_re[5x16] "
+        "block1.mixer.dynamic_filter.w_im[5x16] "
+        "block1.mixer.static_filter.w_re[5x16] "
+        "block1.mixer.static_filter.w_im[5x16] "
+        "block1.mixer.layer_norm.gamma[16] block1.mixer.layer_norm.beta[16] "
+        "block1.ffn.w1.weight[16x16] block1.ffn.w1.bias[16] "
+        "block1.ffn.w2.weight[16x16] block1.ffn.w2.bias[16] "
+        "block1.layer_norm.gamma[16] block1.layer_norm.beta[16]",
+        0x17f12cc8}},
+      {"MostPop",
+       {"",
+        0x00000000}},
+  };
+  std::vector<std::string> names = AllModelNames();
+  names.push_back("MostPop");
+  for (const std::string& name : names) {
+    auto model = CreateModel(name, SmallConfig());
+    const auto it = pins.find(name);
+    ASSERT_NE(it, pins.end()) << name << " " << LayoutOf(*model) << " 0x"
+                              << std::hex << InitCrcOf(*model);
+    EXPECT_EQ(LayoutOf(*model), it->second.layout) << name;
+    EXPECT_EQ(InitCrcOf(*model), it->second.init_crc) << name;
+  }
 }
 
 TEST(Bert4RecTest, ScoreDropsMaskColumn) {

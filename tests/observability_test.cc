@@ -339,17 +339,6 @@ TEST(ExportTest, SnapshotJsonlOneObjectPerLine) {
   EXPECT_EQ(lines, 3u);
 }
 
-TEST(ExportTest, SnapshotTableMentionsEveryMetric) {
-  MetricsRegistry registry;
-  registry.counter("c.one").Increment();
-  registry.gauge("g.two").Set(2);
-  registry.histogram("h.three").Observe(3);
-  const std::string table = SnapshotToTable(registry.Snapshot());
-  EXPECT_NE(table.find("c.one"), std::string::npos);
-  EXPECT_NE(table.find("g.two"), std::string::npos);
-  EXPECT_NE(table.find("h.three"), std::string::npos);
-}
-
 TEST(ExportTest, TraceJsonlCarriesSpansAndAnnotations) {
   serving::FakeClock clock(100);
   Tracer tracer(&clock);
@@ -366,10 +355,6 @@ TEST(ExportTest, TraceJsonlCarriesSpansAndAnnotations) {
   EXPECT_NE(jsonl.find("\"tier\":\"fallback\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"parent\":-1"), std::string::npos);
   EXPECT_EQ(jsonl.back(), '\n');
-
-  const std::string table = TraceToTable(tracer.Traces()[0]);
-  EXPECT_NE(table.find("request"), std::string::npos);
-  EXPECT_NE(table.find("forward"), std::string::npos);
 }
 
 // --- TrainingTelemetry ----------------------------------------------------

@@ -1019,14 +1019,9 @@ TEST(ClusterAntiEntropyTest, RepairOnRestoreBackfillsWithoutHints) {
   EXPECT_EQ(stats.repair_users_repaired, 1);
   EXPECT_EQ(stats.repair_items_transferred, 2);
   EXPECT_EQ(stats.repair_conflicts, 0);
-  // The serving layer exposes the same digest the repair compared.
-  Result<UserDigest> dp =
-      cluster.shard_server(primary)->UserStateDigest(user);
-  Result<UserDigest> ds =
-      cluster.shard_server(secondary)->UserStateDigest(user);
-  ASSERT_TRUE(dp.ok());
-  ASSERT_TRUE(ds.ok());
-  EXPECT_EQ(dp.value(), ds.value());
+  // Both replicas now hold the digest the repair compared.
+  EXPECT_EQ(cluster.shard_server(primary)->state_store()->Digest(user),
+            cluster.shard_server(secondary)->state_store()->Digest(user));
   EXPECT_EQ(CounterValue(metrics, "cluster.repair.items_transferred"), 2);
 }
 

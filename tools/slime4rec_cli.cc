@@ -18,7 +18,11 @@
 //              [--burst B] [--canaries C] [--reload CKPT2]
 //              [--metrics-out FILE] [--shards N] [--replication R]
 //              [--state-dir DIR] [--state-sync always|group|none]
-//              [--repair-on-restore 1] [--read-repair 1]
+//              [--read-repair 1]
+//              Each mode takes only the flags it reads: --replication
+//              needs --shards N >= 2, --state-sync needs --state-dir, and
+//              --read-repair needs both; any other flag exits 2 naming
+//              the mode's valid set.
 //   append-events --state-dir DIR --events FILE
 //              [--state-sync always|group|none] [--compact 1]
 //   repair     --state-dir DIR --shards N [--replication R]
@@ -39,9 +43,8 @@
 // (src/cluster/) instead of a single server: user keys route by consistent
 // hash, failed shards are retried on replicas, and --reload performs a
 // rolling per-shard reload. See docs/CLUSTER.md. With --state-dir,
-// --repair-on-restore 1 turns on hinted handoff plus the digest repair
-// sweep after a shard restore, and --read-repair 1 turns on serve-path
-// divergence detection and healing (docs/CLUSTER.md "Anti-entropy").
+// --read-repair 1 turns on serve-path divergence detection and healing
+// (docs/CLUSTER.md "Anti-entropy").
 //
 // `repair` is the offline counterpart: it opens the per-shard state
 // directories a cluster `serve` run left behind (DIR/shard_<i>), rebuilds
@@ -90,12 +93,24 @@
 #include "observability/telemetry.h"
 #include "observability/trace.h"
 #include "serving/model_server.h"
+#include "serving/recommendation_service.h"
 #include "state/state_store.h"
 #include "train/trainer.h"
 
 namespace slime {
 namespace cli {
 namespace {
+
+/// Exits 2 with "`what` (valid: --a, --b, ...)".
+[[noreturn]] void ExitInvalidFlag(const std::string& what,
+                                  const std::vector<std::string>& valid) {
+  std::string names;
+  for (const std::string& v : valid) {
+    names += (names.empty() ? "--" : ", --") + v;
+  }
+  std::fprintf(stderr, "%s (valid: %s)\n", what.c_str(), names.c_str());
+  std::exit(2);
+}
 
 /// Minimal --key value flag parser; flags may appear in any order. A flag
 /// outside `valid` exits 2 naming the valid set, so a misspelt or retired
@@ -112,13 +127,7 @@ class Flags {
       }
       key = key.substr(2);
       if (std::find(valid.begin(), valid.end(), key) == valid.end()) {
-        std::string names;
-        for (const std::string& v : valid) {
-          names += (names.empty() ? "--" : ", --") + v;
-        }
-        std::fprintf(stderr, "unknown flag --%s for %s (valid: %s)\n",
-                     key.c_str(), cmd.c_str(), names.c_str());
-        std::exit(2);
+        ExitInvalidFlag("unknown flag --" + key + " for " + cmd, valid);
       }
       if (i + 1 >= argc) {
         std::fprintf(stderr, "flag --%s needs a value\n", key.c_str());
@@ -142,6 +151,17 @@ class Flags {
   int64_t GetInt(const std::string& key, int64_t fallback) const {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : std::atoll(it->second.c_str());
+  }
+
+  /// Exits 2, naming `mode` and `valid`, on any given flag outside `valid`:
+  /// for a subcommand whose modes read fewer flags than the subcommand.
+  void RejectOutside(const std::string& mode,
+                     const std::vector<std::string>& valid) const {
+    for (const auto& [key, value] : values_) {
+      if (std::find(valid.begin(), valid.end(), key) == valid.end()) {
+        ExitInvalidFlag("flag --" + key + " is not read by " + mode, valid);
+      }
+    }
   }
 
   std::string Require(const std::string& key) const {
@@ -178,8 +198,7 @@ std::vector<std::string> ValidFlags(const std::string& cmd) {
        {data, model,
         {"load", "requests", "topk", "deadline-ms", "max-inflight", "rate",
          "burst", "canaries", "reload", "metrics-out", "shards",
-         "replication", "state-dir", "state-sync", "repair-on-restore",
-         "read-repair"}}},
+         "replication", "state-dir", "state-sync", "read-repair"}}},
       {"append-events", {{"state-dir", "events", "state-sync", "compact"}}},
       {"repair", {{"state-dir", "shards", "replication", "state-sync"}}},
   };
@@ -263,6 +282,17 @@ std::unique_ptr<models::SequentialRecommender> BuildModel(
   mixer.alpha = flags.GetDouble("alpha", 0.4);
   mixer.gamma = flags.GetDouble("gamma", 0.5);
   return models::CreateModel(name, ConfigFromFlags(flags, split), mixer);
+}
+
+/// BuildModel, prepared on `split` as Fit prepares a model before training:
+/// a checkpoint holds parameters only, so state that Prepare derives from
+/// the data (MostPop's counts, CoSeRec's correlations) is rebuilt before a
+/// loaded model scores anything.
+std::unique_ptr<models::SequentialRecommender> BuildPreparedModel(
+    const Flags& flags, const data::SplitDataset& split) {
+  auto model = BuildModel(flags, split);
+  model->Prepare(split);
+  return model;
 }
 
 void PrintMetrics(const char* label, const metrics::RankingMetrics& m) {
@@ -374,7 +404,7 @@ int CmdEvaluate(const Flags& flags) {
   const data::InteractionDataset dataset =
       LoadOrDie(flags).FilterMinInteractions(5);
   const data::SplitDataset split(dataset, flags.GetInt("max-prefixes", 4));
-  auto model = BuildModel(flags, split);
+  auto model = BuildPreparedModel(flags, split);
   const Status st = io::LoadCheckpoint(model.get(), flags.Require("load"));
   if (!st.ok()) return Fail(st);
   PrintMetrics("valid", train::Evaluate(model.get(), split, false));
@@ -386,7 +416,7 @@ int CmdRecommend(const Flags& flags) {
   const data::InteractionDataset dataset =
       LoadOrDie(flags).FilterMinInteractions(5);
   const data::SplitDataset split(dataset, 4);
-  auto model = BuildModel(flags, split);
+  auto model = BuildPreparedModel(flags, split);
   const Status st = io::LoadCheckpoint(model.get(), flags.Require("load"));
   if (!st.ok()) return Fail(st);
   const int64_t user = flags.GetInt("user", 0);
@@ -411,15 +441,11 @@ int CmdRecommend(const Flags& flags) {
   std::printf("history:");
   for (int64_t v : history) std::printf(" %lld", static_cast<long long>(v));
   std::printf("\ntop-%lld:", static_cast<long long>(topk));
-  std::vector<std::pair<float, int64_t>> ranked;
-  for (int64_t item = 1; item <= split.num_items(); ++item) {
-    ranked.emplace_back(scores[item], item);
-  }
-  const int64_t k = std::min<int64_t>(topk, split.num_items());
-  std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end(),
-                    std::greater<>());
-  for (int64_t i = 0; i < k; ++i) {
-    std::printf(" %lld", static_cast<long long>(ranked[i].second));
+  // Serving's ranking, so equal scores list the lower item id first.
+  for (const serving::Recommendation& r : serving::TopKFromScores(
+           scores.data(), split.num_items(), topk,
+           std::vector<bool>(split.num_items() + 1, false))) {
+    std::printf(" %lld", static_cast<long long>(r.item));
   }
   std::printf("\n");
   return 0;
@@ -617,14 +643,8 @@ int CmdServeCluster(const Flags& flags, const data::SplitDataset& split,
   if (!state_dir.empty()) {
     opts.state_dir = state_dir;
     opts.state_sync = SyncModeOrDie(flags);
-    // Anti-entropy is opt-in (docs/CLUSTER.md): --repair-on-restore turns
-    // on hinted handoff for appends that miss a dead replica plus the
-    // digest repair sweep after RestoreShard; --read-repair adds serve-path
-    // divergence detection and healing.
-    if (flags.GetInt("repair-on-restore", 0) != 0) {
-      opts.hinted_handoff = true;
-      opts.repair_on_restore = true;
-    }
+    // Anti-entropy is opt-in (docs/CLUSTER.md): --read-repair turns on
+    // serve-path divergence detection and healing.
     if (flags.GetInt("read-repair", 0) != 0) opts.read_repair = true;
   }
 
@@ -638,7 +658,7 @@ int CmdServeCluster(const Flags& flags, const data::SplitDataset& split,
   }
 
   cluster::ClusterServer fleet(
-      opts, [&flags, &split] { return BuildModel(flags, split); });
+      opts, [&flags, &split] { return BuildPreparedModel(flags, split); });
   fleet.set_canary_requests(
       train::ExportCanarySet(split, flags.GetInt("canaries", 8)));
   fleet.set_fallback(serving::PopularityFallback::FromSplit(split));
@@ -721,7 +741,7 @@ int CmdServeCluster(const Flags& flags, const data::SplitDataset& split,
                 static_cast<long long>(state_appends),
                 static_cast<long long>(shards));
   }
-  if (opts.hinted_handoff || opts.read_repair) {
+  if (opts.read_repair) {
     std::printf("anti-entropy: %lld underreplicated append(s), %lld "
                 "hint(s) queued, %lld replayed, %lld dropped, %lld user(s) "
                 "repaired, %lld conflict(s)\n",
@@ -748,7 +768,25 @@ int CmdServeCluster(const Flags& flags, const data::SplitDataset& split,
   return other_err == 0 ? 0 : 1;
 }
 
+/// `serve` reads --replication only with --shards N >= 2, --state-sync
+/// only with --state-dir, and --read-repair only with both; each mode
+/// rejects the flags it does not read.
+void CheckServeMode(const Flags& flags) {
+  const bool cluster = flags.GetInt("shards", 1) > 1;
+  const bool state = !flags.Get("state-dir").empty();
+  std::vector<std::string> valid = ValidFlags("serve");
+  std::erase_if(valid, [cluster, state](const std::string& name) {
+    return (!cluster && (name == "replication" || name == "read-repair")) ||
+           (!state && (name == "state-sync" || name == "read-repair"));
+  });
+  const std::string mode =
+      std::string(cluster ? "serve --shards N" : "serve on one server") +
+      (state ? " with --state-dir" : " without --state-dir");
+  flags.RejectOutside(mode, valid);
+}
+
 int CmdServe(const Flags& flags) {
+  CheckServeMode(flags);
   const data::InteractionDataset dataset =
       LoadOrDie(flags).FilterMinInteractions(5);
   const data::SplitDataset split(dataset, 4);
@@ -774,7 +812,7 @@ int CmdServe(const Flags& flags) {
   }
 
   serving::ModelServer server(
-      opts, [&flags, &split] { return BuildModel(flags, split); });
+      opts, [&flags, &split] { return BuildPreparedModel(flags, split); });
   server.set_canary_requests(
       train::ExportCanarySet(split, flags.GetInt("canaries", 8)));
   server.set_fallback(serving::PopularityFallback::FromSplit(split));
@@ -904,8 +942,8 @@ int Usage() {
       "--shards >= 2)\n"
       "            [--state-dir DIR] [--state-sync always|group|none]  "
       "(durable session state, docs/STATE.md)\n"
-      "            [--repair-on-restore 1] [--read-repair 1]  "
-      "(anti-entropy, docs/CLUSTER.md)\n"
+      "            [--read-repair 1]  (cluster mode with --state-dir; "
+      "docs/CLUSTER.md)\n"
       "  append-events --state-dir DIR --events FILE "
       "[--state-sync group] [--compact 1]\n"
       "  repair    --state-dir DIR --shards N [--replication 2]\n"
