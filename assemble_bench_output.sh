@@ -2,7 +2,7 @@
 # Concatenates every bench log into bench_output.txt in the canonical
 # table/figure order (equivalent to `for b in build/bench/*; do $b; done`,
 # which regenerates it from scratch).
-cd /root/repo
+cd "$(dirname "$0")" || exit 1
 out=bench_output.txt
 : > $out
 for b in bench_table1_datasets bench_table2_overall bench_fig3_ablation \

@@ -23,7 +23,8 @@
 // until its time, issue the request, and record completion - schedule.
 //
 // Emits BENCH_cluster.json. Usage: bench_cluster [--quick] [--out FILE]
-// SLIME_BENCH_SCALE scales the synthetic dataset (default 0.25).
+// SLIME_BENCH_SCALE multiplies the synthetic dataset scale (0.25, or 0.05
+// with --quick).
 
 #include <algorithm>
 #include <atomic>
@@ -39,6 +40,7 @@
 #include "cluster/cluster.h"
 #include "common/random.h"
 #include "compute/thread_pool.h"
+#include "bench_util/experiment.h"
 #include "data/synthetic.h"
 #include "io/env.h"
 #include "models/model_factory.h"
@@ -384,10 +386,7 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
-  double scale = quick ? 0.05 : 0.25;
-  if (const char* env = std::getenv("SLIME_BENCH_SCALE")) {
-    scale = std::atof(env);
-  }
+  const double scale = bench::BenchDataScale(quick ? 0.05 : 0.25);
   const int64_t requests = quick ? 96 : 512;
   const double rate_rps = quick ? 200.0 : 400.0;
   const int client_threads = 4;

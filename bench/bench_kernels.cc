@@ -6,7 +6,8 @@
 // Usage: bench_kernels [--quick] [--out FILE]
 //   --quick          shrink problem sizes (CI smoke run)
 //   --out FILE       output path (default BENCH_kernels.json)
-// SLIME_BENCH_SCALE scales the synthetic dataset (default 0.25).
+// SLIME_BENCH_SCALE multiplies the synthetic dataset scale (0.25, or 0.05
+// with --quick).
 
 #include <algorithm>
 #include <chrono>
@@ -22,6 +23,7 @@
 
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
+#include "bench_util/experiment.h"
 #include "common/crc32.h"
 #include "common/random.h"
 #include "compute/backend.h"
@@ -461,10 +463,7 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
-  double scale = quick ? 0.05 : 0.25;
-  if (const char* env = std::getenv("SLIME_BENCH_SCALE")) {
-    scale = std::atof(env);
-  }
+  const double scale = bench::BenchDataScale(quick ? 0.05 : 0.25);
   const int hw = compute::HardwareThreads();
   std::vector<int> thread_counts = {1, 2, 4};
   const int64_t mm_n = quick ? 128 : 512;

@@ -22,7 +22,8 @@
 //   --quick        shrink request counts and dataset (CI smoke run)
 //   --out          output path (default BENCH_serving.json)
 //   --metrics-out  metrics snapshot path (default BENCH_serving_metrics.jsonl)
-// SLIME_BENCH_SCALE scales the synthetic dataset (default 0.25).
+// SLIME_BENCH_SCALE multiplies the synthetic dataset scale (0.25, or 0.05
+// with --quick).
 
 #include <algorithm>
 #include <chrono>
@@ -35,6 +36,7 @@
 
 #include "common/random.h"
 #include "compute/thread_pool.h"
+#include "bench_util/experiment.h"
 #include "data/synthetic.h"
 #include "io/env.h"
 #include "models/model_factory.h"
@@ -234,10 +236,7 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
-  double scale = quick ? 0.05 : 0.25;
-  if (const char* env = std::getenv("SLIME_BENCH_SCALE")) {
-    scale = std::atof(env);
-  }
+  const double scale = bench::BenchDataScale(quick ? 0.05 : 0.25);
   const int64_t requests = quick ? 32 : 256;
   std::fprintf(stderr, "bench_serving: scale=%g requests=%lld\n", scale,
                static_cast<long long>(requests));

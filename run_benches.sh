@@ -9,8 +9,11 @@
 #   ./run_benches.sh NAME...    # any explicit list of bench binaries
 
 set -u
-cd /root/repo/build/bench || exit 1
-mkdir -p /root/repo/bench_logs
+# Paths resolve from this script's checkout, so any clone runs its own build.
+ROOT=$(cd "$(dirname "$0")" && pwd)
+LOGS="$ROOT/bench_logs"
+cd "$ROOT/build/bench" || exit 1
+mkdir -p "$LOGS"
 
 MAIN="bench_table1_datasets bench_table2_overall bench_fig3_ablation \
       bench_table4_slide_modes bench_fig6_noise bench_fig4_alpha \
@@ -34,7 +37,7 @@ esac
 FAILED=0
 for b in $BENCHES; do
   echo "=== $b start $(date +%H:%M:%S) ==="
-  ./$b > /root/repo/bench_logs/$b.log 2>&1
+  ./$b > "$LOGS/$b.log" 2>&1
   rc=$?
   echo "=== $b done  $(date +%H:%M:%S) rc=$rc ==="
   # bench_kernels exits nonzero when a per-arm CRC bit-identity or

@@ -1,6 +1,8 @@
 #include "bench_util/experiment.h"
 
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
 
 #include "common/string_util.h"
 
@@ -79,7 +81,14 @@ train::TrainConfig BenchTrainConfig() {
 }
 
 double BenchDataScale(double base) {
-  return base * train::TrainConfig::BenchScale();
+  const char* env = std::getenv("SLIME_BENCH_SCALE");
+  if (env == nullptr) return base;
+  char* end = nullptr;
+  const double factor = std::strtod(env, &end);
+  if (end == env || *end != '\0' || !std::isfinite(factor) || factor <= 0.0) {
+    return base;
+  }
+  return base * factor;
 }
 
 std::string Fmt4(double v) { return FormatFloat(v, 4); }

@@ -47,7 +47,8 @@ train::TrainConfig DefaultTrainConfig();
 train::TrainConfig BenchTrainConfig();
 
 /// Dataset scale for a bench: `base` (the bench's own reduction) times the
-/// user-controlled SLIME_BENCH_SCALE environment variable.
+/// SLIME_BENCH_SCALE environment variable, a factor. Unset, or not a
+/// positive finite number, it leaves `base` as it is.
 double BenchDataScale(double base);
 
 /// Formats a metric to the paper's 4-decimal convention.

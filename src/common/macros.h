@@ -65,8 +65,6 @@ class CheckMessageBuilder {
 
 #define SLIME_CHECK_EQ(a, b) \
   SLIME_CHECK_MSG((a) == (b), "(" << (a) << " vs " << (b) << ")")
-#define SLIME_CHECK_NE(a, b) \
-  SLIME_CHECK_MSG((a) != (b), "(" << (a) << " vs " << (b) << ")")
 #define SLIME_CHECK_LT(a, b) \
   SLIME_CHECK_MSG((a) < (b), "(" << (a) << " vs " << (b) << ")")
 #define SLIME_CHECK_LE(a, b) \

@@ -1,17 +1,14 @@
 #include "core/slime4rec.h"
 
-#include <algorithm>
-
 #include "autograd/ops.h"
-#include "core/contrastive.h"
 
 namespace slime {
 namespace core {
 
 Slime4Rec::Slime4Rec(const Slime4RecConfig& config)
-    : models::SequentialRecommender(config),
+    : models::NextItemRecommender(config, config.num_items + 1),
       slime_config_(config),
-      stem_(RegisterEmbeddingStem(config.num_items + 1)) {
+      stem_(RegisterEmbeddingStem()) {
   const int64_t d = config.hidden_dim;
   const int64_t n = config.max_len;
   for (int64_t l = 0; l < config.num_layers; ++l) {
@@ -56,41 +53,14 @@ autograd::Variable Slime4Rec::EncodeLast(
   return Reshape(Slice(h, 1, n - 1, n), {batch_size, d});
 }
 
-autograd::Variable Slime4Rec::PredictLogits(
-    const autograd::Variable& h) const {
-  return autograd::MatMulTransB(h, stem_.item_emb->weight());
-}
-
-autograd::Variable Slime4Rec::Loss(const data::Batch& batch) {
-  return DuoRecLoss(*this, batch, slime_config_.use_contrastive);
-}
-
-int64_t Slime4Rec::ScoreGroupSize() const {
-  // 2^17 floats: the 512 KB budget of one (G, N, d) activation.
-  constexpr int64_t kGroupFloats = int64_t{1} << 17;
-  return std::max<int64_t>(
-      1, kGroupFloats / (config_.max_len * config_.hidden_dim));
-}
-
-Tensor Slime4Rec::ScoreAll(const data::Batch& batch) {
-  const int64_t n = config_.max_len;
-  const int64_t width = config_.num_items + 1;
-  const int64_t group = ScoreGroupSize();
-  SLIME_CHECK_EQ(static_cast<int64_t>(batch.input_ids.size()), batch.size * n);
-  if (batch.size <= group) {
-    // One group: its logits are the scores, with no second B x |V| buffer.
-    return PredictLogits(EncodeLast(batch.input_ids, batch.size)).value();
-  }
-  Tensor scores({batch.size, width});
-  for (int64_t lo = 0; lo < batch.size; lo += group) {
-    const int64_t rows = std::min(group, batch.size - lo);
-    const auto ids = batch.input_ids.begin() + lo * n;
-    const Tensor part =
-        PredictLogits(EncodeLast({ids, ids + rows * n}, rows)).value();
-    std::copy(part.data(), part.data() + rows * width,
-              scores.data() + lo * width);
-  }
-  return scores;
+std::optional<std::pair<autograd::Variable, autograd::Variable>>
+Slime4Rec::ContrastiveViews(const data::Batch& batch) {
+  if (!slime_config_.use_contrastive) return std::nullopt;
+  SLIME_CHECK_MSG(!batch.positive_input_ids.empty(),
+                  "contrastive training needs batch positives");
+  autograd::Variable h_unsup = EncodeLast(batch.input_ids, batch.size);
+  autograd::Variable h_sup = EncodeLast(batch.positive_input_ids, batch.size);
+  return std::make_pair(h_unsup, h_sup);
 }
 
 }  // namespace core

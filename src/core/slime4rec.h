@@ -24,28 +24,11 @@ struct Slime4RecConfig : models::ModelConfig {
 /// whose self-attention sublayer is replaced by the slide filter mixer,
 /// trained with next-item cross-entropy plus the DuoRec-style contrastive
 /// regulariser (unsupervised dropout views + supervised same-target
-/// positives, in-batch negatives).
-class Slime4Rec : public models::SequentialRecommender {
+/// positives, in-batch negatives). The shared next-item head computes both
+/// terms; this class supplies the encoder and the views.
+class Slime4Rec : public models::NextItemRecommender {
  public:
   explicit Slime4Rec(const Slime4RecConfig& config);
-
-  /// core::DuoRecLoss, or its cross-entropy alone without use_contrastive.
-  autograd::Variable Loss(const data::Batch& batch) override;
-
-  /// Scores (B, num_items + 1): EncodeLast + PredictLogits over consecutive
-  /// groups of ScoreGroupSize() sequences, each group's rows written into
-  /// the one output (a batch of one group returns its logits as they are).
-  /// Peak activations are O(G * N * d) plus the B x |V| output, not
-  /// O(B * N * d). Every op treats sequences independently,
-  /// so in eval mode the scores equal one whole-batch pass bit for bit, in
-  /// graph and no-grad mode alike. (In training mode a group's dropout
-  /// draws follow the previous group's, not the whole batch's.)
-  Tensor ScoreAll(const data::Batch& batch) override;
-
-  /// G = max(1, floor(2^17 / (N * d))): the sequences whose (G, N, d)
-  /// activation fits a 512 KB budget, so one ScoreAll group stays
-  /// cache-sized. Fixed by the model's shape: 10 at (N, d) = (200, 64).
-  int64_t ScoreGroupSize() const;
 
   std::string name() const override { return "SLIME4Rec"; }
   bool needs_positives() const override {
@@ -67,15 +50,21 @@ class Slime4Rec : public models::SequentialRecommender {
   autograd::Variable EncodeLast(const std::vector<int64_t>& input_ids,
                                 int64_t batch_size);
 
-  /// Recommendation logits over the item vocabulary (Eq. 31, pre-softmax):
-  /// (B, num_items + 1) sharing the item embedding matrix.
-  autograd::Variable PredictLogits(const autograd::Variable& h) const;
+  autograd::Variable UserVector(const data::Batch& batch) override {
+    return EncodeLast(batch.input_ids, batch.size);
+  }
 
   const Slime4RecConfig& slime_config() const { return slime_config_; }
   const std::vector<std::shared_ptr<FilterMixerBlock>>& blocks() const {
     return blocks_;
   }
-  const nn::Embedding& item_embedding() const { return *stem_.item_emb; }
+
+ protected:
+  /// DuoRec's views: h', a second pass over the same ids, and h_s, a pass
+  /// over the same-target positives. None without use_contrastive
+  /// (SLIME4Rec_w/oC), whose loss is the cross-entropy alone.
+  std::optional<std::pair<autograd::Variable, autograd::Variable>>
+  ContrastiveViews(const data::Batch& batch) override;
 
  private:
   /// The embedding layer and the L blocks, the final block at `positions`:

@@ -125,8 +125,7 @@ namespace {
 /// Reusable per-thread scratch to avoid allocating a complex buffer for
 /// every one of the B*d series transformed per layer. Returned storage has
 /// size exactly n (Fft() transforms the whole vector) but existing entries
-/// are NOT re-zeroed: each caller overwrites every entry it reads
-/// (RfftAdjoint zeroes its own padding tail explicitly).
+/// are NOT re-zeroed: each caller overwrites every entry it reads.
 std::vector<std::complex<double>>& Scratch(int64_t n) {
   static thread_local std::vector<std::complex<double>> buf;
   buf.resize(n);
@@ -146,19 +145,6 @@ void RfftForward(const float* x, int64_t n, float* out_re, float* out_im) {
   }
 }
 
-void RfftAdjoint(const float* g_re, const float* g_im, int64_t n,
-                 float* g_x) {
-  const int64_t m = RfftBins(n);
-  // Adjoint of "take the first m bins of a forward DFT of a real signal":
-  // g_x = Re( IDFT_unnormalised( zero-pad(g_re + i*g_im) ) ).
-  std::vector<std::complex<double>>& buf = Scratch(n);
-  for (int64_t k = 0; k < m; ++k)
-    buf[k] = {static_cast<double>(g_re[k]), static_cast<double>(g_im[k])};
-  for (int64_t k = m; k < n; ++k) buf[k] = {0.0, 0.0};  // zero-pad to n
-  Fft(&buf, true);
-  for (int64_t i = 0; i < n; ++i) g_x[i] = static_cast<float>(buf[i].real());
-}
-
 void IrfftForward(const float* re, const float* im, int64_t n, float* x) {
   const int64_t m = RfftBins(n);
   std::vector<std::complex<double>>& buf = Scratch(n);
@@ -171,28 +157,6 @@ void IrfftForward(const float* re, const float* im, int64_t n, float* x) {
   const double inv_n = 1.0 / static_cast<double>(n);
   for (int64_t i = 0; i < n; ++i)
     x[i] = static_cast<float>(buf[i].real() * inv_n);
-}
-
-void IrfftAdjoint(const float* g_x, int64_t n, float* g_re, float* g_im) {
-  const int64_t m = RfftBins(n);
-  // G = (1/n) * DFT_forward(g_x); mirrored bins receive contributions from
-  // both k and n-k: g_re_k = Re(G_k) + Re(G_{n-k}), g_im_k = Im(G_k) -
-  // Im(G_{n-k}). Non-mirrored bins (DC; Nyquist for even n) use G_k alone.
-  std::vector<std::complex<double>>& buf = Scratch(n);
-  for (int64_t i = 0; i < n; ++i) buf[i] = {static_cast<double>(g_x[i]), 0.0};
-  Fft(&buf, false);
-  const double inv_n = 1.0 / static_cast<double>(n);
-  for (int64_t k = 0; k < m; ++k) {
-    double gr = buf[k].real();
-    double gi = buf[k].imag();
-    const bool mirrored = (k >= 1 && k < (n + 1) / 2);
-    if (mirrored) {
-      gr += buf[n - k].real();
-      gi -= buf[n - k].imag();
-    }
-    g_re[k] = static_cast<float>(gr * inv_n);
-    g_im[k] = static_cast<float>(gi * inv_n);
-  }
 }
 
 VerticalFftPlan::VerticalFftPlan(int64_t n) : n_(n) {

@@ -30,22 +30,12 @@ void NaiveDft(const std::vector<std::complex<double>>& in,
 /// values of X_k = sum_n x_n e^{-2*pi*i*n*k/N}.
 void RfftForward(const float* x, int64_t n, float* out_re, float* out_im);
 
-/// Adjoint (transpose) of RfftForward viewed as a real-linear map
-/// R^n -> R^{2M}: given cotangents (g_re, g_im) produces the cotangent on x.
-/// This is the exact backward operator for the autograd Rfft op.
-void RfftAdjoint(const float* g_re, const float* g_im, int64_t n, float* g_x);
-
 /// Complex-to-real inverse transform of a half spectrum: treats
 /// (re, im)[0..M) as the non-negative-frequency bins of a conjugate-
 /// symmetric length-n spectrum (mirroring bins 1..; the given values of the
 /// DC and, for even n, Nyquist bins are used as-is) and emits
 /// x_n = Re( (1/N) * sum_k X~_k e^{+2*pi*i*n*k/N} ).
 void IrfftForward(const float* re, const float* im, int64_t n, float* x);
-
-/// Adjoint of IrfftForward: given the cotangent on x (length n), produces
-/// cotangents on (re, im) (length M each). Exact backward operator for the
-/// autograd Irfft op.
-void IrfftAdjoint(const float* g_x, int64_t n, float* g_re, float* g_im);
 
 /// A "vertical" (channel-parallel) complex FFT plan: transforms d
 /// independent length-n series stored column-wise in row-major (n, d)

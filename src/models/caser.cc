@@ -5,12 +5,10 @@
 namespace slime {
 namespace models {
 
-Caser::Caser(const ModelConfig& config) : SequentialRecommender(config) {
+Caser::Caser(const ModelConfig& config)
+    : NextItemRecommender(config, config.num_items + 1) {
   SLIME_CHECK_GT(config.num_users, 0);
   const int64_t d = config.hidden_dim;
-  item_emb_ = RegisterModule(
-      "item_emb",
-      std::make_shared<nn::Embedding>(config.num_items + 1, d, &rng_));
   user_emb_ = RegisterModule(
       "user_emb", std::make_shared<nn::Embedding>(config.num_users, d, &rng_));
   dropout_ =
@@ -33,7 +31,7 @@ Caser::Caser(const ModelConfig& config) : SequentialRecommender(config) {
   out_ = RegisterModule("out", std::make_shared<nn::Linear>(2 * d, d, &rng_));
 }
 
-autograd::Variable Caser::EncodeLast(const data::Batch& batch) {
+autograd::Variable Caser::UserVector(const data::Batch& batch) {
   using autograd::Concat;
   using autograd::Relu;
   using autograd::Variable;
@@ -46,17 +44,6 @@ autograd::Variable Caser::EncodeLast(const data::Batch& batch) {
   z = dropout_->Forward(z, &rng_);
   Variable u = user_emb_->Forward(batch.user_ids, {batch.size});  // (B, d)
   return out_->Forward(Concat({z, u}, 1));                 // (B, d)
-}
-
-autograd::Variable Caser::Loss(const data::Batch& batch) {
-  autograd::Variable h = EncodeLast(batch);
-  autograd::Variable logits = autograd::MatMulTransB(h, item_emb_->weight());
-  return autograd::CrossEntropy(logits, batch.targets);
-}
-
-Tensor Caser::ScoreAll(const data::Batch& batch) {
-  autograd::Variable h = EncodeLast(batch);
-  return autograd::MatMulTransB(h, item_emb_->weight()).value();
 }
 
 }  // namespace models

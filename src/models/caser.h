@@ -16,21 +16,17 @@ namespace models {
 /// Caser (Tang & Wang, WSDM'18): treats the embedded sequence as an
 /// "image" and applies horizontal convolutions (union-level patterns,
 /// max-pooled over time) and vertical convolutions (point-level weighted
-/// sums), concatenated with a user embedding and projected to the scoring
-/// space.
-class Caser : public SequentialRecommender {
+/// sums), concatenated with a user embedding and projected to the user
+/// vector of the shared next-item head.
+class Caser : public NextItemRecommender {
  public:
   explicit Caser(const ModelConfig& config);
 
-  autograd::Variable Loss(const data::Batch& batch) override;
-  Tensor ScoreAll(const data::Batch& batch) override;
   std::string name() const override { return "Caser"; }
   bool needs_user_ids() const override { return true; }
+  autograd::Variable UserVector(const data::Batch& batch) override;
 
  private:
-  autograd::Variable EncodeLast(const data::Batch& batch);
-
-  std::shared_ptr<nn::Embedding> item_emb_;
   std::shared_ptr<nn::Embedding> user_emb_;
   std::shared_ptr<nn::Dropout> dropout_;
   std::shared_ptr<nn::HorizontalConvBank> horizontal_;

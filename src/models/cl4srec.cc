@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "autograd/ops.h"
-#include "core/contrastive.h"
-
 namespace slime {
 namespace models {
 namespace augment {
@@ -70,16 +67,11 @@ autograd::Variable Cl4SRec::EncodeAugmented(
   return EncodeLast(ids, static_cast<int64_t>(raw.size()));
 }
 
-autograd::Variable Cl4SRec::Loss(const data::Batch& batch) {
-  using autograd::Add;
-  using autograd::MulScalar;
-  using autograd::Variable;
-  Variable h = EncodeLast(batch.input_ids, batch.size);
-  Variable rec = autograd::CrossEntropy(PredictLogits(h), batch.targets);
-  Variable v1 = EncodeAugmented(batch.raw_prefixes);
-  Variable v2 = EncodeAugmented(batch.raw_prefixes);
-  Variable cl = core::InfoNceLoss(v1, v2, config_.cl_temperature);
-  return Add(rec, MulScalar(cl, config_.cl_weight));
+std::optional<std::pair<autograd::Variable, autograd::Variable>>
+Cl4SRec::ContrastiveViews(const data::Batch& batch) {
+  autograd::Variable v1 = EncodeAugmented(batch.raw_prefixes);
+  autograd::Variable v2 = EncodeAugmented(batch.raw_prefixes);
+  return std::make_pair(v1, v2);
 }
 
 }  // namespace models

@@ -33,10 +33,13 @@ class Cl4SRec : public SasRec {
  public:
   explicit Cl4SRec(const ModelConfig& config) : SasRec(config) {}
 
-  autograd::Variable Loss(const data::Batch& batch) override;
   std::string name() const override { return "CL4SRec"; }
 
  protected:
+  /// Two EncodeAugmented passes over the raw prefixes.
+  std::optional<std::pair<autograd::Variable, autograd::Variable>>
+  ContrastiveViews(const data::Batch& batch) override;
+
   /// Applies one of the augmentation operators chosen uniformly.
   virtual std::vector<int64_t> Augment(const std::vector<int64_t>& seq);
 

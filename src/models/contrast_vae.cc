@@ -58,11 +58,8 @@ autograd::Variable ContrastVae::Loss(const data::Batch& batch) {
                       MulScalar(cl, config_.cl_weight)));
 }
 
-Tensor ContrastVae::ScoreAll(const data::Batch& batch) {
-  // Deterministic inference: score with the posterior mean.
-  autograd::Variable h = EncodeLast(batch.input_ids, batch.size);
-  autograd::Variable mu = mu_head_->Forward(h);
-  return PredictLogits(mu).value();
+autograd::Variable ContrastVae::UserVector(const data::Batch& batch) {
+  return mu_head_->Forward(EncodeLast(batch.input_ids, batch.size));
 }
 
 }  // namespace models

@@ -15,14 +15,16 @@ namespace models {
 /// (mu, log-variance), reparameterised latent user representations, an
 /// ELBO objective (reconstruction cross-entropy + KL to the standard
 /// normal), and a contrastive term between two sampled latents of the same
-/// sequence (variational augmentation).
+/// sequence (variational augmentation). Scoring is deterministic: the
+/// posterior mean is the user vector.
 class ContrastVae : public SasRec {
  public:
   explicit ContrastVae(const ModelConfig& config);
 
   autograd::Variable Loss(const data::Batch& batch) override;
-  Tensor ScoreAll(const data::Batch& batch) override;
   std::string name() const override { return "ContrastVAE"; }
+  /// The posterior mean mu.
+  autograd::Variable UserVector(const data::Batch& batch) override;
 
  private:
   /// Samples z = mu + exp(0.5 * logvar) . eps with fresh Gaussian noise.

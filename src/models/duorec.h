@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "core/contrastive.h"
 #include "models/sasrec.h"
 
 namespace slime {
@@ -14,18 +13,27 @@ namespace models {
 /// combining an *unsupervised* model-level view (the same sequence passed
 /// through the encoder again, differing only by dropout) and a
 /// *supervised* semantic view (another training sequence with the same
-/// target item), with in-batch negatives. SLIME4Rec adopts exactly this
-/// objective on top of its filter-mixer encoder: both call
-/// core::DuoRecLoss.
+/// target item), with in-batch negatives. SLIME4Rec adopts exactly these
+/// views on top of its filter-mixer encoder.
 class DuoRec : public SasRec {
  public:
   explicit DuoRec(const ModelConfig& config) : SasRec(config) {}
 
-  autograd::Variable Loss(const data::Batch& batch) override {
-    return core::DuoRecLoss(*this, batch, /*contrastive=*/true);
-  }
   std::string name() const override { return "DuoRec"; }
   bool needs_positives() const override { return true; }
+
+ protected:
+  /// h', a second pass over the same ids that differs only by its dropout
+  /// draws, and h_s, a pass over the same-target positives.
+  std::optional<std::pair<autograd::Variable, autograd::Variable>>
+  ContrastiveViews(const data::Batch& batch) override {
+    SLIME_CHECK_MSG(!batch.positive_input_ids.empty(),
+                    "contrastive training needs batch positives");
+    autograd::Variable h_unsup = EncodeLast(batch.input_ids, batch.size);
+    autograd::Variable h_sup =
+        EncodeLast(batch.positive_input_ids, batch.size);
+    return std::make_pair(h_unsup, h_sup);
+  }
 };
 
 }  // namespace models

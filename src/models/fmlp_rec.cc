@@ -6,8 +6,8 @@ namespace slime {
 namespace models {
 
 FmlpRec::FmlpRec(const ModelConfig& config)
-    : SequentialRecommender(config),
-      stem_(RegisterEmbeddingStem(config.num_items + 1)) {
+    : NextItemRecommender(config, config.num_items + 1),
+      stem_(RegisterEmbeddingStem()) {
   const int64_t d = config.hidden_dim;
   const int64_t n = config.max_len;
   // Global filter = the filter mixer with alpha = 1, DFS only.
@@ -44,18 +44,6 @@ autograd::Variable FmlpRec::EncodeLast(const std::vector<int64_t>& input_ids,
     h = b.ffn_norm->Forward(Add(filtered, f));
   }
   return Reshape(Slice(h, 1, n - 1, n), {batch_size, config_.hidden_dim});
-}
-
-autograd::Variable FmlpRec::Loss(const data::Batch& batch) {
-  autograd::Variable h = EncodeLast(batch.input_ids, batch.size);
-  autograd::Variable logits =
-      autograd::MatMulTransB(h, stem_.item_emb->weight());
-  return autograd::CrossEntropy(logits, batch.targets);
-}
-
-Tensor FmlpRec::ScoreAll(const data::Batch& batch) {
-  autograd::Variable h = EncodeLast(batch.input_ids, batch.size);
-  return autograd::MatMulTransB(h, stem_.item_emb->weight()).value();
 }
 
 }  // namespace models

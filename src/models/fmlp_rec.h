@@ -16,16 +16,18 @@ namespace models {
 /// SLIME4Rec's mixer at alpha = 1 with DFS only, whose window covers all M
 /// bins in every layer (the degenerate case the paper notes below Eq. 20).
 /// The point-wise FFN follows with standard residual connections.
-class FmlpRec : public SequentialRecommender {
+class FmlpRec : public NextItemRecommender {
  public:
   explicit FmlpRec(const ModelConfig& config);
 
-  autograd::Variable Loss(const data::Batch& batch) override;
-  Tensor ScoreAll(const data::Batch& batch) override;
   std::string name() const override { return "FMLP-Rec"; }
 
   autograd::Variable EncodeLast(const std::vector<int64_t>& input_ids,
                                 int64_t batch_size);
+
+  autograd::Variable UserVector(const data::Batch& batch) override {
+    return EncodeLast(batch.input_ids, batch.size);
+  }
 
  private:
   EmbeddingStem stem_;

@@ -6,28 +6,22 @@
 
 #include "models/recommender.h"
 #include "nn/dropout.h"
-#include "nn/embedding.h"
 #include "nn/gru.h"
 
 namespace slime {
 namespace models {
 
 /// GRU4Rec (Hidasi et al. / Jannach & Ludewig): item embeddings fed through
-/// a GRU; the final hidden state represents the user and scores items via
-/// the tied embedding matrix.
-class Gru4Rec : public SequentialRecommender {
+/// a GRU; the final hidden state is the user vector of the shared
+/// next-item head.
+class Gru4Rec : public NextItemRecommender {
  public:
   explicit Gru4Rec(const ModelConfig& config);
 
-  autograd::Variable Loss(const data::Batch& batch) override;
-  Tensor ScoreAll(const data::Batch& batch) override;
   std::string name() const override { return "GRU4Rec"; }
+  autograd::Variable UserVector(const data::Batch& batch) override;
 
  private:
-  autograd::Variable EncodeLast(const std::vector<int64_t>& input_ids,
-                                int64_t batch_size);
-
-  std::shared_ptr<nn::Embedding> item_emb_;
   std::shared_ptr<nn::Dropout> emb_dropout_;
   std::shared_ptr<nn::Gru> gru_;
 };

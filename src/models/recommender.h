@@ -2,7 +2,9 @@
 #define SLIME4REC_MODELS_RECOMMENDER_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -74,9 +76,65 @@ class SequentialRecommender : public nn::Module {
   Rng* rng() { return &rng_; }
 
  protected:
+  ModelConfig config_;
+  Rng rng_;
+};
+
+/// The next-item head that SLIME4Rec (Eqs. 31-36) shares with its
+/// closest baselines: a (B, d) user vector h scores every item through the
+/// tied item-embedding matrix, training minimises next-item cross-entropy
+/// on those logits, and a model with two contrastive views adds
+/// cl_weight * InfoNCE(view1, view2). A model supplies only UserVector and,
+/// when it has them, ContrastiveViews.
+class NextItemRecommender : public SequentialRecommender {
+ public:
+  /// CE(PredictLogits(UserVector(batch)), targets), plus cl_weight *
+  /// InfoNCE over ContrastiveViews(batch) when the model has views. The
+  /// passes run in the order h, view1, view2, so every dropout draw
+  /// follows the one before.
+  autograd::Variable Loss(const data::Batch& batch) override;
+
+  /// Scores (B, num_items + 1): UserVector + PredictLogits over consecutive
+  /// groups of ScoreGroupSize() sequences, each group's rows written into
+  /// the one output (a batch of one group returns its logits as they are).
+  /// Peak activations are O(G * N * d) plus the B x |V| output, not
+  /// O(B * N * d). Every op treats sequences independently,
+  /// so in eval mode the scores equal one whole-batch pass bit for bit, in
+  /// graph and no-grad mode alike. (In training mode a group's dropout
+  /// draws follow the previous group's, not the whole batch's.)
+  Tensor ScoreAll(const data::Batch& batch) override;
+
+  /// G = max(1, floor(2^17 / (N * d))): the sequences whose (G, N, d)
+  /// activation fits a 512 KB budget, so one ScoreAll group stays
+  /// cache-sized. Fixed by the model's shape: 10 at (N, d) = (200, 64).
+  int64_t ScoreGroupSize() const;
+
+  /// Recommendation logits over the item vocabulary (Eq. 31, pre-softmax):
+  /// h (B, d) times the item embedding matrix, (B, vocab).
+  autograd::Variable PredictLogits(const autograd::Variable& h) const;
+
+  const nn::Embedding& item_embedding() const { return *item_emb_; }
+
+  /// The user representation h of each sequence in `batch`, (B, d): the
+  /// one pass that Loss and each ScoreAll group run.
+  virtual autograd::Variable UserVector(const data::Batch& batch) = 0;
+
+ protected:
+  /// Registers item_emb, `vocab` rows initialised from rng_, before any
+  /// parameter of the model.
+  NextItemRecommender(const ModelConfig& config, int64_t vocab);
+
+  /// The two views whose InfoNCE (Eqs. 33-34) joins the loss; none by
+  /// default.
+  virtual std::optional<std::pair<autograd::Variable, autograd::Variable>>
+  ContrastiveViews(const data::Batch& batch) {
+    (void)batch;
+    return std::nullopt;
+  }
+
   /// The embedding layer of Eqs. 9-10, SASRec's, which FMLP-Rec and
   /// SLIME4Rec share: item plus learned positional embedding, LayerNorm,
-  /// dropout. `item_emb` is also the tied output matrix.
+  /// dropout.
   struct EmbeddingStem {
     std::shared_ptr<nn::Embedding> item_emb;
     autograd::Variable pos_emb;  // (N, d)
@@ -89,12 +147,11 @@ class SequentialRecommender : public nn::Module {
                                int64_t batch_size, Rng* rng) const;
   };
 
-  /// Registers the stem on this model as item_emb (`vocab` rows), pos_emb,
-  /// emb_norm and emb_dropout, initialised from rng_ in that order.
-  EmbeddingStem RegisterEmbeddingStem(int64_t vocab);
+  /// Registers the rest of the stem on this model as pos_emb, emb_norm and
+  /// emb_dropout, initialised from rng_ in that order, around item_emb.
+  EmbeddingStem RegisterEmbeddingStem();
 
-  ModelConfig config_;
-  Rng rng_;
+  std::shared_ptr<nn::Embedding> item_emb_;
 };
 
 }  // namespace models

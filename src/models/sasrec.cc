@@ -23,9 +23,9 @@ SasRec::SasRec(const ModelConfig& config)
     : SasRec(config, /*causal=*/true, config.num_items + 1) {}
 
 SasRec::SasRec(const ModelConfig& config, bool causal, int64_t vocab)
-    : SequentialRecommender(config),
+    : NextItemRecommender(config, vocab),
       causal_(causal),
-      stem_(RegisterEmbeddingStem(vocab)) {
+      stem_(RegisterEmbeddingStem()) {
   const int64_t d = config.hidden_dim;
   for (int64_t l = 0; l < config.num_layers; ++l) {
     Block b;
@@ -66,20 +66,6 @@ autograd::Variable SasRec::EncodeLast(const std::vector<int64_t>& input_ids,
   const int64_t n = config_.max_len;
   autograd::Variable h = Encode(input_ids, batch_size);
   return Reshape(Slice(h, 1, n - 1, n), {batch_size, config_.hidden_dim});
-}
-
-autograd::Variable SasRec::PredictLogits(const autograd::Variable& h) const {
-  return autograd::MatMulTransB(h, stem_.item_emb->weight());
-}
-
-autograd::Variable SasRec::Loss(const data::Batch& batch) {
-  autograd::Variable h = EncodeLast(batch.input_ids, batch.size);
-  return autograd::CrossEntropy(PredictLogits(h), batch.targets);
-}
-
-Tensor SasRec::ScoreAll(const data::Batch& batch) {
-  autograd::Variable h = EncodeLast(batch.input_ids, batch.size);
-  return PredictLogits(h).value();
 }
 
 }  // namespace models

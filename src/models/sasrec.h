@@ -13,15 +13,13 @@ namespace slime {
 namespace models {
 
 /// SASRec (Kang & McAuley, ICDM'18): causal multi-head self-attention
-/// encoder trained with next-item cross-entropy at the last position,
-/// scoring through the tied item-embedding matrix. Also the backbone that
-/// CL4SRec, CoSeRec, DuoRec, ContrastVAE and BERT4Rec subclass.
-class SasRec : public SequentialRecommender {
+/// encoder whose last position is the user vector of the shared next-item
+/// head. Also the backbone that CL4SRec, CoSeRec, DuoRec, ContrastVAE and
+/// BERT4Rec subclass.
+class SasRec : public NextItemRecommender {
  public:
   explicit SasRec(const ModelConfig& config);
 
-  autograd::Variable Loss(const data::Batch& batch) override;
-  Tensor ScoreAll(const data::Batch& batch) override;
   std::string name() const override { return "SASRec"; }
 
   /// Encoder: embedding + L attention blocks (causal for SASRec); (B, N, d).
@@ -32,8 +30,9 @@ class SasRec : public SequentialRecommender {
   autograd::Variable EncodeLast(const std::vector<int64_t>& input_ids,
                                 int64_t batch_size);
 
-  /// Tied-embedding logits (B, num_items + 1).
-  autograd::Variable PredictLogits(const autograd::Variable& h) const;
+  autograd::Variable UserVector(const data::Batch& batch) override {
+    return EncodeLast(batch.input_ids, batch.size);
+  }
 
  protected:
   /// The encoder with `causal` attention over a `vocab`-row item embedding;

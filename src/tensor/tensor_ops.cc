@@ -191,10 +191,6 @@ Tensor BinaryOpT(const Tensor& a, const Tensor& b, F f) {
 
 }  // namespace
 
-Tensor BinaryOp(const Tensor& a, const Tensor& b, float (*f)(float, float)) {
-  return BinaryOpT(a, b, f);
-}
-
 Tensor Add(const Tensor& a, const Tensor& b) {
   // Same-shape adds are a kernel-table entry (backends vectorise them); the
   // broadcast paths stay on the templated walker.

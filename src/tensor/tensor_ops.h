@@ -26,9 +26,6 @@ Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
 Tensor Div(const Tensor& a, const Tensor& b);
 
-/// Generic broadcast binary op; `f(a_elem, b_elem)`.
-Tensor BinaryOp(const Tensor& a, const Tensor& b, float (*f)(float, float));
-
 /// out += a, the same bits as Add(*out, a); a must broadcast to out's
 /// shape (e.g. a bias).
 void AddInPlace(Tensor* out, const Tensor& a);

@@ -68,10 +68,6 @@ struct TrainConfig {
   /// serving::Clock::Default(). Tests pass a FakeClock for exact wall
   /// times in telemetry records.
   serving::Clock* clock = nullptr;
-
-  /// Reads SLIME_BENCH_SCALE (default 1.0) used by the bench harness to
-  /// shrink or grow experiments.
-  static double BenchScale();
 };
 
 }  // namespace train

@@ -23,7 +23,8 @@ EVAL_LINE=$(grep '^test' "$TMP/eval.log" | tr -s ' ')
 # the data again, or every item scores 0. Its evaluation must then repeat
 # the training run's, and `recommend` must list the most frequent
 # training-region items (all but each user's last two; users with fewer
-# than 5 events are dropped), equal counts in ascending id order.
+# than 5 events are dropped), equal counts in ascending id order, leaving
+# out the items of the user's printed history.
 "$CLI" train --data "$TMP/data.txt" --model MostPop --epochs 1 \
     --save "$TMP/pop.ckpt" > "$TMP/pop_train.log"
 "$CLI" evaluate --data "$TMP/data.txt" --model MostPop \
@@ -31,11 +32,15 @@ EVAL_LINE=$(grep '^test' "$TMP/eval.log" | tr -s ' ')
 TRAIN_LINE=$(grep '^test' "$TMP/pop_train.log" | tr -s ' ')
 EVAL_LINE=$(grep '^test' "$TMP/pop_eval.log" | tr -s ' ')
 [ "$TRAIN_LINE" = "$EVAL_LINE" ] || { echo "MostPop metric mismatch:"; echo "$TRAIN_LINE"; echo "$EVAL_LINE"; exit 1; }
-WANT=$(awk 'NF >= 5 { for (i = 1; i <= NF - 2; ++i) c[$i]++ }
-            END { for (v in c) print c[v], v }' "$TMP/data.txt" |
+"$CLI" recommend --data "$TMP/data.txt" --model MostPop \
+    --load "$TMP/pop.ckpt" --user 0 --topk 5 > "$TMP/pop_rec.log"
+HISTORY=$(grep '^history:' "$TMP/pop_rec.log" | cut -d: -f2)
+WANT=$(awk -v seen="$HISTORY" \
+           'BEGIN { n = split(seen, s, " "); for (i = 1; i <= n; ++i) h[s[i]] = 1 }
+            NF >= 5 { for (i = 1; i <= NF - 2; ++i) c[$i]++ }
+            END { for (v in c) if (!(v in h)) print c[v], v }' "$TMP/data.txt" |
        sort -k1,1nr -k2,2n | head -5 | awk '{ printf " %s", $2 }')
-GOT=$("$CLI" recommend --data "$TMP/data.txt" --model MostPop \
-    --load "$TMP/pop.ckpt" --user 0 --topk 5 | grep '^top-5:')
+GOT=$(grep '^top-5:' "$TMP/pop_rec.log")
 [ "$GOT" = "top-5:$WANT" ] || { echo "MostPop top-5 mismatch:"; echo "$GOT"; echo "top-5:$WANT"; exit 1; }
 # Fault tolerance: an interrupted run resumed from its snapshot must end
 # with exactly the metrics of an uninterrupted run of the same length.

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "autograd/gradcheck.h"
@@ -389,12 +391,68 @@ TEST(NoGradDeterminismTest, ScoreTensorsEqualGraphModeForEveryModel) {
   }
 }
 
-// ScoreAll runs the encoder over groups of ScoreGroupSize() sequences and,
-// in eval mode, computes only position N-1 after the final irFFT. Neither
-// may move a bit: at batch sizes on either side of one and two group
-// boundaries, graph-mode and no-grad ScoreAll at 1/2/8 threads must equal
-// a single whole-batch, all-positions pass built in graph mode (taken at 1
-// thread; that pass is itself thread-count invariant).
+// The shared ScoreAll runs a model's user vector over groups of
+// ScoreGroupSize() sequences, and in eval mode SLIME4Rec computes only
+// position N-1 after the final irFFT. Neither may move a bit: at batch sizes
+// on either side of one and two group boundaries, graph-mode and no-grad
+// ScoreAll at 1/2/8 threads must equal a single whole-batch pass built in
+// graph mode (taken at 1 thread; that pass is itself thread-count
+// invariant). `whole_pass` scores a batch in one pass.
+void ExpectGroupsEqualWholePass(
+    models::NextItemRecommender* model, const std::string& case_label,
+    const std::function<Tensor(const data::Batch&)>& whole_pass) {
+  const int64_t n = model->config().max_len;
+  const int64_t num_items = model->config().num_items;
+  const int64_t num_users = model->config().num_users;
+  model->SetTraining(false);
+  const int64_t g = model->ScoreGroupSize();
+  std::vector<std::vector<int64_t>> histories;
+  for (int64_t u = 0; u < 2 * g + 3; ++u) {
+    std::vector<int64_t> h;
+    for (int64_t j = 0; j < 1 + u % 11; ++j) {
+      h.push_back(1 + (u * 5 + j * 7) % (num_items - 1));
+    }
+    histories.push_back(std::move(h));
+  }
+  std::vector<data::Batch> batches;
+  std::vector<Tensor> wholes;
+  for (const int64_t b : {int64_t{1}, g - 1, g, g + 1, 2 * g + 3}) {
+    if (b < 1) continue;
+    data::Batch batch = BatchOf({histories.begin(), histories.begin() + b}, n);
+    for (int64_t u = 0; u < b; ++u) batch.user_ids[u] = u % num_users;
+    batches.push_back(std::move(batch));
+    compute::ComputeContext ctx(1);
+    wholes.push_back(whole_pass(batches.back()));
+  }
+  for (int threads : {1, 2, 8}) {
+    compute::ComputeContext ctx(threads);
+    for (size_t i = 0; i < batches.size(); ++i) {
+      const std::string label =
+          compute::ActiveKernelBackend() + " threads=" +
+          std::to_string(threads) + " " + case_label +
+          " N=" + std::to_string(n) + " G=" + std::to_string(g) +
+          " B=" + std::to_string(batches[i].size);
+      const Tensor& whole = wholes[i];
+      const Tensor graph = model->ScoreAll(batches[i]);
+      Tensor lean;
+      {
+        autograd::NoGradScope no_grad;
+        lean = model->ScoreAll(batches[i]);
+      }
+      ASSERT_EQ(graph.shape(), whole.shape()) << label;
+      ASSERT_EQ(lean.shape(), whole.shape()) << label;
+      EXPECT_EQ(std::memcmp(graph.data(), whole.data(),
+                            whole.numel() * sizeof(float)),
+                0)
+          << "graph " << label;
+      EXPECT_EQ(std::memcmp(lean.data(), whole.data(),
+                            whole.numel() * sizeof(float)),
+                0)
+          << "no-grad " << label;
+    }
+  }
+}
+
 TEST(NoGradDeterminismTest, ScoreAllGroupsEqualOneWholeBatchPass) {
   BackendGuard guard;
   const data::SplitDataset split = TinySplit();
@@ -422,6 +480,8 @@ TEST(NoGradDeterminismTest, ScoreAllGroupsEqualOneWholeBatchPass) {
                                    {"dfs-only alpha=1", 50, 13, global},
                                    {"dfs+sfs alpha=1 L=1", 50, 13, full, 1},
                                    {"dfs+sfs", 200, 64, {}}};
+  // Every other sequence model at TinyModelConfig's (N, d) = (8, 16).
+  const models::ModelConfig zoo = TinyModelConfig(split);
   for (const auto& backend : compute::AvailableKernelBackends()) {
     compute::SetKernelBackend(backend).value();
     for (const Case& c : cases) {
@@ -432,58 +492,28 @@ TEST(NoGradDeterminismTest, ScoreAllGroupsEqualOneWholeBatchPass) {
       config.num_layers = c.num_layers;
       config.mixer = c.mixer;
       core::Slime4Rec model(config);
-      model.SetTraining(false);
-      const int64_t g = model.ScoreGroupSize();
-      std::vector<std::vector<int64_t>> histories;
-      for (int64_t u = 0; u < 2 * g + 3; ++u) {
-        std::vector<int64_t> h;
-        for (int64_t j = 0; j < 1 + u % 11; ++j) {
-          h.push_back(1 + (u * 5 + j * 7) % (split.num_items() - 1));
-        }
-        histories.push_back(std::move(h));
-      }
-      std::vector<data::Batch> batches;
-      std::vector<Tensor> wholes;
-      for (const int64_t b : {int64_t{1}, g - 1, g, g + 1, 2 * g + 3}) {
-        if (b < 1) continue;
-        batches.push_back(
-            BatchOf({histories.begin(), histories.begin() + b}, c.n));
-        compute::ComputeContext ctx(1);
-        wholes.push_back(
-            model
+      // The reference encodes all positions; eval-mode EncodeLast does not.
+      ExpectGroupsEqualWholePass(
+          &model, "SLIME4Rec " + c.label, [&](const data::Batch& b) {
+            return model
                 .PredictLogits(autograd::Reshape(
-                    autograd::Slice(model.Encode(batches.back().input_ids, b),
-                                    1, c.n - 1, c.n),
-                    {b, c.d}))
-                .value());
-      }
-      for (int threads : {1, 2, 8}) {
-        compute::ComputeContext ctx(threads);
-        for (size_t i = 0; i < batches.size(); ++i) {
-          const std::string label =
-              backend + " threads=" + std::to_string(threads) + " " +
-              c.label + " N=" + std::to_string(c.n) +
-              " G=" + std::to_string(g) +
-              " B=" + std::to_string(batches[i].size);
-          const Tensor& whole = wholes[i];
-          const Tensor graph = model.ScoreAll(batches[i]);
-          Tensor lean;
-          {
-            autograd::NoGradScope no_grad;
-            lean = model.ScoreAll(batches[i]);
-          }
-          ASSERT_EQ(graph.shape(), whole.shape()) << label;
-          ASSERT_EQ(lean.shape(), whole.shape()) << label;
-          EXPECT_EQ(std::memcmp(graph.data(), whole.data(),
-                                whole.numel() * sizeof(float)),
-                    0)
-              << "graph " << label;
-          EXPECT_EQ(std::memcmp(lean.data(), whole.data(),
-                                whole.numel() * sizeof(float)),
-                    0)
-              << "no-grad " << label;
-        }
-      }
+                    autograd::Slice(model.Encode(b.input_ids, b.size), 1,
+                                    c.n - 1, c.n),
+                    {b.size, c.d}))
+                .value();
+          });
+    }
+    for (const std::string name :
+         {"GRU4Rec", "Caser", "SASRec", "BERT4Rec", "FMLP-Rec", "CL4SRec",
+          "ContrastVAE", "CoSeRec", "DuoRec"}) {
+      auto owned = models::CreateModel(name, zoo);
+      auto* model = dynamic_cast<models::NextItemRecommender*>(owned.get());
+      ASSERT_NE(model, nullptr) << name;
+      ExpectGroupsEqualWholePass(model, name, [&](const data::Batch& b) {
+        // BERT4Rec scores through its own [MASK] pass, one pass already.
+        if (name == "BERT4Rec") return model->ScoreAll(b);
+        return model->PredictLogits(model->UserVector(b)).value();
+      });
     }
   }
 }

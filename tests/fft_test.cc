@@ -117,56 +117,6 @@ TEST_P(RfftSizeTest, DcBinIsSumOfSignal) {
   EXPECT_NEAR(im[0], 0.0, 1e-4);
 }
 
-TEST_P(RfftSizeTest, RfftAdjointIsTransposeOfForward) {
-  // <F x, g> == <x, F^T g> for random x, g (the defining property of the
-  // adjoint, which is what backward must implement).
-  const int64_t n = GetParam();
-  const int64_t m = RfftBins(n);
-  Rng rng(6000 + n);
-  std::vector<float> x(n);
-  for (auto& v : x) v = rng.Gaussian();
-  std::vector<float> g_re(m);
-  std::vector<float> g_im(m);
-  for (auto& v : g_re) v = rng.Gaussian();
-  for (auto& v : g_im) v = rng.Gaussian();
-  std::vector<float> fx_re(m);
-  std::vector<float> fx_im(m);
-  RfftForward(x.data(), n, fx_re.data(), fx_im.data());
-  std::vector<float> ftg(n);
-  RfftAdjoint(g_re.data(), g_im.data(), n, ftg.data());
-  double lhs = 0.0;
-  for (int64_t k = 0; k < m; ++k) {
-    lhs += double(fx_re[k]) * g_re[k] + double(fx_im[k]) * g_im[k];
-  }
-  double rhs = 0.0;
-  for (int64_t i = 0; i < n; ++i) rhs += double(x[i]) * ftg[i];
-  EXPECT_NEAR(lhs, rhs, 1e-2 * std::max(1.0, std::abs(lhs)));
-}
-
-TEST_P(RfftSizeTest, IrfftAdjointIsTransposeOfForward) {
-  const int64_t n = GetParam();
-  const int64_t m = RfftBins(n);
-  Rng rng(7000 + n);
-  std::vector<float> re(m);
-  std::vector<float> im(m);
-  for (auto& v : re) v = rng.Gaussian();
-  for (auto& v : im) v = rng.Gaussian();
-  std::vector<float> g(n);
-  for (auto& v : g) v = rng.Gaussian();
-  std::vector<float> x(n);
-  IrfftForward(re.data(), im.data(), n, x.data());
-  std::vector<float> gt_re(m);
-  std::vector<float> gt_im(m);
-  IrfftAdjoint(g.data(), n, gt_re.data(), gt_im.data());
-  double lhs = 0.0;
-  for (int64_t i = 0; i < n; ++i) lhs += double(x[i]) * g[i];
-  double rhs = 0.0;
-  for (int64_t k = 0; k < m; ++k) {
-    rhs += double(re[k]) * gt_re[k] + double(im[k]) * gt_im[k];
-  }
-  EXPECT_NEAR(lhs, rhs, 1e-2 * std::max(1.0, std::abs(lhs)));
-}
-
 INSTANTIATE_TEST_SUITE_P(AllSizes, RfftSizeTest,
                          ::testing::Values(1, 2, 3, 4, 5, 8, 12, 16, 25, 32,
                                            50, 64, 75, 100));

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "bench_util/experiment.h"
 #include "bench_util/paper_values.h"
 #include "bench_util/table_printer.h"
@@ -69,6 +72,25 @@ TEST(BenchUtilTest, DefaultConfigsFollowDataset) {
   EXPECT_DOUBLE_EQ(DefaultMixerOptions("beauty-sim").alpha, 0.4);
   EXPECT_DOUBLE_EQ(DefaultMixerOptions("clothing-sim").alpha, 0.8);
   EXPECT_DOUBLE_EQ(DefaultMixerOptions("sports-sim").alpha, 0.3);
+}
+
+TEST(BenchUtilTest, BenchDataScaleIsAFactorOnTheBase) {
+  const char* saved = std::getenv("SLIME_BENCH_SCALE");
+  const std::string restore = saved == nullptr ? "" : saved;
+  ::unsetenv("SLIME_BENCH_SCALE");
+  EXPECT_DOUBLE_EQ(BenchDataScale(0.25), 0.25);
+  ::setenv("SLIME_BENCH_SCALE", "2", 1);
+  EXPECT_DOUBLE_EQ(BenchDataScale(0.25), 0.5);
+  // Anything but a positive finite number leaves the base alone.
+  for (const char* bad : {"abc", "0", "-1", "2x", "", "inf"}) {
+    ::setenv("SLIME_BENCH_SCALE", bad, 1);
+    EXPECT_DOUBLE_EQ(BenchDataScale(0.25), 0.25) << "'" << bad << "'";
+  }
+  if (saved == nullptr) {
+    ::unsetenv("SLIME_BENCH_SCALE");
+  } else {
+    ::setenv("SLIME_BENCH_SCALE", restore.c_str(), 1);
+  }
 }
 
 TEST(BenchUtilTest, TablePrinterAlignsColumns) {

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <string>
 
 #include "common/crc32.h"
+#include "compute/backend.h"
 #include "data/batcher.h"
 #include "models/cl4srec.h"
 #include "models/coserec.h"
@@ -321,6 +323,101 @@ TEST(CheckpointLayoutTest, NamesShapesAndInitialBytesArePinned) {
                               << std::hex << InitCrcOf(*model);
     EXPECT_EQ(LayoutOf(*model), it->second.layout) << name;
     EXPECT_EQ(InitCrcOf(*model), it->second.init_crc) << name;
+  }
+}
+
+/// `rows` histories of 1-11 items (truncated to N = 8), users cycling over
+/// SmallConfig's 10.
+data::Batch BatchOfRows(int64_t rows) {
+  data::Batch b;
+  b.size = rows;
+  b.max_len = 8;
+  for (int64_t u = 0; u < rows; ++u) {
+    std::vector<int64_t> raw;
+    for (int64_t j = 0; j < 1 + u % 11; ++j) {
+      raw.push_back(1 + (u * 5 + j * 7) % 20);
+    }
+    const auto padded = data::PadTruncate(raw, 8);
+    b.input_ids.insert(b.input_ids.end(), padded.begin(), padded.end());
+    b.user_ids.push_back(u % 10);
+    b.targets.push_back(1 + u % 20);
+    b.raw_prefixes.push_back(std::move(raw));
+  }
+  return b;
+}
+
+struct ScalarBackendGuard {
+  ~ScalarBackendGuard() { compute::SetKernelBackend("scalar").value(); }
+};
+
+// Every model's training loss, its parameter gradients and its scores over
+// more than one scoring group, as bits, on each kernel tier. A refactor of
+// the shared prediction head or objective must leave all three unchanged.
+TEST(ZooBitsTest, LossGradientsAndGroupedScoresArePinned) {
+  struct Pin {
+    uint32_t loss_bits;
+    uint32_t grad_crc;
+    uint32_t score_crc;
+  };
+  const std::map<std::string, std::map<std::string, Pin>> pins = {
+      {"scalar",
+       {{"BPR-MF", {0x3f314a79, 0x2310b305, 0xdeb199cc}},
+        {"GRU4Rec", {0x4042d8a9, 0x77e957e7, 0x13dba975}},
+        {"Caser", {0x4042e952, 0x1d02a3db, 0x652adb53}},
+        {"SASRec", {0x403ec03d, 0x0d512714, 0x9be685af}},
+        {"BERT4Rec", {0x404630ce, 0x839bcb6d, 0xb0f7dfa7}},
+        {"FMLP-Rec", {0x4040bc14, 0x6227b680, 0x22316479}},
+        {"CL4SRec", {0x4048ec31, 0x68f2d473, 0x9be685af}},
+        {"ContrastVAE", {0x4047f26b, 0xe72b3a5f, 0x1938cb61}},
+        {"CoSeRec", {0x40491868, 0x95a9f56a, 0x9be685af}},
+        {"DuoRec", {0x40491927, 0x76b6b261, 0x9be685af}},
+        {"SLIME4Rec", {0x4045f281, 0x511c5b80, 0x7ebe3eb6}},
+        {"MostPop", {0x00000000, 0x00000000, 0x2c83ee25}}}},
+      {"simd",
+       {{"BPR-MF", {0x3f314a79, 0x2310b305, 0x24435131}},
+        {"GRU4Rec", {0x4042d8a9, 0x1d45910c, 0x7c8515d2}},
+        {"Caser", {0x4042e952, 0x7c0f7081, 0x5b27ebf7}},
+        {"SASRec", {0x403ec03d, 0x830a2aee, 0x67ce7529}},
+        {"BERT4Rec", {0x404630ce, 0x94caed36, 0x8508c2ba}},
+        {"FMLP-Rec", {0x4040bc14, 0x665f74ac, 0xc91fbe7a}},
+        {"CL4SRec", {0x4048ec31, 0x22356f43, 0x67ce7529}},
+        {"ContrastVAE", {0x4047f26b, 0x2fc14373, 0xa7260e37}},
+        {"CoSeRec", {0x40491868, 0xfdae8a48, 0x67ce7529}},
+        {"DuoRec", {0x40491927, 0xbcd9c205, 0x67ce7529}},
+        {"SLIME4Rec", {0x4045f281, 0xaffd4488, 0x7d537a30}},
+        {"MostPop", {0x00000000, 0x00000000, 0x2c83ee25}}}},
+  };
+  ScalarBackendGuard guard;
+  // G = 2^17 / (N * d) = 1024 sequences per group at (N, d) = (8, 16).
+  const data::Batch wide = BatchOfRows(1024 + 37);
+  std::vector<std::string> names = AllModelNames();
+  names.push_back("MostPop");
+  for (const std::string& backend : compute::AvailableKernelBackends()) {
+    compute::SetKernelBackend(backend).value();
+    for (const std::string& name : names) {
+      const std::string label = backend + " " + name;
+      auto model = CreateModel(name, SmallConfig());
+      autograd::Variable loss = model->Loss(SmallBatch());
+      if (loss.requires_grad()) loss.Backward();
+      uint32_t loss_bits = 0;
+      std::memcpy(&loss_bits, loss.value().data(), sizeof(loss_bits));
+      uint32_t grad_crc = 0;
+      for (const auto& [param_name, param] : model->NamedParameters()) {
+        if (!param.has_grad()) continue;
+        grad_crc = ExtendCrc32(grad_crc, param.grad().data(),
+                               param.grad().numel() * sizeof(float));
+      }
+      model->SetTraining(false);
+      const Tensor scores = model->ScoreAll(wide);
+      ASSERT_EQ(scores.shape(), (std::vector<int64_t>{wide.size, 21}))
+          << label;
+      const uint32_t score_crc =
+          Crc32(scores.data(), scores.numel() * sizeof(float));
+      const Pin& pin = pins.at(backend).at(name);
+      EXPECT_EQ(loss_bits, pin.loss_bits) << label;
+      EXPECT_EQ(grad_crc, pin.grad_crc) << label;
+      EXPECT_EQ(score_crc, pin.score_crc) << label;
+    }
   }
 }
 

@@ -131,13 +131,6 @@ TEST(TrainerTest, DeterministicGivenSeeds) {
   EXPECT_DOUBLE_EQ(r1.final_train_loss, r2.final_train_loss);
 }
 
-TEST(TrainConfigTest, BenchScaleDefaultsToOne) {
-  // (Environment-dependent: only checked when the variable is unset.)
-  if (std::getenv("SLIME_BENCH_SCALE") == nullptr) {
-    EXPECT_DOUBLE_EQ(TrainConfig::BenchScale(), 1.0);
-  }
-}
-
 }  // namespace
 }  // namespace train
 }  // namespace slime

@@ -438,13 +438,17 @@ int CmdRecommend(const Flags& flags) {
   batch.input_ids = data::PadTruncate(history, batch.max_len);
   autograd::NoGradScope no_grad;
   const Tensor scores = model->ScoreAll(batch);
+  // Serving's ranking: the history's items are left out, and equal scores
+  // list the lower item id first.
+  std::vector<bool> seen(split.num_items() + 1, false);
   std::printf("history:");
-  for (int64_t v : history) std::printf(" %lld", static_cast<long long>(v));
+  for (int64_t v : history) {
+    std::printf(" %lld", static_cast<long long>(v));
+    if (v >= 1 && v <= split.num_items()) seen[v] = true;
+  }
   std::printf("\ntop-%lld:", static_cast<long long>(topk));
-  // Serving's ranking, so equal scores list the lower item id first.
   for (const serving::Recommendation& r : serving::TopKFromScores(
-           scores.data(), split.num_items(), topk,
-           std::vector<bool>(split.num_items() + 1, false))) {
+           scores.data(), split.num_items(), topk, seen)) {
     std::printf(" %lld", static_cast<long long>(r.item));
   }
   std::printf("\n");
