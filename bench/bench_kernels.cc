@@ -191,6 +191,40 @@ std::vector<Measurement> BenchAdamStep(
   return result;
 }
 
+/// The dropout mask over n elements (n need not be a multiple of 64) with
+/// random bits, at scale 1/0.9. Also times, at 1 thread, the per-bit select
+/// loop the kernel replaced, out = in * (bit ? scale : 0), into
+/// `select_seconds`. The two must be the same bits, so `same_as_select`
+/// reports it.
+std::vector<Measurement> BenchDropoutMask(int64_t n, int reps,
+                                          const std::vector<int>& thread_counts,
+                                          double* select_seconds,
+                                          bool* same_as_select) {
+  Rng rng(9);
+  std::vector<float> in(n), out(n), ref(n);
+  std::vector<uint64_t> bits((n + 63) / 64);
+  for (auto& x : in) x = rng.UniformFloat() - 0.5f;
+  for (auto& w : bits) w = rng.NextUint64();
+  const float scale = 1.0f / 0.9f;
+  std::vector<Measurement> result;
+  for (int threads : thread_counts) {
+    compute::ComputeContext ctx(threads);
+    const double secs = BestOf(reps, [&] {
+      compute::Dispatch().dropout_mask(in.data(), bits.data(), scale,
+                                       out.data(), n);
+    });
+    result.push_back({threads, secs, n / secs / 1e9,
+                      Crc32(out.data(), out.size() * sizeof(float))});
+  }
+  *select_seconds = BestOf(reps, [&] {
+    for (int64_t i = 0; i < n; ++i)
+      ref[i] = in[i] * ((bits[i / 64] >> (i % 64)) & 1 ? scale : 0.0f);
+  });
+  *same_as_select = Crc32(ref.data(), ref.size() * sizeof(float)) ==
+                    result.front().crc;
+  return result;
+}
+
 /// Benchmarks the filter-mixer transform hot loop at the plan level: the
 /// packed `VerticalRfftPlan` vs what the ops previously did per batch item
 /// (stage a full (n, d) complex block, run `VerticalFftPlan`, copy the half
@@ -489,6 +523,9 @@ int Main(int argc, char** argv) {
   // the same backend's matmul on the transposed shape.
   std::vector<std::pair<std::string, double>> trans_a_ratios;
   bool trans_a_same_as_matmul = true;
+  // Per backend: 1-thread dropout-mask speedup over the select loop.
+  std::vector<std::pair<std::string, double>> mask_speedups;
+  bool mask_same_as_select = true;
   for (const std::string& backend : backends) {
     compute::SetKernelBackend(backend).value();
     std::fprintf(stderr, "bench_kernels: backend=%s\n", backend.c_str());
@@ -513,6 +550,14 @@ int Main(int argc, char** argv) {
                     BenchComplexMul(quick ? 64 : 512, quick ? 1024 : 8192,
                                     reps, thread_counts)});
     arms.push_back({"axpy_" + backend, BenchAxpy(ew_n, reps, thread_counts)});
+    double select_seconds = 0.0;
+    bool mask_same = false;
+    arms.push_back({"dropout_mask_" + backend,
+                    BenchDropoutMask(ew_n + 37, reps, thread_counts,
+                                     &select_seconds, &mask_same)});
+    mask_speedups.emplace_back(
+        backend, select_seconds / arms.back().ms.front().seconds);
+    mask_same_as_select = mask_same_as_select && mask_same;
     arms.push_back(
         {"adam_step_" + backend, BenchAdamStep(ew_n, reps, thread_counts)});
   }
@@ -582,6 +627,10 @@ int Main(int argc, char** argv) {
     std::fprintf(f, "    \"matmul_trans_a_dw_vs_matmul_1t_%s\": %.3f,\n",
                  backend.c_str(), ratio);
   }
+  for (const auto& [backend, speedup] : mask_speedups) {
+    std::fprintf(f, "    \"dropout_mask_vs_select_1t_%s\": %.3f,\n",
+                 backend.c_str(), speedup);
+  }
   std::fprintf(f, "    \"rfft_packed_speedup_1t_n64\": %.3f,\n",
                rfft_speedup_64);
   std::fprintf(f, "    \"rfft_packed_speedup_1t_n200\": %.3f,\n",
@@ -616,6 +665,11 @@ int Main(int argc, char** argv) {
   // on full runs.
   if (!trans_a_same_as_matmul) {
     std::fprintf(stderr, "matmul_trans_a_dw differs from matmul on A^T\n");
+    return 1;
+  }
+  // The dropout mask is the select loop's products, bit for bit.
+  if (!mask_same_as_select) {
+    std::fprintf(stderr, "dropout_mask differs from the select loop\n");
     return 1;
   }
   for (const auto& [backend, ratio] : trans_a_ratios) {

@@ -16,10 +16,10 @@ using compute::kElementwiseGrain;
 using compute::ParallelFor;
 
 /// Reduces a broadcast gradient back to the operand shape and accumulates.
-void AccumulateBroadcast(const std::shared_ptr<Node>& node, const Tensor& g) {
+void AccumulateBroadcast(const std::shared_ptr<Node>& node, Tensor g) {
   if (!node || !node->requires_grad) return;
   if (g.shape() == node->shape) {
-    AccumulateGrad(node, g);
+    AccumulateGrad(node, std::move(g));
   } else {
     AccumulateGrad(node, ops::ReduceTo(g, node->shape));
   }
@@ -42,25 +42,39 @@ Variable UnaryFromInput(const Variable& a, float (*fwd)(float),
                       for (int64_t i = lo; i < hi; ++i)
                         pd[i] = pg[i] * dfdx(px[i]);
                     });
-        AccumulateGrad(an, dx);
+        AccumulateGrad(an, std::move(dx));
       });
 }
 
-/// out[i] = in[i] * (bit i of `bits` ? scale : 0) for i < n: the same
-/// product as multiplying by a float mask of {0, scale}, bit for bit.
-void ApplyDropoutMask(const float* in, const uint64_t* bits, float scale,
-                      float* out, int64_t n) {
-  ParallelFor(0, (n + 63) / 64, kElementwiseGrain / 64,
-              [&](int64_t lo, int64_t hi) {
-                for (int64_t w = lo; w < hi; ++w) {
-                  const uint64_t word = bits[w];
-                  const int64_t m = std::min<int64_t>(64, n - 64 * w);
-                  const float* pi = in + 64 * w;
-                  float* po = out + 64 * w;
-                  for (int64_t j = 0; j < m; ++j)
-                    po[j] = pi[j] * ((word >> j) & 1 ? scale : 0.0f);
-                }
-              });
+/// An inverted-dropout mask, one bit per element (bit j of word w keeps
+/// element 64 w + j); kept elements are multiplied by `scale` (the
+/// `dropout_mask` kernel).
+struct DropoutMask {
+  std::vector<uint64_t> bits;
+  float scale = 1.0f;
+};
+
+/// Draws the mask of `n` elements at drop probability p, 0 < p < 1, as an
+/// integer-threshold Bernoulli: one raw 64-bit `rng` draw per element, in
+/// element order. A p small enough that keep rounds to 1 keeps everything
+/// (keep * 2^64 would not fit) but still draws n numbers.
+DropoutMask DrawDropoutMask(float p, int64_t n, Rng* rng) {
+  SLIME_CHECK_LT(p, 1.0f);
+  const float keep = 1.0f - p;
+  const uint64_t threshold =
+      keep < 1.0f ? static_cast<uint64_t>(keep * 18446744073709551616.0)
+                  : UINT64_MAX;
+  DropoutMask mask;
+  mask.scale = 1.0f / keep;
+  mask.bits.resize(static_cast<size_t>((n + 63) / 64));
+  for (size_t w = 0; w < mask.bits.size(); ++w) {
+    const int64_t m = std::min<int64_t>(64, n - 64 * int64_t(w));
+    uint64_t word = 0;
+    for (int64_t j = 0; j < m; ++j)
+      word |= uint64_t(rng->NextUint64() < threshold) << j;
+    mask.bits[w] = word;
+  }
+  return mask;
 }
 
 }  // namespace
@@ -177,15 +191,8 @@ Variable Gelu(const Variable& a) {
       std::move(out), {an}, [an, x = a.value()](const Tensor& g) {
         Tensor dx(g.shape());
         compute::Dispatch().gelu_bwd(x.data(), g.data(), dx.data(), g.numel());
-        AccumulateGrad(an, dx);
+        AccumulateGrad(an, std::move(dx));
       });
-}
-
-Variable GeluInPlace(Variable a) {
-  if (!CanReuse(a)) return Gelu(a);
-  Tensor& x = a.mutable_value();
-  compute::Dispatch().gelu(x.data(), x.data(), x.numel());
-  return a;
 }
 
 Variable Sigmoid(const Variable& a) {
@@ -205,7 +212,7 @@ Variable Sigmoid(const Variable& a) {
                   for (int64_t i = lo; i < hi; ++i)
                     pd[i] = pg[i] * py[i] * (1.0f - py[i]);
                 });
-    AccumulateGrad(an, dx);
+    AccumulateGrad(an, std::move(dx));
   });
 }
 
@@ -223,7 +230,7 @@ Variable Tanh(const Variable& a) {
                   for (int64_t i = lo; i < hi; ++i)
                     pd[i] = pg[i] * (1.0f - py[i] * py[i]);
                 });
-    AccumulateGrad(an, dx);
+    AccumulateGrad(an, std::move(dx));
   });
 }
 
@@ -256,7 +263,7 @@ Variable Sqrt(const Variable& a) {
                   for (int64_t i = lo; i < hi; ++i)
                     pd[i] = pg[i] * 0.5f / py[i];
                 });
-    AccumulateGrad(an, dx);
+    AccumulateGrad(an, std::move(dx));
   });
 }
 
@@ -312,7 +319,7 @@ Variable Slice(const Variable& a, int64_t axis, int64_t start, int64_t end) {
                         std::copy(src, src + width * inner, dst);
                       }
                     });
-        AccumulateGrad(an, dx);
+        AccumulateGrad(an, std::move(dx));
       });
 }
 
@@ -363,7 +370,7 @@ Variable Concat(const std::vector<Variable>& vars, int64_t axis) {
               const float* src = g.data() + (o * total + off2) * inner;
               std::copy(src, src + w * inner, dx.data() + o * w * inner);
             }
-            AccumulateGrad(parents[i], dx);
+            AccumulateGrad(parents[i], std::move(dx));
           }
           off2 += w;
         }
@@ -470,7 +477,7 @@ Variable BroadcastMatMul(const Variable& w, const Variable& x) {
                               xv.data() + i * k * n, tmp.data(), m, n, k);
             ops::AddInPlace(&dw, tmp);
           }
-          AccumulateGrad(wn, dw);
+          AccumulateGrad(wn, std::move(dw));
         }
         if (xn && xn->requires_grad) {
           Tensor dx({batch, k, n});
@@ -484,7 +491,7 @@ Variable BroadcastMatMul(const Variable& w, const Variable& x) {
                                             pd + i * k * n, m, k, n);
                         }
                       });
-          AccumulateGrad(xn, dx);
+          AccumulateGrad(xn, std::move(dx));
         }
       });
 }
@@ -532,7 +539,7 @@ Variable SumAxis(const Variable& a, int64_t axis, bool keepdim) {
             float* dst = pd + (o * extent + e) * inner;
             for (int64_t i = 0; i < inner; ++i) dst[i] = src[i];
           }
-        AccumulateGrad(an, dx);
+        AccumulateGrad(an, std::move(dx));
       });
 }
 
@@ -558,7 +565,7 @@ Variable Softmax(const Variable& a) {
     const int64_t d = g.size(-1);
     compute::Dispatch().softmax_rows_bwd(ycopy.data(), g.data(), dx.data(),
                                          g.numel() / d, d);
-    AccumulateGrad(an, dx);
+    AccumulateGrad(an, std::move(dx));
   });
 }
 
@@ -602,7 +609,7 @@ Variable CrossEntropy(const Variable& logits,
                         pd[r * v + t] -= scale;
                       }
                     });
-        AccumulateGrad(an, dx);
+        AccumulateGrad(an, std::move(dx));
       });
 }
 
@@ -634,7 +641,7 @@ Variable EmbeddingLookup(const Variable& weight,
                           compute::Dispatch().scatter_add_rows(
                               g.data(), ids.data(), dw.data(),
                               static_cast<int64_t>(ids.size()), d);
-                          AccumulateGrad(wn, dw);
+                          AccumulateGrad(wn, std::move(dw));
                         });
 }
 
@@ -668,53 +675,91 @@ Variable LayerNorm(const Variable& x, const Variable& gamma,
           Tensor dbeta({d});
           kt.layer_norm_param_bwd(g.data(), xhat.data(), dgamma.data(),
                                   dbeta.data(), rows, d);
-          AccumulateGrad(gn, dgamma);
-          AccumulateGrad(bn, dbeta);
+          AccumulateGrad(gn, std::move(dgamma));
+          AccumulateGrad(bn, std::move(dbeta));
         } else if (bn && bn->requires_grad) {
           Tensor dbeta({d});
           kt.layer_norm_param_bwd(g.data(), xhat.data(), /*dgamma=*/nullptr,
                                   dbeta.data(), rows, d);
-          AccumulateGrad(bn, dbeta);
+          AccumulateGrad(bn, std::move(dbeta));
         }
         if (xn && xn->requires_grad) {
           Tensor dx(xn->shape);
           kt.layer_norm_bwd(g.data(), xhat.data(), inv_std.data(),
                             gv.data(), dx.data(), rows, d);
-          AccumulateGrad(xn, dx);
+          AccumulateGrad(xn, std::move(dx));
         }
       });
 }
 
 Variable Dropout(const Variable& x, float p, bool training, Rng* rng) {
   if (!training || p <= 0.0f) return x;
-  SLIME_CHECK_LT(p, 1.0f);
-  const float keep = 1.0f - p;
-  const float scale = 1.0f / keep;
-  // Integer-threshold Bernoulli: one raw 64-bit draw per element, in
-  // element order. A p small enough that keep rounds to 1 keeps everything
-  // (keep * 2^64 would not fit) but still draws numel numbers.
-  const uint64_t threshold =
-      keep < 1.0f ? static_cast<uint64_t>(keep * 18446744073709551616.0)
-                  : UINT64_MAX;
-  // Bit j of word w keeps element 64 w + j.
   const int64_t n = x.numel();
-  std::vector<uint64_t> bits(static_cast<size_t>((n + 63) / 64));
-  for (size_t w = 0; w < bits.size(); ++w) {
-    const int64_t m = std::min<int64_t>(64, n - 64 * int64_t(w));
-    uint64_t word = 0;
-    for (int64_t j = 0; j < m; ++j)
-      word |= uint64_t(rng->NextUint64() < threshold) << j;
-    bits[w] = word;
-  }
+  DropoutMask mask = DrawDropoutMask(p, n, rng);
   Tensor y(x.value().shape());
-  ApplyDropoutMask(x.value().data(), bits.data(), scale, y.data(), n);
+  compute::Dispatch().dropout_mask(x.value().data(), mask.bits.data(),
+                                   mask.scale, y.data(), n);
   auto xn = x.node();
   return MakeOpVariable(
-      std::move(y), {xn},
-      [xn, bits = std::move(bits), scale, n](const Tensor& g) {
+      std::move(y), {xn}, [xn, mask = std::move(mask), n](const Tensor& g) {
         Tensor dx(g.shape());
-        ApplyDropoutMask(g.data(), bits.data(), scale, dx.data(), n);
-        AccumulateGrad(xn, dx);
+        compute::Dispatch().dropout_mask(g.data(), mask.bits.data(),
+                                         mask.scale, dx.data(), n);
+        AccumulateGrad(xn, std::move(dx));
+      });
+}
+
+Variable GeluDropoutMatMul(Variable pre, const Variable& w, float p,
+                           bool training, Rng* rng) {
+  const Tensor& wt = w.value();
+  SLIME_CHECK_EQ(wt.dim(), 2);
+  const int64_t k = wt.size(0);
+  SLIME_CHECK_EQ(pre.value().size(-1), k);
+  const int64_t n = pre.numel();
+  const int64_t rows = n / k;
+  const bool drop = training && p > 0.0f;
+  DropoutMask mask = drop ? DrawDropoutMask(p, n, rng) : DropoutMask();
+  const auto& kt = compute::Dispatch();
+  // D = Dropout(GELU(pre)) as (rows, k), over pre's own buffer when the
+  // caller gave it up under a NoGradScope. Nothing saves D: backward
+  // recomputes it from pre and the mask.
+  Tensor d = CanReuse(pre) ? pre.value().Reshape({rows, k})
+                           : Tensor({rows, k});
+  kt.gelu(pre.value().data(), d.data(), n);
+  if (drop) {
+    kt.dropout_mask(d.data(), mask.bits.data(), mask.scale, d.data(), n);
+  }
+  Tensor out = ops::MatMul(d, wt);
+  auto pn = pre.node();
+  auto wn = w.node();
+  return MakeOpVariable(
+      std::move(out), {pn, wn},
+      [pn, wn, x = pre.value(), wv = wt, mask = std::move(mask), rows, drop,
+       k](const Tensor& g) {
+        const auto& kt = compute::Dispatch();
+        const int64_t n = rows * k;
+        const bool need_pre = pn && pn->requires_grad;
+        // dD = g W^T, then dW = D^T g, as the composed chain's MatMul ran
+        // them; the recomputed D lives only while dW is formed.
+        Tensor dd = need_pre ? ops::MatMulTransB(g, wv) : Tensor();
+        if (wn && wn->requires_grad) {
+          Tensor d({rows, k});
+          kt.gelu(x.data(), d.data(), n);
+          if (drop) {
+            kt.dropout_mask(d.data(), mask.bits.data(), mask.scale, d.data(),
+                            n);
+          }
+          AccumulateGrad(wn, ops::MatMulTransA(d, g));
+        }
+        if (need_pre) {
+          if (drop) {
+            kt.dropout_mask(dd.data(), mask.bits.data(), mask.scale,
+                            dd.data(), n);
+          }
+          kt.gelu_bwd(x.data(), dd.data(), dd.data(), n);
+          dd = dd.Reshape(pn->shape);
+          AccumulateGrad(pn, std::move(dd));
+        }
       });
 }
 
@@ -755,7 +800,7 @@ Variable MaxPoolAxis1(const Variable& x) {
                               const int64_t k = argmax[i * f + j];
                               pd[(i * t + k) * f + j] += pg[i * f + j];
                             }
-                          AccumulateGrad(xn, dx);
+                          AccumulateGrad(xn, std::move(dx));
                         });
 }
 
@@ -804,7 +849,7 @@ Variable HorizontalConv(const Variable& x, const Variable& w,
           float* pd = db.data();
           for (int64_t i = 0; i < b * t; ++i)
             for (int64_t fi = 0; fi < f; ++fi) pd[fi] += pg[i * f + fi];
-          AccumulateGrad(bn, db);
+          AccumulateGrad(bn, std::move(db));
         }
         if (wn && wn->requires_grad) {
           Tensor dw({f, h, d});
@@ -819,7 +864,7 @@ Variable HorizontalConv(const Variable& x, const Variable& w,
                 float* wrow = pd + fi * h * d;
                 for (int64_t e = 0; e < h * d; ++e) wrow[e] += gv * xrow[e];
               }
-          AccumulateGrad(wn, dw);
+          AccumulateGrad(wn, std::move(dw));
         }
         if (xn && xn->requires_grad) {
           // Per-batch-item writes are disjoint; dw above stays serial
@@ -840,7 +885,7 @@ Variable HorizontalConv(const Variable& x, const Variable& w,
                                 xrow[e] += gv * wrow[e];
                             }
                       });
-          AccumulateGrad(xn, dx);
+          AccumulateGrad(xn, std::move(dx));
         }
       });
 }

@@ -37,9 +37,6 @@ Variable AddConst(const Variable& a, const Tensor& c);
 Variable Relu(const Variable& a);
 /// Exact Gaussian-error-linear-unit, matching the paper's FFN (Eq. 29).
 Variable Gelu(const Variable& a);
-/// Gelu(a) written over `a`'s buffer when CanReuse(a); otherwise exactly
-/// Gelu(a). Pass `a` with std::move.
-Variable GeluInPlace(Variable a);
 Variable Sigmoid(const Variable& a);
 Variable Tanh(const Variable& a);
 Variable Exp(const Variable& a);
@@ -103,6 +100,16 @@ Variable LayerNorm(const Variable& x, const Variable& gamma,
 /// `training` is false or p == 0. Draws one `rng` number per element and
 /// keeps the mask for backward as one bit per element.
 Variable Dropout(const Variable& x, float p, bool training, Rng* rng);
+
+/// Dropout(Gelu(pre), p, training, rng) flattened to (rows, k) and
+/// multiplied by `w` (k, n): the FFN's second matmul input (Eq. 29) as one
+/// op, (rows, n) out. It draws the same mask, and every output and gradient
+/// has the same bits, as the chain of Gelu, Dropout, Reshape and MatMul. It
+/// saves `pre`, the mask bits and `w` but not the dropout output, which
+/// backward recomputes. Under a NoGradScope with CanReuse(pre), GELU and the
+/// mask are written over pre's buffer. Pass `pre` with std::move.
+Variable GeluDropoutMatMul(Variable pre, const Variable& w, float p,
+                           bool training, Rng* rng);
 
 /// Max over axis 1 of a (B,T,F) tensor -> (B,F); used by Caser.
 Variable MaxPoolAxis1(const Variable& x);

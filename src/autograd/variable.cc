@@ -7,13 +7,13 @@
 namespace slime {
 namespace autograd {
 
-void AccumulateGrad(const std::shared_ptr<Node>& node, const Tensor& g) {
+void AccumulateGrad(const std::shared_ptr<Node>& node, Tensor g) {
   if (!node || !node->requires_grad) return;
   SLIME_CHECK_MSG(g.shape() == node->shape,
                   "gradient shape " << g.ShapeString() << " != value shape "
                                     << ShapeToString(node->shape));
   if (!node->grad.defined()) {
-    node->grad = g.Clone();
+    node->grad = g.UniqueStorage() ? std::move(g) : g.Clone();
   } else {
     ops::AddInPlace(&node->grad, g);
   }

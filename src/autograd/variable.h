@@ -30,9 +30,10 @@ struct Node {
   /// Shape of the value, recorded when the Variable was made: gradients are
   /// checked against it after the value itself may have been freed.
   std::vector<int64_t> shape;
-  /// Gradient of the final scalar loss w.r.t. the value; lazily allocated by
-  /// AccumulateGrad during the backward pass. Backward() releases it again
-  /// on op outputs once it has been propagated; only leaves keep theirs.
+  /// Gradient of the final scalar loss w.r.t. the value; set by
+  /// AccumulateGrad on first touch during the backward pass. Backward()
+  /// releases it again on op outputs once it has been propagated; only
+  /// leaves keep theirs.
   Tensor grad;
   bool requires_grad = false;
   /// Parents (operation inputs). Only set on op outputs.
@@ -59,9 +60,12 @@ class NoGradScope {
   bool prev_;
 };
 
-/// Adds `g` into `node->grad`, allocating zeros on first touch. No-op when
-/// the node does not require grad. `g` must have the node's recorded shape.
-void AccumulateGrad(const std::shared_ptr<Node>& node, const Tensor& g);
+/// Adds `g` into `node->grad`. On first touch the node adopts `g`'s buffer
+/// when no other Tensor shares it (a closure's local passed with std::move)
+/// and keeps a copy otherwise (a shared upstream gradient, a view of one).
+/// No-op when the node does not require grad. `g` must have the node's
+/// recorded shape.
+void AccumulateGrad(const std::shared_ptr<Node>& node, Tensor g);
 
 /// A differentiable tensor: a shared handle to a value and its graph Node.
 /// Copying a Variable aliases both. Default-constructed Variables are

@@ -231,6 +231,33 @@ void GeluBwdKernel(const float* x, const float* g, float* dx, int64_t n) {
   });
 }
 
+void DropoutMaskKernel(const float* in, const uint64_t* bits, float scale,
+                       float* out, int64_t n) {
+  ParallelFor(0, (n + 63) / 64, kElementwiseGrain / 64,
+              [=](int64_t lo, int64_t hi) {
+                for (int64_t w = lo; w < hi; ++w) {
+                  const float* pi = in + 64 * w;
+                  float* po = out + 64 * w;
+                  const int64_t m = std::min<int64_t>(64, n - 64 * w);
+                  if (m < 64) {
+                    for (int64_t j = 0; j < m; ++j)
+                      po[j] = pi[j] * ((bits[w] >> j) & 1 ? scale : 0.0f);
+                    continue;
+                  }
+                  // A full word, as two 32-bit halves the compiler
+                  // vectorises: scale * float(bit) is exactly scale or +0,
+                  // so each product is the select loop's.
+                  for (int h = 0; h < 64; h += 32) {
+                    const uint32_t half = static_cast<uint32_t>(bits[w] >> h);
+                    for (int j = 0; j < 32; ++j) {
+                      const float keep = static_cast<float>((half >> j) & 1u);
+                      po[h + j] = pi[h + j] * (scale * keep);
+                    }
+                  }
+                }
+              });
+}
+
 void LayerNormKernel(const float* x, const float* gamma, const float* beta,
                      float* y, float* xhat, float* inv_std, int64_t rows,
                      int64_t d, float eps) {

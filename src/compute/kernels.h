@@ -75,6 +75,13 @@ void GeluKernel(const float* x, float* y, int64_t n);
 /// GELU backward from the input: dx = g * (Phi(x) + x phi(x)).
 void GeluBwdKernel(const float* x, const float* g, float* dx, int64_t n);
 
+/// Inverted-dropout mask: out[i] = in[i] * (bit i of `bits` ? scale : 0)
+/// for i < n, where bit j of word w stands for element 64 w + j. The same
+/// products as multiplying by a float mask of {0, scale}, bit for bit. `out`
+/// may be `in`.
+void DropoutMaskKernel(const float* in, const uint64_t* bits, float scale,
+                       float* out, int64_t n);
+
 /// LayerNorm forward over `rows` rows of width `d`, caching the normalised
 /// input `xhat` (rows x d) and per-row `inv_std` for the backward pass.
 /// Mean/variance accumulate in double. `xhat` may be null (no backward
@@ -154,6 +161,7 @@ struct KernelTable {
   decltype(&SoftmaxRowsBwdKernel) softmax_rows_bwd = &SoftmaxRowsBwdKernel;
   decltype(&GeluKernel) gelu = &GeluKernel;
   decltype(&GeluBwdKernel) gelu_bwd = &GeluBwdKernel;
+  decltype(&DropoutMaskKernel) dropout_mask = &DropoutMaskKernel;
   decltype(&LayerNormKernel) layer_norm = &LayerNormKernel;
   decltype(&LayerNormBwdKernel) layer_norm_bwd = &LayerNormBwdKernel;
   decltype(&LayerNormParamBwdKernel) layer_norm_param_bwd =

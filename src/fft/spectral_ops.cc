@@ -97,7 +97,7 @@ SpectralPair Rfft(const Variable& x) {
                         /*scale=*/1.0f);
         }
       });
-      AccumulateGrad(xn, dx);
+      AccumulateGrad(xn, std::move(dx));
     };
   };
   Variable vre = MakeOpVariable(std::move(re), {xn}, make_backward(false));
@@ -155,8 +155,8 @@ Variable Irfft(const SpectralPair& spectrum, int64_t n) {
             }
           }
         });
-        AccumulateGrad(rn, dre);
-        AccumulateGrad(in_, dim);
+        AccumulateGrad(rn, std::move(dre));
+        AccumulateGrad(in_, std::move(dim));
       });
 }
 
@@ -204,8 +204,8 @@ struct ComplexMulGrads {
                       if (++j == block) j = 0;
                     }
                   });
-      if (need_ar) AccumulateGrad(arn, dar);
-      if (need_ai) AccumulateGrad(ain, dai);
+      if (need_ar) AccumulateGrad(arn, std::move(dar));
+      if (need_ai) AccumulateGrad(ain, std::move(dai));
     }
     // b-side gradients: reduce over the repeats, column-parallel with the
     // repeat index ascending per column (bit-identical to a serial
@@ -236,8 +236,8 @@ struct ComplexMulGrads {
                       }
                     }
                   });
-      if (need_br) AccumulateGrad(brn, dbr);
-      if (need_bi) AccumulateGrad(bin, dbi);
+      if (need_br) AccumulateGrad(brn, std::move(dbr));
+      if (need_bi) AccumulateGrad(bin, std::move(dbi));
     }
   }
 };

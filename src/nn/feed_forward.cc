@@ -18,9 +18,11 @@ FeedForward::FeedForward(int64_t dim, float dropout, Rng* rng,
 
 autograd::Variable FeedForward::Forward(const autograd::Variable& x,
                                         Rng* rng) const {
-  autograd::Variable h = autograd::GeluInPlace(w1_->Forward(x));
-  h = inner_dropout_->Forward(h, rng);
-  h = w2_->Forward(h);
+  autograd::Variable h = autograd::GeluDropoutMatMul(
+      w1_->Forward(x), w2_->weight(), inner_dropout_->p(),
+      inner_dropout_->training(), rng);
+  h = autograd::AddInPlace(std::move(h), w2_->bias());
+  h = autograd::Reshape(h, x.shape());
   return out_dropout_->Forward(h, rng);
 }
 

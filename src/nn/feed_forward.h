@@ -14,7 +14,9 @@ namespace nn {
 ///   FFN(x) = GELU(x W1 + b1) W2 + b2,
 /// with W1, W2 in R^{d x d} (hidden multiplier 1 per the paper), an inner
 /// dropout after the activation and an output dropout, matching the
-/// reference implementation.
+/// reference implementation. GELU, the inner dropout and the W2 product run
+/// as one op (autograd::GeluDropoutMatMul), so a training graph keeps the
+/// pre-activation x W1 + b1 but not the dropout output.
 class FeedForward : public Module {
  public:
   FeedForward(int64_t dim, float dropout, Rng* rng,

@@ -148,6 +148,20 @@ TEST(AutogradGradcheck, BroadcastMatMul) {
       {RandParam({3, 4}, 17), RandParam({2, 4, 5}, 18)});
 }
 
+TEST(AutogradGradcheck, GeluDropoutMatMul) {
+  Rng crng(23);
+  const Tensor c = Tensor::Randn({12, 3}, &crng);
+  for (const float p : {0.0f, 0.3f}) {
+    ExpectGradOk(
+        [&c, p](const std::vector<Variable>& in) {
+          Rng rng(24);  // the same mask on every call
+          return Sum(MulConst(GeluDropoutMatMul(in[0], in[1], p, true, &rng),
+                              c));
+        },
+        {RandParam({3, 4, 5}, 25), RandParam({5, 3}, 26)});
+  }
+}
+
 TEST(AutogradGradcheck, UnaryNonlinearities) {
   ExpectGradOk(
       [](const std::vector<Variable>& in) { return Sum(Gelu(in[0])); },
@@ -609,15 +623,31 @@ TEST(InPlaceOpsTest, ReuseTheBufferOnlyUnderNoGradWhenUnshared) {
   y = AddInPlace(Reshape(base, {20, 3}), b);
   EXPECT_TRUE(BitEqual(base.value(), at));
   EXPECT_FALSE(y.value().SharesStorage(base.value()));
-  y = GeluInPlace(Reshape(base, {60}));
+  // GeluDropoutMatMul's GELU leaves a view of a kept buffer alone. Over a
+  // given-up buffer it runs in place (heap_census_test sees no second
+  // plane), with exactly Gelu's bits either way.
+  const Variable w = Constant(Tensor::Randn({3, 2}, &rng));
+  const Tensor want =
+      ops::MatMul(Gelu(Constant(at)).value().Reshape({20, 3}), w.value());
+  y = GeluDropoutMatMul(Reshape(base, {20, 3}), w, 0.1f, false, nullptr);
   EXPECT_TRUE(BitEqual(base.value(), at));
-  // A unique buffer is overwritten with exactly Gelu's bits.
-  const Tensor gelu = Gelu(Constant(at)).value();
-  Variable g = Constant(at.Clone());
-  const float* buf = g.value().data();
-  g = GeluInPlace(std::move(g));
-  EXPECT_EQ(g.value().data(), buf);
-  EXPECT_TRUE(BitEqual(g.value(), gelu));
+  EXPECT_TRUE(BitEqual(y.value(), want));
+  y = GeluDropoutMatMul(Constant(at.Clone()), w, 0.1f, false, nullptr);
+  EXPECT_TRUE(BitEqual(y.value(), want));
+}
+
+TEST(GradHandOffTest, ASharedUpstreamGradientIsCopiedIntoEachParent) {
+  // Add hands one upstream gradient to both a and b before Mul(a, c2)
+  // accumulates into a: a's later sum must not reach b's gradient.
+  Rng rng(58);
+  const Tensor c = Tensor::Randn({2, 3}, &rng);
+  const Tensor c2 = Tensor::Randn({2, 3}, &rng);
+  Variable a = Param(Tensor::Randn({2, 3}, &rng));
+  Variable b = Param(Tensor::Randn({2, 3}, &rng));
+  Sum(Add(Mul(a, Constant(c2)), Mul(Add(a, b), Constant(c)))).Backward();
+  EXPECT_TRUE(BitEqual(b.grad(), c));
+  EXPECT_TRUE(BitEqual(a.grad(), ops::Add(c, c2)));
+  EXPECT_FALSE(a.grad().SharesStorage(b.grad()));
 }
 
 }  // namespace

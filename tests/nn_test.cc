@@ -18,6 +18,7 @@
 #include "nn/init.h"
 #include "nn/layer_norm.h"
 #include "nn/linear.h"
+#include "reference_ops.h"
 
 namespace slime {
 namespace nn {
@@ -326,6 +327,71 @@ TEST(NoGradReuseTest, LinearFeedForwardLayerNormMatchGraphBitForBit) {
       EXPECT_TRUE(BitEqual(norm.Forward(in3).value(), norm3)) << label;
       EXPECT_TRUE(BitEqual(in3.value(), x3)) << label;
       EXPECT_TRUE(BitEqual(in2.value(), x2)) << label;
+    }
+  }
+}
+
+// ---- FeedForward runs GELU, the inner dropout and W2 as one op
+// (autograd::GeluDropoutMatMul). Its outputs and gradients must be the bits
+// of the composed chain it replaced (reference::FeedForwardChain), also when
+// several passes share one Backward().
+
+struct FfnRun {
+  std::vector<Tensor> outputs;
+  std::vector<Tensor> grads;  // dx, dW1, db1, dW2, db2
+};
+
+FfnRun RunFeedForward(bool fused, float p, int passes) {
+  Rng init(81);
+  FeedForward ffn(13, p, &init, /*hidden_multiplier=*/2);
+  const std::vector<Variable> params = ffn.Parameters();
+  for (Variable v : params) {
+    if (v.value().dim() == 1) {
+      v.mutable_value() = Tensor::Randn(v.shape(), &init);
+    }
+  }
+  Variable x = Param(Tensor::Randn({5, 40, 13}, &init));
+  Rng rng(82);
+  FfnRun run;
+  Variable loss;
+  for (int i = 0; i < passes; ++i) {
+    Variable y = fused ? ffn.Forward(x, &rng)
+                       : reference::FeedForwardChain(x, params, p,
+                                                     /*training=*/true, &rng);
+    Variable term = Sum(autograd::MulConst(y, Tensor::Randn(y.shape(), &init)));
+    loss = i == 0 ? term : autograd::Add(loss, term);
+    run.outputs.push_back(y.value());
+  }
+  loss.Backward();
+  run.grads.push_back(x.grad());
+  for (const Variable& v : params) run.grads.push_back(v.grad());
+  return run;
+}
+
+TEST(FeedForwardTest, FusedOpEqualsComposedChainBitForBit) {
+  BackendGuard guard;
+  for (const auto& backend : compute::AvailableKernelBackends()) {
+    compute::SetKernelBackend(backend).value();
+    for (const float p : {0.0f, 0.1f}) {
+      for (const int passes : {1, 3}) {
+        for (const int threads : {1, 2, 8}) {
+          compute::ComputeContext ctx(threads);
+          const std::string label =
+              backend + " p=" + std::to_string(p) + " passes=" +
+              std::to_string(passes) + " threads=" + std::to_string(threads);
+          const FfnRun fused = RunFeedForward(true, p, passes);
+          const FfnRun chain = RunFeedForward(false, p, passes);
+          for (int i = 0; i < passes; ++i) {
+            EXPECT_TRUE(BitEqual(fused.outputs[i], chain.outputs[i]))
+                << label << " pass " << i;
+          }
+          const char* names[] = {"dx", "dW1", "db1", "dW2", "db2"};
+          for (int i = 0; i < 5; ++i) {
+            EXPECT_TRUE(BitEqual(fused.grads[i], chain.grads[i]))
+                << label << " " << names[i];
+          }
+        }
+      }
     }
   }
 }

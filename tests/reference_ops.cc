@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "common/macros.h"
 #include "compute/kernels.h"
@@ -96,6 +97,22 @@ fft::SpectralPair ComplexMul(const fft::SpectralPair& a,
   };
   return {autograd::MakeOpVariable(std::move(re), parents, backward(false)),
           autograd::MakeOpVariable(std::move(im), parents, backward(true))};
+}
+
+autograd::Variable FeedForwardChain(
+    const autograd::Variable& x, const std::vector<autograd::Variable>& params,
+    float p, bool training, Rng* rng) {
+  using namespace autograd;
+  SLIME_CHECK_EQ(params.size(), 4u);
+  const int64_t dim = x.shape().back();
+  const int64_t hidden = params[0].shape()[1];
+  std::vector<int64_t> hidden_shape = x.shape();
+  hidden_shape.back() = hidden;
+  Variable h = Reshape(
+      Add(MatMul(Reshape(x, {-1, dim}), params[0]), params[1]), hidden_shape);
+  h = Dropout(Gelu(h), p, training, rng);
+  h = Add(MatMul(Reshape(h, {-1, hidden}), params[2]), params[3]);
+  return Dropout(Reshape(h, x.shape()), p, training, rng);
 }
 
 }  // namespace reference

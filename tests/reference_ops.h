@@ -1,6 +1,10 @@
 #ifndef SLIME4REC_TESTS_REFERENCE_OPS_H_
 #define SLIME4REC_TESTS_REFERENCE_OPS_H_
 
+#include <vector>
+
+#include "autograd/variable.h"
+#include "common/random.h"
 #include "fft/spectral_ops.h"
 #include "tensor/tensor.h"
 
@@ -22,6 +26,15 @@ Tensor TransposeLastTwo(const Tensor& a);
 /// composed filter chain built from it is FilterMix's bit-exact reference.
 fft::SpectralPair ComplexMul(const fft::SpectralPair& a,
                              const fft::SpectralPair& b);
+
+/// nn::FeedForward's forward as the composed chain that
+/// autograd::GeluDropoutMatMul replaced: x (..., d) flattened, then MatMul
+/// W1, Add b1, Gelu, Dropout(p), Reshape, MatMul W2, Add b2, Reshape back,
+/// Dropout(p). `params` are (W1, b1, W2, b2), FeedForward::Parameters()'s
+/// order. Every op records the graph that chain recorded.
+autograd::Variable FeedForwardChain(
+    const autograd::Variable& x, const std::vector<autograd::Variable>& params,
+    float p, bool training, Rng* rng);
 
 }  // namespace reference
 }  // namespace slime
