@@ -26,7 +26,6 @@
 // with --quick).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -44,52 +43,17 @@
 #include "observability/metrics.h"
 #include "serving/fallback.h"
 #include "serving/model_server.h"
+#include "serving_bench_common.h"
 #include "train/trainer.h"
 
 namespace slime {
 namespace {
 
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-data::SplitDataset BenchSplit(double scale) {
-  data::SyntheticConfig config = data::BeautySimConfig(scale);
-  config.seed = 4242;
-  return data::SplitDataset(data::GenerateSynthetic(config), 2);
-}
-
-models::ModelConfig BenchModelConfig(const data::SplitDataset& split) {
-  models::ModelConfig c;
-  c.num_items = split.num_items();
-  c.num_users = split.num_users();
-  c.max_len = 16;
-  c.hidden_dim = 32;
-  c.num_layers = 2;
-  c.seed = 11;
-  return c;
-}
-
-struct Percentiles {
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-};
-
-Percentiles LatencyPercentiles(std::vector<double> ms) {
-  Percentiles p;
-  if (ms.empty()) return p;
-  std::sort(ms.begin(), ms.end());
-  const auto at = [&](double q) {
-    return ms[static_cast<size_t>(q * (ms.size() - 1))];
-  };
-  p.p50 = at(0.50);
-  p.p95 = at(0.95);
-  p.p99 = at(0.99);
-  return p;
-}
+using bench::BenchModelConfig;
+using bench::BenchSplit;
+using bench::LatencyPercentiles;
+using bench::NowSeconds;
+using bench::Percentiles;
 
 struct ScenarioResult {
   std::string name;

@@ -83,23 +83,29 @@ SpectrumProfile ComputeSpectrumProfile(const data::InteractionDataset& data,
   }
   SpectrumProfile profile;
   profile.amplitude.assign(bins, 0.0);
-  std::vector<float> series(max_len);
-  std::vector<float> re(bins);
-  std::vector<float> im(bins);
+  // Each sequence's (max_len, d) code block goes through the model's rFFT
+  // plan once. The sums run channel outer, bin inner: the profile's bits
+  // depend on that order.
+  const fft::VerticalRfftPlan& plan = fft::GetVerticalRfftPlan(max_len);
+  std::vector<float> block(max_len * embedding_dim);
+  std::vector<float> re(bins * embedding_dim);
+  std::vector<float> im(bins * embedding_dim);
   int64_t count = 0;
   for (const auto& seq : data.sequences()) {
     const std::vector<int64_t> padded = data::PadTruncate(seq, max_len);
-    for (int64_t j = 0; j < embedding_dim; ++j) {
-      for (int64_t t = 0; t < max_len; ++t) {
-        series[t] = code[padded[t] * embedding_dim + j];
-      }
-      fft::RfftForward(series.data(), max_len, re.data(), im.data());
-      for (int64_t k = 0; k < bins; ++k) {
-        profile.amplitude[k] +=
-            std::sqrt(double(re[k]) * re[k] + double(im[k]) * im[k]);
-      }
-      ++count;
+    for (int64_t t = 0; t < max_len; ++t) {
+      std::copy_n(code.data() + padded[t] * embedding_dim, embedding_dim,
+                  block.data() + t * embedding_dim);
     }
+    plan.Forward(block.data(), embedding_dim, re.data(), im.data());
+    for (int64_t j = 0; j < embedding_dim; ++j) {
+      for (int64_t k = 0; k < bins; ++k) {
+        const double r = re[k * embedding_dim + j];
+        const double i = im[k * embedding_dim + j];
+        profile.amplitude[k] += std::sqrt(r * r + i * i);
+      }
+    }
+    count += embedding_dim;
   }
   SLIME_CHECK_GT(count, 0);
   double total = 0.0;

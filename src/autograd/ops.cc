@@ -83,9 +83,10 @@ Variable Add(const Variable& a, const Variable& b) {
   Tensor out = ops::Add(a.value(), b.value());
   auto an = a.node();
   auto bn = b.node();
-  return MakeOpVariable(std::move(out), {an, bn}, [an, bn](const Tensor& g) {
+  // b takes g itself (adopting it when the shapes match), a a copy.
+  return MakeOpVariable(std::move(out), {an, bn}, [an, bn](Tensor g) {
     AccumulateBroadcast(an, g);
-    AccumulateBroadcast(bn, g);
+    AccumulateBroadcast(bn, std::move(g));
   });
 }
 
@@ -271,11 +272,13 @@ Variable Reshape(const Variable& a, std::vector<int64_t> shape) {
   Tensor out = a.value().Reshape(std::move(shape));
   auto an = a.node();
   std::vector<int64_t> in_shape = a.value().shape();
-  // AccumulateGrad copies or adds the view; it never keeps it.
-  return MakeOpVariable(std::move(out), {an},
-                        [an, in_shape](const Tensor& g) {
-                          AccumulateGrad(an, g.Reshape(in_shape));
-                        });
+  // The closure drops its own handle on g before handing the view up, so
+  // the parent adopts the buffer instead of copying it.
+  return MakeOpVariable(std::move(out), {an}, [an, in_shape](Tensor g) {
+    Tensor view = g.Reshape(in_shape);
+    g = Tensor();
+    AccumulateGrad(an, std::move(view));
+  });
 }
 
 Variable Slice(const Variable& a, int64_t axis, int64_t start, int64_t end) {

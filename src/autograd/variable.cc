@@ -103,7 +103,7 @@ void Variable::Backward() const {
   for (size_t i = topo.size(); i-- > 0;) {
     Node* n = topo[i];
     if (n->backward_fn && n->grad.defined()) {
-      n->backward_fn(n->grad);
+      n->backward_fn(std::move(n->grad));
       n->backward_fn = nullptr;
       n->grad = Tensor();
     }
@@ -127,7 +127,7 @@ bool CanReuse(const Variable& v) {
 
 Variable MakeOpVariable(Tensor value,
                         std::vector<std::shared_ptr<Node>> parents,
-                        std::function<void(const Tensor&)> backward) {
+                        std::function<void(Tensor)> backward) {
   Variable v(std::move(value), false);
   if (no_grad) return v;
   bool any = false;

@@ -39,9 +39,12 @@ struct Node {
   /// Parents (operation inputs). Only set on op outputs.
   std::vector<std::shared_ptr<Node>> parents;
   /// Propagates `grad` into the parents, reading only the Tensors it
-  /// captured. Null on leaves, and reset on op outputs by the Backward()
-  /// that ran it (parents without a backward_fn mark a consumed graph).
-  std::function<void(const Tensor& grad_out)> backward_fn;
+  /// captured. Backward() moves `grad` in, so a closure that takes its
+  /// argument by value owns the buffer and may hand it on (std::move) for a
+  /// parent to adopt. Null on leaves, and reset on op outputs by the
+  /// Backward() that ran it (parents without a backward_fn mark a consumed
+  /// graph).
+  std::function<void(Tensor grad_out)> backward_fn;
 };
 
 /// RAII scope that turns graph building off on the current thread: inside
@@ -112,7 +115,7 @@ class Variable {
  private:
   friend Variable MakeOpVariable(Tensor value,
                                  std::vector<std::shared_ptr<Node>> parents,
-                                 std::function<void(const Tensor&)> backward);
+                                 std::function<void(Tensor)> backward);
 
   std::shared_ptr<Tensor> value_;
   std::shared_ptr<Node> node_;
@@ -123,7 +126,7 @@ class Variable {
 /// active on this thread.
 Variable MakeOpVariable(Tensor value,
                         std::vector<std::shared_ptr<Node>> parents,
-                        std::function<void(const Tensor&)> backward);
+                        std::function<void(Tensor)> backward);
 
 /// True inside a NoGradScope on this thread.
 bool NoGradActive();

@@ -22,86 +22,11 @@ int64_t NextPowerOfTwo(int64_t n) {
   return p;
 }
 
-/// Iterative radix-2 Cooley-Tukey, in place, for power-of-two sizes.
-/// sign = -1 for the forward transform, +1 for the (unnormalised) inverse.
-void Radix2(std::vector<std::complex<double>>* data, int sign) {
-  const size_t n = data->size();
-  auto& a = *data;
-  // Bit-reversal permutation.
-  for (size_t i = 1, j = 0; i < n; ++i) {
-    size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
-  }
-  for (size_t len = 2; len <= n; len <<= 1) {
-    const double ang = sign * 2.0 * kPi / static_cast<double>(len);
-    const std::complex<double> wlen(std::cos(ang), std::sin(ang));
-    for (size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1.0, 0.0);
-      for (size_t j = 0; j < len / 2; ++j) {
-        const std::complex<double> u = a[i + j];
-        const std::complex<double> v = a[i + j + len / 2] * w;
-        a[i + j] = u + v;
-        a[i + j + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-}
-
-/// Bluestein chirp-z transform: forward DFT of arbitrary length via a
-/// power-of-two circular convolution.
-void Bluestein(std::vector<std::complex<double>>* data) {
-  const int64_t n = static_cast<int64_t>(data->size());
-  const int64_t m = NextPowerOfTwo(2 * n - 1);
-  // Chirp w_j = e^{-i*pi*j^2/n}; exponent taken mod 2n to stay accurate for
-  // large j^2.
-  std::vector<std::complex<double>> chirp(n);
-  for (int64_t j = 0; j < n; ++j) {
-    const int64_t e = static_cast<int64_t>(
-        (static_cast<unsigned long long>(j) * j) % (2ull * n));
-    const double ang = -kPi * static_cast<double>(e) / static_cast<double>(n);
-    chirp[j] = std::complex<double>(std::cos(ang), std::sin(ang));
-  }
-  std::vector<std::complex<double>> a(m, {0.0, 0.0});
-  std::vector<std::complex<double>> b(m, {0.0, 0.0});
-  for (int64_t j = 0; j < n; ++j) a[j] = (*data)[j] * chirp[j];
-  b[0] = std::conj(chirp[0]);
-  for (int64_t j = 1; j < n; ++j) {
-    b[j] = std::conj(chirp[j]);
-    b[m - j] = b[j];  // b is symmetric: b[-j] == b[j].
-  }
-  Radix2(&a, -1);
-  Radix2(&b, -1);
-  for (int64_t j = 0; j < m; ++j) a[j] *= b[j];
-  Radix2(&a, +1);
-  const double inv_m = 1.0 / static_cast<double>(m);
-  for (int64_t k = 0; k < n; ++k) (*data)[k] = a[k] * inv_m * chirp[k];
-}
-
 }  // namespace
 
 int64_t RfftBins(int64_t n) {
   SLIME_CHECK_GT(n, 0);
   return n / 2 + 1;
-}
-
-void Fft(std::vector<std::complex<double>>* data, bool inverse) {
-  const int64_t n = static_cast<int64_t>(data->size());
-  if (n <= 1) return;
-  if (inverse) {
-    // Unnormalised inverse = conj(forward(conj(x))).
-    for (auto& c : *data) c = std::conj(c);
-    Fft(data, false);
-    for (auto& c : *data) c = std::conj(c);
-    return;
-  }
-  if (IsPowerOfTwo(n)) {
-    Radix2(data, -1);
-  } else {
-    Bluestein(data);
-  }
 }
 
 void NaiveDft(const std::vector<std::complex<double>>& in,
@@ -118,45 +43,6 @@ void NaiveDft(const std::vector<std::complex<double>>& in,
     }
     (*out)[k] = acc;
   }
-}
-
-namespace {
-
-/// Reusable per-thread scratch to avoid allocating a complex buffer for
-/// every one of the B*d series transformed per layer. Returned storage has
-/// size exactly n (Fft() transforms the whole vector) but existing entries
-/// are NOT re-zeroed: each caller overwrites every entry it reads.
-std::vector<std::complex<double>>& Scratch(int64_t n) {
-  static thread_local std::vector<std::complex<double>> buf;
-  buf.resize(n);
-  return buf;
-}
-
-}  // namespace
-
-void RfftForward(const float* x, int64_t n, float* out_re, float* out_im) {
-  const int64_t m = RfftBins(n);
-  std::vector<std::complex<double>>& buf = Scratch(n);
-  for (int64_t i = 0; i < n; ++i) buf[i] = {static_cast<double>(x[i]), 0.0};
-  Fft(&buf, false);
-  for (int64_t k = 0; k < m; ++k) {
-    out_re[k] = static_cast<float>(buf[k].real());
-    out_im[k] = static_cast<float>(buf[k].imag());
-  }
-}
-
-void IrfftForward(const float* re, const float* im, int64_t n, float* x) {
-  const int64_t m = RfftBins(n);
-  std::vector<std::complex<double>>& buf = Scratch(n);
-  for (int64_t k = 0; k < m; ++k)
-    buf[k] = {static_cast<double>(re[k]), static_cast<double>(im[k])};
-  // Conjugate-symmetric extension: bins 1..ceil(n/2)-1 mirror to n-k. For
-  // even n the Nyquist bin (k = n/2 = m-1) maps to itself and is used as-is.
-  for (int64_t k = 1; k < (n + 1) / 2; ++k) buf[n - k] = std::conj(buf[k]);
-  Fft(&buf, true);
-  const double inv_n = 1.0 / static_cast<double>(n);
-  for (int64_t i = 0; i < n; ++i)
-    x[i] = static_cast<float>(buf[i].real() * inv_n);
 }
 
 VerticalFftPlan::VerticalFftPlan(int64_t n) : n_(n) {
@@ -352,7 +238,7 @@ VerticalRfftPlan::VerticalRfftPlan(int64_t n) : n_(n), m_(RfftBins(n)) {
     half_ = new VerticalFftPlan(h);
     // Recombination twiddles w_k = e^{-2 pi i k / n}, k = 0..h. Computed in
     // double so w_0 = (1, 0) exactly (keeps the DC bin's imaginary part an
-    // exact zero, like the full-spectrum reference).
+    // exact zero, as in NaiveDft).
     w_re_.resize(h + 1);
     w_im_.resize(h + 1);
     for (int64_t k = 0; k <= h; ++k) {

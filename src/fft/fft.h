@@ -15,38 +15,24 @@ namespace fft {
 /// follow the standard definition. See DESIGN.md.)
 int64_t RfftBins(int64_t n);
 
-/// In-place unnormalised complex DFT of length data.size().
+/// The direct O(N^2) DFT of Eqs. 3-5, in double precision:
 ///   forward:  X_k = sum_n x_n e^{-2*pi*i*n*k/N}
-///   inverse:  X_n = sum_k x_k e^{+2*pi*i*n*k/N}   (NO 1/N factor)
-/// Uses iterative radix-2 Cooley-Tukey when N is a power of two and
-/// Bluestein's chirp-z algorithm otherwise, so any length is O(N log N).
-void Fft(std::vector<std::complex<double>>* data, bool inverse);
-
-/// Naive O(N^2) reference DFT with identical conventions; used by tests.
+///   inverse:  x_n = sum_k X_k e^{+2*pi*i*n*k/N}   (NO 1/N factor)
+/// The one reference the plans below are tested and benchmarked against.
 void NaiveDft(const std::vector<std::complex<double>>& in,
               std::vector<std::complex<double>>* out, bool inverse);
-
-/// Real-to-complex forward transform: out_re/out_im receive RfftBins(n)
-/// values of X_k = sum_n x_n e^{-2*pi*i*n*k/N}.
-void RfftForward(const float* x, int64_t n, float* out_re, float* out_im);
-
-/// Complex-to-real inverse transform of a half spectrum: treats
-/// (re, im)[0..M) as the non-negative-frequency bins of a conjugate-
-/// symmetric length-n spectrum (mirroring bins 1..; the given values of the
-/// DC and, for even n, Nyquist bins are used as-is) and emits
-/// x_n = Re( (1/N) * sum_k X~_k e^{+2*pi*i*n*k/N} ).
-void IrfftForward(const float* re, const float* im, int64_t n, float* x);
 
 /// A "vertical" (channel-parallel) complex FFT plan: transforms d
 /// independent length-n series stored column-wise in row-major (n, d)
 /// buffers. Each butterfly operates on contiguous rows of d floats, which
 /// the compiler vectorises. It is the inner transform of VerticalRfftPlan,
-/// which the spectral autograd ops run (the scalar functions above remain
-/// as the reference implementation; tests check they agree).
+/// which the spectral autograd ops and the spectrum analysis run; tests
+/// check both plans against NaiveDft.
 ///
 /// Power-of-two sizes run iterative radix-2 directly; other sizes run a
 /// vertical Bluestein transform over an internal power-of-two plan.
-/// Conventions match Fft(): forward is e^{-i...}, inverse is unnormalised.
+/// Conventions match NaiveDft: forward is e^{-i...}, inverse is
+/// unnormalised.
 class VerticalFftPlan {
  public:
   explicit VerticalFftPlan(int64_t n);
@@ -96,10 +82,11 @@ class VerticalFftPlan {
 ///   halving the number of transformed columns.
 ///
 /// Neither direction materialises the mirrored bins k >= m of any single
-/// column's spectrum. Conventions match the scalar reference ops:
-/// Forward == RfftForward per column; Inverse with scale = 1/n ==
-/// IrfftForward per column (the DC and, for even n, Nyquist imaginary
-/// inputs are ignored, exactly like the full-spectrum operator). The exact
+/// column's spectrum. Per column, Forward gives bins 0..m-1 of NaiveDft's
+/// forward transform, and Inverse with scale = 1/n gives the real part of
+/// NaiveDft's inverse of the conjugate-symmetric length-n extension, times
+/// 1/n (the DC and, for even n, Nyquist imaginary inputs are ignored,
+/// exactly like the full-spectrum operator). The exact
 /// adjoints of both directions are linear-time rescalings of these same two
 /// entry points (MATH_NOTES.md section 8), so autograd backward passes ride
 /// the fast path too.
@@ -120,8 +107,8 @@ class VerticalRfftPlan {
   /// Half-spectrum inverse: (m, d) planes -> (n, d) real block, with every
   /// output multiplied by `scale` (pass 1.0f/n for irfft, 1.0f for the
   /// unnormalised conjugate-symmetric inverse used by the Rfft adjoint).
-  /// The imaginary parts of the DC and (even n) Nyquist rows are ignored,
-  /// matching IrfftForward. `x` must not alias the inputs.
+  /// The imaginary parts of the DC and (even n) Nyquist rows are ignored.
+  /// `x` must not alias the inputs.
   void Inverse(const float* re, const float* im, int64_t d, float* x,
                float scale) const;
 

@@ -166,8 +166,9 @@ namespace {
 /// real output (g = g_re): d_ar = g*br, d_ai = -g*bi, d_br = sum_r g*ar,
 /// d_bi = -sum_r g*ai. For the imaginary output (g = g_im): d_ar = g*bi,
 /// d_ai = g*br, d_bi = sum_r g*ar, d_br = sum_r g*ai. Both reduce to the
-/// same kernel with swapped/negated b-plane roles, so `sign` (-1 for the
-/// real component's imaginary-plane terms) and a swap flag cover both.
+/// same kernel with swapped/negated b-plane roles, so `imag_component`
+/// covers both. All four are formed; AccumulateGrad drops those of a node
+/// that needs no gradient.
 struct ComplexMulGrads {
   std::shared_ptr<autograd::Node> arn, ain, brn, bin;
   Tensor ar, ai, br, bi;  // forward operand values (shared storage)
@@ -182,63 +183,55 @@ struct ComplexMulGrads {
     const float* pbi = bi.data();
     const int64_t n = repeats * block;
     // a-side gradients: elementwise with b broadcast over the suffix block.
-    const bool need_ar = arn && arn->requires_grad;
-    const bool need_ai = ain && ain->requires_grad;
-    if (need_ar || need_ai) {
-      Tensor dar(need_ar ? ar.shape() : std::vector<int64_t>{0});
-      Tensor dai(need_ai ? ai.shape() : std::vector<int64_t>{0});
-      float* pdar = need_ar ? dar.data() : nullptr;
-      float* pdai = need_ai ? dai.data() : nullptr;
-      ParallelFor(0, n, compute::kElementwiseGrain,
-                  [&](int64_t lo, int64_t hi) {
-                    int64_t j = lo % block;
-                    for (int64_t f = lo; f < hi; ++f) {
-                      const float gv = pg[f];
-                      if (imag_component) {
-                        if (pdar) pdar[f] = gv * pbi[j];
-                        if (pdai) pdai[f] = gv * pbr[j];
-                      } else {
-                        if (pdar) pdar[f] = gv * pbr[j];
-                        if (pdai) pdai[f] = -(gv * pbi[j]);
-                      }
-                      if (++j == block) j = 0;
+    Tensor dar(ar.shape());
+    Tensor dai(ai.shape());
+    float* pdar = dar.data();
+    float* pdai = dai.data();
+    ParallelFor(0, n, compute::kElementwiseGrain,
+                [&](int64_t lo, int64_t hi) {
+                  int64_t j = lo % block;
+                  for (int64_t f = lo; f < hi; ++f) {
+                    const float gv = pg[f];
+                    if (imag_component) {
+                      pdar[f] = gv * pbi[j];
+                      pdai[f] = gv * pbr[j];
+                    } else {
+                      pdar[f] = gv * pbr[j];
+                      pdai[f] = -(gv * pbi[j]);
                     }
-                  });
-      if (need_ar) AccumulateGrad(arn, std::move(dar));
-      if (need_ai) AccumulateGrad(ain, std::move(dai));
-    }
+                    if (++j == block) j = 0;
+                  }
+                });
+    AccumulateGrad(arn, std::move(dar));
+    AccumulateGrad(ain, std::move(dai));
     // b-side gradients: reduce over the repeats, column-parallel with the
     // repeat index ascending per column (bit-identical to a serial
     // row-major reduction, at any thread count).
-    const bool need_br = brn && brn->requires_grad;
-    const bool need_bi = bin && bin->requires_grad;
-    if (need_br || need_bi) {
-      Tensor dbr(need_br ? br.shape() : std::vector<int64_t>{0});
-      Tensor dbi(need_bi ? bi.shape() : std::vector<int64_t>{0});
-      float* pdbr = need_br ? dbr.data() : nullptr;
-      float* pdbi = need_bi ? dbi.data() : nullptr;
-      ParallelFor(0, block, GrainForWork(4 * repeats),
-                  [&](int64_t lo, int64_t hi) {
-                    for (int64_t j = lo; j < hi; ++j) {
-                      float acc_r = 0.0f;
-                      float acc_i = 0.0f;
-                      for (int64_t r = 0; r < repeats; ++r) {
-                        const float gv = pg[r * block + j];
-                        acc_r += gv * par[r * block + j];
-                        acc_i += gv * pai[r * block + j];
-                      }
-                      if (imag_component) {
-                        if (pdbi) pdbi[j] = acc_r;
-                        if (pdbr) pdbr[j] = acc_i;
-                      } else {
-                        if (pdbr) pdbr[j] = acc_r;
-                        if (pdbi) pdbi[j] = -acc_i;
-                      }
+    Tensor dbr(br.shape());
+    Tensor dbi(bi.shape());
+    float* pdbr = dbr.data();
+    float* pdbi = dbi.data();
+    ParallelFor(0, block, GrainForWork(4 * repeats),
+                [&](int64_t lo, int64_t hi) {
+                  for (int64_t j = lo; j < hi; ++j) {
+                    float acc_r = 0.0f;
+                    float acc_i = 0.0f;
+                    for (int64_t r = 0; r < repeats; ++r) {
+                      const float gv = pg[r * block + j];
+                      acc_r += gv * par[r * block + j];
+                      acc_i += gv * pai[r * block + j];
                     }
-                  });
-      if (need_br) AccumulateGrad(brn, std::move(dbr));
-      if (need_bi) AccumulateGrad(bin, std::move(dbi));
-    }
+                    if (imag_component) {
+                      pdbi[j] = acc_r;
+                      pdbr[j] = acc_i;
+                    } else {
+                      pdbr[j] = acc_r;
+                      pdbi[j] = -acc_i;
+                    }
+                  }
+                });
+    AccumulateGrad(brn, std::move(dbr));
+    AccumulateGrad(bin, std::move(dbi));
   }
 };
 

@@ -650,6 +650,42 @@ TEST(GradHandOffTest, ASharedUpstreamGradientIsCopiedIntoEachParent) {
   EXPECT_FALSE(a.grad().SharesStorage(b.grad()));
 }
 
+/// Doubles its input; its backward hands its own gradient buffer up with
+/// std::move and records where that buffer lives.
+Variable DoubleRecordingGradBuffer(const Variable& x, const float** buf) {
+  auto xn = x.node();
+  return MakeOpVariable(ops::MulScalar(x.value(), 2.0f), {xn},
+                        [xn, buf](const Tensor& g) {
+                          Tensor dx = ops::MulScalar(g, 2.0f);
+                          *buf = dx.data();
+                          AccumulateGrad(xn, std::move(dx));
+                        });
+}
+
+TEST(GradHandOffTest, ReshapeAndAddHandTheirGradientUpWithoutACopy) {
+  // Backward() moves each node's gradient into its closure, so Reshape's
+  // parent and Add's second parent adopt the buffer the op below them made;
+  // Add's first parent still gets an unshared copy.
+  Rng rng(59);
+  const Tensor c = Tensor::Randn({2, 3}, &rng);
+  Variable x = Param(Tensor::Randn({2, 3}, &rng));
+  const float* buf = nullptr;
+  Sum(MulConst(DoubleRecordingGradBuffer(Reshape(x, {3, 2}), &buf),
+               c.Reshape({3, 2})))
+      .Backward();
+  EXPECT_TRUE(BitEqual(x.grad(), ops::MulScalar(c, 2.0f)));
+  EXPECT_EQ(x.grad().data(), buf);
+
+  Variable a = Param(Tensor::Randn({2, 3}, &rng));
+  Variable b = Param(Tensor::Randn({2, 3}, &rng));
+  Sum(MulConst(DoubleRecordingGradBuffer(Add(a, b), &buf), c)).Backward();
+  const Tensor want = ops::MulScalar(c, 2.0f);
+  EXPECT_TRUE(BitEqual(a.grad(), want));
+  EXPECT_TRUE(BitEqual(b.grad(), want));
+  EXPECT_EQ(b.grad().data(), buf);
+  EXPECT_FALSE(a.grad().SharesStorage(b.grad()));
+}
+
 }  // namespace
 }  // namespace autograd
 }  // namespace slime

@@ -8,6 +8,7 @@
 #include "autograd/variable.h"
 #include "common/macros.h"
 #include "compute/kernels.h"
+#include "fft/fft.h"
 
 namespace slime {
 namespace reference {
@@ -45,6 +46,30 @@ Tensor TransposeLastTwo(const Tensor& a) {
     }
   }
   return out;
+}
+
+std::vector<std::complex<double>> NaiveRfft(const std::vector<float>& x) {
+  const int64_t n = static_cast<int64_t>(x.size());
+  std::vector<std::complex<double>> series(x.begin(), x.end());
+  std::vector<std::complex<double>> spectrum;
+  fft::NaiveDft(series, &spectrum, /*inverse=*/false);
+  spectrum.resize(fft::RfftBins(n));
+  return spectrum;
+}
+
+std::vector<double> NaiveIrfft(const std::vector<float>& re,
+                               const std::vector<float>& im, int64_t n) {
+  const int64_t m = fft::RfftBins(n);
+  SLIME_CHECK(static_cast<int64_t>(re.size()) == m &&
+              static_cast<int64_t>(im.size()) == m);
+  std::vector<std::complex<double>> spectrum(n);
+  for (int64_t k = 0; k < m; ++k) spectrum[k] = {re[k], im[k]};
+  for (int64_t k = m; k < n; ++k) spectrum[k] = std::conj(spectrum[n - k]);
+  std::vector<std::complex<double>> series;
+  fft::NaiveDft(spectrum, &series, /*inverse=*/true);
+  std::vector<double> x(n);
+  for (int64_t t = 0; t < n; ++t) x[t] = series[t].real() / n;
+  return x;
 }
 
 fft::SpectralPair ComplexMul(const fft::SpectralPair& a,

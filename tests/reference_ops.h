@@ -1,6 +1,8 @@
 #ifndef SLIME4REC_TESTS_REFERENCE_OPS_H_
 #define SLIME4REC_TESTS_REFERENCE_OPS_H_
 
+#include <complex>
+#include <cstdint>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -17,6 +19,18 @@ namespace reference {
 /// Swaps the last two dimensions (rank >= 2): the explicit transpose that
 /// MatMulTransA/MatMulTransB fold into their kernels.
 Tensor TransposeLastTwo(const Tensor& a);
+
+/// rfft of one real series by the direct DFT (fft::NaiveDft): bins
+/// 0..RfftBins(n)-1 of its forward transform, in double precision.
+std::vector<std::complex<double>> NaiveRfft(const std::vector<float>& x);
+
+/// irfft of one half spectrum, re and im of length RfftBins(n), by the
+/// direct DFT: the real part of fft::NaiveDft's inverse of the
+/// conjugate-symmetric length-n extension, times 1/n. The DC and (even n)
+/// Nyquist imaginary parts fall out of the real part, as
+/// VerticalRfftPlan::Inverse ignores them.
+std::vector<double> NaiveIrfft(const std::vector<float>& re,
+                               const std::vector<float>& im, int64_t n);
 
 /// Complex elementwise product of two spectra as an autograd op:
 /// (a.re + i*a.im) * (b.re + i*b.im), forward through the active kernel

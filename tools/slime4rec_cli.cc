@@ -69,6 +69,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -625,33 +626,45 @@ int CmdRepair(const Flags& flags) {
   return total.conflicts == 0 ? 0 : 1;
 }
 
-/// `serve --shards N` (N >= 2): the same traffic against a replicated
-/// ClusterServer instead of a single ModelServer. Each request routes by
-/// user key through the consistent-hash ring; --reload becomes a rolling
-/// per-shard reload that never takes two replicas of a segment down.
-int CmdServeCluster(const Flags& flags, const data::SplitDataset& split,
-                    int64_t shards) {
-  cluster::ClusterOptions opts;
-  opts.num_shards = shards;
-  opts.replication = flags.GetInt("replication", 2);
-  if (shards > 64 || opts.replication < 1) {
-    std::fprintf(stderr, "--shards must be in [1,64], --replication >= 1\n");
-    return 2;
-  }
-  opts.default_deadline_nanos = static_cast<int64_t>(
+/// Reads the request deadline and admission limits both serve modes take.
+void ReadServeLimits(const Flags& flags, int64_t* deadline_nanos,
+                     serving::AdmissionOptions* admission) {
+  *deadline_nanos = static_cast<int64_t>(
       flags.GetDouble("deadline-ms", 50.0) * serving::kNanosPerMilli);
-  opts.shard.admission.max_in_flight = flags.GetInt("max-inflight", 64);
-  opts.shard.admission.tokens_per_second = flags.GetDouble("rate", 0.0);
-  opts.shard.admission.burst = flags.GetDouble("burst", 32.0);
-  const std::string state_dir = flags.Get("state-dir");
-  if (!state_dir.empty()) {
-    opts.state_dir = state_dir;
-    opts.state_sync = SyncModeOrDie(flags);
-    // Anti-entropy is opt-in (docs/CLUSTER.md): --read-repair turns on
-    // serve-path divergence detection and healing.
-    if (flags.GetInt("read-repair", 0) != 0) opts.read_repair = true;
-  }
+  admission->max_in_flight = flags.GetInt("max-inflight", 64);
+  admission->tokens_per_second = flags.GetDouble("rate", 0.0);
+  admission->burst = flags.GetDouble("burst", 32.0);
+}
 
+/// What one `serve` mode adds to the traffic that ServeTraffic sends to a
+/// single ModelServer and to a ClusterServer fleet alike.
+template <typename Server>
+struct ServeMode {
+  /// Runs after the checkpoint boot: attaches or reports durable state.
+  /// `registry` and `tracer` are null without --metrics-out.
+  std::function<Status(Server&, obs::MetricsRegistry* registry,
+                       obs::Tracer* tracer)>
+      after_start;
+  /// The mid-run --reload; prints its outcome.
+  std::function<void(Server&, const std::string& path)> reload;
+  /// Serves request `i`, which carries its user's history.
+  std::function<Result<serving::ServeResponse>(
+      Server&, int64_t i, const serving::ServeRequest&)>
+      serve;
+  /// Prints the mode's summary once the traffic is done.
+  std::function<void(Server&, int64_t state_appends)> report;
+};
+
+/// Boots a `Server` from --load with canaries and the popularity fallback,
+/// then sends --requests requests round-robin over the users, reloading
+/// halfway through with --reload. With --state-dir each user's history is
+/// appended the first time they show up and served from live state
+/// (ServeSession). Prints the mode's report and the outcome tally, and
+/// writes the metrics snapshot and traces to --metrics-out.
+template <typename Server, typename Options>
+int ServeTraffic(const Flags& flags, const data::SplitDataset& split,
+                 Options opts, const ServeMode<Server>& mode) {
+  // Declared before the server so its handles never outlive the registry.
   const std::string metrics_out = flags.Get("metrics-out");
   obs::MetricsRegistry registry;
   obs::Tracer tracer;
@@ -661,26 +674,16 @@ int CmdServeCluster(const Flags& flags, const data::SplitDataset& split,
     compute::SetMetricsRegistry(&registry);
   }
 
-  cluster::ClusterServer fleet(
-      opts, [&flags, &split] { return BuildPreparedModel(flags, split); });
-  fleet.set_canary_requests(
+  Server server(opts,
+                [&flags, &split] { return BuildPreparedModel(flags, split); });
+  server.set_canary_requests(
       train::ExportCanarySet(split, flags.GetInt("canaries", 8)));
-  fleet.set_fallback(serving::PopularityFallback::FromSplit(split));
-  const Status start = fleet.StartFromCheckpoint(flags.Require("load"));
+  server.set_fallback(serving::PopularityFallback::FromSplit(split));
+  Status start = server.StartFromCheckpoint(flags.Require("load"));
+  if (start.ok()) start = mode.after_start(server, opts.metrics, opts.tracer);
   if (!start.ok()) return Fail(start);
-  if (!state_dir.empty()) {
-    for (int64_t s = 0; s < shards; ++s) {
-      const state::RecoveryReport& rec =
-          fleet.shard_server(s)->state_store()->recovery();
-      std::printf("state shard %lld recovered: %lld record(s), %lld "
-                  "user(s)%s\n",
-                  static_cast<long long>(s),
-                  static_cast<long long>(rec.wal_records_replayed),
-                  static_cast<long long>(rec.users),
-                  rec.wal_torn ? " (torn tail repaired)" : "");
-    }
-  }
 
+  const bool stateful = !flags.Get("state-dir").empty();
   serving::RecommendOptions ropts;
   ropts.top_k = flags.GetInt("topk", 10);
   const int64_t requests = flags.GetInt("requests", 32);
@@ -689,30 +692,28 @@ int CmdServeCluster(const Flags& flags, const data::SplitDataset& split,
   int64_t state_appends = 0;
   std::vector<bool> streamed(static_cast<size_t>(split.num_users()), false);
   for (int64_t i = 0; i < requests; ++i) {
-    if (!reload.empty() && i == requests / 2) {
-      const Status rs = fleet.RollingReload(reload);
-      std::printf("rolling reload %s: %s\n", reload.c_str(),
-                  rs.ok() ? "installed on all shards" : rs.ToString().c_str());
-    }
+    // A rolled-back reload (bad checkpoint) is reported, and traffic keeps
+    // flowing on the previous model.
+    if (!reload.empty() && i == requests / 2) mode.reload(server, reload);
     const int64_t user = i % split.num_users();
     serving::ServeRequest req;
     req.options = ropts;
     const Result<serving::ServeResponse> r =
         [&]() -> Result<serving::ServeResponse> {
-      if (state_dir.empty()) {
+      if (!stateful) {
         req.history = split.TestInput(user);
-        return fleet.Serve(static_cast<uint64_t>(i), req);
+        return mode.serve(server, i, req);
       }
-      // Stream each user's history in as a replicated append the first
-      // time they show up, then serve from live state.
+      // Stream each user's history in as an append the first time they
+      // show up, then serve from live state.
       if (!streamed[static_cast<size_t>(user)]) {
-        const Result<state::AppendAck> ack = fleet.AppendEvent(
+        const Result<state::AppendAck> ack = server.AppendEvent(
             static_cast<uint64_t>(user), split.TestInput(user));
         if (!ack.ok()) return ack.status();
         streamed[static_cast<size_t>(user)] = true;
         ++state_appends;
       }
-      return fleet.ServeSession(static_cast<uint64_t>(user), req);
+      return server.ServeSession(static_cast<uint64_t>(user), req);
     }();
     if (r.ok()) {
       ++ok_count;
@@ -725,37 +726,7 @@ int CmdServeCluster(const Flags& flags, const data::SplitDataset& split,
     }
   }
 
-  const cluster::ClusterStats stats = fleet.stats();
-  std::printf("cluster health: %s (%lld shards, replication %lld)\n",
-              cluster::ToString(fleet.health()),
-              static_cast<long long>(fleet.num_shards()),
-              static_cast<long long>(fleet.ring().replication()));
-  bench::TablePrinter table({"served", "attempts", "retries", "failovers",
-                             "hedges", "hedge_wins", "ejections", "typed"});
-  table.AddRow({std::to_string(stats.served), std::to_string(stats.attempts),
-                std::to_string(stats.retries),
-                std::to_string(stats.failovers), std::to_string(stats.hedges),
-                std::to_string(stats.hedge_wins),
-                std::to_string(stats.ejections),
-                std::to_string(stats.typed_failures)});
-  table.Print();
-  if (!state_dir.empty()) {
-    std::printf("state: %lld replicated append(s) across %lld shard "
-                "store(s)\n",
-                static_cast<long long>(state_appends),
-                static_cast<long long>(shards));
-  }
-  if (opts.read_repair) {
-    std::printf("anti-entropy: %lld underreplicated append(s), %lld "
-                "hint(s) queued, %lld replayed, %lld dropped, %lld user(s) "
-                "repaired, %lld conflict(s)\n",
-                static_cast<long long>(stats.underreplicated_appends),
-                static_cast<long long>(stats.hints_queued),
-                static_cast<long long>(stats.hints_replayed),
-                static_cast<long long>(stats.hints_dropped),
-                static_cast<long long>(stats.repair_users_repaired),
-                static_cast<long long>(stats.repair_conflicts));
-  }
+  mode.report(server, state_appends);
   std::printf("requests ok %lld, shed %lld, deadline %lld, errors %lld\n",
               static_cast<long long>(ok_count),
               static_cast<long long>(shed_count),
@@ -770,6 +741,96 @@ int CmdServeCluster(const Flags& flags, const data::SplitDataset& split,
     std::printf("wrote metrics to %s\n", metrics_out.c_str());
   }
   return other_err == 0 ? 0 : 1;
+}
+
+/// `serve --shards N` (N >= 2): the same traffic against a replicated
+/// ClusterServer instead of a single ModelServer. Each request routes by
+/// user key through the consistent-hash ring; --reload becomes a rolling
+/// per-shard reload that never takes two replicas of a segment down.
+int CmdServeCluster(const Flags& flags, const data::SplitDataset& split,
+                    int64_t shards) {
+  cluster::ClusterOptions opts;
+  opts.num_shards = shards;
+  opts.replication = flags.GetInt("replication", 2);
+  if (shards > 64 || opts.replication < 1) {
+    std::fprintf(stderr, "--shards must be in [1,64], --replication >= 1\n");
+    return 2;
+  }
+  ReadServeLimits(flags, &opts.default_deadline_nanos,
+                  &opts.shard.admission);
+  const std::string state_dir = flags.Get("state-dir");
+  if (!state_dir.empty()) {
+    opts.state_dir = state_dir;
+    opts.state_sync = SyncModeOrDie(flags);
+    // Anti-entropy is opt-in (docs/CLUSTER.md): --read-repair turns on
+    // serve-path divergence detection and healing.
+    if (flags.GetInt("read-repair", 0) != 0) opts.read_repair = true;
+  }
+
+  ServeMode<cluster::ClusterServer> mode;
+  mode.after_start = [&state_dir, shards](cluster::ClusterServer& fleet,
+                                          obs::MetricsRegistry*,
+                                          obs::Tracer*) {
+    if (state_dir.empty()) return Status::OK();
+    for (int64_t s = 0; s < shards; ++s) {
+      const state::RecoveryReport& rec =
+          fleet.shard_server(s)->state_store()->recovery();
+      std::printf("state shard %lld recovered: %lld record(s), %lld "
+                  "user(s)%s\n",
+                  static_cast<long long>(s),
+                  static_cast<long long>(rec.wal_records_replayed),
+                  static_cast<long long>(rec.users),
+                  rec.wal_torn ? " (torn tail repaired)" : "");
+    }
+    return Status::OK();
+  };
+  mode.reload = [](cluster::ClusterServer& fleet, const std::string& path) {
+    const Status rs = fleet.RollingReload(path);
+    std::printf("rolling reload %s: %s\n", path.c_str(),
+                rs.ok() ? "installed on all shards" : rs.ToString().c_str());
+  };
+  mode.serve = [](cluster::ClusterServer& fleet, int64_t i,
+                  const serving::ServeRequest& req) {
+    return fleet.Serve(static_cast<uint64_t>(i), req);
+  };
+  mode.report = [&state_dir, shards, read_repair = opts.read_repair](
+                    cluster::ClusterServer& fleet, int64_t state_appends) {
+    const cluster::ClusterStats stats = fleet.stats();
+    std::printf("cluster health: %s (%lld shards, replication %lld)\n",
+                cluster::ToString(fleet.health()),
+                static_cast<long long>(fleet.num_shards()),
+                static_cast<long long>(fleet.ring().replication()));
+    bench::TablePrinter table({"served", "attempts", "retries", "failovers",
+                               "hedges", "hedge_wins", "ejections",
+                               "typed"});
+    table.AddRow({std::to_string(stats.served),
+                  std::to_string(stats.attempts),
+                  std::to_string(stats.retries),
+                  std::to_string(stats.failovers),
+                  std::to_string(stats.hedges),
+                  std::to_string(stats.hedge_wins),
+                  std::to_string(stats.ejections),
+                  std::to_string(stats.typed_failures)});
+    table.Print();
+    if (!state_dir.empty()) {
+      std::printf("state: %lld replicated append(s) across %lld shard "
+                  "store(s)\n",
+                  static_cast<long long>(state_appends),
+                  static_cast<long long>(shards));
+    }
+    if (read_repair) {
+      std::printf("anti-entropy: %lld underreplicated append(s), %lld "
+                  "hint(s) queued, %lld replayed, %lld dropped, %lld "
+                  "user(s) repaired, %lld conflict(s)\n",
+                  static_cast<long long>(stats.underreplicated_appends),
+                  static_cast<long long>(stats.hints_queued),
+                  static_cast<long long>(stats.hints_replayed),
+                  static_cast<long long>(stats.hints_dropped),
+                  static_cast<long long>(stats.repair_users_repaired),
+                  static_cast<long long>(stats.repair_conflicts));
+    }
+  };
+  return ServeTraffic(flags, split, opts, mode);
 }
 
 /// `serve` reads --replication only with --shards N >= 2, --state-sync
@@ -799,122 +860,56 @@ int CmdServe(const Flags& flags) {
   if (shards > 1) return CmdServeCluster(flags, split, shards);
 
   serving::ModelServerOptions opts;
-  opts.default_deadline_nanos = static_cast<int64_t>(
-      flags.GetDouble("deadline-ms", 50.0) * serving::kNanosPerMilli);
-  opts.admission.max_in_flight = flags.GetInt("max-inflight", 64);
-  opts.admission.tokens_per_second = flags.GetDouble("rate", 0.0);
-  opts.admission.burst = flags.GetDouble("burst", 32.0);
-
-  // Declared before the server so its handles never outlive the registry.
-  const std::string metrics_out = flags.Get("metrics-out");
-  obs::MetricsRegistry registry;
-  obs::Tracer tracer;
-  if (!metrics_out.empty()) {
-    opts.metrics = &registry;
-    opts.tracer = &tracer;
-    compute::SetMetricsRegistry(&registry);
-  }
-
-  serving::ModelServer server(
-      opts, [&flags, &split] { return BuildPreparedModel(flags, split); });
-  server.set_canary_requests(
-      train::ExportCanarySet(split, flags.GetInt("canaries", 8)));
-  server.set_fallback(serving::PopularityFallback::FromSplit(split));
-  const Status start = server.StartFromCheckpoint(flags.Require("load"));
-  if (!start.ok()) return Fail(start);
-  const std::string state_dir = flags.Get("state-dir");
-  if (!state_dir.empty()) {
-    Result<std::unique_ptr<state::StateStore>> store = OpenStateStore(
-        flags, metrics_out.empty() ? nullptr : &registry,
-        metrics_out.empty() ? nullptr : &tracer);
-    if (!store.ok()) return Fail(store.status());
+  ReadServeLimits(flags, &opts.default_deadline_nanos, &opts.admission);
+  const bool stateful = !flags.Get("state-dir").empty();
+  ServeMode<serving::ModelServer> mode;
+  mode.after_start = [&flags, stateful](serving::ModelServer& server,
+                                        obs::MetricsRegistry* registry,
+                                        obs::Tracer* tracer) {
+    if (!stateful) return Status::OK();
+    Result<std::unique_ptr<state::StateStore>> store =
+        OpenStateStore(flags, registry, tracer);
+    if (!store.ok()) return store.status();
     server.AttachStateStore(std::move(store.value()));
-  }
-
-  serving::RecommendOptions ropts;
-  ropts.top_k = flags.GetInt("topk", 10);
-  const int64_t requests = flags.GetInt("requests", 32);
-  const std::string reload = flags.Get("reload");
-  int64_t ok_count = 0, shed_count = 0, deadline_count = 0, other_err = 0;
-  int64_t state_appends = 0;
-  std::vector<bool> streamed(static_cast<size_t>(split.num_users()), false);
-  for (int64_t i = 0; i < requests; ++i) {
-    // Demonstrate validated hot reload halfway through the traffic; a
-    // rollback (bad checkpoint) is reported but traffic keeps flowing on
-    // the previous model.
-    if (!reload.empty() && i == requests / 2) {
-      const Status rs = server.Reload(reload);
-      std::printf("reload %s: %s\n", reload.c_str(),
-                  rs.ok() ? "installed" : rs.ToString().c_str());
+    return Status::OK();
+  };
+  mode.reload = [](serving::ModelServer& server, const std::string& path) {
+    const Status rs = server.Reload(path);
+    std::printf("reload %s: %s\n", path.c_str(),
+                rs.ok() ? "installed" : rs.ToString().c_str());
+  };
+  mode.serve = [](serving::ModelServer& server, int64_t,
+                  const serving::ServeRequest& req) {
+    return server.Serve(req);
+  };
+  mode.report = [stateful](serving::ModelServer& server,
+                           int64_t state_appends) {
+    if (stateful) {
+      // Fold the streamed events into a durable snapshot before exit, so
+      // the next boot recovers from the snapshot instead of a long WAL
+      // replay.
+      const Status compacted = server.state_store()->Compact();
+      std::printf("state: %lld append(s), %lld user(s), last_seq %llu, "
+                  "compaction %s\n",
+                  static_cast<long long>(state_appends),
+                  static_cast<long long>(server.state_store()->num_users()),
+                  static_cast<unsigned long long>(
+                      server.state_store()->last_seq()),
+                  compacted.ok() ? "ok" : compacted.ToString().c_str());
     }
-    const int64_t user = i % split.num_users();
-    serving::ServeRequest req;
-    req.options = ropts;
-    const Result<serving::ServeResponse> r =
-        [&]() -> Result<serving::ServeResponse> {
-      if (state_dir.empty()) {
-        req.history = split.TestInput(user);
-        return server.Serve(req);
-      }
-      // Stream each user's history in as an append the first time they
-      // show up, then serve from the store's live state.
-      if (!streamed[static_cast<size_t>(user)]) {
-        const Result<state::AppendAck> ack = server.AppendEvent(
-            static_cast<uint64_t>(user), split.TestInput(user));
-        if (!ack.ok()) return ack.status();
-        streamed[static_cast<size_t>(user)] = true;
-        ++state_appends;
-      }
-      return server.ServeSession(static_cast<uint64_t>(user), req);
-    }();
-    if (r.ok()) {
-      ++ok_count;
-    } else if (r.status().code() == Status::Code::kResourceExhausted) {
-      ++shed_count;
-    } else if (r.status().code() == Status::Code::kDeadlineExceeded) {
-      ++deadline_count;
-    } else {
-      ++other_err;
-    }
-  }
-  if (!state_dir.empty()) {
-    // Fold the streamed events into a durable snapshot before exit, so the
-    // next boot recovers from the snapshot instead of a long WAL replay.
-    const Status compacted = server.state_store()->Compact();
-    std::printf("state: %lld append(s), %lld user(s), last_seq %llu, "
-                "compaction %s\n",
-                static_cast<long long>(state_appends),
-                static_cast<long long>(server.state_store()->num_users()),
-                static_cast<unsigned long long>(
-                    server.state_store()->last_seq()),
-                compacted.ok() ? "ok" : compacted.ToString().c_str());
-  }
-
-  const serving::ServerStats stats = server.stats();
-  std::printf("health: %s\n", serving::ToString(server.health()));
-  bench::TablePrinter table({"served", "shed", "deadline", "full",
-                             "fallback", "reloads", "rollbacks"});
-  table.AddRow({std::to_string(stats.served), std::to_string(stats.shed),
-                std::to_string(stats.deadline_exceeded),
-                std::to_string(stats.full_model_served),
-                std::to_string(stats.fallback_served),
-                std::to_string(stats.reloads),
-                std::to_string(stats.rollbacks)});
-  table.Print();
-  std::printf("requests ok %lld, shed %lld, deadline %lld, errors %lld\n",
-              static_cast<long long>(ok_count),
-              static_cast<long long>(shed_count),
-              static_cast<long long>(deadline_count),
-              static_cast<long long>(other_err));
-  if (!metrics_out.empty()) {
-    compute::SetMetricsRegistry(nullptr);
-    const Status ws = io::Env::Default()->WriteFile(
-        metrics_out, obs::SnapshotToJsonl(registry.Snapshot()) +
-                         obs::TracesToJsonl(tracer.Traces()));
-    if (!ws.ok()) return Fail(ws);
-    std::printf("wrote metrics to %s\n", metrics_out.c_str());
-  }
-  return other_err == 0 ? 0 : 1;
+    const serving::ServerStats stats = server.stats();
+    std::printf("health: %s\n", serving::ToString(server.health()));
+    bench::TablePrinter table({"served", "shed", "deadline", "full",
+                               "fallback", "reloads", "rollbacks"});
+    table.AddRow({std::to_string(stats.served), std::to_string(stats.shed),
+                  std::to_string(stats.deadline_exceeded),
+                  std::to_string(stats.full_model_served),
+                  std::to_string(stats.fallback_served),
+                  std::to_string(stats.reloads),
+                  std::to_string(stats.rollbacks)});
+    table.Print();
+  };
+  return ServeTraffic(flags, split, opts, mode);
 }
 
 int Usage() {
