@@ -76,7 +76,8 @@ std::vector<Measurement> BenchMatMul(int64_t n, int reps,
     compute::ComputeContext ctx(threads);
     const double secs = BestOf(reps, [&] {
       std::memset(c.data(), 0, c.size() * sizeof(float));
-      compute::Dispatch().matmul(a.data(), b.data(), c.data(), n, n, n);
+      compute::Dispatch().matmul(a.data(), n, 1, b.data(), c.data(), 1, n, n,
+                                 n);
     });
     out.push_back({threads, secs, flops / secs / 1e9,
                    Crc32(c.data(), c.size() * sizeof(float))});
@@ -84,11 +85,12 @@ std::vector<Measurement> BenchMatMul(int64_t n, int reps,
   return out;
 }
 
-/// MatMulTransA at the logits dW shape: C(m,n) += A(k,m)^T @ B(k,n) with
-/// k = 128 examples, m = |V| = 12000 items and n = d = 64. Also times the
-/// same backend's plain matmul on the transposed shape at 1 thread, A
-/// transposed up front, into `matmul_gflops`: the full-mode speed reference.
-/// The two results must be the same bits, so `same_as_matmul` reports it.
+/// The matmul entry reading A through the (1, m) pair at the logits dW
+/// shape: C(m,n) += A(k,m)^T @ B(k,n) with k = 128 examples, m = |V| = 12000
+/// items and n = d = 64. Also times the same entry through the (k, 1) pair
+/// at 1 thread, A transposed up front, into `matmul_gflops`: the full-mode
+/// speed reference. The two results must be the same bits, so
+/// `same_as_matmul` reports it.
 std::vector<Measurement> BenchMatMulTransADw(
     int reps, const std::vector<int>& thread_counts, double* matmul_gflops,
     bool* same_as_matmul) {
@@ -106,8 +108,8 @@ std::vector<Measurement> BenchMatMulTransADw(
     compute::ComputeContext ctx(threads);
     const double secs = BestOf(reps, [&] {
       std::memset(c.data(), 0, c.size() * sizeof(float));
-      compute::Dispatch().matmul_trans_a(at.data(), b.data(), c.data(), k, m,
-                                         n);
+      compute::Dispatch().matmul(at.data(), 1, m, b.data(), c.data(), 1, m, k,
+                                 n);
     });
     out.push_back({threads, secs, flops / secs / 1e9,
                    Crc32(c.data(), c.size() * sizeof(float))});
@@ -115,7 +117,8 @@ std::vector<Measurement> BenchMatMulTransADw(
   compute::ComputeContext ctx(1);
   const double secs = BestOf(reps, [&] {
     std::memset(c.data(), 0, c.size() * sizeof(float));
-    compute::Dispatch().matmul(a.data(), b.data(), c.data(), m, k, n);
+    compute::Dispatch().matmul(a.data(), k, 1, b.data(), c.data(), 1, m, k,
+                               n);
   });
   *matmul_gflops = flops / secs / 1e9;
   *same_as_matmul =
@@ -519,8 +522,8 @@ int Main(int argc, char** argv) {
   std::vector<Arm> arms;
   double matmul_1t_secs_scalar = 0.0;
   double matmul_1t_secs_simd = 0.0;
-  // Per backend: 1-thread MatMulTransA GFLOP/s at the logits dW shape over
-  // the same backend's matmul on the transposed shape.
+  // Per backend: 1-thread GFLOP/s of matmul through the (1, m) pair at the
+  // logits dW shape over the (k, 1) pair on the transposed copy.
   std::vector<std::pair<std::string, double>> trans_a_ratios;
   bool trans_a_same_as_matmul = true;
   // Per backend: 1-thread dropout-mask speedup over the select loop.
@@ -660,9 +663,9 @@ int Main(int argc, char** argv) {
       if (m.crc != arm.ms.front().crc) return 1;
     }
   }
-  // MatMulTransA is the plain matmul reading A through its transpose: the
-  // bits must match in every mode; its speed must be within 4x of matmul's
-  // on full runs.
+  // The (1, m) pair reads A through its transpose: the bits must match the
+  // (k, 1) pair on the transposed copy in every mode, and its speed must be
+  // within 4x of it on full runs.
   if (!trans_a_same_as_matmul) {
     std::fprintf(stderr, "matmul_trans_a_dw differs from matmul on A^T\n");
     return 1;

@@ -458,7 +458,8 @@ Variable BroadcastMatMul(const Variable& w, const Variable& x) {
     ParallelFor(0, batch, GrainForWork(2 * m * k * n),
                 [&](int64_t lo, int64_t hi) {
                   for (int64_t i = lo; i < hi; ++i) {
-                    kt.matmul(pw, px + i * k * n, po + i * m * n, m, k, n);
+                    kt.matmul(pw, k, 1, px + i * k * n, po + i * m * n, 1, m,
+                              k, n);
                   }
                 });
   }
@@ -475,9 +476,8 @@ Variable BroadcastMatMul(const Variable& w, const Variable& x) {
           Tensor dw({m, k});
           Tensor tmp({m, k});
           for (int64_t i = 0; i < batch; ++i) {
-            tmp.Zero();
-            kt.matmul_trans_b(g.data() + i * m * n,
-                              xv.data() + i * k * n, tmp.data(), m, n, k);
+            kt.matmul_trans_b(g.data() + i * m * n, xv.data() + i * k * n,
+                              tmp.data(), 1, m, n, k);
             ops::AddInPlace(&dw, tmp);
           }
           AccumulateGrad(wn, std::move(dw));
@@ -490,8 +490,8 @@ Variable BroadcastMatMul(const Variable& w, const Variable& x) {
           ParallelFor(0, batch, GrainForWork(2 * m * k * n),
                       [&](int64_t lo, int64_t hi) {
                         for (int64_t i = lo; i < hi; ++i) {
-                          kt.matmul_trans_a(pw, pg + i * m * n,
-                                            pd + i * k * n, m, k, n);
+                          kt.matmul(pw, 1, k, pg + i * m * n, pd + i * k * n,
+                                    1, k, m, n);
                         }
                       });
           AccumulateGrad(xn, std::move(dx));

@@ -28,8 +28,6 @@ bool EnvDisablesAvx2() {
 
 }  // namespace
 
-bool SimdBackendCompiled() { return internal::SimdCompiledFlag(); }
-
 bool CpuSupportsAvx2Fma() {
 #if defined(__x86_64__) || defined(__i386__)
   if (EnvDisablesAvx2()) return false;

@@ -14,11 +14,11 @@ namespace compute {
 ///
 /// Two tiers ship today:
 ///   - "scalar": the portable blocked ParallelFor kernels. Always available.
-///   - "simd":   AVX2/FMA implementations of the matmul family, ComplexMul
-///               and the elementwise primitives, selected at runtime only on
-///               CPUs that report both features. Compiled in when the build
-///               enables SLIME_SIMD on x86-64; falls back to scalar
-///               otherwise.
+///   - "simd":   AVX2/FMA implementations of the two matmul entries,
+///               ComplexMul and the elementwise primitives, selected at
+///               runtime only on CPUs that report both features. Compiled
+///               in when the build enables SLIME_SIMD on x86-64; falls back
+///               to scalar otherwise.
 ///
 /// Correctness contract (docs/KERNELS.md): every backend is bit-identical
 /// across thread counts *within* itself; *across* backends only
@@ -32,7 +32,8 @@ namespace compute {
 /// supports it, else "scalar".
 
 /// True when the simd backend was compiled into this binary (x86-64 build
-/// with SLIME_SIMD=ON). Says nothing about the host CPU.
+/// with SLIME_SIMD=ON). Says nothing about the host CPU. Defined in
+/// simd_kernels.cc, next to the table, so the two can't drift.
 bool SimdBackendCompiled();
 
 /// Runtime CPU feature check for the simd tier (cpuid via
@@ -85,10 +86,6 @@ namespace internal {
 /// is compiled in, the default (scalar) table otherwise. Callers must gate
 /// on SimdBackendCompiled() + CpuSupportsAvx2Fma().
 KernelTable SimdKernelTable();
-
-/// Compile-time availability flag, defined next to the table so the two
-/// can't drift.
-bool SimdCompiledFlag();
 
 }  // namespace internal
 

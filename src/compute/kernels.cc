@@ -67,74 +67,24 @@ void MatMulTransBRows(const float* a, const float* b, float* c, int64_t k,
   }
 }
 
-/// Batched MatMulRows over `batch` items of A (m*k floats each, read through
-/// the (rs, ks) pair), B(k,n) and C(m,n). Chunks the flattened batch x row
-/// space so one big item still splits; a chunk crossing an item boundary
-/// handles each span in turn.
-void BatchMatMulRows(const float* a, int64_t rs, int64_t ks, const float* b,
-                     float* c, int64_t batch, int64_t m, int64_t k,
-                     int64_t n) {
-  ParallelFor(0, batch * m, GrainForWork(2 * k * n),
-              [=](int64_t lo, int64_t hi) {
-                while (lo < hi) {
-                  const int64_t bi = lo / m;
-                  const int64_t row0 = lo - bi * m;
-                  const int64_t rows = std::min(hi - lo, m - row0);
-                  MatMulRows(a + bi * m * k, rs, ks, b + bi * k * n,
-                             c + bi * m * n, k, n, row0, row0 + rows);
-                  lo += rows;
-                }
-              });
-}
-
 }  // namespace
 
-void MatMulKernel(const float* a, const float* b, float* c, int64_t m,
-                  int64_t k, int64_t n) {
-  ParallelFor(0, m, GrainForWork(2 * k * n), [=](int64_t lo, int64_t hi) {
-    MatMulRows(a, k, 1, b, c, k, n, lo, hi);
-  });
+void MatMulKernel(const float* a, int64_t rs, int64_t ks, const float* b,
+                  float* c, int64_t batch, int64_t m, int64_t k, int64_t n) {
+  ParallelForItemRows(batch, m, GrainForWork(2 * k * n),
+                      [=](int64_t bi, int64_t lo, int64_t hi) {
+                        MatMulRows(a + bi * m * k, rs, ks, b + bi * k * n,
+                                   c + bi * m * n, k, n, lo, hi);
+                      });
 }
 
-void MatMulTransAKernel(const float* a, const float* b, float* c, int64_t k,
-                        int64_t m, int64_t n) {
-  ParallelFor(0, m, GrainForWork(2 * k * n), [=](int64_t lo, int64_t hi) {
-    MatMulRows(a, 1, m, b, c, k, n, lo, hi);
-  });
-}
-
-void MatMulTransBKernel(const float* a, const float* b, float* c, int64_t m,
-                        int64_t k, int64_t n) {
-  ParallelFor(0, m, GrainForWork(2 * k * n), [=](int64_t lo, int64_t hi) {
-    MatMulTransBRows(a, b, c, k, n, lo, hi);
-  });
-}
-
-void BatchMatMulKernel(const float* a, const float* b, float* c,
-                       int64_t batch, int64_t m, int64_t k, int64_t n) {
-  BatchMatMulRows(a, k, 1, b, c, batch, m, k, n);
-}
-
-void BatchMatMulTransBKernel(const float* a, const float* b, float* c,
-                             int64_t batch, int64_t m, int64_t k,
-                             int64_t n) {
-  ParallelFor(0, batch * m, GrainForWork(2 * k * n),
-              [=](int64_t lo, int64_t hi) {
-                while (lo < hi) {
-                  const int64_t bi = lo / m;
-                  const int64_t row0 = lo - bi * m;
-                  const int64_t rows = std::min(hi - lo, m - row0);
-                  MatMulTransBRows(a + bi * m * k, b + bi * n * k,
-                                   c + bi * m * n, k, n, row0, row0 + rows);
-                  lo += rows;
-                }
-              });
-}
-
-void BatchMatMulTransAKernel(const float* a, const float* b, float* c,
-                             int64_t batch, int64_t k, int64_t m,
-                             int64_t n) {
-  BatchMatMulRows(a, 1, m, b, c, batch, m, k, n);
+void MatMulTransBKernel(const float* a, const float* b, float* c,
+                        int64_t batch, int64_t m, int64_t k, int64_t n) {
+  ParallelForItemRows(batch, m, GrainForWork(2 * k * n),
+                      [=](int64_t bi, int64_t lo, int64_t hi) {
+                        MatMulTransBRows(a + bi * m * k, b + bi * n * k,
+                                         c + bi * m * n, k, n, lo, hi);
+                      });
 }
 
 void ComplexMulKernel(const float* ar, const float* ai, const float* br,

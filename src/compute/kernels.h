@@ -11,36 +11,24 @@ namespace compute {
 /// a fixed, thread-count-independent work split via ParallelFor, so every
 /// kernel is bit-identical at any thread count (see thread_pool.h).
 ///
-/// Output buffers of the matmul family must be zero-initialised by the
-/// caller (Tensor construction zero-fills).
+/// `matmul` accumulates into C, so its C must hold the addend (Tensor
+/// construction zero-fills); `matmul_trans_b` overwrites C.
 
-/// C(m,n) += A(m,k) @ B(k,n). Every C element accumulates in ascending k.
-/// The scalar tier splits over row blocks of C; the simd tier over 16-column
-/// tiles of C, then row blocks of the tail columns.
-void MatMulKernel(const float* a, const float* b, float* c, int64_t m,
-                  int64_t k, int64_t n);
+/// C_i(m,n) += A_i @ B_i(k,n) for `batch` items of A (m*k floats each),
+/// B (k*n) and C (m*n), with A_i's element (r, kk) read at a[r*rs + kk*ks]:
+/// (rs, ks) = (k, 1) for a row-major A_i(m,k), (1, m) for the transpose of
+/// a row-major A_i(k,m). The layout changes only the reads, so within a
+/// backend the (1, m) result is bit-identical to (k, 1) on an explicitly
+/// transposed copy. Every C element accumulates in ascending k. The scalar
+/// tier splits over the flattened batch x row space; the simd tier over
+/// batch x 16-column tiles of C, then batch x rows of the tail columns.
+void MatMulKernel(const float* a, int64_t rs, int64_t ks, const float* b,
+                  float* c, int64_t batch, int64_t m, int64_t k, int64_t n);
 
-/// C(m,n) += A(k,m)^T @ B(k,n): the plain matmul with A read through its
-/// transpose, in both tiers the same kernel and work split as MatMulKernel.
-/// Within a backend the result is bit-identical to MatMulKernel on an
-/// explicitly transposed copy of A.
-void MatMulTransAKernel(const float* a, const float* b, float* c, int64_t k,
-                        int64_t m, int64_t n);
-
-/// C(m,n) = A(m,k) @ B(n,k)^T. Parallel over row blocks; 4-way blocked dot
-/// products inside.
-void MatMulTransBKernel(const float* a, const float* b, float* c, int64_t m,
-                        int64_t k, int64_t n);
-
-/// Batched variants over (batch, ...) operands; parallel across the
-/// batch x row product (the simd matmul and TransA: batch x column tile)
-/// so small-batch/large-matrix shapes still split.
-void BatchMatMulKernel(const float* a, const float* b, float* c,
-                       int64_t batch, int64_t m, int64_t k, int64_t n);
-void BatchMatMulTransAKernel(const float* a, const float* b, float* c,
-                             int64_t batch, int64_t k, int64_t m, int64_t n);
-void BatchMatMulTransBKernel(const float* a, const float* b, float* c,
-                             int64_t batch, int64_t m, int64_t k, int64_t n);
+/// C_i(m,n) = A_i(m,k) @ B_i(n,k)^T for `batch` items. Parallel over the
+/// flattened batch x row space; 4-way blocked dot products inside.
+void MatMulTransBKernel(const float* a, const float* b, float* c,
+                        int64_t batch, int64_t m, int64_t k, int64_t n);
 
 /// Elementwise complex multiply with suffix broadcast of b:
 ///   out[r*block + i] = a[r*block + i] * b[i]   (complex),
@@ -146,13 +134,7 @@ void AddKernel(const float* a, const float* b, float* out, int64_t n);
 /// in a layer (see CONTRIBUTING.md).
 struct KernelTable {
   decltype(&MatMulKernel) matmul = &MatMulKernel;
-  decltype(&MatMulTransAKernel) matmul_trans_a = &MatMulTransAKernel;
   decltype(&MatMulTransBKernel) matmul_trans_b = &MatMulTransBKernel;
-  decltype(&BatchMatMulKernel) batch_matmul = &BatchMatMulKernel;
-  decltype(&BatchMatMulTransAKernel) batch_matmul_trans_a =
-      &BatchMatMulTransAKernel;
-  decltype(&BatchMatMulTransBKernel) batch_matmul_trans_b =
-      &BatchMatMulTransBKernel;
   decltype(&ComplexMulKernel) complex_mul = &ComplexMulKernel;
   decltype(&SumKernel) sum = &SumKernel;
   decltype(&DotKernel) dot = &DotKernel;

@@ -6,11 +6,11 @@
 //
 // Determinism contract: every kernel's work split is derived from the
 // problem shape alone (never the thread count), and where a kernel departs
-// from the scalar tier's decomposition — matmul and MatMulTransA (one
-// kernel, A read through a stride pair) parallelise over 16-column tiles of
-// C instead of rows — each output element is still computed entirely within
-// one work unit in a fixed accumulation order, so within this backend
-// results are bit-identical at any thread count. Across backends results
+// from the scalar tier's decomposition — matmul, whichever layout its
+// stride pair gives A, parallelises over 16-column tiles of C instead of
+// rows — each output element is still computed entirely within one work
+// unit in a fixed accumulation order, so within this backend results are
+// bit-identical at any thread count. Across backends results
 // differ in the last ulp (FMA contracts mul+add into one rounding), which is
 // why cross-backend equivalence is gated by gradcheck/ranking agreement, not
 // CRC. Reductions (sum/dot/all_finite) and the transcendental rowwise
@@ -22,7 +22,6 @@
 #include "compute/kernels.h"
 #include "compute/thread_pool.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -58,7 +57,7 @@ SLIME_TARGET_AVX2 inline float HSum8(__m256 v) {
 /// One 16-column tile of C(m,n) += A @ B(k,n), covering all m rows. A's
 /// element (i, kk) is read at a[i * rs + kk * ks]: (rs, ks) = (k, 1) for a
 /// row-major A(m,k), (1, m) for the transpose of a row-major A(k,m), so
-/// MatMul and MatMulTransA share this kernel. The tile's B strip is first
+/// both layouts share this kernel. The tile's B strip is first
 /// packed into a contiguous 32-byte-aligned scratch buffer — a pure layout
 /// change: the packed values and the FMA sequence are identical to reading
 /// B in place, so numerics are unaffected — which turns the strided walk
@@ -150,8 +149,8 @@ SLIME_TARGET_AVX2 void MatMulColTile16Simd(const float* a, int64_t rs,
 /// 8-wide strip if one fits, then scalar columns, every element ascending-k
 /// with one FMA per term. The scalar columns call std::fma explicitly: left
 /// as `acc += a * b`, GCC vectorises four products of the unit-stride
-/// (ks == 1) version without contracting them, which would give MatMul and
-/// MatMulTransA different bits in these columns.
+/// (ks == 1) version without contracting them, which would give the (k, 1)
+/// and (1, m) layouts different bits in these columns.
 SLIME_TARGET_AVX2 void MatMulColTailSimd(const float* a, int64_t rs,
                                          int64_t ks, const float* b, float* c,
                                          int64_t k, int64_t n, int64_t j0,
@@ -321,18 +320,18 @@ SLIME_TARGET_AVX2 void AdamChunkSimd(float* w, float* m, float* v,
 
 // ---- KernelTable entry points: same grains and chunk layout as the scalar
 // tier (kernels.cc), so the split is identical and only the per-chunk body
-// changes — except matmul and MatMulTransA, which split over column tiles.
+// changes — except matmul, which splits over column tiles.
 
-/// C(m,n) += A @ B(k,n) for `batch` items of A (m*k floats each, read
-/// through the (rs, ks) pair), B(k,n) and C(m,n). Unlike the scalar tier,
-/// this parallelises over 16-column tiles of C rather than rows: each C
-/// element is computed entirely within one tile in ascending-k order, so the
-/// tile split cannot affect results at any thread count, and the per-tile B
-/// pack is amortised over all m rows. The units are the flattened batch x
-/// tile index; the tail columns split over the flattened batch x row space.
-void SimdBatchMatMulStrided(const float* a, int64_t rs, int64_t ks,
-                            const float* b, float* c, int64_t batch,
-                            int64_t m, int64_t k, int64_t n) {
+/// The `matmul` entry: C_i(m,n) += A_i @ B_i(k,n) for `batch` items, A_i
+/// read through the (rs, ks) pair. Unlike the scalar tier, this parallelises
+/// over 16-column tiles of C rather than rows: each C element is computed
+/// entirely within one tile in ascending-k order, so the tile split cannot
+/// affect results at any thread count, and the per-tile B pack is amortised
+/// over all m rows. The units are the flattened batch x tile index; the tail
+/// columns split over the flattened batch x row space.
+void SimdMatMulKernel(const float* a, int64_t rs, int64_t ks, const float* b,
+                      float* c, int64_t batch, int64_t m, int64_t k,
+                      int64_t n) {
   const int64_t tiles = n / 16;
   if (tiles > 0) {
     ParallelFor(0, batch * tiles, GrainForWork(2 * k * m * 16),
@@ -346,64 +345,22 @@ void SimdBatchMatMulStrided(const float* a, int64_t rs, int64_t ks,
                 });
   }
   if (tiles * 16 < n) {
-    ParallelFor(0, batch * m, GrainForWork(2 * k * (n - tiles * 16)),
-                [=](int64_t lo, int64_t hi) {
-                  while (lo < hi) {
-                    const int64_t bi = lo / m;
-                    const int64_t row0 = lo - bi * m;
-                    const int64_t rows = std::min(hi - lo, m - row0);
-                    MatMulColTailSimd(a + bi * m * k, rs, ks, b + bi * k * n,
-                                      c + bi * m * n, k, n, tiles * 16, row0,
-                                      row0 + rows);
-                    lo += rows;
-                  }
-                });
+    ParallelForItemRows(batch, m, GrainForWork(2 * k * (n - tiles * 16)),
+                        [=](int64_t bi, int64_t lo, int64_t hi) {
+                          MatMulColTailSimd(a + bi * m * k, rs, ks,
+                                            b + bi * k * n, c + bi * m * n, k,
+                                            n, tiles * 16, lo, hi);
+                        });
   }
 }
 
-void SimdMatMulKernel(const float* a, const float* b, float* c, int64_t m,
-                      int64_t k, int64_t n) {
-  SimdBatchMatMulStrided(a, k, 1, b, c, 1, m, k, n);
-}
-
-void SimdMatMulTransAKernel(const float* a, const float* b, float* c,
-                            int64_t k, int64_t m, int64_t n) {
-  SimdBatchMatMulStrided(a, 1, m, b, c, 1, m, k, n);
-}
-
 void SimdMatMulTransBKernel(const float* a, const float* b, float* c,
-                            int64_t m, int64_t k, int64_t n) {
-  ParallelFor(0, m, GrainForWork(2 * k * n), [=](int64_t lo, int64_t hi) {
-    MatMulTransBRowsSimd(a, b, c, k, n, lo, hi);
-  });
-}
-
-void SimdBatchMatMulKernel(const float* a, const float* b, float* c,
-                           int64_t batch, int64_t m, int64_t k, int64_t n) {
-  SimdBatchMatMulStrided(a, k, 1, b, c, batch, m, k, n);
-}
-
-void SimdBatchMatMulTransBKernel(const float* a, const float* b, float* c,
-                                 int64_t batch, int64_t m, int64_t k,
-                                 int64_t n) {
-  ParallelFor(0, batch * m, GrainForWork(2 * k * n),
-              [=](int64_t lo, int64_t hi) {
-                while (lo < hi) {
-                  const int64_t bi = lo / m;
-                  const int64_t row0 = lo - bi * m;
-                  const int64_t rows = std::min(hi - lo, m - row0);
-                  MatMulTransBRowsSimd(a + bi * m * k, b + bi * n * k,
-                                       c + bi * m * n, k, n, row0,
-                                       row0 + rows);
-                  lo += rows;
-                }
-              });
-}
-
-void SimdBatchMatMulTransAKernel(const float* a, const float* b, float* c,
-                                 int64_t batch, int64_t k, int64_t m,
-                                 int64_t n) {
-  SimdBatchMatMulStrided(a, 1, m, b, c, batch, m, k, n);
+                            int64_t batch, int64_t m, int64_t k, int64_t n) {
+  ParallelForItemRows(batch, m, GrainForWork(2 * k * n),
+                      [=](int64_t bi, int64_t lo, int64_t hi) {
+                        MatMulTransBRowsSimd(a + bi * m * k, b + bi * n * k,
+                                             c + bi * m * n, k, n, lo, hi);
+                      });
 }
 
 void SimdComplexMulKernel(const float* ar, const float* ai, const float* br,
@@ -446,11 +403,7 @@ void SimdAdamStepKernel(float* w, float* m, float* v, const float* g,
 KernelTable SimdKernelTable() {
   KernelTable t;  // starts as the scalar tier; override the vectorised ops
   t.matmul = &SimdMatMulKernel;
-  t.matmul_trans_a = &SimdMatMulTransAKernel;
   t.matmul_trans_b = &SimdMatMulTransBKernel;
-  t.batch_matmul = &SimdBatchMatMulKernel;
-  t.batch_matmul_trans_a = &SimdBatchMatMulTransAKernel;
-  t.batch_matmul_trans_b = &SimdBatchMatMulTransBKernel;
   t.complex_mul = &SimdComplexMulKernel;
   t.adam_step = &SimdAdamStepKernel;
   t.axpy = &SimdAxpyKernel;
@@ -459,16 +412,14 @@ KernelTable SimdKernelTable() {
   return t;
 }
 
-bool SimdCompiledFlag() { return true; }
-
 #else  // !SLIME_SIMD_COMPILED
 
 KernelTable SimdKernelTable() { return KernelTable{}; }
 
-bool SimdCompiledFlag() { return false; }
-
 #endif  // SLIME_SIMD_COMPILED
 
 }  // namespace internal
+
+bool SimdBackendCompiled() { return SLIME_SIMD_COMPILED != 0; }
 }  // namespace compute
 }  // namespace slime

@@ -1,6 +1,7 @@
 #ifndef SLIME4REC_COMPUTE_THREAD_POOL_H_
 #define SLIME4REC_COMPUTE_THREAD_POOL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -121,6 +122,25 @@ class ComputeContext {
 /// caller is already inside a parallel region.
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t lo, int64_t hi)>& body);
+
+/// ParallelFor over `items` stacked items of `rows` rows each: the flattened
+/// item x row range [0, items * rows) is chunked as ParallelFor chunks it,
+/// so one big item still splits, and a chunk crossing an item boundary calls
+/// `body(item, lo, hi)` once per item it touches, [lo, hi) being rows of
+/// that item.
+template <typename Body>
+void ParallelForItemRows(int64_t items, int64_t rows, int64_t grain,
+                         const Body& body) {
+  ParallelFor(0, items * rows, grain, [&](int64_t lo, int64_t hi) {
+    while (lo < hi) {
+      const int64_t item = lo / rows;
+      const int64_t row0 = lo - item * rows;
+      const int64_t span = std::min(hi - lo, rows - row0);
+      body(item, row0, row0 + span);
+      lo += span;
+    }
+  });
+}
 
 /// Deterministic sum reduction: per-chunk partials (same fixed chunking as
 /// ParallelFor) are combined **in chunk index order** on the calling thread,

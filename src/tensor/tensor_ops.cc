@@ -357,7 +357,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   CheckInnerDim(k, b.size(0), a, b, "MatMul");
   const int64_t n = b.size(1);
   Tensor c({m, n});
-  Dispatch().matmul(a.data(), b.data(), c.data(), m, k, n);
+  Dispatch().matmul(a.data(), k, 1, b.data(), c.data(), 1, m, k, n);
   return c;
 }
 
@@ -368,7 +368,7 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   CheckInnerDim(k, b.size(1), a, b, "MatMulTransB");
   const int64_t n = b.size(0);
   Tensor c({m, n});
-  Dispatch().matmul_trans_b(a.data(), b.data(), c.data(), m, k, n);
+  Dispatch().matmul_trans_b(a.data(), b.data(), c.data(), 1, m, k, n);
   return c;
 }
 
@@ -379,7 +379,7 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
   CheckInnerDim(k, b.size(0), a, b, "MatMulTransA");
   const int64_t n = b.size(1);
   Tensor c({m, n});
-  Dispatch().matmul_trans_a(a.data(), b.data(), c.data(), k, m, n);
+  Dispatch().matmul(a.data(), 1, m, b.data(), c.data(), 1, m, k, n);
   return c;
 }
 
@@ -391,7 +391,7 @@ Tensor BatchMatMul(const Tensor& a, const Tensor& b) {
   CheckInnerDim(k, b.size(1), a, b, "BatchMatMul");
   const int64_t n = b.size(2);
   Tensor c({batch, m, n});
-  Dispatch().batch_matmul(a.data(), b.data(), c.data(), batch, m, k, n);
+  Dispatch().matmul(a.data(), k, 1, b.data(), c.data(), batch, m, k, n);
   return c;
 }
 
@@ -403,8 +403,7 @@ Tensor BatchMatMulTransB(const Tensor& a, const Tensor& b) {
   CheckInnerDim(k, b.size(2), a, b, "BatchMatMulTransB");
   const int64_t n = b.size(1);
   Tensor c({batch, m, n});
-  Dispatch().batch_matmul_trans_b(a.data(), b.data(), c.data(), batch, m, k,
-                                  n);
+  Dispatch().matmul_trans_b(a.data(), b.data(), c.data(), batch, m, k, n);
   return c;
 }
 
@@ -416,8 +415,7 @@ Tensor BatchMatMulTransA(const Tensor& a, const Tensor& b) {
   CheckInnerDim(k, b.size(1), a, b, "BatchMatMulTransA");
   const int64_t n = b.size(2);
   Tensor c({batch, m, n});
-  Dispatch().batch_matmul_trans_a(a.data(), b.data(), c.data(), batch, k, m,
-                                  n);
+  Dispatch().matmul(a.data(), 1, m, b.data(), c.data(), batch, m, k, n);
   return c;
 }
 

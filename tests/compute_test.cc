@@ -121,6 +121,11 @@ TEST(KernelsTest, AllFiniteDetectsNanAndInf) {
   EXPECT_FALSE(AllFiniteKernel(v.data(), 50000));
 }
 
+/// Restores the default scalar backend when a test body returns.
+struct BackendGuard {
+  ~BackendGuard() { SetKernelBackend("scalar").value(); }
+};
+
 /// Naive triple-loop reference matmul in double precision.
 std::vector<float> NaiveMatMul(const std::vector<float>& a,
                                const std::vector<float>& b, int64_t m,
@@ -170,9 +175,10 @@ void ForEachTransAShape(Fn fn) {
       for (const int64_t k : {1, 23, 200}) fn(m, k, n);
 }
 
-/// `matmul_trans_a` and `batch_matmul_trans_a` of `kt` must equal `matmul`
-/// and `batch_matmul` of the same table on explicitly transposed copies of
-/// A, bit for bit, and the double-precision reference within tolerance.
+/// `matmul` of `kt` reading A through the (1, m) pair, at batch 1 and 3,
+/// must equal the same entry reading explicitly transposed copies of A
+/// through (k, 1), bit for bit, and the double-precision reference within
+/// tolerance.
 void ExpectTransAEqualsMatMulOnTransposedA(const KernelTable& kt) {
   ForEachTransAShape([&](int64_t m, int64_t k, int64_t n) {
     SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
@@ -183,24 +189,24 @@ void ExpectTransAEqualsMatMulOnTransposedA(const KernelTable& kt) {
     const auto a = TransposeItems(at, batch, k, m);
 
     std::vector<float> got(m * n, 0.0f), want(m * n, 0.0f);
-    kt.matmul_trans_a(at.data(), b.data(), got.data(), k, m, n);
-    kt.matmul(a.data(), b.data(), want.data(), m, k, n);
+    kt.matmul(at.data(), 1, m, b.data(), got.data(), 1, m, k, n);
+    kt.matmul(a.data(), k, 1, b.data(), want.data(), 1, m, k, n);
     EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
               0);
     const auto ref = NaiveMatMul(at, b, m, k, n, true, false);
     for (int64_t i = 0; i < m * n; ++i) EXPECT_NEAR(got[i], ref[i], 1e-4f);
 
     std::vector<float> bgot(batch * m * n, 0.0f), bwant(batch * m * n, 0.0f);
-    kt.batch_matmul_trans_a(at.data(), b.data(), bgot.data(), batch, k, m, n);
-    kt.batch_matmul(a.data(), b.data(), bwant.data(), batch, m, k, n);
+    kt.matmul(at.data(), 1, m, b.data(), bgot.data(), batch, m, k, n);
+    kt.matmul(a.data(), k, 1, b.data(), bwant.data(), batch, m, k, n);
     EXPECT_EQ(
         std::memcmp(bgot.data(), bwant.data(), bgot.size() * sizeof(float)),
         0);
   });
 }
 
-/// `matmul_trans_a` and `batch_matmul_trans_a` of `kt` give the same bits
-/// at 2, 5 and 8 threads as at 1, on every tail shape.
+/// `matmul` of `kt` reading A through the (1, m) pair, at batch 1 and 3,
+/// gives the same bits at 2, 5 and 8 threads as at 1, on every tail shape.
 void ExpectTransABitIdenticalAcrossThreadCounts(const KernelTable& kt) {
   ForEachTransAShape([&](int64_t m, int64_t k, int64_t n) {
     SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
@@ -211,9 +217,8 @@ void ExpectTransABitIdenticalAcrossThreadCounts(const KernelTable& kt) {
     auto run = [&](int threads) {
       ComputeContext ctx(threads);
       std::vector<float> c(m * n + batch * m * n, 0.0f);
-      kt.matmul_trans_a(at.data(), b.data(), c.data(), k, m, n);
-      kt.batch_matmul_trans_a(at.data(), b.data(), c.data() + m * n, batch, k,
-                              m, n);
+      kt.matmul(at.data(), 1, m, b.data(), c.data(), 1, m, k, n);
+      kt.matmul(at.data(), 1, m, b.data(), c.data() + m * n, batch, m, k, n);
       return c;
     };
     const auto ref = run(1);
@@ -235,17 +240,16 @@ TEST(KernelsTest, MatMulFamilyMatchesNaiveReference) {
   ComputeContext ctx(4);
 
   std::vector<float> c(m * n, 0.0f);
-  MatMulKernel(a.data(), b.data(), c.data(), m, k, n);
+  MatMulKernel(a.data(), k, 1, b.data(), c.data(), 1, m, k, n);
   auto ref = NaiveMatMul(a, b, m, k, n, false, false);
   for (int64_t i = 0; i < m * n; ++i) EXPECT_NEAR(c[i], ref[i], 1e-4f);
 
-  std::fill(c.begin(), c.end(), 0.0f);
-  MatMulTransBKernel(a.data(), bt.data(), c.data(), m, k, n);
+  MatMulTransBKernel(a.data(), bt.data(), c.data(), 1, m, k, n);
   ref = NaiveMatMul(a, bt, m, k, n, false, true);
   for (int64_t i = 0; i < m * n; ++i) EXPECT_NEAR(c[i], ref[i], 1e-4f);
 
   std::fill(c.begin(), c.end(), 0.0f);
-  MatMulTransAKernel(at.data(), b.data(), c.data(), k, m, n);
+  MatMulKernel(at.data(), 1, m, b.data(), c.data(), 1, m, k, n);
   ref = NaiveMatMul(at, b, m, k, n, true, false);
   for (int64_t i = 0; i < m * n; ++i) EXPECT_NEAR(c[i], ref[i], 1e-4f);
 
@@ -259,12 +263,12 @@ TEST(KernelsTest, MatMulBitIdenticalAcrossThreadCounts) {
   std::vector<float> ref(m * n, 0.0f);
   {
     ComputeContext ctx(1);
-    MatMulKernel(a.data(), b.data(), ref.data(), m, k, n);
+    MatMulKernel(a.data(), k, 1, b.data(), ref.data(), 1, m, k, n);
   }
   for (int threads : {2, 5, 8}) {
     ComputeContext ctx(threads);
     std::vector<float> c(m * n, 0.0f);
-    MatMulKernel(a.data(), b.data(), c.data(), m, k, n);
+    MatMulKernel(a.data(), k, 1, b.data(), c.data(), 1, m, k, n);
     EXPECT_EQ(std::memcmp(ref.data(), c.data(), ref.size() * sizeof(float)),
               0)
         << "threads=" << threads;
@@ -273,21 +277,67 @@ TEST(KernelsTest, MatMulBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(KernelsTest, BatchMatMulSplitsAcrossItemBoundaries) {
-  const int64_t batch = 3, m = 5, k = 7, n = 9;
+  BackendGuard guard;
+  // Grains of 9 rows (scalar matmul, matmul_trans_b) and of 5 column tiles
+  // (simd matmul) give chunks that cross the items' 5-row, 2-tile bounds.
+  const int64_t batch = 3, m = 5, k = 40, n = 41;
   const auto a = RandomVec(batch * m * k, 41);
+  const auto at = TransposeItems(a, batch, m, k);
   const auto b = RandomVec(batch * k * n, 42);
-  ComputeContext ctx(8);
-  std::vector<float> c(batch * m * n, 0.0f);
-  BatchMatMulKernel(a.data(), b.data(), c.data(), batch, m, k, n);
-  for (int64_t bi = 0; bi < batch; ++bi) {
-    const auto ref = NaiveMatMul(
-        std::vector<float>(a.begin() + bi * m * k,
-                           a.begin() + (bi + 1) * m * k),
-        std::vector<float>(b.begin() + bi * k * n,
-                           b.begin() + (bi + 1) * k * n),
-        m, k, n, false, false);
-    for (int64_t i = 0; i < m * n; ++i)
-      EXPECT_NEAR(c[bi * m * n + i], ref[i], 1e-4f);
+  const auto bt = RandomVec(batch * n * k, 43);
+  auto item = [](const std::vector<float>& v, int64_t i, int64_t size) {
+    return std::vector<float>(v.begin() + i * size, v.begin() + (i + 1) * size);
+  };
+  for (const auto& backend : AvailableKernelBackends()) {
+    SetKernelBackend(backend).value();
+    const KernelTable& kt = Dispatch();
+    // Items [first, first + items) of product p: 0 is `matmul` with A
+    // through (k, 1), 1 is `matmul` with A through (1, m), 2 is
+    // `matmul_trans_b`.
+    auto run = [&](int p, int64_t first, int64_t items) {
+      std::vector<float> c(items * m * n, 0.0f);
+      if (p == 2) {
+        kt.matmul_trans_b(a.data() + first * m * k, bt.data() + first * n * k,
+                          c.data(), items, m, k, n);
+      } else {
+        kt.matmul((p == 0 ? a : at).data() + first * m * k, p == 0 ? k : 1,
+                  p == 0 ? 1 : m, b.data() + first * k * n, c.data(), items,
+                  m, k, n);
+      }
+      return c;
+    };
+    auto singles = [&](int p) {
+      std::vector<float> c;
+      for (int64_t bi = 0; bi < batch; ++bi) {
+        const auto ci = run(p, bi, 1);
+        c.insert(c.end(), ci.begin(), ci.end());
+      }
+      return c;
+    };
+    for (int p = 0; p < 3; ++p) {
+      SCOPED_TRACE(backend + " product " + std::to_string(p));
+      std::vector<float> want;
+      {
+        ComputeContext ctx(1);
+        want = singles(p);
+      }
+      for (int threads : {1, 2, 8}) {
+        ComputeContext ctx(threads);
+        for (const auto& got : {run(p, 0, batch), singles(p)}) {
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                want.size() * sizeof(float)),
+                    0)
+              << "threads=" << threads;
+        }
+      }
+      for (int64_t bi = 0; bi < batch; ++bi) {
+        const auto ref = NaiveMatMul(item(p == 1 ? at : a, bi, m * k),
+                                     item(p == 2 ? bt : b, bi, k * n), m, k, n,
+                                     p == 1, p == 2);
+        for (int64_t i = 0; i < m * n; ++i)
+          EXPECT_NEAR(want[bi * m * n + i], ref[i], 1e-4f);
+      }
+    }
   }
 }
 
@@ -395,6 +445,14 @@ TEST(ShapeErrorDeathTest, BatchMatMulMismatchesAbort) {
   Tensor c({2, 7, 5});
   EXPECT_DEATH(ops::BatchMatMul(a, c), "inner dimension mismatch");
   EXPECT_DEATH(ops::BatchMatMul(Tensor({2, 3}), c), "rank-3");
+  EXPECT_DEATH(ops::BatchMatMulTransA(a, Tensor({3, 3, 5})),
+               "BatchMatMulTransA batch mismatch");
+  EXPECT_DEATH(ops::BatchMatMulTransA(a, Tensor({2, 4, 5})),
+               "BatchMatMulTransA inner dimension mismatch");
+  EXPECT_DEATH(ops::BatchMatMulTransB(a, Tensor({3, 5, 4})),
+               "BatchMatMulTransB batch mismatch");
+  EXPECT_DEATH(ops::BatchMatMulTransB(a, Tensor({2, 5, 7})),
+               "BatchMatMulTransB inner dimension mismatch");
 }
 
 TEST(ShapeErrorDeathTest, BroadcastMismatchNamesBothShapes) {
@@ -597,7 +655,8 @@ TEST(KernelsTest, ZeroLengthBuffersAreNoOps) {
   AddKernel(&sentinel, &sentinel, &sentinel, 0);
   GeluKernel(&sentinel, &sentinel, 0);
   SoftmaxRowsKernel(&sentinel, &sentinel, 0, 8);
-  MatMulKernel(&sentinel, &sentinel, &sentinel, 0, 0, 0);
+  MatMulKernel(&sentinel, 0, 1, &sentinel, &sentinel, 1, 0, 0, 0);
+  MatMulTransBKernel(&sentinel, &sentinel, &sentinel, 1, 0, 0, 0);
   GatherRowsKernel(&sentinel, nullptr, &sentinel, 0, 4);
   ScatterAddRowsKernel(&sentinel, nullptr, &sentinel, 0, 4);
   AdamStepParams p;
@@ -606,11 +665,6 @@ TEST(KernelsTest, ZeroLengthBuffersAreNoOps) {
 }
 
 // ---- Kernel backend registry (scalar / simd tiers).
-
-/// Restores the default scalar backend when a test body returns.
-struct BackendGuard {
-  ~BackendGuard() { SetKernelBackend("scalar").value(); }
-};
 
 bool SimdAvailable() {
   return SimdBackendCompiled() && CpuSupportsAvx2Fma();
@@ -712,17 +766,16 @@ TEST(SimdBackendTest, MatMulFamilyMatchesNaiveReference) {
   const KernelTable& kt = Dispatch();
 
   std::vector<float> c(m * n, 0.0f);
-  kt.matmul(a.data(), b.data(), c.data(), m, k, n);
+  kt.matmul(a.data(), k, 1, b.data(), c.data(), 1, m, k, n);
   auto ref = NaiveMatMul(a, b, m, k, n, false, false);
   for (int64_t i = 0; i < m * n; ++i) EXPECT_NEAR(c[i], ref[i], 1e-4f);
 
-  std::fill(c.begin(), c.end(), 0.0f);
-  kt.matmul_trans_b(a.data(), bt.data(), c.data(), m, k, n);
+  kt.matmul_trans_b(a.data(), bt.data(), c.data(), 1, m, k, n);
   ref = NaiveMatMul(a, bt, m, k, n, false, true);
   for (int64_t i = 0; i < m * n; ++i) EXPECT_NEAR(c[i], ref[i], 1e-4f);
 
   std::fill(c.begin(), c.end(), 0.0f);
-  kt.matmul_trans_a(at.data(), b.data(), c.data(), k, m, n);
+  kt.matmul(at.data(), 1, m, b.data(), c.data(), 1, m, k, n);
   ref = NaiveMatMul(at, b, m, k, n, true, false);
   for (int64_t i = 0; i < m * n; ++i) EXPECT_NEAR(c[i], ref[i], 1e-4f);
 
@@ -739,12 +792,12 @@ TEST(SimdBackendTest, MatMulBitIdenticalAcrossThreadCounts) {
   std::vector<float> ref(m * n, 0.0f);
   {
     ComputeContext ctx(1);
-    Dispatch().matmul(a.data(), b.data(), ref.data(), m, k, n);
+    Dispatch().matmul(a.data(), k, 1, b.data(), ref.data(), 1, m, k, n);
   }
   for (int threads : {2, 5, 8}) {
     ComputeContext ctx(threads);
     std::vector<float> c(m * n, 0.0f);
-    Dispatch().matmul(a.data(), b.data(), c.data(), m, k, n);
+    Dispatch().matmul(a.data(), k, 1, b.data(), c.data(), 1, m, k, n);
     EXPECT_EQ(std::memcmp(ref.data(), c.data(), ref.size() * sizeof(float)),
               0)
         << "threads=" << threads;
@@ -761,14 +814,14 @@ TEST(SimdBackendTest, UnalignedOperandsMatchAlignedResults) {
   const auto b = RandomVec(k * n, 88);
   ComputeContext ctx(2);
   std::vector<float> aligned(m * n, 0.0f);
-  Dispatch().matmul(a.data(), b.data(), aligned.data(), m, k, n);
+  Dispatch().matmul(a.data(), k, 1, b.data(), aligned.data(), 1, m, k, n);
   // Same operands shifted one float off any 32-byte boundary: loadu paths
   // must produce the identical bits.
   std::vector<float> abuf(m * k + 1), bbuf(k * n + 1), cbuf(m * n + 1, 0.0f);
   std::copy(a.begin(), a.end(), abuf.begin() + 1);
   std::copy(b.begin(), b.end(), bbuf.begin() + 1);
-  Dispatch().matmul(abuf.data() + 1, bbuf.data() + 1, cbuf.data() + 1, m, k,
-                    n);
+  Dispatch().matmul(abuf.data() + 1, k, 1, bbuf.data() + 1, cbuf.data() + 1,
+                    1, m, k, n);
   EXPECT_EQ(std::memcmp(aligned.data(), cbuf.data() + 1,
                         aligned.size() * sizeof(float)),
             0);
