@@ -120,36 +120,31 @@ void ClusterServer::set_fallback(serving::PopularityFallback fallback) {
 }
 
 Status ClusterServer::Start() {
-  if (factory_ == nullptr) {
-    return Status::InvalidArgument("cluster Start requires a model factory");
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    auto server = std::make_unique<serving::ModelServer>(
-        options_.shard, factory_, clock_, env_);
-    if (!canaries_.empty()) server->set_canary_requests(canaries_);
-    if (has_fallback_) server->set_fallback(fallback_);
-    Status st = server->Start(factory_());
-    if (!st.ok()) return st;
-    shards_[s].server = std::move(server);
-    SLIME_RETURN_IF_ERROR(AttachShardState(static_cast<int64_t>(s)));
-  }
-  started_ = true;
-  PublishHealthGauges();
-  return Status::OK();
+  return BootShards("Start", [this](serving::ModelServer* server) {
+    return server->Start(factory_());
+  });
 }
 
 Status ClusterServer::StartFromCheckpoint(const std::string& path) {
+  return BootShards("StartFromCheckpoint",
+                    [&path](serving::ModelServer* server) {
+                      return server->StartFromCheckpoint(path);
+                    });
+}
+
+Status ClusterServer::BootShards(
+    const std::string& caller,
+    const std::function<Status(serving::ModelServer*)>& boot) {
   if (factory_ == nullptr) {
-    return Status::InvalidArgument(
-        "cluster StartFromCheckpoint requires a model factory");
+    return Status::InvalidArgument("cluster " + caller +
+                                   " requires a model factory");
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
     auto server = std::make_unique<serving::ModelServer>(
         options_.shard, factory_, clock_, env_);
     if (!canaries_.empty()) server->set_canary_requests(canaries_);
     if (has_fallback_) server->set_fallback(fallback_);
-    Status st = server->StartFromCheckpoint(path);
-    if (!st.ok()) return st;
+    SLIME_RETURN_IF_ERROR(boot(server.get()));
     shards_[s].server = std::move(server);
     SLIME_RETURN_IF_ERROR(AttachShardState(static_cast<int64_t>(s)));
   }

@@ -316,6 +316,9 @@ class ClusterServer {
       int64_t shard, uint64_t user_key, bool session,
       const serving::ServeRequest& request, int64_t remaining_nanos,
       int64_t hedge_deadline_nanos);
+  /// Start's and StartFromCheckpoint's shared loop; `caller` names them.
+  Status BootShards(const std::string& caller,
+                    const std::function<Status(serving::ModelServer*)>& boot);
   /// Opens shard `s`'s state store under options_.state_dir and attaches
   /// it to the shard's server. No-op for a stateless cluster.
   Status AttachShardState(int64_t shard);

@@ -3,13 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
-#include <set>
 #include <string_view>
-#include <utility>
-#include <vector>
-
-#include "io/serializer.h"
-#include "tensor/tensor.h"
 
 namespace slime {
 namespace io {
@@ -17,85 +11,76 @@ namespace {
 
 constexpr std::string_view kMagicV2 = "SLM2";
 
-/// Parses the entry layout (count + named tensors) into `module`. Every
-/// entry is validated against the live model first (known and unrepeated
-/// name, equal shape, complete data); only then are the parameters written,
-/// so a rejected file leaves the model untouched.
-Status ParseBody(nn::Module* module, std::string_view body,
-                 const std::string& path) {
-  BinaryReader reader(body);
+}  // namespace
+
+void PutNamedTensors(BinaryWriter* writer, const NamedTensors& named) {
+  writer->PutU64(named.size());
+  for (const auto& [name, tensor] : named) {
+    writer->PutString(name);
+    writer->PutTensor(tensor);
+  }
+}
+
+bool GetNamedTensors(BinaryReader* reader, NamedTensors* named) {
   uint64_t count = 0;
-  if (!reader.GetU64(&count)) {
-    return Status::Corruption("truncated checkpoint header in " + path);
+  if (!reader->GetU64(&count) || count > (uint64_t{1} << 20)) return false;
+  named->resize(count);
+  for (auto& [name, tensor] : *named) {
+    if (!reader->GetString(&name, /*max_len=*/4096) ||
+        !reader->GetTensor(&tensor)) {
+      return false;
+    }
   }
+  return true;
+}
+
+Status AssignParameters(nn::Module* module, const NamedTensors& named,
+                        const std::string& source) {
   auto params = module->NamedParameters();
-  std::map<std::string, autograd::Variable*> by_name;
-  for (auto& [name, variable] : params) {
-    by_name[name] = &variable;
-  }
-  if (count != by_name.size()) {
+  if (named.size() != params.size()) {
     return Status::InvalidArgument(
-        "checkpoint has " + std::to_string(count) + " parameters, model has " +
-        std::to_string(by_name.size()));
+        source + " has " + std::to_string(named.size()) +
+        " parameters, model has " + std::to_string(params.size()));
   }
-  // Each validated entry's parameter and its bytes within `body`.
-  std::vector<std::pair<Tensor*, std::string_view>> staged;
-  staged.reserve(count);
-  std::set<std::string> seen;
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string name;
-    if (!reader.GetString(&name, /*max_len=*/4096)) {
-      return Status::Corruption("bad parameter name length in " + path);
-    }
-    uint32_t rank = 0;
-    if (!reader.GetU32(&rank) || rank > 16) {
-      return Status::Corruption("bad parameter header for '" + name + "'");
-    }
-    std::vector<int64_t> shape(rank);
-    for (auto& d : shape) {
-      if (!reader.GetI64(&d) || d < 0) {
-        return Status::Corruption("bad shape for '" + name + "'");
-      }
-    }
-    const auto it = by_name.find(name);
-    if (it == by_name.end()) {
+  std::map<std::string_view, size_t> index;
+  for (size_t i = 0; i < params.size(); ++i) index[params[i].first] = i;
+  // The listed tensor for each model parameter; with the counts equal, a
+  // list of known, unrepeated names fills every slot.
+  std::vector<const Tensor*> listed(params.size(), nullptr);
+  for (const auto& [name, tensor] : named) {
+    const auto it = index.find(name);
+    if (it == index.end()) {
       return Status::InvalidArgument("model has no parameter '" + name + "'");
     }
-    if (!seen.insert(name).second) {
-      return Status::InvalidArgument("checkpoint lists parameter '" + name +
+    if (listed[it->second] != nullptr) {
+      return Status::InvalidArgument(source + " lists parameter '" + name +
                                      "' twice");
     }
-    Tensor& value = it->second->mutable_value();
-    if (value.shape() != shape) {
+    const Tensor& value = params[it->second].second.value();
+    if (value.shape() != tensor.shape()) {
       return Status::InvalidArgument(
-          "shape mismatch for '" + name + "': checkpoint " +
-          ShapeToString(shape) + " vs model " + value.ShapeString());
+          "shape mismatch for '" + name + "': " + source + " " +
+          tensor.ShapeString() + " vs model " + value.ShapeString());
     }
-    std::string_view data;
-    if (!reader.GetView(static_cast<size_t>(value.numel()) * sizeof(float),
-                        &data)) {
-      return Status::Corruption("truncated data for '" + name + "'");
-    }
-    staged.emplace_back(&value, data);
+    listed[it->second] = &tensor;
   }
-  for (const auto& [value, data] : staged) {
-    std::memcpy(value->data(), data.data(), data.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    Tensor& value = params[i].second.mutable_value();
+    std::memcpy(value.data(), listed[i]->data(),
+                static_cast<size_t>(value.numel()) * sizeof(float));
   }
   return Status::OK();
 }
 
-}  // namespace
-
 Status SaveCheckpoint(const nn::Module& module, const std::string& path,
                       Env* env) {
   if (env == nullptr) env = Env::Default();
-  const auto params = module.NamedParameters();
-  BinaryWriter writer;
-  writer.PutU64(params.size());
-  for (const auto& [name, variable] : params) {
-    writer.PutString(name);
-    writer.PutTensor(variable.value());
+  NamedTensors named;
+  for (const auto& [name, variable] : module.NamedParameters()) {
+    named.emplace_back(name, variable.value());
   }
+  BinaryWriter writer;
+  PutNamedTensors(&writer, named);
   return WriteEnvelope(env, path, kMagicV2, writer.buffer());
 }
 
@@ -105,7 +90,18 @@ Status LoadCheckpoint(nn::Module* module, const std::string& path, Env* env) {
   // as Corruption before any parsing happens.
   Result<std::string> payload = ReadEnvelope(env, path, kMagicV2);
   if (!payload.ok()) return payload.status();
-  return ParseBody(module, payload.value(), path);
+  BinaryReader reader(payload.value());
+  NamedTensors named;
+  if (!GetNamedTensors(&reader, &named)) {
+    return Status::Corruption("truncated or bad parameter entries in " +
+                              path);
+  }
+  if (!reader.AtEnd()) {
+    return Status::Corruption("checkpoint " + path + " has " +
+                              std::to_string(reader.remaining()) +
+                              " bytes after its last entry");
+  }
+  return AssignParameters(module, named, "checkpoint");
 }
 
 }  // namespace io

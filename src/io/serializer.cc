@@ -31,13 +31,6 @@ bool BinaryReader::GetRaw(void* dst, size_t n) {
   return true;
 }
 
-bool BinaryReader::GetView(size_t n, std::string_view* v) {
-  if (n > remaining()) return false;
-  *v = data_.substr(pos_, n);
-  pos_ += n;
-  return true;
-}
-
 bool BinaryReader::GetString(std::string* s, uint32_t max_len) {
   uint32_t len = 0;
   if (!GetU32(&len) || len > max_len || len > remaining()) return false;

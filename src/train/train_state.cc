@@ -73,11 +73,7 @@ Status SaveTrainState(const TrainState& state, const std::string& path,
   PutRngState(&w, state.model_rng);
   w.PutU64(state.batch_order.size());
   for (int64_t idx : state.batch_order) w.PutI64(idx);
-  w.PutU64(state.params.size());
-  for (const auto& [name, tensor] : state.params) {
-    w.PutString(name);
-    w.PutTensor(tensor);
-  }
+  io::PutNamedTensors(&w, state.params);
   w.PutI64(state.adam_step);
   PutTensorList(&w, state.adam_m);
   PutTensorList(&w, state.adam_v);
@@ -121,16 +117,7 @@ Result<TrainState> LoadTrainState(const std::string& path, io::Env* env) {
   for (auto& idx : s.batch_order) {
     if (!r.GetI64(&idx)) return corrupt("batch order");
   }
-  uint64_t param_count = 0;
-  if (!r.GetU64(&param_count) || param_count > (uint64_t{1} << 20)) {
-    return corrupt("parameter count");
-  }
-  s.params.resize(param_count);
-  for (auto& [name, tensor] : s.params) {
-    if (!r.GetString(&name, /*max_len=*/4096) || !r.GetTensor(&tensor)) {
-      return corrupt("parameter entry");
-    }
-  }
+  if (!io::GetNamedTensors(&r, &s.params)) return corrupt("parameters");
   if (!r.GetI64(&s.adam_step)) return corrupt("adam step");
   if (!GetTensorList(&r, &s.adam_m) || !GetTensorList(&r, &s.adam_v)) {
     return corrupt("adam moments");

@@ -2,11 +2,11 @@
 #define SLIME4REC_TRAIN_TRAIN_STATE_H_
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
+#include "io/checkpoint.h"
 #include "io/env.h"
 #include "metrics/ranking.h"
 #include "tensor/tensor.h"
@@ -14,17 +14,10 @@
 namespace slime {
 namespace train {
 
-/// Everything Trainer::Fit carries across epoch boundaries, captured at the
-/// end of a completed epoch. Restoring a TrainState and continuing produces
-/// the same remaining trajectory bit-for-bit as the uninterrupted run: model
-/// parameters, Adam moments and step, both RNG streams, the batcher's
-/// shuffle order, the early-stopping trackers and the best-parameter
-/// snapshot are all included, so nothing is left to re-derivation.
-///
-/// Serialised inside the crash-safe envelope of io/serializer.h under the
-/// magic "SLT1" (payload layout versioned independently of the model
-/// checkpoint format).
-struct TrainState {
+/// The loop trackers Trainer::Fit keeps across epochs: how far the run has
+/// got, its learning rate and rollback budget, and the early-stopping
+/// record with its best-parameter snapshot.
+struct TrainProgress {
   /// Last fully completed epoch (1-based).
   int64_t epoch = 0;
   /// Base learning rate the schedule multiplies; halved on each divergence
@@ -40,6 +33,23 @@ struct TrainState {
   double final_train_loss = 0.0;
   metrics::RankingMetrics best_metrics;
 
+  /// Best-validation parameter snapshot (Parameters() order); what the
+  /// trainer restores before the final test pass. Never written in place
+  /// (an improving epoch replaces it), so copies may share its tensors.
+  std::vector<Tensor> best_params;
+};
+
+/// Everything Trainer::Fit carries across epoch boundaries, captured at the
+/// end of a completed epoch. Restoring a TrainState and continuing produces
+/// the same remaining trajectory bit-for-bit as the uninterrupted run: model
+/// parameters, Adam moments and step, both RNG streams, the batcher's
+/// shuffle order and the TrainProgress record are all included, so nothing
+/// is left to re-derivation.
+///
+/// Serialised inside the crash-safe envelope of io/serializer.h under the
+/// magic "SLT1" (payload layout versioned independently of the model
+/// checkpoint format; the parameters use the checkpoint's entry layout).
+struct TrainState : TrainProgress {
   // RNG streams: the trainer's batch/shuffle generator and the model's
   // internal generator (dropout, augmentation).
   RngState batch_rng;
@@ -48,16 +58,12 @@ struct TrainState {
   std::vector<int64_t> batch_order;
 
   /// Model parameters by qualified name (Module::NamedParameters order).
-  std::vector<std::pair<std::string, Tensor>> params;
+  io::NamedTensors params;
 
   // Adam state, aligned with Module::Parameters() order.
   int64_t adam_step = 0;
   std::vector<Tensor> adam_m;
   std::vector<Tensor> adam_v;
-
-  /// Best-validation parameter snapshot (Parameters() order); what the
-  /// trainer restores before the final test pass.
-  std::vector<Tensor> best_params;
 };
 
 /// Writes `state` to `path` crash-safely (temp file + CRC verify + atomic

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
-#include <set>
 #include <utility>
 
 #include "io/checkpoint.h"
@@ -89,28 +87,16 @@ Result<TrainResult> Trainer::Fit(models::SequentialRecommender* model,
                              model->needs_positives(), &batch_rng);
   optim::Adam optimizer(model->Parameters(), {.lr = config_.lr});
 
-  TrainResult result;
-  double best_valid = -1.0;
-  int64_t since_best = 0;
-  // Snapshot of the best-validation parameters (deep copies).
-  std::vector<Tensor> best_params;
-  float base_lr = config_.lr;
-  int64_t rollbacks = 0;
+  // The loop's trackers, in the record every snapshot carries.
+  TrainProgress progress;
+  progress.base_lr = config_.lr;
   int64_t start_epoch = 1;
 
-  // Captures everything the loop carries across epochs into a TrainState
-  // (all tensors deep-copied, so the snapshot stays frozen while training
-  // keeps mutating the live model).
-  const auto capture = [&](int64_t epoch) {
+  // Captures the record plus deep copies of the model, optimizer and rng
+  // state, so the snapshot stays frozen while training mutates them.
+  const auto capture = [&] {
     TrainState s;
-    s.epoch = epoch;
-    s.base_lr = base_lr;
-    s.rollbacks = rollbacks;
-    s.best_valid = best_valid;
-    s.best_epoch = result.best_epoch;
-    s.since_best = since_best;
-    s.final_train_loss = result.final_train_loss;
-    s.best_metrics = result.valid;
+    static_cast<TrainProgress&>(s) = progress;
     s.batch_rng = batch_rng.state();
     s.model_rng = model->rng()->state();
     s.batch_order = batcher.order();
@@ -120,66 +106,32 @@ Result<TrainResult> Trainer::Fit(models::SequentialRecommender* model,
     s.adam_step = optimizer.step_count();
     s.adam_m = CloneAll(optimizer.first_moments());
     s.adam_v = CloneAll(optimizer.second_moments());
-    s.best_params = CloneAll(best_params);
     return s;
   };
 
-  // Restores a captured TrainState into the live model/optimizer/RNGs and
-  // the loop trackers. Validates names/shapes so a snapshot from a
-  // different model or split is rejected, not silently half-applied.
+  // Restores a captured TrainState into the optimizer, batcher, model,
+  // RNGs and record. Every check runs before the model is written, so a
+  // snapshot from a different model or split leaves it untouched.
   const auto apply = [&](const TrainState& s) -> Status {
-    auto named = model->NamedParameters();
-    std::map<std::string, autograd::Variable*> by_name;
-    for (auto& [name, variable] : named) by_name[name] = &variable;
-    if (s.params.size() != by_name.size()) {
-      return Status::InvalidArgument(
-          "train state has " + std::to_string(s.params.size()) +
-          " parameters, model has " + std::to_string(by_name.size()));
-    }
-    std::set<std::string> seen;
-    for (const auto& [name, tensor] : s.params) {
-      const auto it = by_name.find(name);
-      if (it == by_name.end()) {
-        return Status::InvalidArgument("model has no parameter '" + name +
-                                       "'");
-      }
-      if (!seen.insert(name).second) {
-        return Status::InvalidArgument("train state lists parameter '" +
-                                       name + "' twice");
-      }
-      if (it->second->value().shape() != tensor.shape()) {
-        return Status::InvalidArgument(
-            "shape mismatch for '" + name + "': train state " +
-            tensor.ShapeString() + " vs model " +
-            it->second->value().ShapeString());
-      }
-    }
-    const auto model_params = model->Parameters();
+    const auto params = model->Parameters();
+    const auto same_shape = [](const Tensor& t, const autograd::Variable& p) {
+      return t.shape() == p.value().shape();
+    };
     if (!s.best_params.empty() &&
-        s.best_params.size() != model_params.size()) {
+        !std::equal(s.best_params.begin(), s.best_params.end(),
+                    params.begin(), params.end(), same_shape)) {
       return Status::InvalidArgument(
-          "train state best-parameter count " +
-          std::to_string(s.best_params.size()) + " does not match model (" +
-          std::to_string(model_params.size()) + ")");
+          "train state best parameters (" +
+          std::to_string(s.best_params.size()) + ") do not match the " +
+          std::to_string(params.size()) + " model parameters' shapes");
     }
     SLIME_RETURN_IF_ERROR(optimizer.RestoreState(
         s.adam_step, CloneAll(s.adam_m), CloneAll(s.adam_v)));
     SLIME_RETURN_IF_ERROR(batcher.RestoreOrder(s.batch_order));
-    for (const auto& [name, tensor] : s.params) {
-      by_name[name]->mutable_value() = tensor.Clone();
-    }
+    SLIME_RETURN_IF_ERROR(io::AssignParameters(model, s.params, "train state"));
     batch_rng.set_state(s.batch_rng);
     model->rng()->set_state(s.model_rng);
-    best_params = CloneAll(s.best_params);
-    best_valid = s.best_valid;
-    since_best = s.since_best;
-    base_lr = s.base_lr;
-    rollbacks = s.rollbacks;
-    result.best_epoch = s.best_epoch;
-    result.valid = s.best_metrics;
-    result.final_train_loss = s.final_train_loss;
-    result.epochs_run = s.epoch;
-    result.rollbacks = s.rollbacks;
+    progress = s;
     return Status::OK();
   };
 
@@ -196,13 +148,13 @@ Result<TrainResult> Trainer::Fit(models::SequentialRecommender* model,
     telemetry->OnResume({model->name(), path, last_good.epoch,
                          last_good.best_valid});
   } else {
-    last_good = capture(0);
+    last_good = capture();
   }
 
   for (int64_t epoch = start_epoch; epoch <= config_.max_epochs; ++epoch) {
     const int64_t epoch_start_nanos = clock->NowNanos();
     // The rate is constant except that each divergence rollback halves it.
-    optimizer.set_lr(base_lr);
+    optimizer.set_lr(progress.base_lr);
     model->SetTraining(true);
     double loss_sum = 0.0;
     int64_t loss_count = 0;
@@ -233,41 +185,39 @@ Result<TrainResult> Trainer::Fit(models::SequentialRecommender* model,
     }
 
     if (diverged) {
-      if (rollbacks >= config_.max_rollbacks) {
+      if (progress.rollbacks >= config_.max_rollbacks) {
         return Status::Aborted(
             "training diverged (non-finite loss or gradient) at epoch " +
-            std::to_string(epoch) + " after " + std::to_string(rollbacks) +
-            " rollback(s); giving up");
+            std::to_string(epoch) + " after " +
+            std::to_string(progress.rollbacks) + " rollback(s); giving up");
       }
-      const int64_t next_rollbacks = rollbacks + 1;
-      const float next_base_lr = base_lr * 0.5f;
-      telemetry->OnRollback({model->name(), epoch, last_good.epoch, base_lr,
-                             next_base_lr, next_rollbacks,
+      const int64_t next_rollbacks = progress.rollbacks + 1;
+      const float next_base_lr = progress.base_lr * 0.5f;
+      telemetry->OnRollback({model->name(), epoch, last_good.epoch,
+                             progress.base_lr, next_base_lr, next_rollbacks,
                              config_.max_rollbacks});
       SLIME_RETURN_IF_ERROR(apply(last_good));
       // The rollback itself consumes budget and halves the rate; those two
       // survive the restore.
-      rollbacks = next_rollbacks;
-      base_lr = next_base_lr;
-      result.rollbacks = rollbacks;
+      progress.rollbacks = next_rollbacks;
+      progress.base_lr = next_base_lr;
       // An aborted step may have left partial gradients accumulated.
       optimizer.ZeroGrad();
-      epoch = last_good.epoch;  // loop increment resumes at the next epoch
+      epoch = progress.epoch;  // loop increment resumes at the next epoch
       continue;
     }
 
-    result.final_train_loss = loss_count ? loss_sum / loss_count : 0.0;
-    result.epochs_run = epoch;
-    result.rollbacks = rollbacks;
+    progress.final_train_loss = loss_count ? loss_sum / loss_count : 0.0;
+    progress.epoch = epoch;
 
     const metrics::RankingMetrics valid = Evaluate(model, split, false);
-    const bool improved = valid.ndcg10 > best_valid;
+    const bool improved = valid.ndcg10 > progress.best_valid;
     {
       obs::EpochRecord record;
       record.model = model->name();
       record.epoch = epoch;
-      record.loss = result.final_train_loss;
-      record.lr = base_lr;
+      record.loss = progress.final_train_loss;
+      record.lr = progress.base_lr;
       record.grad_norm = max_grad_norm;
       record.batches = loss_count;
       record.valid = valid;
@@ -276,19 +226,19 @@ Result<TrainResult> Trainer::Fit(models::SequentialRecommender* model,
       telemetry->OnEpoch(record);
     }
     if (improved) {
-      best_valid = valid.ndcg10;
-      result.valid = valid;
-      result.best_epoch = epoch;
-      since_best = 0;
-      best_params.clear();
+      progress.best_valid = valid.ndcg10;
+      progress.best_metrics = valid;
+      progress.best_epoch = epoch;
+      progress.since_best = 0;
+      progress.best_params.clear();
       for (const auto& p : model->Parameters()) {
-        best_params.push_back(p.value().Clone());
+        progress.best_params.push_back(p.value().Clone());
       }
     } else {
-      ++since_best;
+      ++progress.since_best;
     }
 
-    last_good = capture(epoch);
+    last_good = capture();
     if (!config_.checkpoint_dir.empty() &&
         (improved || (config_.checkpoint_every > 0 &&
                       epoch % config_.checkpoint_every == 0))) {
@@ -300,18 +250,24 @@ Result<TrainResult> Trainer::Fit(models::SequentialRecommender* model,
       }
     }
 
-    if (!improved && since_best >= config_.patience) break;
+    if (!improved && progress.since_best >= config_.patience) break;
   }
 
   // Restore the best-validation parameters before the test pass.
-  if (!best_params.empty()) {
+  if (!progress.best_params.empty()) {
     auto params = model->Parameters();
-    SLIME_CHECK_EQ(params.size(), best_params.size());
+    SLIME_CHECK_EQ(params.size(), progress.best_params.size());
     for (size_t i = 0; i < params.size(); ++i) {
-      params[i].mutable_value() = best_params[i];
+      params[i].mutable_value() = progress.best_params[i];
     }
   }
+  TrainResult result;
   result.test = Evaluate(model, split, true);
+  result.valid = progress.best_metrics;
+  result.best_epoch = progress.best_epoch;
+  result.epochs_run = progress.epoch;
+  result.final_train_loss = progress.final_train_loss;
+  result.rollbacks = progress.rollbacks;
   telemetry->OnFitSummary({model->name(), result.epochs_run,
                            result.best_epoch, result.rollbacks,
                            result.final_train_loss, result.test});

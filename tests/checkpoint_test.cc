@@ -264,6 +264,17 @@ TEST(CheckpointTest, ShapeMismatchInLastEntryLeavesEarlierEntriesUntouched) {
   ExpectRejectedUntouched(path, Status::Code::kInvalidArgument);
 }
 
+TEST(CheckpointTest, BytesAfterLastEntryAreRejectedAndModelUntouched) {
+  // A CRC-valid envelope whose payload runs on past the last entry: the
+  // entries themselves would load, the file as a whole must not.
+  const std::string path = TempPath("ckpt_after_last.bin");
+  core::Slime4Rec model(SmallConfig());
+  ASSERT_TRUE(WriteEnvelope(Env::Default(), path, "SLM2",
+                            EntryPayload(Entries(model)) + "8 bytes!")
+                  .ok());
+  ExpectRejectedUntouched(path, Status::Code::kCorruption);
+}
+
 TEST(CheckpointTest, NewFilesCarryV2MagicAndNoTempResidue) {
   const std::string path = TempPath("ckpt_v2magic.bin");
   core::Slime4Rec model(SmallConfig());

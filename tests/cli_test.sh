@@ -43,18 +43,21 @@ WANT=$(awk -v seen="$HISTORY" \
 GOT=$(grep '^top-5:' "$TMP/pop_rec.log")
 [ "$GOT" = "top-5:$WANT" ] || { echo "MostPop top-5 mismatch:"; echo "$GOT"; echo "top-5:$WANT"; exit 1; }
 # Fault tolerance: an interrupted run resumed from its snapshot must end
-# with exactly the metrics of an uninterrupted run of the same length.
-"$CLI" train --data "$TMP/data.txt" --epochs 4 > "$TMP/full.log"
+# with exactly the metrics and the checkpoint bytes of an uninterrupted run
+# of the same length.
+"$CLI" train --data "$TMP/data.txt" --epochs 4 --save "$TMP/full.ckpt" \
+    > "$TMP/full.log"
 FULL_LINE=$(grep '^test' "$TMP/full.log" | tr -s ' ')
 "$CLI" train --data "$TMP/data.txt" --epochs 2 \
     --checkpoint-dir "$TMP/ckpts" --checkpoint-every 1 > /dev/null
 [ -f "$TMP/ckpts/train_state.slt" ] || { echo "no snapshot written"; exit 1; }
 [ -f "$TMP/ckpts/best_model.ckpt" ] || { echo "no best model written"; exit 1; }
-"$CLI" train --data "$TMP/data.txt" --epochs 4 \
+"$CLI" train --data "$TMP/data.txt" --epochs 4 --save "$TMP/resume.ckpt" \
     --checkpoint-dir "$TMP/ckpts" --resume "$TMP/ckpts" > "$TMP/resume.log"
 grep -q "resumed from" "$TMP/resume.log"
 RESUME_LINE=$(grep '^test' "$TMP/resume.log" | tr -s ' ')
 [ "$FULL_LINE" = "$RESUME_LINE" ] || { echo "resume metric mismatch:"; echo "$FULL_LINE"; echo "$RESUME_LINE"; exit 1; }
+cmp "$TMP/full.ckpt" "$TMP/resume.ckpt" || { echo "resumed checkpoint differs"; exit 1; }
 # Resuming from a directory with no snapshot must fail cleanly.
 if "$CLI" train --data "$TMP/data.txt" --epochs 2 \
     --resume "$TMP/empty_ckpts" 2>/dev/null >/dev/null; then

@@ -5,7 +5,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -350,11 +352,19 @@ TEST(KillAndResumeTest, SnapshotIOErrorsSurfaceFromFit) {
   EXPECT_EQ(r.status().code(), Status::Code::kIOError);
 }
 
-TEST(KillAndResumeTest, RepeatedParameterNameFailsResume) {
-  // A CRC-valid snapshot naming one parameter twice (and so never naming
-  // another) must be rejected, not resumed with the unnamed one stale.
+/// `t` with its extents reversed (same numel, a different shape unless
+/// every extent matches).
+Tensor ReversedShape(const Tensor& t) {
+  std::vector<int64_t> shape(t.shape().rbegin(), t.shape().rend());
+  return t.Clone().Reshape(std::move(shape));
+}
+
+TEST(KillAndResumeTest, RejectedSnapshotFailsResumeAndLeavesModelUntouched) {
+  // Each CRC-valid edit of a real snapshot must fail Fit with
+  // InvalidArgument before a byte of the model is written: a resume that
+  // went ahead would train with a stale or misshapen parameter.
   const data::SplitDataset split = TinySplit();
-  const std::string dir = ::testing::TempDir() + "/ft_repeated_name";
+  const std::string dir = ::testing::TempDir() + "/ft_rejected_resume";
   std::filesystem::create_directories(dir);
   train::TrainConfig tc = FtTrainConfig(1);
   tc.checkpoint_dir = dir;
@@ -362,21 +372,72 @@ TEST(KillAndResumeTest, RepeatedParameterNameFailsResume) {
     auto model = models::CreateModel("SASRec", TinyModelConfig(split));
     ASSERT_TRUE(train::Trainer(tc).Fit(model.get(), split).ok());
   }
-  train::TrainState state =
+  const train::TrainState saved =
       train::LoadTrainState(train::SnapshotPath(dir)).value();
-  ASSERT_GE(state.params.size(), 2u);
-  state.params.back().first = state.params.front().first;
-  state.params.back().second = state.params.front().second.Clone();
-  const std::string path = dir + "/repeated_name.slt";
-  ASSERT_TRUE(train::SaveTrainState(state, path).ok());
+  ASSERT_GE(saved.params.size(), 2u);
+  ASSERT_EQ(saved.best_params.size(), saved.params.size());
+  // pos_emb is [max_len, hidden] = [8, 16]: reversing its extents keeps
+  // numel and changes the shape.
+  size_t pos = 0;
+  while (pos < saved.params.size() && saved.params[pos].first != "pos_emb") {
+    ++pos;
+  }
+  ASSERT_LT(pos, saved.params.size());
 
-  auto model = models::CreateModel("SASRec", TinyModelConfig(split));
-  train::TrainConfig resume = FtTrainConfig(2);
-  resume.resume_from = path;
-  const Result<train::TrainResult> r =
-      train::Trainer(resume).Fit(model.get(), split);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument);
+  const std::vector<
+      std::pair<std::string, std::function<void(train::TrainState*)>>>
+      edits = {
+          {"repeated name",
+           [](train::TrainState* s) {
+             s->params.back().first = s->params.front().first;
+             s->params.back().second = s->params.front().second.Clone();
+           }},
+          {"unknown name",
+           [](train::TrainState* s) { s->params.back().first = "no_such"; }},
+          {"changed shape",
+           [pos](train::TrainState* s) {
+             s->params[pos].second = ReversedShape(s->params[pos].second);
+           }},
+          {"dropped entry",
+           [](train::TrainState* s) { s->params.pop_back(); }},
+          // Resumed with max_epochs equal to the snapshot's epoch, so no
+          // epoch runs before the best parameters are put back for the
+          // final test pass.
+          {"changed best-parameter shape",
+           [pos](train::TrainState* s) {
+             s->best_params[pos] = ReversedShape(s->best_params[pos]);
+           }},
+      };
+  for (const auto& [what, edit] : edits) {
+    SCOPED_TRACE(what);
+    train::TrainState state = saved;
+    edit(&state);
+    const std::string path = dir + "/edited.slt";
+    ASSERT_TRUE(train::SaveTrainState(state, path).ok());
+
+    auto model = models::CreateModel("SASRec", TinyModelConfig(split));
+    std::vector<Tensor> before;
+    for (const auto& p : model->Parameters()) {
+      before.push_back(p.value().Clone());
+    }
+    train::TrainConfig resume = FtTrainConfig(saved.epoch);
+    resume.resume_from = path;
+    const Result<train::TrainResult> r =
+        train::Trainer(resume).Fit(model.get(), split);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument)
+        << r.status().ToString();
+    const auto params = model->Parameters();
+    ASSERT_EQ(params.size(), before.size());
+    for (size_t i = 0; i < params.size(); ++i) {
+      const Tensor& now = params[i].value();
+      ASSERT_EQ(now.shape(), before[i].shape()) << i;
+      EXPECT_EQ(std::memcmp(now.data(), before[i].data(),
+                            static_cast<size_t>(now.numel()) * sizeof(float)),
+                0)
+          << i;
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 
