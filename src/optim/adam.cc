@@ -39,14 +39,7 @@ Adam::Adam(std::vector<autograd::Variable> params)
     : Adam(std::move(params), Options()) {}
 
 Adam::Adam(std::vector<autograd::Variable> params, Options options)
-    : params_(std::move(params)), options_(options) {
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (const auto& p : params_) {
-    m_.emplace_back(Tensor::Zeros(p.value().shape()));
-    v_.emplace_back(Tensor::Zeros(p.value().shape()));
-  }
-}
+    : params_(std::move(params)), options_(options) {}
 
 Status Adam::RestoreState(int64_t step_count, std::vector<Tensor> m,
                           std::vector<Tensor> v) {
@@ -54,13 +47,16 @@ Status Adam::RestoreState(int64_t step_count, std::vector<Tensor> m,
     return Status::InvalidArgument("negative Adam step count " +
                                    std::to_string(step_count));
   }
-  if (m.size() != params_.size() || v.size() != params_.size()) {
+  // Full lists restore any step; empty ones only a never-stepped optimizer.
+  const bool full = m.size() == params_.size() && v.size() == params_.size();
+  if (!full && !(step_count == 0 && m.empty() && v.empty())) {
     return Status::InvalidArgument(
-        "Adam state has " + std::to_string(m.size()) + "/" +
-        std::to_string(v.size()) + " moment tensors, optimizer has " +
-        std::to_string(params_.size()) + " parameters");
+        "Adam state at step " + std::to_string(step_count) + " has " +
+        std::to_string(m.size()) + "/" + std::to_string(v.size()) +
+        " moment tensors, optimizer has " + std::to_string(params_.size()) +
+        " parameters");
   }
-  for (size_t i = 0; i < params_.size(); ++i) {
+  for (size_t i = 0; i < m.size(); ++i) {
     if (m[i].shape() != params_[i].value().shape() ||
         v[i].shape() != params_[i].value().shape()) {
       return Status::InvalidArgument(
@@ -76,6 +72,14 @@ Status Adam::RestoreState(int64_t step_count, std::vector<Tensor> m,
 }
 
 void Adam::Step() {
+  if (m_.empty()) {
+    m_.reserve(params_.size());
+    v_.reserve(params_.size());
+    for (const auto& p : params_) {
+      m_.emplace_back(Tensor::Zeros(p.value().shape()));
+      v_.emplace_back(Tensor::Zeros(p.value().shape()));
+    }
+  }
   ++t_;
   compute::AdamStepParams step;
   step.beta1 = kBeta1;

@@ -15,6 +15,11 @@ namespace optim {
 /// handles; Step() reads their accumulated gradients, updates values in
 /// place and clears the gradients. The default lr mirrors the paper's
 /// training setup (1e-3).
+///
+/// The moments m and v exist only once the optimizer has stepped: the
+/// constructor allocates nothing, and the first Step() zero-fills one m and
+/// one v per parameter. Step() runs after Backward(), so the two moment
+/// planes never sit next to a step's activations.
 class Adam {
  public:
   struct Options {
@@ -49,14 +54,18 @@ class Adam {
 
   /// Serialisable optimizer state, exposed so train-state snapshots can
   /// persist the moments and bias-correction step across a crash/resume.
+  /// Both moment lists are empty until the first Step().
   int64_t step_count() const { return t_; }
   const std::vector<Tensor>& first_moments() const { return m_; }
   const std::vector<Tensor>& second_moments() const { return v_; }
 
   /// Restores state captured from an identically-parameterised Adam. The
-  /// moment lists must match the parameter list element-for-element in
-  /// count and shape; mismatches are rejected with InvalidArgument and
-  /// leave the optimizer unchanged.
+  /// moment lists either match the parameter list element-for-element in
+  /// count and shape (any step count), or are both empty with step_count 0,
+  /// which returns the optimizer to its never-stepped state. Anything else
+  /// (empty lists at a later step, one list empty and the other not, a
+  /// count or shape mismatch, a negative step) is rejected with
+  /// InvalidArgument and leaves the optimizer unchanged.
   Status RestoreState(int64_t step_count, std::vector<Tensor> m,
                       std::vector<Tensor> v);
 

@@ -60,7 +60,8 @@ struct TrainState : TrainProgress {
   /// Model parameters by qualified name (Module::NamedParameters order).
   io::NamedTensors params;
 
-  // Adam state, aligned with Module::Parameters() order.
+  // Adam state, aligned with Module::Parameters() order. The moment lists
+  // are empty when adam_step == 0: a never-stepped optimizer has none.
   int64_t adam_step = 0;
   std::vector<Tensor> adam_m;
   std::vector<Tensor> adam_v;

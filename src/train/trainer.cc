@@ -136,7 +136,8 @@ Result<TrainResult> Trainer::Fit(models::SequentialRecommender* model,
   };
 
   // Last-good state for divergence rollback: the initial state before the
-  // first epoch, then the end of every completed epoch.
+  // first epoch (its optimizer has not stepped, so it holds no moments),
+  // then the end of every completed epoch.
   TrainState last_good;
   if (!config_.resume_from.empty()) {
     const std::string path = ResolveResumePath(config_.resume_from, env);

@@ -54,9 +54,10 @@ bool ParamsEqual(const nn::Module& a, const nn::Module& b) {
     if (pa[i].first != pb[i].first) return false;
     const Tensor& ta = pa[i].second.value();
     const Tensor& tb = pb[i].second.value();
-    if (ta.numel() != tb.numel()) return false;
-    for (int64_t j = 0; j < ta.numel(); ++j) {
-      if (ta[j] != tb[j]) return false;
+    if (ta.shape() != tb.shape() ||
+        std::memcmp(ta.data(), tb.data(),
+                    static_cast<size_t>(ta.numel()) * sizeof(float)) != 0) {
+      return false;
     }
   }
   return true;
@@ -208,6 +209,26 @@ TEST(TrainStateTest, RoundTripPreservesEveryField) {
     EXPECT_EQ(a.NextUint64(), b.NextUint64());
     EXPECT_EQ(a.Gaussian(), b.Gaussian());
   }
+  std::remove(path.c_str());
+}
+
+TEST(TrainStateTest, NeverSteppedStateRoundTripsWithoutMoments) {
+  const std::string path = TempPath("ft_state_fresh.slt");
+  train::TrainState s = MakeState();
+  s.adam_step = 0;
+  s.adam_m.clear();
+  s.adam_v.clear();
+  ASSERT_TRUE(train::SaveTrainState(s, path).ok());
+  Result<train::TrainState> loaded = train::LoadTrainState(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const train::TrainState& t = loaded.value();
+  EXPECT_EQ(t.adam_step, 0);
+  EXPECT_TRUE(t.adam_m.empty());
+  EXPECT_TRUE(t.adam_v.empty());
+  ASSERT_EQ(t.params.size(), s.params.size());
+  EXPECT_EQ(t.params[1].second[1], 0.5f);
+  ASSERT_EQ(t.best_params.size(), 2u);
+  EXPECT_EQ(t.best_params[1][1], 4.0f);
   std::remove(path.c_str());
 }
 
@@ -538,6 +559,35 @@ TEST(DivergenceTest, RollbackHalvesLrForEveryLaterEpoch) {
         << "epoch " << i + 1 << " lr after rollback";
     EXPECT_EQ(e.batches, 1);
   }
+}
+
+TEST(DivergenceTest, EpochOneRollbackRestoresANeverSteppedOptimizer) {
+  // The first Loss call diverges, before any Step(): the rollback restores
+  // the initial snapshot, whose optimizer has no moments yet. The retried
+  // run must then be exactly a clean run at half the rate.
+  const data::SplitDataset split = TinySplit();
+  models::ModelConfig c = TinyModelConfig(split);
+  c.dropout = 0.0f;
+  c.emb_dropout = 0.0f;
+  train::TrainConfig tc = FtTrainConfig(3);
+  tc.batch_size = 100000;  // single batch per epoch
+  tc.max_rollbacks = 1;
+  PoisonModel poisoned(models::CreateModel("SASRec", c), /*poison_from=*/1,
+                       /*poison_count=*/1);
+  const Result<train::TrainResult> r =
+      train::Trainer(tc).Fit(&poisoned, split);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().rollbacks, 1);
+  EXPECT_EQ(r.value().epochs_run, 3);
+
+  PoisonModel clean(models::CreateModel("SASRec", c), /*poison_from=*/1,
+                    /*poison_count=*/0);
+  train::TrainConfig half = tc;
+  half.lr = tc.lr * 0.5f;
+  const Result<train::TrainResult> h = train::Trainer(half).Fit(&clean, split);
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  EXPECT_EQ(h.value().rollbacks, 0);
+  EXPECT_TRUE(ParamsEqual(poisoned, clean));
 }
 
 TEST(DivergenceTest, PersistentNaNAbortsAfterMaxRollbacks) {

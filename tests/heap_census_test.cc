@@ -1,6 +1,7 @@
-// Heap census of the FFN's saved activations. This binary replaces the
-// global operator new/delete with a counter of live and peak heap bytes, so
-// it runs alone: no other test shares its allocator.
+// Heap census of the FFN's saved activations and of a training epoch's
+// optimizer state. This binary replaces the global operator new/delete with
+// a counter of live and peak heap bytes, so it runs alone: no other test
+// shares its allocator.
 
 #include <malloc.h>
 
@@ -13,8 +14,12 @@
 #include <vector>
 
 #include "autograd/ops.h"
+#include "core/slime4rec.h"
+#include "data/batcher.h"
+#include "data/synthetic.h"
 #include "nn/feed_forward.h"
 #include "reference_ops.h"
+#include "train/trainer.h"
 
 namespace {
 
@@ -112,6 +117,55 @@ TEST(HeapCensusTest, GeluDropoutMatMulWritesOverAGivenUpBufferUnderNoGrad) {
   EXPECT_GE(over_kept, pre_plane + out_plane);
   EXPECT_LT(over_given_up, pre_plane);
   EXPECT_GE(over_given_up, out_plane);
+}
+
+TEST(HeapCensusTest, OneEpochFitAddsUnderTwoParameterCopiesToItsStep) {
+  data::SyntheticConfig data_config;
+  data_config.num_users = 64;
+  data_config.num_items = 3000;
+  data_config.min_len = 10;
+  data_config.max_len = 30;
+  data_config.seed = 6;
+  const data::SplitDataset split(data::GenerateSynthetic(data_config), 1);
+  core::Slime4RecConfig c;
+  c.num_items = split.num_items();
+  c.num_users = split.num_users();
+  c.max_len = 20;
+  c.hidden_dim = 32;
+  c.num_layers = 2;
+  c.seed = 7;
+  train::TrainConfig tc;
+  tc.max_epochs = 1;
+  tc.batch_size = 1 << 20;  // one batch: the epoch is one step
+  tc.seed = 8;
+
+  // A bare Loss + Backward of the Fit's one batch, on a same-seed twin.
+  core::Slime4Rec stepped(c);
+  int64_t param_bytes = 0;
+  for (const Variable& p : stepped.Parameters()) {
+    param_bytes += p.value().numel() * int64_t{sizeof(float)};
+  }
+  Rng batch_rng(tc.seed);
+  data::TrainBatcher batcher(&split, tc.batch_size, c.max_len,
+                             stepped.needs_positives(), &batch_rng);
+  const data::Batch batch = batcher.Epoch().front();
+  stepped.SetTraining(true);
+  {
+    core::Slime4Rec warm_up(c);  // one-time allocations count for neither
+    warm_up.SetTraining(true);
+    warm_up.Loss(batch).Backward();
+  }
+  const int64_t step =
+      PeakBytesDuring([&] { stepped.Loss(batch).Backward(); });
+
+  core::Slime4Rec fitted(c);
+  const int64_t fit = PeakBytesDuring(
+      [&] { ASSERT_TRUE(train::Trainer(tc).Fit(&fitted, split).ok()); });
+  // The step's activations set both peaks. Beside them Fit holds only its
+  // rollback snapshot's parameter copy: a never-stepped Adam has no moments
+  // for itself or the snapshot to hold.
+  EXPECT_LT(fit - step, 2 * param_bytes)
+      << "fit " << fit << " step " << step << " parameters " << param_bytes;
 }
 
 }  // namespace
