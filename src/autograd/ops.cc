@@ -54,12 +54,19 @@ struct DropoutMask {
   float scale = 1.0f;
 };
 
-/// Draws the mask of `n` elements at drop probability p, 0 < p < 1, as an
+/// Draws the mask of x's n elements at drop probability p, 0 < p < 1, as an
 /// integer-threshold Bernoulli: one raw 64-bit `rng` draw per element, in
 /// element order. A p small enough that keep rounds to 1 keeps everything
-/// (keep * 2^64 would not fit) but still draws n numbers.
-DropoutMask DrawDropoutMask(float p, int64_t n, Rng* rng) {
+/// (keep * 2^64 would not fit) but still draws n numbers. With `positions`
+/// > 1 each row of x (along its last axis) is the last of `positions` rows:
+/// the walk draws the (positions - 1) * row numbers before it too, keeping
+/// no bits of them, so it advances `rng` exactly as the full mask does.
+DropoutMask DrawDropoutMask(float p, const Tensor& x, int64_t positions,
+                            Rng* rng) {
   SLIME_CHECK_LT(p, 1.0f);
+  SLIME_CHECK_GE(positions, 1);
+  const int64_t n = x.numel();
+  const int64_t row = positions > 1 ? x.size(-1) : n;
   const float keep = 1.0f - p;
   const uint64_t threshold =
       keep < 1.0f ? static_cast<uint64_t>(keep * 18446744073709551616.0)
@@ -67,11 +74,18 @@ DropoutMask DrawDropoutMask(float p, int64_t n, Rng* rng) {
   DropoutMask mask;
   mask.scale = 1.0f / keep;
   mask.bits.resize(static_cast<size_t>((n + 63) / 64));
+  const int64_t skipped = (positions - 1) * row;
+  int64_t row_left = 0;  // kept elements left in the current row
   for (size_t w = 0; w < mask.bits.size(); ++w) {
     const int64_t m = std::min<int64_t>(64, n - 64 * int64_t(w));
     uint64_t word = 0;
-    for (int64_t j = 0; j < m; ++j)
+    for (int64_t j = 0; j < m; ++j) {
+      if (row_left-- == 0) {
+        for (int64_t s = 0; s < skipped; ++s) rng->NextUint64();
+        row_left = row - 1;
+      }
       word |= uint64_t(rng->NextUint64() < threshold) << j;
+    }
     mask.bits[w] = word;
   }
   return mask;
@@ -695,10 +709,11 @@ Variable LayerNorm(const Variable& x, const Variable& gamma,
       });
 }
 
-Variable Dropout(const Variable& x, float p, bool training, Rng* rng) {
+Variable Dropout(const Variable& x, float p, bool training, Rng* rng,
+                 int64_t positions) {
   if (!training || p <= 0.0f) return x;
   const int64_t n = x.numel();
-  DropoutMask mask = DrawDropoutMask(p, n, rng);
+  DropoutMask mask = DrawDropoutMask(p, x.value(), positions, rng);
   Tensor y(x.value().shape());
   compute::Dispatch().dropout_mask(x.value().data(), mask.bits.data(),
                                    mask.scale, y.data(), n);
@@ -713,7 +728,7 @@ Variable Dropout(const Variable& x, float p, bool training, Rng* rng) {
 }
 
 Variable GeluDropoutMatMul(Variable pre, const Variable& w, float p,
-                           bool training, Rng* rng) {
+                           bool training, Rng* rng, int64_t positions) {
   const Tensor& wt = w.value();
   SLIME_CHECK_EQ(wt.dim(), 2);
   const int64_t k = wt.size(0);
@@ -721,7 +736,8 @@ Variable GeluDropoutMatMul(Variable pre, const Variable& w, float p,
   const int64_t n = pre.numel();
   const int64_t rows = n / k;
   const bool drop = training && p > 0.0f;
-  DropoutMask mask = drop ? DrawDropoutMask(p, n, rng) : DropoutMask();
+  DropoutMask mask =
+      drop ? DrawDropoutMask(p, pre.value(), positions, rng) : DropoutMask();
   const auto& kt = compute::Dispatch();
   // D = Dropout(GELU(pre)) as (rows, k), over pre's own buffer when the
   // caller gave it up under a NoGradScope. Nothing saves D: backward

@@ -99,7 +99,14 @@ Variable LayerNorm(const Variable& x, const Variable& gamma,
 /// Inverted dropout: scales kept activations by 1/(1-p). Identity when
 /// `training` is false or p == 0. Draws one `rng` number per element and
 /// keeps the mask for backward as one bit per element.
-Variable Dropout(const Variable& x, float p, bool training, Rng* rng);
+///
+/// `positions` > 1 marks x, such as a (B, 1, d) tail, as the last of
+/// `positions` rows (along its last axis) of each sequence. The mask is then
+/// drawn over all B * positions * d elements in the same order and only the
+/// last row's bits are kept: output, gradient and the state `rng` is left
+/// in are those of the full (B, positions, d) op at that row.
+Variable Dropout(const Variable& x, float p, bool training, Rng* rng,
+                 int64_t positions = 1);
 
 /// Dropout(Gelu(pre), p, training, rng) flattened to (rows, k) and
 /// multiplied by `w` (k, n): the FFN's second matmul input (Eq. 29) as one
@@ -108,8 +115,9 @@ Variable Dropout(const Variable& x, float p, bool training, Rng* rng);
 /// saves `pre`, the mask bits and `w` but not the dropout output, which
 /// backward recomputes. Under a NoGradScope with CanReuse(pre), GELU and the
 /// mask are written over pre's buffer. Pass `pre` with std::move.
+/// `positions` draws the mask for a tail, as Dropout's does.
 Variable GeluDropoutMatMul(Variable pre, const Variable& w, float p,
-                           bool training, Rng* rng);
+                           bool training, Rng* rng, int64_t positions = 1);
 
 /// Max over axis 1 of a (B,T,F) tensor -> (B,F); used by Caser.
 Variable MaxPoolAxis1(const Variable& x);

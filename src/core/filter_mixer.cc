@@ -56,6 +56,13 @@ autograd::Variable AtPositions(const autograd::Variable& x,
   return autograd::Slice(x, 1, n - 1, n);
 }
 
+/// The positions a dropout at `positions` draws its mask over: kLast's one
+/// row per sequence still draws all N rows' numbers and keeps the last's
+/// bits, so the generator and every kept bit match kAll's.
+int64_t DrawnPositions(int64_t n, Positions positions) {
+  return positions == Positions::kAll ? 1 : n;
+}
+
 }  // namespace
 
 autograd::Variable FilterMixerLayer::Forward(const autograd::Variable& x,
@@ -79,8 +86,10 @@ autograd::Variable FilterMixerLayer::Forward(const autograd::Variable& x,
   // holds it.
   Variable h = AtPositions(
       fft::Irfft(fft::FilterMix(fft::Rfft(x), terms), n), positions);
-  h = dropout_->Forward(h, rng);
-  Variable sum = autograd::Add(AtPositions(x, positions), h);
+  h = dropout_->Forward(h, rng, DrawnPositions(n, positions));
+  // x second: x's gradient terms then sum in the same order whether or not
+  // its kLast Slice sits between, so the tail's gradients keep every bit.
+  Variable sum = autograd::Add(h, AtPositions(x, positions));
   h = Variable();
   return layer_norm_->Forward(sum);
 }
@@ -128,8 +137,10 @@ autograd::Variable FilterMixerBlock::Forward(const autograd::Variable& x,
   // Eq. 30: densely residual combination of block input, mixer output and
   // FFN output; FeedForward's trailing dropout realises the Dropout(...)
   // term. h_hat and f are dropped at their last use.
-  Variable f = ffn_->Forward(h_hat, rng);
-  Variable sum = Add(AtPositions(x, positions), h_hat);
+  Variable f = ffn_->Forward(h_hat, rng, DrawnPositions(x.size(1), positions));
+  // x second, as in the mixer's residual: the order x's gradient terms sum
+  // in is then the same with and without the kLast Slice.
+  Variable sum = Add(h_hat, AtPositions(x, positions));
   h_hat = Variable();
   sum = Add(sum, f);
   f = Variable();

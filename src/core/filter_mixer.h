@@ -34,7 +34,10 @@ struct FilterMixerOptions {
 /// Which sequence positions a forward pass returns. kLast keeps only
 /// position N-1 from the inverse FFT on, as a (B, 1, d) tensor: the rFFT
 /// mixes all N positions, but every op after the irFFT treats positions
-/// independently, so row N-1 comes out bit-identical to kAll's.
+/// independently, so row N-1 comes out bit-identical to kAll's. In
+/// training each dropout after the irFFT still draws its mask over all N
+/// rows and keeps row N-1's bits, so the generator ends where kAll leaves
+/// it and the row's value and gradients keep every bit.
 enum class Positions { kAll, kLast };
 
 /// One filter-mixer sublayer (the self-attention replacement): FFT ->
@@ -85,7 +88,8 @@ class FilterMixerBlock : public nn::Module {
                    float dropout, Rng* rng);
 
   /// x: (B, N, d); returns H^{l+1} at `positions`. With kLast the dropout
-  /// layers after the irFFT draw B*d numbers from `rng` instead of B*N*d.
+  /// layers after the irFFT keep B*d mask bits but draw all B*N*d numbers
+  /// from `rng`, as kAll does.
   autograd::Variable Forward(const autograd::Variable& x, Rng* rng,
                              Positions positions = Positions::kAll) const;
 

@@ -40,17 +40,12 @@ autograd::Variable Slime4Rec::Encode(const std::vector<int64_t>& input_ids,
 
 autograd::Variable Slime4Rec::EncodeLast(
     const std::vector<int64_t>& input_ids, int64_t batch_size) {
-  using autograd::Reshape;
-  using autograd::Slice;
   const int64_t n = config_.max_len;
-  const int64_t d = config_.hidden_dim;
-  if (!training() && !blocks_.empty()) {
-    return Reshape(EncodeAt(input_ids, batch_size, Positions::kLast),
-                   {batch_size, d});
-  }
-  autograd::Variable h = Encode(input_ids, batch_size);
-  // Left padding places the most recent item at position N-1.
-  return Reshape(Slice(h, 1, n - 1, n), {batch_size, d});
+  autograd::Variable h = EncodeAt(input_ids, batch_size, Positions::kLast);
+  // Left padding places the most recent item at position N-1. With L = 0
+  // no block cuts the tail, and the stem's N rows are all still there.
+  if (blocks_.empty()) h = autograd::Slice(h, 1, n - 1, n);
+  return autograd::Reshape(h, {batch_size, config_.hidden_dim});
 }
 
 std::optional<std::pair<autograd::Variable, autograd::Variable>>

@@ -41,12 +41,12 @@ class Slime4Rec : public models::NextItemRecommender {
   autograd::Variable Encode(const std::vector<int64_t>& input_ids,
                             int64_t batch_size);
 
-  /// Last-position user representation h_t^L, shape (B, d). In eval mode
-  /// the final block keeps only position N-1 after its irFFT (mixer
-  /// dropout, residual, LayerNorm, FFN, dense residual, block LayerNorm),
-  /// bit-identical to the last row of Encode. Training keeps all rows:
-  /// that tail's dropout draws B * N * d numbers, and fewer draws would
-  /// shift every later mask.
+  /// Last-position user representation h_t^L, shape (B, d). The final
+  /// block keeps only position N-1 after its irFFT (mixer dropout,
+  /// residual, LayerNorm, FFN, dense residual, block LayerNorm), in
+  /// training and in eval, bit-identical to the last row of Encode. In
+  /// training that tail's dropouts still draw B * N * d numbers and keep
+  /// row N-1's bits, so every later mask and every gradient are Encode's.
   autograd::Variable EncodeLast(const std::vector<int64_t>& input_ids,
                                 int64_t batch_size);
 

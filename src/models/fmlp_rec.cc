@@ -38,12 +38,19 @@ autograd::Variable FmlpRec::EncodeLast(const std::vector<int64_t>& input_ids,
   using autograd::Variable;
   const int64_t n = config_.max_len;
   Variable h = stem_.Forward(input_ids, batch_size, &rng_);
-  for (const auto& b : blocks_) {
-    Variable filtered = b.filter->Forward(h, &rng_);  // includes residual+LN
-    Variable f = b.ffn->Forward(filtered, &rng_);
+  if (blocks_.empty()) h = Slice(h, 1, n - 1, n);  // L = 0: no block cuts it
+  for (size_t l = 0; l < blocks_.size(); ++l) {
+    const Block& b = blocks_[l];
+    // The last block keeps only position N-1 from its irFFT on; its dropouts
+    // still draw over all N rows (core::Positions::kLast).
+    const bool last = l + 1 == blocks_.size();
+    Variable filtered = b.filter->Forward(
+        h, &rng_, last ? core::Positions::kLast : core::Positions::kAll);
+    Variable f = b.ffn->Forward(filtered, &rng_, last ? n : 1);
     h = b.ffn_norm->Forward(Add(filtered, f));
   }
-  return Reshape(Slice(h, 1, n - 1, n), {batch_size, config_.hidden_dim});
+  // Left padding places the most recent item at position N-1.
+  return Reshape(h, {batch_size, config_.hidden_dim});
 }
 
 }  // namespace models

@@ -12,7 +12,10 @@ class Dropout : public Module {
  public:
   explicit Dropout(float p) : p_(p) {}
 
-  autograd::Variable Forward(const autograd::Variable& x, Rng* rng) const;
+  /// `positions` > 1: x is the last of that many rows per sequence, and the
+  /// mask is drawn as over all of them (autograd::Dropout).
+  autograd::Variable Forward(const autograd::Variable& x, Rng* rng,
+                             int64_t positions = 1) const;
 
   float p() const { return p_; }
 

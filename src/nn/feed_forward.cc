@@ -16,14 +16,14 @@ FeedForward::FeedForward(int64_t dim, float dropout, Rng* rng,
       RegisterModule("out_dropout", std::make_shared<Dropout>(dropout));
 }
 
-autograd::Variable FeedForward::Forward(const autograd::Variable& x,
-                                        Rng* rng) const {
+autograd::Variable FeedForward::Forward(const autograd::Variable& x, Rng* rng,
+                                        int64_t positions) const {
   autograd::Variable h = autograd::GeluDropoutMatMul(
       w1_->Forward(x), w2_->weight(), inner_dropout_->p(),
-      inner_dropout_->training(), rng);
+      inner_dropout_->training(), rng, positions);
   h = autograd::AddInPlace(std::move(h), w2_->bias());
   h = autograd::Reshape(h, x.shape());
-  return out_dropout_->Forward(h, rng);
+  return out_dropout_->Forward(h, rng, positions);
 }
 
 }  // namespace nn

@@ -22,7 +22,10 @@ class FeedForward : public Module {
   FeedForward(int64_t dim, float dropout, Rng* rng,
               int64_t hidden_multiplier = 1);
 
-  autograd::Variable Forward(const autograd::Variable& x, Rng* rng) const;
+  /// `positions` > 1: x is the last of that many rows per sequence, and both
+  /// dropout masks are drawn as over all of them (autograd::Dropout).
+  autograd::Variable Forward(const autograd::Variable& x, Rng* rng,
+                             int64_t positions = 1) const;
 
  private:
   std::shared_ptr<Linear> w1_;

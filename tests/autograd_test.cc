@@ -4,10 +4,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "autograd/gradcheck.h"
 #include "autograd/variable.h"
+#include "compute/backend.h"
+#include "compute/thread_pool.h"
 #include "fft/spectral_ops.h"
 #include "optim/adam.h"
 #include "tensor/tensor_ops.h"
@@ -377,6 +380,111 @@ TEST(AutogradTest, DropoutTinyRateKeepsEverything) {
             0);
   for (int64_t i = 0; i < n; ++i) twin.NextUint64();
   EXPECT_TRUE(SameRngState(rng.state(), twin.state()));
+}
+
+/// Every `positions`-th row of `t` read as rows of `row` floats, starting at
+/// row positions - 1: the last position of each sequence of a (B, N, row)
+/// tensor, as one contiguous (B, row) block.
+Tensor LastPositions(const Tensor& t, int64_t positions, int64_t row) {
+  const int64_t b = t.numel() / (positions * row);
+  Tensor out({b, row});
+  for (int64_t i = 0; i < b; ++i) {
+    std::memcpy(out.data() + i * row,
+                t.data() + ((i + 1) * positions - 1) * row,
+                row * sizeof(float));
+  }
+  return out;
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// `weights` on row N-1 of each sequence of a (B, N, row) tensor, zeros on
+/// the other rows: the gradient a full op receives when only its last row
+/// is read.
+Tensor OnLastPositions(const Tensor& weights, int64_t positions, int64_t row) {
+  const int64_t b = weights.numel() / row;
+  Tensor out = Tensor::Zeros({b * positions, row});
+  for (int64_t i = 0; i < b; ++i) {
+    std::memcpy(out.data() + ((i + 1) * positions - 1) * row,
+                weights.data() + i * row, row * sizeof(float));
+  }
+  return out;
+}
+
+TEST(AutogradTest, TailOpsDrawTheFullMaskAndKeepItsLastRow) {
+  // Dropout and GeluDropoutMatMul on a (B, 1, d) tail with N positions
+  // drawn, against the last row of the same op on (B, N, d) under a twin
+  // generator: output, input gradient, weight gradient and generator state
+  // all identical. The element counts are not multiples of 64, so kept
+  // rows straddle mask words.
+  struct BackendGuard {
+    ~BackendGuard() { compute::SetKernelBackend("scalar").value(); }
+  } guard;
+  const float p = 0.3f;
+  struct Shape {
+    int64_t b, n, d;
+  };
+  for (const auto& backend : compute::AvailableKernelBackends()) {
+    compute::SetKernelBackend(backend).value();
+    for (const Shape s : {Shape{3, 7, 13}, Shape{5, 11, 29}}) {
+      for (const int threads : {1, 2, 8}) {
+        compute::ComputeContext ctx(threads);
+        const std::string label =
+            backend + " B=" + std::to_string(s.b) + " N=" +
+            std::to_string(s.n) + " d=" + std::to_string(s.d) +
+            " threads=" + std::to_string(threads);
+        Rng init(90);
+        const Tensor x_full = Tensor::Randn({s.b, s.n, s.d}, &init);
+        const Tensor x_last = LastPositions(x_full, s.n, s.d)
+                                  .Reshape({s.b, 1, s.d});
+        const Tensor w = Tensor::Randn({s.d, 6}, &init);
+        const Tensor g_drop = Tensor::Randn({s.b, 1, s.d}, &init);
+        const Tensor g_mm = Tensor::Randn({s.b, 6}, &init);
+
+        {  // Dropout
+          Rng rng(91), twin(91);
+          Variable full = Param(x_full.Clone());
+          Variable tail = Param(x_last.Clone());
+          Variable y_full = Dropout(full, p, true, &rng);
+          Variable y_tail = Dropout(tail, p, true, &twin, s.n);
+          EXPECT_TRUE(SameRngState(twin.state(), rng.state())) << label;
+          EXPECT_TRUE(SameBits(y_tail.value(),
+                               LastPositions(y_full.value(), s.n, s.d)))
+              << label;
+          Sum(MulConst(y_full, OnLastPositions(g_drop, s.n, s.d)
+                                   .Reshape({s.b, s.n, s.d})))
+              .Backward();
+          Sum(MulConst(y_tail, g_drop)).Backward();
+          EXPECT_TRUE(
+              SameBits(tail.grad(), LastPositions(full.grad(), s.n, s.d)))
+              << label;
+        }
+        {  // GeluDropoutMatMul
+          Rng rng(92), twin(92);
+          Variable full = Param(x_full.Clone());
+          Variable tail = Param(x_last.Clone());
+          Variable w_full = Param(w.Clone());
+          Variable w_tail = Param(w.Clone());
+          Variable y_full = GeluDropoutMatMul(full, w_full, p, true, &rng);
+          Variable y_tail =
+              GeluDropoutMatMul(tail, w_tail, p, true, &twin, s.n);
+          EXPECT_TRUE(SameRngState(twin.state(), rng.state())) << label;
+          EXPECT_TRUE(
+              SameBits(y_tail.value(), LastPositions(y_full.value(), s.n, 6)))
+              << label;
+          Sum(MulConst(y_full, OnLastPositions(g_mm, s.n, 6))).Backward();
+          Sum(MulConst(y_tail, g_mm)).Backward();
+          EXPECT_TRUE(
+              SameBits(tail.grad(), LastPositions(full.grad(), s.n, s.d)))
+              << label;
+          EXPECT_TRUE(SameBits(w_tail.grad(), w_full.grad())) << label;
+        }
+      }
+    }
+  }
 }
 
 TEST(AutogradTest, MulConstBackwardUsesMask) {

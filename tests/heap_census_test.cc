@@ -25,6 +25,9 @@ namespace {
 
 std::atomic<int64_t> live_bytes{0};
 std::atomic<int64_t> peak_bytes{0};
+// Live blocks whose usable size is `watched_size` (0: none watched).
+std::atomic<int64_t> watched_size{0};
+std::atomic<int64_t> watched_live{0};
 
 void* Counted(void* p) {
   if (p == nullptr) throw std::bad_alloc();
@@ -33,12 +36,15 @@ void* Counted(void* p) {
   int64_t peak = peak_bytes.load();
   while (now > peak && !peak_bytes.compare_exchange_weak(peak, now)) {
   }
+  if (size == watched_size.load()) watched_live.fetch_add(1);
   return p;
 }
 
 void Uncounted(void* p) {
   if (p == nullptr) return;
-  live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)));
+  const int64_t size = static_cast<int64_t>(malloc_usable_size(p));
+  live_bytes.fetch_sub(size);
+  if (size == watched_size.load()) watched_live.fetch_sub(1);
   std::free(p);
 }
 
@@ -71,6 +77,20 @@ int64_t PeakBytesDuring(Fn fn) {
   peak_bytes.store(before);
   fn();
   return peak_bytes.load() - before;
+}
+
+/// Blocks of `bytes`' usable size (a float tensor's buffer of that many
+/// bytes) that `fn`'s result keeps alive.
+template <typename Fn>
+int64_t BlocksKeptBy(int64_t bytes, Fn fn) {
+  void* probe = std::malloc(static_cast<size_t>(bytes));  // not counted
+  watched_size.store(static_cast<int64_t>(malloc_usable_size(probe)));
+  std::free(probe);
+  const int64_t before = watched_live.load();
+  const Variable y = fn();
+  const int64_t kept = watched_live.load() - before;
+  watched_size.store(0);
+  return kept;
 }
 
 TEST(HeapCensusTest, FeedForwardKeepsOnePlaneFewerThanTheComposedChain) {
@@ -117,6 +137,47 @@ TEST(HeapCensusTest, GeluDropoutMatMulWritesOverAGivenUpBufferUnderNoGrad) {
   EXPECT_GE(over_kept, pre_plane + out_plane);
   EXPECT_LT(over_given_up, pre_plane);
   EXPECT_GE(over_given_up, out_plane);
+}
+
+TEST(HeapCensusTest, TrainingLossKeepsNoFullPlaneOfTheFinalBlock) {
+  // The final block runs on row N-1 only in training too: a one-block
+  // model's Loss (three encoder passes: CE, dropout view, positive view)
+  // keeps no more (B, N, d) planes than the embedding stem alone (L = 0)
+  // does. The filter's saved spectrum is (B, M, d) complex, another size.
+  data::SyntheticConfig data_config;
+  data_config.num_users = 16;
+  data_config.num_items = 300;
+  data_config.min_len = 6;
+  data_config.max_len = 20;
+  data_config.seed = 9;
+  const data::SplitDataset split(data::GenerateSynthetic(data_config), 1);
+  core::Slime4RecConfig c;
+  c.num_items = split.num_items();
+  c.num_users = split.num_users();
+  c.max_len = 11;
+  c.hidden_dim = 24;
+  c.seed = 10;
+  const int64_t batch_size = 4;
+  const int64_t plane =
+      batch_size * c.max_len * c.hidden_dim * int64_t{sizeof(float)};
+  Rng batch_rng(11);
+  data::TrainBatcher batcher(&split, batch_size, c.max_len,
+                             /*with_positives=*/true, &batch_rng);
+  const data::Batch batch = batcher.Epoch().front();
+  ASSERT_EQ(batch.size, batch_size);
+
+  const auto planes_kept = [&](int64_t layers) {
+    c.num_layers = layers;
+    core::Slime4Rec model(c);
+    model.SetTraining(true);
+    model.Loss(batch);  // warm-up: FFT plans and other one-time state
+    return BlocksKeptBy(plane, [&] { return model.Loss(batch); });
+  };
+  const int64_t stem = planes_kept(0);
+  const int64_t one_block = planes_kept(1);
+  EXPECT_GT(stem, 0) << "the census sees the stem's planes";
+  EXPECT_EQ(one_block - stem, 0)
+      << "stem " << stem << " stem + final block " << one_block;
 }
 
 TEST(HeapCensusTest, OneEpochFitAddsUnderTwoParameterCopiesToItsStep) {

@@ -5,9 +5,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "compute/backend.h"
 #include "data/batcher.h"
 #include "optim/adam.h"
 
@@ -29,15 +33,15 @@ Slime4RecConfig SmallConfig() {
   return c;
 }
 
-data::Batch SmallBatch(bool with_positives) {
+data::Batch SmallBatch(bool with_positives, int64_t max_len = 8) {
   data::Batch b;
   b.size = 3;
-  b.max_len = 8;
+  b.max_len = max_len;
   b.user_ids = {0, 1, 2};
   b.targets = {5, 7, 2};
   b.raw_prefixes = {{1, 2, 3}, {4, 5, 6, 7}, {1}};
   for (const auto& raw : b.raw_prefixes) {
-    const auto padded = data::PadTruncate(raw, 8);
+    const auto padded = data::PadTruncate(raw, max_len);
     b.input_ids.insert(b.input_ids.end(), padded.begin(), padded.end());
     if (with_positives) {
       b.positive_input_ids.insert(b.positive_input_ids.end(), padded.begin(),
@@ -92,20 +96,79 @@ TEST(Slime4RecTest, EvalEncodeLastEqualsLastRowOfEncode) {
   EXPECT_EQ(Bits(model.EncodeLast(b.input_ids, b.size).value()), want);
 }
 
+/// A training pass that backpropagates a fixed weighted sum of the user
+/// vector h_t^L: its bits, every parameter gradient and the generator after.
+struct TrainingRow {
+  std::vector<uint32_t> row;
+  std::vector<std::pair<std::string, std::vector<uint32_t>>> grads;
+  RngState rng;
+};
+
+TrainingRow RunTrainingRow(const Slime4RecConfig& c, bool tail) {
+  Slime4Rec model(c);
+  const data::Batch b = SmallBatch(false, c.max_len);
+  const int64_t n = c.max_len;
+  const autograd::Variable row =
+      tail ? model.EncodeLast(b.input_ids, b.size)
+           : autograd::Reshape(
+                 autograd::Slice(model.Encode(b.input_ids, b.size), 1, n - 1,
+                                 n),
+                 {b.size, c.hidden_dim});
+  Rng weights(13);
+  autograd::Sum(autograd::MulConst(row, Tensor::Randn(row.shape(), &weights)))
+      .Backward();
+  TrainingRow out{Bits(row.value()), {}, model.rng()->state()};
+  for (const auto& [name, p] : model.NamedParameters()) {
+    out.grads.emplace_back(name, Bits(p.grad()));
+  }
+  return out;
+}
+
 TEST(Slime4RecTest, TrainingEncodeLastKeepsEncodesDropoutStream) {
-  // Training keeps every row through the final block, so EncodeLast makes
-  // the same dropout draws as Encode: same generator state afterwards and
-  // the same row N-1.
-  Slime4Rec full(SmallConfig());
-  Slime4Rec last(SmallConfig());
-  const data::Batch b = SmallBatch(false);
-  const Tensor h = full.Encode(b.input_ids, b.size).value();
-  const Tensor h_last = last.EncodeLast(b.input_ids, b.size).value();
-  const RngState want = full.rng()->state();
-  const RngState got = last.rng()->state();
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(got.s[i], want.s[i]) << "word " << i;
-  EXPECT_EQ(got.have_cached_gaussian, want.have_cached_gaussian);
-  EXPECT_EQ(Bits(h_last), LastRow(h));
+  // Training runs the final block on row N-1 only, its dropouts drawing
+  // over all N rows and keeping the last row's bits. Against Encode + Slice
+  // on a same-seed twin: the same row, the same generator state afterwards
+  // and every parameter gradient bit-identical.
+  struct Variant {
+    const char* name;
+    double alpha;
+    bool use_dynamic;
+    bool use_static;
+  };
+  const Variant variants[] = {{"dfs+sfs", 0.5, true, true},
+                              {"dfs-only", 0.5, true, false},
+                              {"sfs-only", 0.5, false, true},
+                              {"alpha=1", 1.0, true, true}};
+  struct TierGuard {
+    ~TierGuard() { compute::SetKernelBackend("scalar").value(); }
+  } guard;
+  for (const auto& backend : compute::AvailableKernelBackends()) {
+    compute::SetKernelBackend(backend).value();
+    for (const Variant& v : variants) {
+      for (const int64_t n : {8, 13}) {
+        Slime4RecConfig c = SmallConfig();
+        c.max_len = n;
+        c.mixer.alpha = v.alpha;
+        c.mixer.use_dynamic = v.use_dynamic;
+        c.mixer.use_static = v.use_static;
+        const std::string label =
+            backend + " " + v.name + " N=" + std::to_string(n);
+        const TrainingRow want = RunTrainingRow(c, /*tail=*/false);
+        const TrainingRow got = RunTrainingRow(c, /*tail=*/true);
+        for (int i = 0; i < 4; ++i) {
+          EXPECT_EQ(got.rng.s[i], want.rng.s[i]) << label << " word " << i;
+        }
+        EXPECT_EQ(got.rng.have_cached_gaussian, want.rng.have_cached_gaussian)
+            << label;
+        EXPECT_EQ(got.row, want.row) << label;
+        ASSERT_EQ(got.grads.size(), want.grads.size()) << label;
+        for (size_t i = 0; i < want.grads.size(); ++i) {
+          EXPECT_EQ(got.grads[i], want.grads[i])
+              << label << " " << want.grads[i].first;
+        }
+      }
+    }
+  }
 }
 
 TEST(Slime4RecTest, ScoreAllShapeIncludesPaddingColumn) {
