@@ -14,7 +14,6 @@
 #include "common/random.h"
 #include "data/loader.h"
 #include "data/synthetic.h"
-#include "io/checkpoint.h"
 #include "io/env.h"
 #include "models/model_factory.h"
 #include "observability/telemetry.h"
@@ -291,7 +290,7 @@ struct Context {
 
   /// Writes a freshly initialised model's checkpoint to `path`.
   Status SaveFreshCheckpoint(const std::string& path) {
-    return io::SaveCheckpoint(*NewModel(), path, &env);
+    return models::SaveCheckpoint(*NewModel(), path, &env);
   }
 
   static serving::ServeRequest Request(std::vector<int64_t> history) {

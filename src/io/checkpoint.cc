@@ -7,11 +7,6 @@
 
 namespace slime {
 namespace io {
-namespace {
-
-constexpr std::string_view kMagicV2 = "SLM2";
-
-}  // namespace
 
 void PutNamedTensors(BinaryWriter* writer, const NamedTensors& named) {
   writer->PutU64(named.size());
@@ -70,38 +65,6 @@ Status AssignParameters(nn::Module* module, const NamedTensors& named,
                 static_cast<size_t>(value.numel()) * sizeof(float));
   }
   return Status::OK();
-}
-
-Status SaveCheckpoint(const nn::Module& module, const std::string& path,
-                      Env* env) {
-  if (env == nullptr) env = Env::Default();
-  NamedTensors named;
-  for (const auto& [name, variable] : module.NamedParameters()) {
-    named.emplace_back(name, variable.value());
-  }
-  BinaryWriter writer;
-  PutNamedTensors(&writer, named);
-  return WriteEnvelope(env, path, kMagicV2, writer.buffer());
-}
-
-Status LoadCheckpoint(nn::Module* module, const std::string& path, Env* env) {
-  if (env == nullptr) env = Env::Default();
-  // Envelope verification reports truncation, a foreign magic and bit flips
-  // as Corruption before any parsing happens.
-  Result<std::string> payload = ReadEnvelope(env, path, kMagicV2);
-  if (!payload.ok()) return payload.status();
-  BinaryReader reader(payload.value());
-  NamedTensors named;
-  if (!GetNamedTensors(&reader, &named)) {
-    return Status::Corruption("truncated or bad parameter entries in " +
-                              path);
-  }
-  if (!reader.AtEnd()) {
-    return Status::Corruption("checkpoint " + path + " has " +
-                              std::to_string(reader.remaining()) +
-                              " bytes after its last entry");
-  }
-  return AssignParameters(module, named, "checkpoint");
 }
 
 }  // namespace io

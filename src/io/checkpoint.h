@@ -6,41 +6,32 @@
 #include <vector>
 
 #include "common/status.h"
-#include "io/env.h"
 #include "io/serializer.h"
 #include "nn/module.h"
 
 namespace slime {
 namespace io {
 
-/// Binary checkpoint format for model parameters.
+/// The parameter entry list: model checkpoints ("SLM3",
+/// models::SaveCheckpoint) and train-state snapshots ("SLT1",
+/// train::SaveTrainState) store their parameters in it, inside the CRC
+/// envelope of io/serializer.h.
 ///
-/// Layout (little-endian), written by SaveCheckpoint:
-///   magic   "SLM2" (4 bytes)
+/// Layout (little-endian):
 ///   count   uint64        number of parameter entries
 ///   entries repeated:
 ///     name_len uint32, name bytes
 ///     rank     uint32, dims int64[rank]
 ///     data     float32[numel]
-///   crc32   uint32        CRC-32 (IEEE) over magic + all preceding bytes
 ///
-/// Files are written crash-safely: the bytes are staged at
-/// `path + ".tmp"`, read back and CRC-verified (catching short writes and
-/// post-write bit flips), and only then atomically renamed over `path`, so
-/// a failed or interrupted save always leaves the previous checkpoint
-/// intact. On load, truncation, a foreign magic, bytes after the last
-/// entry and any flipped bit all surface as Status::Corruption rather than
-/// misread parameters; so does a file in the pre-CRC "SLM1" format.
-///
-/// Names are the Module::NamedParameters() qualified names, so a
-/// checkpoint written by a model loads only into an identically-structured
-/// model — mismatches are reported, not silently ignored.
+/// Names are the Module::NamedParameters() qualified names, so an entry
+/// list loads only into an identically-structured module: mismatches are
+/// reported, not silently ignored.
 
 /// Parameter values by qualified name, in Module::NamedParameters() order.
 using NamedTensors = std::vector<std::pair<std::string, Tensor>>;
 
-/// The entry layout above (count, then each name and tensor); train-state
-/// snapshots store their parameters in it too. Get fails on bad input.
+/// The entry layout above. Get fails on bad input.
 void PutNamedTensors(BinaryWriter* writer, const NamedTensors& named);
 bool GetNamedTensors(BinaryReader* reader, NamedTensors* named);
 
@@ -50,16 +41,6 @@ bool GetNamedTensors(BinaryReader* reader, NamedTensors* named);
 /// leaves every parameter unmodified.
 Status AssignParameters(nn::Module* module, const NamedTensors& named,
                         const std::string& source);
-
-/// Writes every parameter of `module` to `path` (atomic).
-/// `env` defaults to Env::Default(); tests pass a FaultInjectionEnv.
-Status SaveCheckpoint(const nn::Module& module, const std::string& path,
-                      Env* env = nullptr);
-
-/// Loads a checkpoint into `module` through AssignParameters; a damaged
-/// file fails with Corruption and leaves every parameter unmodified.
-Status LoadCheckpoint(nn::Module* module, const std::string& path,
-                      Env* env = nullptr);
 
 }  // namespace io
 }  // namespace slime

@@ -6,7 +6,7 @@
 
 #include "common/macros.h"
 #include "compute/backend.h"
-#include "io/checkpoint.h"
+#include "models/model_factory.h"
 
 namespace slime {
 namespace serving {
@@ -191,7 +191,7 @@ Status ModelServer::StartFromCheckpoint(const std::string& path) {
         "architecture");
   }
   std::unique_ptr<models::SequentialRecommender> fresh = factory_();
-  SLIME_RETURN_IF_ERROR(io::LoadCheckpoint(fresh.get(), path, env_));
+  SLIME_RETURN_IF_ERROR(models::LoadCheckpoint(fresh.get(), path, env_));
   return Start(std::move(fresh));
 }
 
@@ -209,7 +209,8 @@ Status ModelServer::Reload(const std::string& checkpoint_path) {
   // loaded and validated off to the side. Any failure below leaves the
   // server exactly as it was (rollback = do nothing).
   std::unique_ptr<models::SequentialRecommender> shadow = factory_();
-  const Status loaded = io::LoadCheckpoint(shadow.get(), checkpoint_path, env_);
+  const Status loaded =
+      models::LoadCheckpoint(shadow.get(), checkpoint_path, env_);
   if (!loaded.ok()) {
     rollbacks_.Increment();
     return loaded;

@@ -146,7 +146,9 @@ struct ServerStats {
 ///    history is padded or truncated to the model's fixed max_len, so any
 ///    second pass costs exactly what the first one did.
 ///  - **Validated hot reload.** Reload() loads a checkpoint through the
-///    io::Env/CRC-32 machinery into a *shadow* model, replays the canary
+///    io::Env/CRC-32 machinery into a *shadow* model (a checkpoint whose
+///    header names another model, say another alpha, is rejected before
+///    any parameter is copied or canary run), replays the canary
 ///    request set against sanity bounds (finite scores, non-empty top-K),
 ///    and only then atomically swaps the live shared_ptr — any failure
 ///    rolls back with the previous model still answering. In-flight
@@ -167,8 +169,8 @@ struct ServerStats {
 /// is bit-identical at any compute thread count.
 class ModelServer {
  public:
-  /// Builds a fresh, identically-structured model for checkpoint loading
-  /// (checkpoints only load into a model of the same architecture).
+  /// Builds a fresh model for checkpoint loading: a checkpoint loads only
+  /// into the model its header names (models::LoadCheckpoint).
   using ModelFactory =
       std::function<std::unique_ptr<models::SequentialRecommender>()>;
 
@@ -196,7 +198,7 @@ class ModelServer {
   /// canary, since serving has only histories.
   Status Start(std::unique_ptr<models::SequentialRecommender> model);
 
-  /// factory() + LoadCheckpoint + Start, the usual boot path.
+  /// factory() + models::LoadCheckpoint + Start, the usual boot path.
   Status StartFromCheckpoint(const std::string& path);
 
   Result<ServeResponse> Serve(const ServeRequest& request);
@@ -263,8 +265,6 @@ class ModelServer {
   const obs::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
-  struct TierOutcome;  // per-tier bookkeeping helper (see .cc)
-
   std::shared_ptr<models::SequentialRecommender> ModelSnapshot(
       int64_t* generation) const;
   Status ValidateCanaries(models::SequentialRecommender* candidate);

@@ -115,7 +115,7 @@ struct RecoveryReport {
 /// Event-sourced per-user interaction state: an in-memory map of user id →
 /// chronological item history, made crash-safe by a CRC-framed write-ahead
 /// log and periodically folded into an atomic snapshot (stage → verify →
-/// rename → fsync, the SLM2 checkpoint protocol via io::AtomicWriteFile;
+/// rename → fsync, the model checkpoint protocol via io::AtomicWriteFile;
 /// the WAL is truncated only after the snapshot is durable).
 ///
 /// Durability contract:

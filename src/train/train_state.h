@@ -81,7 +81,7 @@ Result<TrainState> LoadTrainState(const std::string& path,
 std::string SnapshotPath(const std::string& checkpoint_dir);
 
 /// Canonical best-model checkpoint location inside a checkpoint directory
-/// (a plain model checkpoint, loadable by io::LoadCheckpoint for serving).
+/// (a model checkpoint as models::SaveCheckpoint writes it, for serving).
 std::string BestModelPath(const std::string& checkpoint_dir);
 
 /// Resolves a --resume argument: a directory maps to its SnapshotPath, a

@@ -7,6 +7,7 @@
 
 #include "io/checkpoint.h"
 #include "io/env.h"
+#include "models/model_factory.h"
 #include "observability/telemetry.h"
 #include "optim/adam.h"
 #include "serving/clock.h"
@@ -246,7 +247,7 @@ Result<TrainResult> Trainer::Fit(models::SequentialRecommender* model,
       SLIME_RETURN_IF_ERROR(SaveTrainState(
           last_good, SnapshotPath(config_.checkpoint_dir), env));
       if (improved) {
-        SLIME_RETURN_IF_ERROR(io::SaveCheckpoint(
+        SLIME_RETURN_IF_ERROR(models::SaveCheckpoint(
             *model, BestModelPath(config_.checkpoint_dir), env));
       }
     }

@@ -1,25 +1,28 @@
-#include "io/checkpoint.h"
-
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/slime4rec.h"
 #include "data/batcher.h"
+#include "io/checkpoint.h"
 #include "io/env.h"
 #include "io/serializer.h"
 #include "models/model_factory.h"
-#include "nn/linear.h"
 
 namespace slime {
-namespace io {
+namespace models {
 namespace {
+
+using io::Env;
+using io::WriteEnvelope;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -127,18 +130,6 @@ TEST(CheckpointTest, ArchitectureMismatchIsInvalidArgument) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointTest, ShapeMismatchIsInvalidArgument) {
-  const std::string path = TempPath("ckpt_shape.bin");
-  Rng rng(1);
-  nn::Linear small(4, 4, &rng);
-  ASSERT_TRUE(SaveCheckpoint(small, path).ok());
-  nn::Linear big(8, 8, &rng);
-  const Status st = LoadCheckpoint(&big, path);
-  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
-  EXPECT_NE(st.message().find("shape mismatch"), std::string::npos);
-  std::remove(path.c_str());
-}
-
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string((std::istreambuf_iterator<char>(in)),
@@ -179,12 +170,19 @@ TEST(CheckpointTest, TrailingGarbageIsCorruption) {
 /// The entry layout SaveCheckpoint writes, for hand-built files.
 std::string EntryPayload(
     const std::vector<std::pair<std::string, Tensor>>& entries) {
-  BinaryWriter writer;
+  io::BinaryWriter writer;
   writer.PutU64(entries.size());
   for (const auto& [name, value] : entries) {
     writer.PutString(name);
     writer.PutTensor(value);
   }
+  return writer.buffer();
+}
+
+/// The model header SaveCheckpoint writes for `spec`.
+std::string HeaderBytes(const ModelSpec& spec) {
+  io::BinaryWriter writer;
+  PutModelSpec(&writer, spec);
   return writer.buffer();
 }
 
@@ -240,6 +238,23 @@ TEST(CheckpointTest, Slm1FileIsRejectedAsCorruption) {
   ExpectRejectedUntouched(path, Status::Code::kCorruption);
 }
 
+TEST(CheckpointTest, Slm2FileIsCorruptionNamingItsFormat) {
+  // The parameters-only format: magic "SLM2", the entries, a CRC footer.
+  // Nothing in it says which model it holds, so it is not read.
+  const std::string path = TempPath("ckpt_slm2.bin");
+  core::Slime4Rec model(SmallConfig());
+  ASSERT_TRUE(WriteEnvelope(Env::Default(), path, "SLM2",
+                            EntryPayload(Entries(model)))
+                  .ok());
+  core::Slime4Rec fresh(SmallConfig());
+  const Status st = LoadCheckpoint(&fresh, path);
+  EXPECT_EQ(st.code(), Status::Code::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("'SLM2'"), std::string::npos) << st.message();
+  EXPECT_EQ(ReadCheckpointSpec(path).status().code(),
+            Status::Code::kCorruption);
+  ExpectRejectedUntouched(path, Status::Code::kCorruption);
+}
+
 TEST(CheckpointTest, RepeatedNameIsRejectedAndModelUntouched) {
   // The first entry written twice in place of the last: the count matches
   // the model, but the last parameter is never mentioned.
@@ -247,9 +262,9 @@ TEST(CheckpointTest, RepeatedNameIsRejectedAndModelUntouched) {
   core::Slime4Rec model(SmallConfig());
   auto entries = Entries(model);
   entries.back() = entries.front();
-  ASSERT_TRUE(
-      WriteEnvelope(Env::Default(), path, "SLM2", EntryPayload(entries))
-          .ok());
+  ASSERT_TRUE(WriteEnvelope(Env::Default(), path, "SLM3",
+                            HeaderBytes(SpecOf(model)) + EntryPayload(entries))
+                  .ok());
   ExpectRejectedUntouched(path, Status::Code::kInvalidArgument);
 }
 
@@ -258,9 +273,14 @@ TEST(CheckpointTest, ShapeMismatchInLastEntryLeavesEarlierEntriesUntouched) {
   core::Slime4Rec model(SmallConfig());
   auto entries = Entries(model);
   entries.back().second = Tensor::Zeros({entries.back().second.numel() + 1});
-  ASSERT_TRUE(
-      WriteEnvelope(Env::Default(), path, "SLM2", EntryPayload(entries))
-          .ok());
+  ASSERT_TRUE(WriteEnvelope(Env::Default(), path, "SLM3",
+                            HeaderBytes(SpecOf(model)) + EntryPayload(entries))
+                  .ok());
+  core::Slime4Rec fresh(SmallConfig());
+  const Status st = LoadCheckpoint(&fresh, path);
+  EXPECT_NE(st.message().find("shape mismatch for '" + entries.back().first),
+            std::string::npos)
+      << st.message();
   ExpectRejectedUntouched(path, Status::Code::kInvalidArgument);
 }
 
@@ -269,28 +289,34 @@ TEST(CheckpointTest, BytesAfterLastEntryAreRejectedAndModelUntouched) {
   // entries themselves would load, the file as a whole must not.
   const std::string path = TempPath("ckpt_after_last.bin");
   core::Slime4Rec model(SmallConfig());
-  ASSERT_TRUE(WriteEnvelope(Env::Default(), path, "SLM2",
-                            EntryPayload(Entries(model)) + "8 bytes!")
+  ASSERT_TRUE(WriteEnvelope(Env::Default(), path, "SLM3",
+                            HeaderBytes(SpecOf(model)) +
+                                EntryPayload(Entries(model)) + "8 bytes!")
                   .ok());
   ExpectRejectedUntouched(path, Status::Code::kCorruption);
 }
 
-TEST(CheckpointTest, NewFilesCarryV2MagicAndNoTempResidue) {
-  const std::string path = TempPath("ckpt_v2magic.bin");
+TEST(CheckpointTest, NewFilesCarryV3MagicHeaderAndNoTempResidue) {
+  const std::string path = TempPath("ckpt_v3magic.bin");
   core::Slime4Rec model(SmallConfig());
   ASSERT_TRUE(SaveCheckpoint(model, path).ok());
   const std::string bytes = ReadAll(path);
-  ASSERT_GE(bytes.size(), 8u);
-  EXPECT_EQ(bytes.substr(0, 4), "SLM2");
+  const std::string header = HeaderBytes(SpecOf(model));
+  const std::string entries = EntryPayload(Entries(model));
+  ASSERT_EQ(bytes.size(), 4 + header.size() + entries.size() + 4);
+  EXPECT_EQ(bytes.substr(0, 4), "SLM3");
+  EXPECT_EQ(bytes.substr(4, header.size()), header);
+  EXPECT_EQ(bytes.substr(4 + header.size(), entries.size()), entries);
   // The staging file must be gone after a successful atomic save.
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());
   std::remove(path.c_str());
 }
 
 TEST(CheckpointTest, AllElevenModelsRoundTrip) {
-  // Serialisation must cover every model's parameter structure.
-  for (const auto& name : models::AllModelNames()) {
-    models::ModelConfig c;
+  // Serialisation must cover every model's parameter structure, and the
+  // header must rebuild the model it came from.
+  for (const auto& name : AllModelNames()) {
+    ModelConfig c;
     c.num_items = 12;
     c.num_users = 6;
     c.max_len = 8;
@@ -298,24 +324,147 @@ TEST(CheckpointTest, AllElevenModelsRoundTrip) {
     c.num_layers = 1;
     c.num_heads = 2;
     c.seed = 17;
-    auto model = models::CreateModel(name, c);
+    auto model = CreateModel(name, c);
     const std::string path = TempPath("ckpt_zoo.bin");
     ASSERT_TRUE(SaveCheckpoint(*model, path).ok()) << name;
-    auto model2 = models::CreateModel(name, c);
+    const Result<ModelSpec> spec = ReadCheckpointSpec(path);
+    ASSERT_TRUE(spec.ok()) << name << ": " << spec.status().ToString();
+    EXPECT_EQ(HeaderBytes(spec.value()), HeaderBytes(SpecOf(*model))) << name;
+    ModelSpec other = spec.value();
+    other.config.seed = 18;  // different init, must be fully overwritten
+    auto model2 = CreateModel(other.name, other.config, other.mixer);
     ASSERT_TRUE(LoadCheckpoint(model2.get(), path).ok()) << name;
     const auto p1 = model->NamedParameters();
     const auto p2 = model2->NamedParameters();
     ASSERT_EQ(p1.size(), p2.size()) << name;
     for (size_t i = 0; i < p1.size(); ++i) {
-      for (int64_t j = 0; j < p1[i].second.numel(); ++j) {
-        ASSERT_FLOAT_EQ(p1[i].second.value()[j], p2[i].second.value()[j])
-            << name << " " << p1[i].first;
-      }
+      const Tensor& t1 = p1[i].second.value();
+      const Tensor& t2 = p2[i].second.value();
+      ASSERT_EQ(t1.shape(), t2.shape()) << name << " " << p1[i].first;
+      EXPECT_EQ(std::memcmp(t1.data(), t2.data(),
+                            static_cast<size_t>(t1.numel()) * sizeof(float)),
+                0)
+          << name << " " << p1[i].first;
     }
     std::remove(path.c_str());
   }
 }
 
+/// One bad header value: the field it sets, the model the file claims to
+/// hold and the change to that model's spec.
+struct BadHeader {
+  const char* field;
+  std::string model;
+  std::function<void(ModelSpec*)> mutate;
+};
+
+std::unique_ptr<SequentialRecommender> Build(const ModelSpec& spec) {
+  return CreateModel(spec.name, spec.config, spec.mixer);
+}
+
+TEST(CheckpointHeaderTest, BadValuesAreTypedNameTheFieldAndTouchNothing) {
+  const std::vector<BadHeader> cases = {
+      {"name", "SLIME4Rec", [](ModelSpec* s) { s->name = "Nope"; }},
+      {"alpha", "SLIME4Rec", [](ModelSpec* s) { s->mixer.alpha = 1.5; }},
+      {"gamma", "SLIME4Rec", [](ModelSpec* s) { s->mixer.gamma = -1.0; }},
+      {"dynamic_direction", "SLIME4Rec",
+       [](ModelSpec* s) {
+         s->mixer.dynamic_direction = static_cast<core::SlideDirection>(2);
+       }},
+      {"dropout", "SLIME4Rec",
+       [](ModelSpec* s) {
+         s->config.dropout = std::numeric_limits<float>::quiet_NaN();
+       }},
+      {"max_len", "SLIME4Rec", [](ModelSpec* s) { s->config.max_len = 0; }},
+      {"num_heads", "SASRec", [](ModelSpec* s) { s->config.num_heads = 3; }},
+  };
+  for (const BadHeader& bad : cases) {
+    SCOPED_TRACE(bad.field);
+    ModelSpec good{bad.model, SmallConfig(), SmallConfig().mixer};
+    if (bad.model != "SLIME4Rec") good.mixer = {};
+    ModelSpec header = good;
+    bad.mutate(&header);
+    const std::string path = TempPath("ckpt_bad_header.bin");
+    ASSERT_TRUE(WriteEnvelope(Env::Default(), path, "SLM3",
+                              HeaderBytes(header) +
+                                  EntryPayload(Entries(*Build(good))))
+                    .ok());
+    // Building from the file: the validator names the field.
+    const Status spec = ReadCheckpointSpec(path).status();
+    EXPECT_EQ(spec.code(), Status::Code::kInvalidArgument) << spec.ToString();
+    EXPECT_NE(spec.message().find(bad.field), std::string::npos)
+        << spec.message();
+    // Loading into a model: typed, names the field, copies nothing.
+    ModelSpec target = good;
+    target.config.seed = 1234;
+    auto model = Build(target);
+    const std::vector<Tensor> before = Snapshot(*model);
+    const Status st = LoadCheckpoint(model.get(), path);
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find(bad.field), std::string::npos)
+        << st.message();
+    ExpectUnchanged(*model, before);
+    std::remove(path.c_str());
+  }
+}
+
+TEST(CheckpointHeaderTest, ShapeAndMixerFieldsMustMatchTrainingFieldsNeedNot) {
+  const std::string path = TempPath("ckpt_header_match.bin");
+  core::Slime4Rec saved(SmallConfig());
+  ASSERT_TRUE(SaveCheckpoint(saved, path).ok());
+  const std::vector<std::pair<const char*, std::function<void(ModelSpec*)>>>
+      shared = {
+          {"name", [](ModelSpec* s) { s->name = "FMLP-Rec"; }},
+          {"num_items", [](ModelSpec* s) { s->config.num_items = 16; }},
+          {"num_users", [](ModelSpec* s) { s->config.num_users = 6; }},
+          {"max_len", [](ModelSpec* s) { s->config.max_len = 9; }},
+          {"hidden_dim", [](ModelSpec* s) { s->config.hidden_dim = 4; }},
+          {"num_layers", [](ModelSpec* s) { s->config.num_layers = 3; }},
+          {"num_heads", [](ModelSpec* s) { s->config.num_heads = 4; }},
+          {"alpha", [](ModelSpec* s) { s->mixer.alpha = 0.9; }},
+          {"gamma", [](ModelSpec* s) { s->mixer.gamma = 0.0; }},
+          {"use_dynamic", [](ModelSpec* s) { s->mixer.use_dynamic = false; }},
+          {"use_static", [](ModelSpec* s) { s->mixer.use_static = false; }},
+          {"dynamic_direction",
+           [](ModelSpec* s) {
+             s->mixer.dynamic_direction = core::SlideDirection::kLowToHigh;
+           }},
+          {"static_direction",
+           [](ModelSpec* s) {
+             s->mixer.static_direction = core::SlideDirection::kLowToHigh;
+           }},
+      };
+  for (const auto& [field, mutate] : shared) {
+    SCOPED_TRACE(field);
+    ModelSpec spec = SpecOf(saved);
+    mutate(&spec);
+    auto model = Build(spec);
+    const std::vector<Tensor> before = Snapshot(*model);
+    const Status st = LoadCheckpoint(model.get(), path);
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find(std::string(" ") + field + " "),
+              std::string::npos)
+        << st.message();
+    ExpectUnchanged(*model, before);
+  }
+  // Eval-mode scoring reads none of the training-only fields: a retrain
+  // under another seed or dropout loads.
+  const std::vector<std::function<void(ModelSpec*)>> training_only = {
+      [](ModelSpec* s) { s->config.dropout = 0.3f; },
+      [](ModelSpec* s) { s->config.emb_dropout = 0.0f; },
+      [](ModelSpec* s) { s->config.cl_weight = 0.0f; },
+      [](ModelSpec* s) { s->config.cl_temperature = 1.0f; },
+      [](ModelSpec* s) { s->config.seed = 99; },
+  };
+  for (const auto& mutate : training_only) {
+    ModelSpec spec = SpecOf(saved);
+    mutate(&spec);
+    auto model = Build(spec);
+    ASSERT_TRUE(LoadCheckpoint(model.get(), path).ok());
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
-}  // namespace io
+}  // namespace models
 }  // namespace slime

@@ -19,21 +19,22 @@ TRAIN_LINE=$(grep '^test' "$TMP/train.log" | tr -s ' ')
 EVAL_LINE=$(grep '^test' "$TMP/eval.log" | tr -s ' ')
 [ "$TRAIN_LINE" = "$EVAL_LINE" ] || { echo "metric mismatch:"; echo "$TRAIN_LINE"; echo "$EVAL_LINE"; exit 1; }
 "$CLI" recommend --data "$TMP/data.txt" --load "$TMP/m.ckpt" --user 0 --topk 3 | grep -q top-3
-# A checkpoint holds parameters only: a loaded MostPop must be prepared on
-# the data again, or every item scores 0. Its evaluation must then repeat
+# A checkpoint holds the model's header and parameters, not what Prepare
+# derives from the data: a loaded MostPop must be prepared on the data
+# again, or every item scores 0. Its evaluation must then repeat
 # the training run's, and `recommend` must list the most frequent
 # training-region items (all but each user's last two; users with fewer
 # than 5 events are dropped), equal counts in ascending id order, leaving
 # out the items of the user's printed history.
 "$CLI" train --data "$TMP/data.txt" --model MostPop --epochs 1 \
     --save "$TMP/pop.ckpt" > "$TMP/pop_train.log"
-"$CLI" evaluate --data "$TMP/data.txt" --model MostPop \
-    --load "$TMP/pop.ckpt" > "$TMP/pop_eval.log"
+"$CLI" evaluate --data "$TMP/data.txt" --load "$TMP/pop.ckpt" \
+    > "$TMP/pop_eval.log"
 TRAIN_LINE=$(grep '^test' "$TMP/pop_train.log" | tr -s ' ')
 EVAL_LINE=$(grep '^test' "$TMP/pop_eval.log" | tr -s ' ')
 [ "$TRAIN_LINE" = "$EVAL_LINE" ] || { echo "MostPop metric mismatch:"; echo "$TRAIN_LINE"; echo "$EVAL_LINE"; exit 1; }
-"$CLI" recommend --data "$TMP/data.txt" --model MostPop \
-    --load "$TMP/pop.ckpt" --user 0 --topk 5 > "$TMP/pop_rec.log"
+"$CLI" recommend --data "$TMP/data.txt" --load "$TMP/pop.ckpt" \
+    --user 0 --topk 5 > "$TMP/pop_rec.log"
 HISTORY=$(grep '^history:' "$TMP/pop_rec.log" | cut -d: -f2)
 WANT=$(awk -v seen="$HISTORY" \
            'BEGIN { n = split(seen, s, " "); for (i = 1; i <= n; ++i) h[s[i]] = 1 }
@@ -42,6 +43,54 @@ WANT=$(awk -v seen="$HISTORY" \
        sort -k1,1nr -k2,2n | head -5 | awk '{ printf " %s", $2 }')
 GOT=$(grep '^top-5:' "$TMP/pop_rec.log")
 [ "$GOT" = "top-5:$WANT" ] || { echo "MostPop top-5 mismatch:"; echo "$GOT"; echo "top-5:$WANT"; exit 1; }
+# The checkpoint decides the model: alpha and gamma shape no parameter, so
+# only the header makes evaluate score the model that was trained. Model
+# flags are not read by the load paths, and a checkpoint of another
+# catalogue fails before any scoring.
+"$CLI" train --data "$TMP/data.txt" --epochs 2 --alpha 0.9 --gamma 0 \
+    --save "$TMP/alpha.ckpt" > "$TMP/alpha_train.log"
+"$CLI" evaluate --data "$TMP/data.txt" --load "$TMP/alpha.ckpt" \
+    > "$TMP/alpha_eval.log"
+TRAIN_LINE=$(grep '^test' "$TMP/alpha_train.log" | tr -s ' ')
+EVAL_LINE=$(grep '^test' "$TMP/alpha_eval.log" | tr -s ' ')
+[ "$TRAIN_LINE" = "$EVAL_LINE" ] || { echo "alpha 0.9 metric mismatch:"; echo "$TRAIN_LINE"; echo "$EVAL_LINE"; exit 1; }
+rc=0
+"$CLI" evaluate --data "$TMP/data.txt" --load "$TMP/alpha.ckpt" \
+    --alpha 0.9 >/dev/null 2>"$TMP/model_flag.err" || rc=$?
+[ "$rc" = 2 ] || { echo "expected evaluate --alpha to exit 2, got $rc"; exit 1; }
+grep -q "unknown flag --alpha for evaluate" "$TMP/model_flag.err"
+for cmd in recommend serve; do
+  rc=0
+  "$CLI" $cmd --data "$TMP/data.txt" --load "$TMP/alpha.ckpt" \
+      --model SLIME4Rec >/dev/null 2>&1 || rc=$?
+  [ "$rc" = 2 ] || { echo "expected $cmd --model to exit 2, got $rc"; exit 1; }
+done
+"$CLI" serve --data "$TMP/data.txt" --load "$TMP/m.ckpt" --requests 4 \
+    --reload "$TMP/alpha.ckpt" > "$TMP/serve_alpha.log"
+grep -q "reload .*: InvalidArgument: .* alpha 0.9 differs from the model's 0.4" \
+    "$TMP/serve_alpha.log"
+grep -q "requests ok 4" "$TMP/serve_alpha.log"
+"$CLI" generate --preset beauty-sim --scale 0.1 --out "$TMP/other.txt" \
+    > /dev/null
+rc=0
+"$CLI" evaluate --data "$TMP/other.txt" --load "$TMP/m.ckpt" \
+    > "$TMP/other_eval.log" 2>"$TMP/other_eval.err" || rc=$?
+[ "$rc" = 1 ] || { echo "expected evaluate on other data to exit 1, got $rc"; exit 1; }
+grep -q "error: InvalidArgument: checkpoint .* holds a model of" \
+    "$TMP/other_eval.err"
+if grep -q "^valid\|^test" "$TMP/other_eval.log"; then
+  echo "evaluate scored a checkpoint of another catalogue"; exit 1
+fi
+# A model flag no model takes exits 2 naming the flag, never aborts.
+for bad in "--model Nope:--model" "--alpha 1.5:--alpha" "--gamma 2:--gamma" \
+    "--gamma 1.5:--gamma" "--model SASRec --hidden 30 --heads 4:--hidden" \
+    "--max-len 0:--max-len" "--model Caser --max-len 3:--max-len"; do
+  rc=0
+  "$CLI" train --data "$TMP/data.txt" --epochs 1 ${bad%%:*} \
+      >/dev/null 2>"$TMP/bad_model.err" || rc=$?
+  [ "$rc" = 2 ] || { echo "expected train ${bad%%:*} to exit 2, got $rc"; exit 1; }
+  grep -q "^invalid ${bad##*:}: " "$TMP/bad_model.err" || { echo "train ${bad%%:*} did not name ${bad##*:}"; cat "$TMP/bad_model.err"; exit 1; }
+done
 # Fault tolerance: an interrupted run resumed from its snapshot must end
 # with exactly the metrics and the checkpoint bytes of an uninterrupted run
 # of the same length.
@@ -281,11 +330,6 @@ if "$CLI" append-events --state-dir "$TMP/state" --events "$TMP/events.txt" \
   echo "expected unknown state sync mode to fail"; exit 1
 fi
 grep -q "valid: always, group, none" "$TMP/badsync.err"
-# The Eq. 26 mix is convex: a gamma outside [0, 1] must be refused.
-if "$CLI" train --data "$TMP/data.txt" --epochs 1 --gamma 1.5 \
-    >/dev/null 2>&1; then
-  echo "expected --gamma 1.5 to fail"; exit 1
-fi
 # Error paths: bad preset and missing file must fail cleanly.
 if "$CLI" generate --preset not-a-preset --out "$TMP/x.txt" 2>/dev/null; then
   echo "expected bad preset to fail"; exit 1

@@ -15,7 +15,7 @@
 #include "cluster/ring.h"
 #include "common/macros.h"
 #include "compute/thread_pool.h"
-#include "io/checkpoint.h"
+#include "models/model_factory.h"
 #include "models/recommender.h"
 #include "observability/export.h"
 #include "observability/metrics.h"
@@ -650,7 +650,7 @@ TEST(ClusterServerTest, RollingReloadSwapsEveryShardWithLiveTraffic) {
   const std::string path = TempPath("cluster_rolling.ckpt");
   {
     ScriptedModel next(TinyConfig(), 3.0f);
-    ASSERT_TRUE(io::SaveCheckpoint(next, path).ok());
+    ASSERT_TRUE(models::SaveCheckpoint(next, path).ok());
   }
 
   // Traffic between waves must keep succeeding against the mixed fleet.
@@ -675,6 +675,32 @@ TEST(ClusterServerTest, RollingReloadSwapsEveryShardWithLiveTraffic) {
   const auto result = cluster.Serve(3, TinyRequest());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Items(result.value().items), (std::vector<int64_t>{7, 6, 5}));
+}
+
+TEST(ClusterServerTest, RollingReloadOfAnotherModelChangesNoShard) {
+  FakeClock clock;
+  ClusterServer cluster(TinyClusterOptions(), TinyFactory(), &clock);
+  ASSERT_TRUE(cluster.Start().ok());
+  // The same single "shift" parameter, so only the header's hidden_dim
+  // tells this checkpoint from one the fleet can load.
+  const std::string path = TempPath("cluster_rolling_mismatch.ckpt");
+  models::ModelConfig wider = TinyConfig();
+  wider.hidden_dim = 8;
+  ASSERT_TRUE(
+      models::SaveCheckpoint(ScriptedModel(wider, 3.0f), path).ok());
+
+  const Status status = cluster.RollingReload(path);
+  EXPECT_EQ(status.code(), Status::Code::kInvalidArgument)
+      << status.ToString();
+  EXPECT_NE(status.message().find("hidden_dim 8 differs"), std::string::npos)
+      << status.message();
+  for (int64_t s = 0; s < cluster.num_shards(); ++s) {
+    EXPECT_EQ(cluster.shard_server(s)->generation(), 1) << "shard " << s;
+    EXPECT_EQ(cluster.shard_server(s)->stats().reloads, 0) << "shard " << s;
+  }
+  const auto result = cluster.Serve(3, TinyRequest());
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(Items(result.value().items), (std::vector<int64_t>{10, 9, 8}));
 }
 
 // --- Determinism ---------------------------------------------------------
@@ -746,7 +772,7 @@ TEST(ClusterDeterminismTest, ScenarioIsBitIdenticalAcrossThreadCounts) {
   const std::string path = TempPath("cluster_determinism.ckpt");
   {
     ScriptedModel next(TinyConfig(), 3.0f);
-    ASSERT_TRUE(io::SaveCheckpoint(next, path).ok());
+    ASSERT_TRUE(models::SaveCheckpoint(next, path).ok());
   }
   const std::string base = RunClusterScenario(1, path);
   // The scenario must actually exercise the machinery it claims to pin.

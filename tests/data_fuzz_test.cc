@@ -1,5 +1,6 @@
-// Deterministic byte-mutation fuzzing of the two binary-input surfaces:
-// the sequence-file loader and the SLM2 checkpoint reader. Every variant
+// Deterministic byte-mutation fuzzing of the binary-input surfaces: the
+// sequence-file loader, the SLM3 checkpoint reader (the whole file, and
+// its model header inside a valid envelope) and the WAL. Every variant
 // is derived from a fixed seed, so a failure reproduces exactly; the
 // property under test is uniform: adversarial bytes may be rejected or
 // (in repair mode) salvaged, but must always come back as a typed Status
@@ -11,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "data/validation.h"
 #include "io/checkpoint.h"
 #include "io/env.h"
+#include "models/model_factory.h"
 #include "state/state_store.h"
 #include "state/wal.h"
 
@@ -135,7 +138,7 @@ TEST(DataFuzzTest, MutatedCheckpointsAlwaysReturnTypedStatus) {
   std::string base;
   {
     core::Slime4Rec model(config);
-    ASSERT_TRUE(io::SaveCheckpoint(model, path).ok());
+    ASSERT_TRUE(models::SaveCheckpoint(model, path).ok());
     Result<std::string> bytes = env->ReadFile(path);
     ASSERT_TRUE(bytes.ok());
     base = std::move(bytes).value();
@@ -149,7 +152,7 @@ TEST(DataFuzzTest, MutatedCheckpointsAlwaysReturnTypedStatus) {
     // A fresh model every time: LoadCheckpoint documents that a failed
     // load may leave partially-copied parameters behind.
     core::Slime4Rec model(config);
-    const Status st = io::LoadCheckpoint(&model, path);
+    const Status st = models::LoadCheckpoint(&model, path);
     if (!st.ok()) {
       ++rejected;
       EXPECT_FALSE(st.message().empty()) << "trial " << trial;
@@ -160,6 +163,67 @@ TEST(DataFuzzTest, MutatedCheckpointsAlwaysReturnTypedStatus) {
   }
   // The CRC footer must catch essentially everything.
   EXPECT_GE(rejected, 510);
+  std::remove(path.c_str());
+}
+
+TEST(DataFuzzTest, MutatedCheckpointHeadersAlwaysReturnTypedStatus) {
+  // The corpus above run over the model header alone: each variant is
+  // wrapped in a valid envelope, so the header decoder and its validation
+  // see bytes the CRC would otherwise have rejected.
+  core::Slime4RecConfig config;
+  config.num_items = 15;
+  config.num_users = 5;
+  config.max_len = 8;
+  config.hidden_dim = 8;
+  config.num_layers = 2;
+  config.seed = 3;
+  const core::Slime4Rec saved(config);
+  io::BinaryWriter header;
+  models::PutModelSpec(&header, models::SpecOf(saved));
+  io::NamedTensors named;
+  for (const auto& [name, variable] : saved.NamedParameters()) {
+    named.emplace_back(name, variable.value());
+  }
+  io::BinaryWriter entries;
+  io::PutNamedTensors(&entries, named);
+
+  const std::string path = TempPath("fuzz_ckpt_header.bin");
+  io::Env* env = io::Env::Default();
+  config.seed = 4;  // the target's weights differ from the file's
+  Rng rng(31337);
+  int rejected = 0;
+  for (int trial = 0; trial < 512; ++trial) {
+    const std::string bytes = MutateVariant(header.buffer(), &rng);
+    ASSERT_TRUE(
+        io::WriteEnvelope(env, path, "SLM3", bytes + entries.buffer()).ok());
+    core::Slime4Rec model(config);
+    std::vector<Tensor> before;
+    for (const auto& p : model.Parameters()) {
+      before.push_back(p.value().Clone());
+    }
+    const Status st = models::LoadCheckpoint(&model, path);
+    const Result<models::ModelSpec> spec = models::ReadCheckpointSpec(path);
+    if (!spec.ok()) {
+      EXPECT_FALSE(spec.status().message().empty()) << "trial " << trial;
+    }
+    if (st.ok()) continue;  // a flip in a training-only field, say the seed
+    ++rejected;
+    EXPECT_FALSE(st.message().empty()) << "trial " << trial;
+    EXPECT_TRUE(st.code() == Status::Code::kCorruption ||
+                st.code() == Status::Code::kInvalidArgument)
+        << "trial " << trial << ": " << st.ToString();
+    // A rejected load copies nothing.
+    const auto params = model.Parameters();
+    for (size_t i = 0; i < params.size(); ++i) {
+      ASSERT_EQ(std::memcmp(params[i].value().data(), before[i].data(),
+                            static_cast<size_t>(before[i].numel()) *
+                                sizeof(float)),
+                0)
+          << "trial " << trial;
+    }
+  }
+  // Most edits shift or change a field the model shares with its file.
+  EXPECT_GE(rejected, 400);
   std::remove(path.c_str());
 }
 

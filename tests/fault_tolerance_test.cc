@@ -16,7 +16,6 @@
 
 #include "core/slime4rec.h"
 #include "data/synthetic.h"
-#include "io/checkpoint.h"
 #include "io/env.h"
 #include "models/model_factory.h"
 #include "observability/telemetry.h"
@@ -74,24 +73,24 @@ TEST_P(SaveFaultTest, FailedSavePreservesPreviousCheckpoint) {
   const std::string path = TempPath("ft_save_fault.bin");
   FaultInjectionEnv env;
   core::Slime4Rec good(SmallModelConfig(3));
-  ASSERT_TRUE(io::SaveCheckpoint(good, path, &env).ok());
+  ASSERT_TRUE(models::SaveCheckpoint(good, path, &env).ok());
 
   core::Slime4Rec other(SmallModelConfig(99));  // different weights
   ASSERT_FALSE(ParamsEqual(good, other));
   env.ArmFault(GetParam());
-  const Status st = io::SaveCheckpoint(other, path, &env);
+  const Status st = models::SaveCheckpoint(other, path, &env);
   ASSERT_FALSE(st.ok()) << "fault was swallowed";
   EXPECT_FALSE(st.message().empty());
 
   // The destination still holds the previous good checkpoint.
   core::Slime4Rec reloaded(SmallModelConfig(7));
-  ASSERT_TRUE(io::LoadCheckpoint(&reloaded, path, &env).ok());
+  ASSERT_TRUE(models::LoadCheckpoint(&reloaded, path, &env).ok());
   EXPECT_TRUE(ParamsEqual(good, reloaded));
 
   // With the fault disarmed the same save succeeds.
-  ASSERT_TRUE(io::SaveCheckpoint(other, path, &env).ok());
+  ASSERT_TRUE(models::SaveCheckpoint(other, path, &env).ok());
   core::Slime4Rec reloaded2(SmallModelConfig(7));
-  ASSERT_TRUE(io::LoadCheckpoint(&reloaded2, path, &env).ok());
+  ASSERT_TRUE(models::LoadCheckpoint(&reloaded2, path, &env).ok());
   EXPECT_TRUE(ParamsEqual(other, reloaded2));
   std::remove(path.c_str());
 }
@@ -110,7 +109,7 @@ TEST(SaveFaultMessageTest, ShortWriteIsDetectedNotSilent) {
   FaultInjectionEnv env;
   core::Slime4Rec model(SmallModelConfig(3));
   env.ArmFault(FaultInjectionEnv::Fault::kShortWrite);
-  const Status st = io::SaveCheckpoint(model, path, &env);
+  const Status st = models::SaveCheckpoint(model, path, &env);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("short write"), std::string::npos)
       << st.message();
@@ -123,7 +122,7 @@ TEST(SaveFaultMessageTest, PostWriteCorruptionIsDetected) {
   FaultInjectionEnv env;
   core::Slime4Rec model(SmallModelConfig(3));
   env.ArmFault(FaultInjectionEnv::Fault::kCorruptAfterWrite);
-  const Status st = io::SaveCheckpoint(model, path, &env);
+  const Status st = models::SaveCheckpoint(model, path, &env);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), Status::Code::kCorruption);
   EXPECT_NE(st.message().find("corruption"), std::string::npos)
@@ -136,7 +135,7 @@ TEST(SaveFaultMessageTest, CrashDuringWriteLeavesNoDestination) {
   FaultInjectionEnv env;
   core::Slime4Rec model(SmallModelConfig(3));
   env.ArmFault(FaultInjectionEnv::Fault::kCrashDuringWrite);
-  EXPECT_THROW(io::SaveCheckpoint(model, path, &env), InjectedCrash);
+  EXPECT_THROW(models::SaveCheckpoint(model, path, &env), InjectedCrash);
   // The "process" died mid-write: only a partial temp file may exist; the
   // destination was never created, so a restart sees no checkpoint rather
   // than a corrupt one.

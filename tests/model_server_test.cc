@@ -15,9 +15,10 @@
 
 #include "common/macros.h"
 #include "compute/thread_pool.h"
+#include "core/slime4rec.h"
 #include "data/dataset.h"
-#include "io/checkpoint.h"
 #include "io/env.h"
+#include "models/model_factory.h"
 #include "models/recommender.h"
 #include "observability/export.h"
 #include "observability/metrics.h"
@@ -512,7 +513,7 @@ TEST(ModelServerReloadTest, ValidReloadSwapsModelAndGeneration) {
   const std::string path = TempPath("ms_reload_ok.ckpt");
   {
     ScriptedModel next(TinyConfig(), 3.0f);
-    ASSERT_TRUE(io::SaveCheckpoint(next, path).ok());
+    ASSERT_TRUE(models::SaveCheckpoint(next, path).ok());
   }
   ModelServer server(ModelServerOptions{}, TinyFactory(), &clock);
   server.set_canary_requests({{1, 2, 3}});
@@ -540,7 +541,7 @@ TEST(ModelServerReloadTest, CorruptCheckpointRollsBackToLiveModel) {
   const std::string path = TempPath("ms_reload_corrupt.ckpt");
   {
     ScriptedModel next(TinyConfig(), 3.0f);
-    ASSERT_TRUE(io::SaveCheckpoint(next, path).ok());
+    ASSERT_TRUE(models::SaveCheckpoint(next, path).ok());
   }
   // Flip one payload byte: the CRC-32 check must refuse the file.
   io::Env* env = io::Env::Default();
@@ -575,7 +576,7 @@ TEST(ModelServerReloadTest, CanaryFailureRollsBackToLiveModel) {
   {
     ScriptedModel poisoned(TinyConfig(),
                            std::numeric_limits<float>::infinity());
-    ASSERT_TRUE(io::SaveCheckpoint(poisoned, path).ok());
+    ASSERT_TRUE(models::SaveCheckpoint(poisoned, path).ok());
   }
   ModelServer server(ModelServerOptions{}, TinyFactory(), &clock);
   server.set_canary_requests({{1, 2, 3}});
@@ -593,6 +594,74 @@ TEST(ModelServerReloadTest, CanaryFailureRollsBackToLiveModel) {
   request.options = Top3Unfiltered();
   EXPECT_EQ(Items(server.Serve(request).value().items),
             (std::vector<int64_t>{10, 9, 8}));
+}
+
+/// A SLIME4Rec that counts its ScoreAll calls, so a test sees whether a
+/// reload ran its canaries.
+class CountingSlime : public core::Slime4Rec {
+ public:
+  CountingSlime(const core::Slime4RecConfig& config, int* calls)
+      : Slime4Rec(config), calls_(calls) {}
+
+  Tensor ScoreAll(const data::Batch& batch) override {
+    ++*calls_;
+    return Slime4Rec::ScoreAll(batch);
+  }
+
+ private:
+  int* calls_;
+};
+
+core::Slime4RecConfig SlimeConfig(double alpha, uint64_t seed) {
+  core::Slime4RecConfig c;
+  static_cast<models::ModelConfig&>(c) = TinyConfig();
+  c.mixer.alpha = alpha;
+  c.seed = seed;
+  return c;
+}
+
+TEST(ModelServerReloadTest, AnotherAlphaRollsBackBeforeAnyCanary) {
+  // alpha shapes no parameter, so only the header tells the two apart.
+  FakeClock clock;
+  const std::string other_alpha = TempPath("ms_reload_alpha.ckpt");
+  const std::string other_seed = TempPath("ms_reload_seed.ckpt");
+  ASSERT_TRUE(models::SaveCheckpoint(core::Slime4Rec(SlimeConfig(0.9, 7)),
+                                     other_alpha)
+                  .ok());
+  ASSERT_TRUE(models::SaveCheckpoint(core::Slime4Rec(SlimeConfig(0.4, 3)),
+                                     other_seed)
+                  .ok());
+  int calls = 0;
+  ModelServer server(
+      ModelServerOptions{},
+      [&calls] {
+        return std::make_unique<CountingSlime>(SlimeConfig(0.4, 7), &calls);
+      },
+      &clock);
+  server.set_canary_requests({{1, 2, 3}});
+  ASSERT_TRUE(server
+                  .Start(std::make_unique<CountingSlime>(SlimeConfig(0.4, 7),
+                                                         &calls))
+                  .ok());
+  const int after_start = calls;
+  ASSERT_GT(after_start, 0);
+
+  const Status status = server.Reload(other_alpha);
+  EXPECT_EQ(status.code(), Status::Code::kInvalidArgument)
+      << status.ToString();
+  EXPECT_NE(status.message().find("alpha 0.9 differs from the model's 0.4"),
+            std::string::npos)
+      << status.message();
+  EXPECT_EQ(server.stats().rollbacks, 1);
+  EXPECT_EQ(server.stats().reloads, 0);
+  EXPECT_EQ(server.generation(), 1);
+  EXPECT_EQ(calls, after_start);  // no canary ran
+
+  // A retrain under another seed is the normal hot reload.
+  ASSERT_TRUE(server.Reload(other_seed).ok());
+  EXPECT_EQ(server.generation(), 2);
+  EXPECT_EQ(server.stats().reloads, 1);
+  EXPECT_GT(calls, after_start);
 }
 
 TEST(ModelServerReloadTest, ReloadBeforeStartIsRejected) {
@@ -695,7 +764,7 @@ TEST(ModelServerDeterminismTest, ScenarioIsBitIdenticalAcrossThreadCounts) {
   const std::string path = TempPath("ms_determinism.ckpt");
   {
     ScriptedModel next(TinyConfig(), 3.0f);
-    ASSERT_TRUE(io::SaveCheckpoint(next, path).ok());
+    ASSERT_TRUE(models::SaveCheckpoint(next, path).ok());
   }
   const std::string base = RunScenario(1, path);
   // The scenario exercises both tiers and a budget skip; make sure it is
@@ -841,8 +910,8 @@ TEST(ModelServerChaosTest, ReloadRacingRequestsNeverServesPartialModel) {
   {
     ScriptedModel a(TinyConfig(), 0.0f);
     ScriptedModel b(TinyConfig(), 3.0f);
-    ASSERT_TRUE(io::SaveCheckpoint(a, ckpt_a).ok());
-    ASSERT_TRUE(io::SaveCheckpoint(b, ckpt_b).ok());
+    ASSERT_TRUE(models::SaveCheckpoint(a, ckpt_a).ok());
+    ASSERT_TRUE(models::SaveCheckpoint(b, ckpt_b).ok());
   }
   ModelServerOptions options;
   options.admission.max_in_flight = 8;

@@ -10,8 +10,8 @@
 #include "cluster/cluster.h"
 #include "common/macros.h"
 #include "io/atomic_write.h"
-#include "io/checkpoint.h"
 #include "io/env.h"
+#include "models/model_factory.h"
 #include "models/recommender.h"
 #include "observability/metrics.h"
 #include "serving/model_server.h"
@@ -907,7 +907,7 @@ TEST(ClusterStateTest, StateSurvivesRollingReload) {
   const std::string ckpt = TempPath("cluster_state_reload.ckpt");
   {
     SessionModel model(TinyConfig());
-    ASSERT_TRUE(io::SaveCheckpoint(model, ckpt).ok());
+    ASSERT_TRUE(models::SaveCheckpoint(model, ckpt).ok());
   }
   cluster::ClusterOptions options;
   options.num_shards = 2;

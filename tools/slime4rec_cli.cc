@@ -11,9 +11,9 @@
 //              [--patience N] [--batch B] [--lr LR] [--save CKPT]
 //              [--checkpoint-dir DIR] [--checkpoint-every N]
 //              [--resume DIR_OR_SNAPSHOT] [--metrics-out FILE]
-//   evaluate   --data FILE --load CKPT [MODEL] [--max-prefixes N]
-//   recommend  --data FILE --load CKPT --user U [--topk K] [MODEL]
-//   serve      --data FILE --load CKPT [MODEL] [--requests N] [--topk K]
+//   evaluate   --data FILE --load CKPT [--max-prefixes N]
+//   recommend  --data FILE --load CKPT --user U [--topk K]
+//   serve      --data FILE --load CKPT [--requests N] [--topk K]
 //              [--deadline-ms D] [--max-inflight M] [--rate QPS]
 //              [--burst B] [--canaries C] [--reload CKPT2]
 //              [--metrics-out FILE] [--shards N] [--replication R]
@@ -29,7 +29,9 @@
 //              [--state-sync always|group|none]
 // MODEL is any of [--model NAME] [--alpha A] [--gamma G] [--layers L]
 // [--hidden D] [--heads H] [--max-len N] [--dropout P] [--cl-weight W]
-// [--cl-temperature T] [--seed N].
+// [--cl-temperature T] [--seed N]; a value no model takes exits 2 naming
+// its flag. evaluate, recommend and serve take no MODEL flag: they build
+// the model that the --load checkpoint's header names.
 //
 // With --state-dir, `serve` opens the durable per-user state store (WAL +
 // snapshot, see docs/STATE.md), streams each traffic user's history into
@@ -86,7 +88,6 @@
 #include "data/loader.h"
 #include "data/synthetic.h"
 #include "data/validation.h"
-#include "io/checkpoint.h"
 #include "io/env.h"
 #include "models/model_factory.h"
 #include "observability/export.h"
@@ -193,10 +194,10 @@ std::vector<std::string> ValidFlags(const std::string& cmd) {
        {data, model,
         {"max-prefixes", "epochs", "patience", "batch", "lr", "save",
          "checkpoint-dir", "checkpoint-every", "resume", "metrics-out"}}},
-      {"evaluate", {data, model, {"load", "max-prefixes"}}},
-      {"recommend", {data, model, {"load", "user", "topk"}}},
+      {"evaluate", {data, {"load", "max-prefixes"}}},
+      {"recommend", {data, {"load", "user", "topk"}}},
       {"serve",
-       {data, model,
+       {data,
         {"load", "requests", "topk", "deadline-ms", "max-inflight", "rate",
          "burst", "canaries", "reload", "metrics-out", "shards",
          "replication", "state-dir", "state-sync", "read-repair"}}},
@@ -258,9 +259,13 @@ data::InteractionDataset LoadOrDie(const Flags& flags) {
   return std::move(r).value();
 }
 
-models::ModelConfig ConfigFromFlags(const Flags& flags,
-                                    const data::SplitDataset& split) {
-  models::ModelConfig c;
+/// The model train's flags describe, on `split`'s items and users. A value
+/// that ValidateModelSpec rejects exits 2 naming its flag.
+std::unique_ptr<models::SequentialRecommender> ModelFromFlags(
+    const Flags& flags, const data::SplitDataset& split) {
+  models::ModelSpec spec;
+  spec.name = flags.Get("model", "SLIME4Rec");
+  models::ModelConfig& c = spec.config;
   c.num_items = split.num_items();
   c.num_users = split.num_users();
   c.max_len = flags.GetInt("max-len", 32);
@@ -273,26 +278,70 @@ models::ModelConfig ConfigFromFlags(const Flags& flags,
   c.cl_temperature =
       static_cast<float>(flags.GetDouble("cl-temperature", 0.5));
   c.seed = flags.GetInt("seed", 7);
-  return c;
+  spec.mixer.alpha = flags.GetDouble("alpha", 0.4);
+  spec.mixer.gamma = flags.GetDouble("gamma", 0.5);
+  std::string field;
+  const Status valid = models::ValidateModelSpec(spec, &field);
+  if (!valid.ok()) {
+    // The flag that sets each field; the data sets the item and user counts.
+    const std::map<std::string, std::string> flag_of = {
+        {"name", "model"},
+        {"max_len", "max-len"},
+        {"hidden_dim", "hidden"},
+        {"num_layers", "layers"},
+        {"num_heads", "heads"},
+        {"dropout", "dropout"},
+        {"emb_dropout", "dropout"},
+        {"cl_weight", "cl-weight"},
+        {"cl_temperature", "cl-temperature"},
+        {"alpha", "alpha"},
+        {"gamma", "gamma"}};
+    const auto it = flag_of.find(field);
+    if (it == flag_of.end()) std::exit(Fail(valid));
+    std::fprintf(stderr, "invalid --%s: %s\n", it->second.c_str(),
+                 valid.message().c_str());
+    std::exit(2);
+  }
+  return models::CreateModel(spec.name, spec.config, spec.mixer);
 }
 
-std::unique_ptr<models::SequentialRecommender> BuildModel(
-    const Flags& flags, const data::SplitDataset& split) {
-  const std::string name = flags.Get("model", "SLIME4Rec");
-  core::FilterMixerOptions mixer;
-  mixer.alpha = flags.GetDouble("alpha", 0.4);
-  mixer.gamma = flags.GetDouble("gamma", 0.5);
-  return models::CreateModel(name, ConfigFromFlags(flags, split), mixer);
+/// The header of the --load checkpoint, whose model must score `split`'s
+/// catalogue: its item and user counts are the data's. Exits 1 on a bad or
+/// mismatched file, before any model is built.
+models::ModelSpec CheckpointSpecOrDie(const Flags& flags,
+                                      const data::SplitDataset& split) {
+  const std::string path = flags.Require("load");
+  Result<models::ModelSpec> spec = models::ReadCheckpointSpec(path);
+  if (!spec.ok()) std::exit(Fail(spec.status()));
+  const models::ModelConfig& c = spec.value().config;
+  if (c.num_items != split.num_items() || c.num_users != split.num_users()) {
+    std::exit(Fail(Status::InvalidArgument(
+        "checkpoint " + path + " holds a model of " +
+        std::to_string(c.num_items) + " items and " +
+        std::to_string(c.num_users) + " users, --data has " +
+        std::to_string(split.num_items()) + " and " +
+        std::to_string(split.num_users()))));
+  }
+  return std::move(spec).value();
 }
 
-/// BuildModel, prepared on `split` as Fit prepares a model before training:
-/// a checkpoint holds parameters only, so state that Prepare derives from
-/// the data (MostPop's counts, CoSeRec's correlations) is rebuilt before a
-/// loaded model scores anything.
-std::unique_ptr<models::SequentialRecommender> BuildPreparedModel(
-    const Flags& flags, const data::SplitDataset& split) {
-  auto model = BuildModel(flags, split);
+/// `spec`'s model, prepared on `split` as Fit prepares a model before
+/// training: state that Prepare derives from the data (MostPop's counts,
+/// CoSeRec's correlations) is not in a checkpoint.
+std::unique_ptr<models::SequentialRecommender> PreparedModel(
+    const models::ModelSpec& spec, const data::SplitDataset& split) {
+  auto model = models::CreateModel(spec.name, spec.config, spec.mixer);
   model->Prepare(split);
+  return model;
+}
+
+/// The --load checkpoint's model, prepared on `split` and loaded. Exits 1
+/// on any failure.
+std::unique_ptr<models::SequentialRecommender> LoadedModelOrDie(
+    const Flags& flags, const data::SplitDataset& split) {
+  auto model = PreparedModel(CheckpointSpecOrDie(flags, split), split);
+  const Status st = models::LoadCheckpoint(model.get(), flags.Require("load"));
+  if (!st.ok()) std::exit(Fail(st));
   return model;
 }
 
@@ -347,7 +396,7 @@ int CmdTrain(const Flags& flags) {
       LoadOrDie(flags).FilterMinInteractions(5);
   const data::SplitDataset split(dataset,
                                  flags.GetInt("max-prefixes", 4));
-  auto model = BuildModel(flags, split);
+  auto model = ModelFromFlags(flags, split);
   std::printf("training %s (%lld parameters) on %s: %lld users, %lld "
               "items\n",
               model->name().c_str(),
@@ -385,7 +434,7 @@ int CmdTrain(const Flags& flags) {
   PrintMetrics("test       ", result.test);
   const std::string ckpt = flags.Get("save");
   if (!ckpt.empty()) {
-    const Status st = io::SaveCheckpoint(*model, ckpt);
+    const Status st = models::SaveCheckpoint(*model, ckpt);
     if (!st.ok()) return Fail(st);
     std::printf("saved checkpoint to %s\n", ckpt.c_str());
   }
@@ -405,9 +454,7 @@ int CmdEvaluate(const Flags& flags) {
   const data::InteractionDataset dataset =
       LoadOrDie(flags).FilterMinInteractions(5);
   const data::SplitDataset split(dataset, flags.GetInt("max-prefixes", 4));
-  auto model = BuildPreparedModel(flags, split);
-  const Status st = io::LoadCheckpoint(model.get(), flags.Require("load"));
-  if (!st.ok()) return Fail(st);
+  auto model = LoadedModelOrDie(flags, split);
   PrintMetrics("valid", train::Evaluate(model.get(), split, false));
   PrintMetrics("test ", train::Evaluate(model.get(), split, true));
   return 0;
@@ -417,9 +464,7 @@ int CmdRecommend(const Flags& flags) {
   const data::InteractionDataset dataset =
       LoadOrDie(flags).FilterMinInteractions(5);
   const data::SplitDataset split(dataset, 4);
-  auto model = BuildPreparedModel(flags, split);
-  const Status st = io::LoadCheckpoint(model.get(), flags.Require("load"));
-  if (!st.ok()) return Fail(st);
+  auto model = LoadedModelOrDie(flags, split);
   const int64_t user = flags.GetInt("user", 0);
   if (user < 0 || user >= split.num_users()) {
     std::fprintf(stderr, "user %lld out of range [0, %lld)\n",
@@ -655,15 +700,16 @@ struct ServeMode {
   std::function<void(Server&, int64_t state_appends)> report;
 };
 
-/// Boots a `Server` from --load with canaries and the popularity fallback,
-/// then sends --requests requests round-robin over the users, reloading
-/// halfway through with --reload. With --state-dir each user's history is
-/// appended the first time they show up and served from live state
-/// (ServeSession). Prints the mode's report and the outcome tally, and
+/// Boots a `Server` from --load, building the model its header names, with
+/// canaries and the popularity fallback, then sends --requests requests
+/// round-robin over the users, reloading halfway through with --reload.
+/// With --state-dir each user's history is appended the first time they
+/// show up and served from live state (ServeSession). Prints the mode's report and the outcome tally, and
 /// writes the metrics snapshot and traces to --metrics-out.
 template <typename Server, typename Options>
 int ServeTraffic(const Flags& flags, const data::SplitDataset& split,
                  Options opts, const ServeMode<Server>& mode) {
+  const models::ModelSpec spec = CheckpointSpecOrDie(flags, split);
   // Declared before the server so its handles never outlive the registry.
   const std::string metrics_out = flags.Get("metrics-out");
   obs::MetricsRegistry registry;
@@ -674,8 +720,7 @@ int ServeTraffic(const Flags& flags, const data::SplitDataset& split,
     compute::SetMetricsRegistry(&registry);
   }
 
-  Server server(opts,
-                [&flags, &split] { return BuildPreparedModel(flags, split); });
+  Server server(opts, [&spec, &split] { return PreparedModel(spec, split); });
   server.set_canary_requests(
       train::ExportCanarySet(split, flags.GetInt("canaries", 8)));
   server.set_fallback(serving::PopularityFallback::FromSplit(split));
@@ -931,7 +976,8 @@ int Usage() {
       "[--alpha 0.4] [--save CKPT]\n"
       "            [--checkpoint-dir DIR] [--checkpoint-every 1] "
       "[--resume DIR] [--metrics-out FILE]\n"
-      "  evaluate  --data FILE --load CKPT [--model ...]\n"
+      "  evaluate  --data FILE --load CKPT [--max-prefixes 4]  (the "
+      "checkpoint names its model)\n"
       "  recommend --data FILE --load CKPT --user 0 [--topk 10]\n"
       "  serve     --data FILE --load CKPT [--requests 32] "
       "[--deadline-ms 50]\n"
